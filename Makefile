@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet lint lintshort build test race bench benchsmoke fmt fmtcheck crashmatrix crashshort failovershort fuzzshort
+.PHONY: check vet lint lintshort build test race bench benchcheck benchsmoke fmt fmtcheck crashmatrix crashshort failovershort fuzzshort
 
 # NPROC bounds go vet's package-level parallelism for the lint targets;
 # override on boxes where the cgroup CPU limit is below nproc.
@@ -13,9 +13,11 @@ NPROC ?= $(shell nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)
 # suite under the race detector (the resilience and caching layers are
 # concurrent by design — a run without -race proves little), a
 # one-iteration bench smoke so a broken benchmark cannot sit unnoticed
-# until measurement time, and the bounded crash matrix (crashshort) so a
+# until measurement time, benchcheck so a change that breaks the surface
+# the repository benchmark compiles against is caught here and not when
+# the benchmark runs, and the bounded crash matrix (crashshort) so a
 # durability regression cannot land between full crashmatrix runs.
-check: fmtcheck vet lint build race bench crashshort failovershort fuzzshort
+check: fmtcheck vet lint build race bench benchcheck crashshort failovershort fuzzshort
 
 vet:
 	$(GO) vet ./...
@@ -50,6 +52,14 @@ race:
 # cmd/benchgen or raise -benchtime.
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# benchcheck vets, tests and lints bench/, the repository benchmark
+# (BENCHMARK.json). It is its own module (replace => ../), so the ./...
+# patterns above never compile it: without this target, renaming anything
+# it imports from internal/... breaks the benchmark run and no test.
+benchcheck:
+	$(GO) build -o bin/seclint ./cmd/seclint
+	cd bench && $(GO) vet . && $(GO) test . && $(GO) vet -vettool=$(CURDIR)/bin/seclint .
 
 fmt:
 	gofmt -l -w .

@@ -7,16 +7,27 @@
 //
 //	POST /query    form fields: subject, roles (comma-separated), sql
 //	POST /exec     same fields; for INSERT/UPDATE/DELETE
+//	POST /agg      same fields; aggregates over the subject's visible rows
+//	POST /token    subject, roles: mint an auth token (X-Auth-Token)
+//	GET  /explain  sql: the access plan
 //	GET  /audit    the audit trail
 //
 // Example:
 //
 //	curl -d "subject=ana&roles=analyst&sql=SELECT age, zip FROM patients" \
 //	     http://localhost:8081/query
+//
+// With -nodeid, -replica and -peers the node joins a WAL-shipped replication
+// group and serves the same endpoints (plus /cluster) through the same code
+// (server.go): failover is automatic — when the leader dies, the survivors
+// elect by an explicit quorum vote and the winner promotes its replica in
+// place.
 package main
 
 import (
 	"context"
+	"crypto/ed25519"
+	"crypto/sha256"
 	"errors"
 	"flag"
 	"fmt"
@@ -28,151 +39,132 @@ import (
 	"syscall"
 	"time"
 
-	"webdbsec/internal/audit"
 	"webdbsec/internal/authtoken"
 	"webdbsec/internal/core"
 	"webdbsec/internal/credential"
-	"webdbsec/internal/debugz"
 	"webdbsec/internal/inference"
 	"webdbsec/internal/keymgmt"
 	"webdbsec/internal/policy"
 	"webdbsec/internal/privacy"
 	"webdbsec/internal/reldb"
+	"webdbsec/internal/replication"
 	"webdbsec/internal/synth"
 	"webdbsec/internal/sysr"
 	"webdbsec/internal/wal"
 )
 
+// flags is the parsed command line.
+type flags struct {
+	addr        string
+	people      int
+	debug       bool
+	dataDir     string
+	walSync     string
+	walBatch    int
+	walMaxDelay time.Duration
+	ckptEvery   time.Duration
+	nodeID      string
+	replicaAddr string
+	peersSpec   string
+	// clusterSecret derives every node's signing key; leaking it leaks the
+	// whole cluster's identities.
+	//
+	// seclint:secret
+	clusterSecret string
+	tokenTTL      time.Duration
+}
+
+// clustered reports whether any cluster flag was given.
+func (f *flags) clustered() bool {
+	return f.nodeID != "" || f.replicaAddr != "" || f.peersSpec != ""
+}
+
+// validate refuses flag combinations the node cannot honour, instead of
+// silently ignoring them, and returns the parsed -walsync policy.
+func (f *flags) validate() (wal.SyncPolicy, error) {
+	policy, err := wal.ParseSyncPolicy(f.walSync)
+	if err != nil || !f.clustered() {
+		return policy, err
+	}
+	if f.nodeID == "" || f.replicaAddr == "" || f.peersSpec == "" {
+		return policy, fmt.Errorf("cluster mode needs all of -nodeid, -replica and -peers")
+	}
+	if f.dataDir == "" {
+		return policy, fmt.Errorf("cluster mode needs -data (the WAL is what gets replicated)")
+	}
+	// The replicated log must be SyncAlways: an Append return doubles as
+	// the durability half of the commit verdict the ack protocol ships.
+	if policy != wal.SyncAlways {
+		return policy, fmt.Errorf("cluster mode needs -walsync always, not %s: a replicated commit is acknowledged on its fsync", policy)
+	}
+	// A group member's log is the history its peers catch up from; nothing
+	// schedules its truncation yet.
+	if f.ckptEvery != 0 {
+		return policy, fmt.Errorf("cluster mode takes no periodic checkpoints; drop -checkpoint %s", f.ckptEvery)
+	}
+	return policy, nil
+}
+
 func main() {
-	addr := flag.String("addr", ":8081", "listen address")
-	people := flag.Int("people", 200, "synthetic patients to load")
-	debug := flag.Bool("debug", false, "expose /debug/pprof and /debug/vars (off by default)")
-	dataDir := flag.String("data", "", "durable data directory (empty = in-memory only)")
-	walSync := flag.String("walsync", "always", "WAL fsync policy with -data: always, interval or never")
-	walBatch := flag.Int("walbatch", 1<<20, "group-commit batch cap in bytes (1 = fsync per append, no batching)")
-	walMaxDelay := flag.Duration("walmaxdelay", 0, "max time the group-commit leader lingers to widen a batch (0 = ship immediately)")
-	ckptEvery := flag.Duration("checkpoint", 0, "with -data, take a fuzzy checkpoint this often while serving (0 = only at shutdown)")
-	nodeID := flag.String("nodeid", "", "cluster node ID; enables cluster mode with -replica and -peers")
-	replicaAddr := flag.String("replica", "", "replication listen address (host:port) for cluster mode")
-	peersSpec := flag.String("peers", "", "comma-separated id=host:port list of every OTHER cluster member")
-	clusterSecret := flag.String("clustersecret", "securedb-demo", "shared secret deriving the demo cluster node identities")
-	tokenTTL := flag.Duration("tokenttl", 2*time.Minute, "auth-token lifetime for the POST /token fast path (0 disables token auth)")
+	var f flags
+	flag.StringVar(&f.addr, "addr", ":8081", "listen address")
+	flag.IntVar(&f.people, "people", 200, "synthetic patients to load")
+	flag.BoolVar(&f.debug, "debug", false, "expose /debug/pprof and /debug/vars (off by default)")
+	flag.StringVar(&f.dataDir, "data", "", "durable data directory (empty = in-memory only)")
+	flag.StringVar(&f.walSync, "walsync", "always", "WAL fsync policy with -data: always, interval or never")
+	flag.IntVar(&f.walBatch, "walbatch", 1<<20, "group-commit batch cap in bytes (1 = fsync per append, no batching)")
+	flag.DurationVar(&f.walMaxDelay, "walmaxdelay", 0, "max time the group-commit leader lingers to widen a batch (0 = ship immediately)")
+	flag.DurationVar(&f.ckptEvery, "checkpoint", 0, "with -data, take a fuzzy checkpoint this often while serving (0 = only at shutdown)")
+	flag.StringVar(&f.nodeID, "nodeid", "", "cluster node ID; enables cluster mode with -replica and -peers")
+	flag.StringVar(&f.replicaAddr, "replica", "", "replication listen address (host:port) for cluster mode")
+	flag.StringVar(&f.peersSpec, "peers", "", "comma-separated id=host:port list of every OTHER cluster member")
+	flag.StringVar(&f.clusterSecret, "clustersecret", "securedb-demo", "shared secret deriving the demo cluster node identities")
+	flag.DurationVar(&f.tokenTTL, "tokenttl", 2*time.Minute, "auth-token lifetime for the POST /token fast path (0 disables token auth)")
 	flag.Parse()
-
-	if *nodeID != "" || *replicaAddr != "" || *peersSpec != "" {
-		runCluster(clusterOpts{
-			nodeID:      *nodeID,
-			replicaAddr: *replicaAddr,
-			peersSpec:   *peersSpec,
-			secret:      *clusterSecret,
-			dataDir:     *dataDir,
-			httpAddr:    *addr,
-			people:      *people,
-			debug:       *debug,
-			tokenTTL:    *tokenTTL,
-		})
-		return
+	policy, err := f.validate()
+	if err != nil {
+		log.Fatalf("securedb: %v", err)
 	}
 
-	cfg := core.Config{}
-	// Durable mode: the relational substrate and the audit chain live in
-	// write-ahead logs under -data and survive restarts; the demo schema
-	// is loaded only on first start.
-	var dbWAL, auditWAL *wal.WAL
-	fresh := true
-	if *dataDir != "" {
-		syncPolicy, err := wal.ParseSyncPolicy(*walSync)
+	// How the node is built is all that depends on the flags: durable logs
+	// under -data (the relational substrate and the audit chain survive
+	// restarts; the demo schema is loaded only on first start), and a
+	// replication identity with the cluster flags. Serving is one path.
+	cfg := config{people: f.people, tokenTTL: f.tokenTTL}
+	if f.dataDir != "" {
+		open := func(name string) *wal.WAL {
+			w, err := wal.Open(wal.Options{
+				FS: wal.DirFS(filepath.Join(f.dataDir, name)), Policy: policy,
+				MaxBatchBytes: f.walBatch, MaxDelay: f.walMaxDelay,
+			})
+			if err != nil {
+				log.Fatalf("securedb: open %s wal: %v", name, err)
+			}
+			return w
+		}
+		cfg.dbWAL, cfg.auditWAL = open("db"), open("audit")
+		log.Printf("securedb: durable mode: data=%s sync=%s batch=%dB maxdelay=%s",
+			f.dataDir, policy, f.walBatch, f.walMaxDelay)
+	}
+	if f.clustered() {
+		rc, err := f.replicationConfig()
 		if err != nil {
-			log.Fatal(err)
+			log.Fatalf("securedb: %v", err)
 		}
-		dbWAL, err = wal.Open(wal.Options{
-			FS: wal.DirFS(filepath.Join(*dataDir, "db")), Policy: syncPolicy,
-			MaxBatchBytes: *walBatch, MaxDelay: *walMaxDelay,
-		})
-		if err != nil {
-			log.Fatalf("securedb: open db wal: %v", err)
-		}
-		auditWAL, err = wal.Open(wal.Options{
-			FS: wal.DirFS(filepath.Join(*dataDir, "audit")), Policy: syncPolicy,
-			MaxBatchBytes: *walBatch, MaxDelay: *walMaxDelay,
-		})
-		if err != nil {
-			log.Fatalf("securedb: open audit wal: %v", err)
-		}
-		database, err := reldb.OpenDatabase(dbWAL)
-		if err != nil {
-			log.Fatalf("securedb: recover database: %v", err)
-		}
-		auditLog, err := audit.OpenLog(auditWAL)
-		if err != nil {
-			// A broken audit chain is a refusal to start, not a warning: the
-			// accountability trail is the point.
-			log.Fatalf("securedb: recover audit log: %v", err)
-		}
-		if _, ok := database.Table("patients"); ok {
-			fresh = false
-		}
-		cfg.DB = reldb.NewSecureDB(database, nil)
-		cfg.Audit = auditLog
-		log.Printf("securedb: durable mode: data=%s sync=%s batch=%dB maxdelay=%s fresh=%v",
-			*dataDir, syncPolicy, *walBatch, *walMaxDelay, fresh)
+		cfg.cluster = rc
+		log.Printf("securedb: cluster node %s replicating on %s, peers %v", rc.NodeID, rc.Addr, rc.Peers)
+	}
+	s, err := newServer(cfg)
+	if err != nil {
+		log.Fatalf("securedb: %v", err)
 	}
 
-	w := core.NewSecureWebDB(cfg)
-	if err := setupDemo(w, *people, fresh); err != nil {
-		log.Fatal(err)
-	}
-
-	// Token fast path: POST /token runs the full evaluation once and hands
-	// back a stateless Ed25519 token; the serving endpoints then verify it
-	// with one signature check instead of re-qualifying every request.
-	var authSvc *authtoken.Service
-	if *tokenTTL > 0 {
-		var err error
-		authSvc, err = newAuthService(*tokenTTL, func() *core.SecureWebDB { return w })
-		if err != nil {
-			log.Fatalf("securedb: token auth: %v", err)
-		}
-	}
-
-	mux := http.NewServeMux()
-	mux.HandleFunc("/query", handler(w, authSvc, true))
-	mux.HandleFunc("/exec", handler(w, authSvc, false))
-	mux.HandleFunc("/agg", aggHandler(w, authSvc))
-	if authSvc != nil {
-		mux.HandleFunc("/token", authSvc.MintHandler())
-	}
-	mux.HandleFunc("/explain", func(rw http.ResponseWriter, r *http.Request) {
-		plan, err := w.DB().DB().Explain(r.FormValue("sql"))
-		if err != nil {
-			http.Error(rw, err.Error(), http.StatusBadRequest)
-			return
-		}
-		fmt.Fprintln(rw, plan)
-	})
-	mux.HandleFunc("/audit", func(rw http.ResponseWriter, r *http.Request) {
-		for _, rec := range w.Audit().Records() {
-			fmt.Fprintf(rw, "%4d %-10s %-8s %-60s %s\n", rec.Seq, rec.Actor, rec.Action, rec.Object, rec.Outcome)
-		}
-	})
-	if *debug {
-		debugz.Mount(mux)
-		debugz.Publish("securedb.parse_cache", func() any { return w.DB().ParseCacheStats() })
-		if authSvc != nil {
-			debugz.Publish("securedb.authtoken", func() any { return authSvc.Gate.Stats() })
-		}
-		if dbWAL != nil {
-			debugz.Publish("securedb.wal.db", func() any { return dbWAL.Stats() })
-			debugz.Publish("securedb.wal.audit", func() any { return auditWAL.Stats() })
-		}
-		log.Print("securedb: debug endpoints enabled at /debug/pprof and /debug/vars")
-	}
 	// Serve with timeouts — a slow-loris client or wedged handler must
 	// not accumulate goroutines forever — and drain gracefully on
 	// SIGINT/SIGTERM so in-flight queries finish.
 	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           mux,
+		Addr:              f.addr,
+		Handler:           s.mux(f.debug),
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       15 * time.Second,
 		WriteTimeout:      30 * time.Second,
@@ -180,29 +172,26 @@ func main() {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-	// Periodic fuzzy checkpoints: the checkpoint pins a committed version
-	// and streams it out while transactions keep committing, so taking one
-	// mid-traffic never blocks or fails — it only bounds restart replay.
-	if dbWAL != nil && *ckptEvery > 0 {
+	if f.ckptEvery > 0 && cfg.dbWAL != nil {
 		go func() {
-			tick := time.NewTicker(*ckptEvery)
+			tick := time.NewTicker(f.ckptEvery)
 			defer tick.Stop()
 			for {
 				select {
 				case <-ctx.Done():
 					return
 				case <-tick.C:
-					if err := w.DB().DB().Checkpoint(); err != nil {
+					if err := s.checkpoint(); err != nil {
 						log.Printf("securedb: periodic checkpoint: %v", err)
 					}
 				}
 			}
 		}()
-		log.Printf("securedb: fuzzy checkpoint every %s", *ckptEvery)
+		log.Printf("securedb: fuzzy checkpoint every %s", f.ckptEvery)
 	}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
-	log.Printf("securedb listening on %s (demo schema: patients(name, zip, age, disease))", *addr)
+	log.Printf("securedb listening on %s (demo schema: patients(name, zip, age, disease))", f.addr)
 	select {
 	case err := <-errCh:
 		log.Fatal(err)
@@ -214,22 +203,64 @@ func main() {
 	if err := srv.Shutdown(shutCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		log.Printf("securedb: shutdown: %v", err)
 	}
-	// Flush durable state: checkpoint the database so the next start
-	// replays nothing. The checkpoint is fuzzy, so it succeeds even if a
-	// straggling transaction is still in flight — the WAL tail keeps
-	// whatever the snapshot fence excludes. Failures are logged, not
-	// fatal — the WAL already holds everything a redo needs.
-	if dbWAL != nil {
-		if err := w.DB().DB().Checkpoint(); err != nil {
-			log.Printf("securedb: checkpoint: %v", err)
-		}
-		if err := dbWAL.Close(); err != nil {
-			log.Printf("securedb: close db wal: %v", err)
-		}
-		if err := auditWAL.Close(); err != nil {
-			log.Printf("securedb: close audit wal: %v", err)
-		}
+	s.close()
+}
+
+// replicationConfig decodes the cluster flags into this node's replication
+// identity.
+func (f *flags) replicationConfig() (*replication.Config, error) {
+	peers, err := parsePeers(f.peersSpec)
+	if err != nil {
+		return nil, err
 	}
+	if _, self := peers[f.nodeID]; self {
+		return nil, fmt.Errorf("-peers must list every OTHER node, not %s itself", f.nodeID)
+	}
+	keys := make(map[string]ed25519.PublicKey, len(peers))
+	for id := range peers {
+		keys[id] = demoNodeKey(f.clusterSecret, id).Public().(ed25519.PublicKey)
+	}
+	return &replication.Config{
+		NodeID:    f.nodeID,
+		Addr:      f.replicaAddr,
+		Peers:     peers,
+		Identity:  demoNodeKey(f.clusterSecret, f.nodeID),
+		PeerKeys:  keys,
+		MetaStore: wal.DirFS(filepath.Join(f.dataDir, "cluster")),
+		Logf:      log.Printf,
+	}, nil
+}
+
+// parsePeers decodes "id=host:port,id=host:port" into the peer map.
+func parsePeers(spec string) (map[string]string, error) {
+	peers := make(map[string]string)
+	for _, part := range strings.Split(spec, ",") {
+		part = strings.TrimSpace(part)
+		if part == "" {
+			continue
+		}
+		id, addr, ok := strings.Cut(part, "=")
+		if !ok || id == "" || addr == "" {
+			return nil, fmt.Errorf("peer %q: want id=host:port", part)
+		}
+		if _, dup := peers[id]; dup {
+			return nil, fmt.Errorf("peer %q listed twice", id)
+		}
+		peers[id] = addr
+	}
+	if len(peers) == 0 {
+		return nil, fmt.Errorf("-peers %q names no peers", spec)
+	}
+	return peers, nil
+}
+
+// demoNodeKey derives a node's ed25519 identity from the shared cluster
+// secret, so every member can compute every peer's public key without a
+// key-distribution step. Demo-grade: a production deployment provisions
+// per-node keys and a credential.Verifier-backed join policy instead.
+func demoNodeKey(secret, id string) ed25519.PrivateKey {
+	seed := sha256.Sum256([]byte(secret + "|" + id))
+	return ed25519.NewKeyFromSeed(seed[:])
 }
 
 // grantMintGate is the MintGate behind every securedb mint: the System R
@@ -250,10 +281,7 @@ func (g grantMintGate) AllowMint(s *policy.Subject) bool {
 	return w.DB().Grants().HasPrivilege(s.ID, sysr.Select, "patients")
 }
 
-// newAuthService builds the full (mint-capable) token service a leader or
-// single node runs: verifier and minter over a fresh keyring, gated on
-// the live grant catalog. The keyring is returned to the caller through
-// the service's Gate for cluster key export.
+// newAuthService builds the mint-capable token service over a fresh keyring.
 func newAuthService(ttl time.Duration, current func() *core.SecureWebDB) (*authtoken.Service, error) {
 	ring, err := keymgmt.NewMintKeyring(2)
 	if err != nil {
@@ -262,6 +290,8 @@ func newAuthService(ttl time.Duration, current func() *core.SecureWebDB) (*autht
 	return newAuthServiceWithRing(ring, ttl, current)
 }
 
+// newAuthServiceWithRing builds the mint-capable token service a leading
+// node runs: verifier and minter over ring, gated on the live grant catalog.
 func newAuthServiceWithRing(ring *keymgmt.MintKeyring, ttl time.Duration, current func() *core.SecureWebDB) (*authtoken.Service, error) {
 	minter, err := authtoken.NewMinter(ring, credential.NewVerifier(), grantMintGate{current: current}, ttl)
 	if err != nil {
@@ -287,78 +317,120 @@ func authSubject(rw http.ResponseWriter, r *http.Request, auth *authtoken.Servic
 	return subject, true
 }
 
+// pipelineHandler serves one request against one pipeline and its gate.
+type pipelineHandler func(rw http.ResponseWriter, r *http.Request, w *core.SecureWebDB, auth *authtoken.Service)
+
+// handler binds the /query (isQuery) or /exec endpoint to one fixed pipeline.
 func handler(w *core.SecureWebDB, auth *authtoken.Service, isQuery bool) http.HandlerFunc {
 	return func(rw http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(rw, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
-		subject, ok := authSubject(rw, r, auth)
-		if !ok {
-			return
-		}
-		sql := r.FormValue("sql")
-		if subject.ID == "" || sql == "" {
-			http.Error(rw, "need subject and sql", http.StatusBadRequest)
-			return
-		}
 		if isQuery {
-			out, err := w.Query(subject, sql)
-			if err != nil {
-				http.Error(rw, err.Error(), http.StatusForbidden)
-				return
-			}
-			fmt.Fprintln(rw, strings.Join(out.Result.Columns, "\t"))
-			for _, row := range out.Result.Rows {
-				cells := make([]string, len(row))
-				for i, v := range row {
-					cells[i] = v.String()
-				}
-				fmt.Fprintln(rw, strings.Join(cells, "\t"))
-			}
-			if len(out.MaskedColumns) > 0 {
-				fmt.Fprintf(rw, "# masked by privacy constraints: %s\n", strings.Join(out.MaskedColumns, ", "))
-			}
-			if len(out.Derived) > 0 {
-				fmt.Fprintf(rw, "# inference controller notes you can now derive: %s\n", strings.Join(out.Derived, ", "))
-			}
-			return
+			serveQuery(rw, r, w, auth)
+		} else {
+			serveExec(rw, r, w, auth, nil)
 		}
-		res, err := w.Execute(subject, sql)
-		if err != nil {
-			http.Error(rw, err.Error(), http.StatusForbidden)
-			return
-		}
-		fmt.Fprintf(rw, "ok, %d row(s) affected\n", res.Affected)
 	}
 }
 
-// aggHandler serves statistical queries through the secure aggregate
-// path: the subject only ever aggregates over its visible rows.
-func aggHandler(w *core.SecureWebDB, auth *authtoken.Service) http.HandlerFunc {
-	return func(rw http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(rw, "POST only", http.StatusMethodNotAllowed)
-			return
+// statement authenticates a POSTed (subject, sql) pair; on !ok the refusal
+// is already written.
+func statement(rw http.ResponseWriter, r *http.Request, auth *authtoken.Service) (subject *policy.Subject, sql string, ok bool) {
+	if r.Method != http.MethodPost {
+		http.Error(rw, "POST only", http.StatusMethodNotAllowed)
+		return nil, "", false
+	}
+	if subject, ok = authSubject(rw, r, auth); !ok {
+		return nil, "", false
+	}
+	sql = r.FormValue("sql")
+	if subject.ID == "" || sql == "" {
+		http.Error(rw, "need subject and sql", http.StatusBadRequest)
+		return nil, "", false
+	}
+	return subject, sql, true
+}
+
+// writeRows renders a result as tab-separated lines under a header line.
+func writeRows(rw http.ResponseWriter, res *reldb.Result) {
+	fmt.Fprintln(rw, strings.Join(res.Columns, "\t"))
+	for _, row := range res.Rows {
+		cells := make([]string, len(row))
+		for i, v := range row {
+			cells[i] = v.String()
 		}
-		subject, ok := authSubject(rw, r, auth)
-		if !ok {
+		fmt.Fprintln(rw, strings.Join(cells, "\t"))
+	}
+}
+
+func serveQuery(rw http.ResponseWriter, r *http.Request, w *core.SecureWebDB, auth *authtoken.Service) {
+	subject, sql, ok := statement(rw, r, auth)
+	if !ok {
+		return
+	}
+	out, err := w.Query(subject, sql)
+	if err != nil {
+		http.Error(rw, err.Error(), http.StatusForbidden)
+		return
+	}
+	writeRows(rw, out.Result)
+	if len(out.MaskedColumns) > 0 {
+		fmt.Fprintf(rw, "# masked by privacy constraints: %s\n", strings.Join(out.MaskedColumns, ", "))
+	}
+	if len(out.Derived) > 0 {
+		fmt.Fprintf(rw, "# inference controller notes you can now derive: %s\n", strings.Join(out.Derived, ", "))
+	}
+}
+
+// serveExec runs INSERT/UPDATE/DELETE. committed, when set, holds the
+// success ack until the statement's commit record (res.LSN — this
+// statement's own, not whatever the log tail is by then) is durable
+// cluster-wide; nothing is written before its verdict, so a refused ack
+// carries no partial success body.
+func serveExec(rw http.ResponseWriter, r *http.Request, w *core.SecureWebDB, auth *authtoken.Service, committed func(ctx context.Context, lsn int64) error) {
+	subject, sql, ok := statement(rw, r, auth)
+	if !ok {
+		return
+	}
+	res, err := w.Execute(subject, sql)
+	if err != nil {
+		http.Error(rw, err.Error(), http.StatusForbidden)
+		return
+	}
+	if committed != nil {
+		if err := committed(r.Context(), res.LSN); err != nil {
+			http.Error(rw, fmt.Sprintf("commit not acknowledged by quorum: %v", err), http.StatusServiceUnavailable)
 			return
-		}
-		res, err := w.DB().ExecAggregateSecure(subject, r.FormValue("sql"))
-		if err != nil {
-			http.Error(rw, err.Error(), http.StatusForbidden)
-			return
-		}
-		fmt.Fprintln(rw, strings.Join(res.Columns, "\t"))
-		for _, row := range res.Rows {
-			cells := make([]string, len(row))
-			for i, v := range row {
-				cells[i] = v.String()
-			}
-			fmt.Fprintln(rw, strings.Join(cells, "\t"))
 		}
 	}
+	fmt.Fprintf(rw, "ok, %d row(s) affected\n", res.Affected)
+}
+
+// serveAgg serves statistical queries through the secure aggregate path:
+// the subject only ever aggregates over its visible rows.
+func serveAgg(rw http.ResponseWriter, r *http.Request, w *core.SecureWebDB, auth *authtoken.Service) {
+	if r.Method != http.MethodPost {
+		http.Error(rw, "POST only", http.StatusMethodNotAllowed)
+		return
+	}
+	subject, ok := authSubject(rw, r, auth)
+	if !ok {
+		return
+	}
+	res, err := w.DB().ExecAggregateSecure(subject, r.FormValue("sql"))
+	if err != nil {
+		http.Error(rw, err.Error(), http.StatusForbidden)
+		return
+	}
+	writeRows(rw, res)
+}
+
+// serveExplain prints the access plan the engine would choose.
+func serveExplain(rw http.ResponseWriter, r *http.Request, w *core.SecureWebDB, _ *authtoken.Service) {
+	plan, err := w.DB().DB().Explain(r.FormValue("sql"))
+	if err != nil {
+		http.Error(rw, err.Error(), http.StatusBadRequest)
+		return
+	}
+	fmt.Fprintln(rw, plan)
 }
 
 // setupDemo loads the demo schema: a patients table, analyst grants, a

@@ -154,7 +154,7 @@ func checkScope(pass *analysis.Pass, guards map[types.Object]guard, lines map[in
 			// method. Load is the lock-free read path and always legal;
 			// everything else publishes and needs the mutex.
 			if inner, isSel := n.X.(*ast.SelectorExpr); isSel {
-				if obj := pass.TypesInfo.Uses[inner.Sel]; obj != nil {
+				if obj := fieldOrigin(pass.TypesInfo.Uses[inner.Sel]); obj != nil {
 					if g, isGuarded := guards[obj]; isGuarded && g.atomic {
 						handled[inner] = true
 						if n.Sel.Name != "Load" {
@@ -172,7 +172,7 @@ func checkScope(pass *analysis.Pass, guards map[types.Object]guard, lines map[in
 			if handled[n] {
 				return true
 			}
-			obj := pass.TypesInfo.Uses[n.Sel]
+			obj := fieldOrigin(pass.TypesInfo.Uses[n.Sel])
 			if obj == nil {
 				return true
 			}
@@ -219,6 +219,17 @@ func checkScope(pass *analysis.Pass, guards map[types.Object]guard, lines map[in
 	for _, lit := range nested {
 		checkScope(pass, guards, lines, lit.Body)
 	}
+}
+
+// fieldOrigin maps a field of an instantiated generic struct back to the
+// field the annotation was collected from. Inside a generic type's own
+// methods the receiver is an instantiation, and every field whose type
+// mentions a type parameter is a substituted copy there.
+func fieldOrigin(obj types.Object) types.Object {
+	if v, ok := obj.(*types.Var); ok {
+		return v.Origin()
+	}
+	return obj
 }
 
 // lockOp recognizes `<expr>.Lock()`, `RLock`, `Unlock`, `RUnlock` calls

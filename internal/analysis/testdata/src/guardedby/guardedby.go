@@ -133,3 +133,32 @@ func constructorOwns() *versioned {
 func (v *versioned) escapeIsFlagged() *atomic.Pointer[counter] {
 	return &v.cur // want `v\.cur \(versioned\.cur\) is an atomic pointer published under v\.mu`
 }
+
+// cell models the generic version cell (internal/mvcc): the mutex is the
+// owner's, lent by pointer, and the guarded fields' types mention the type
+// parameter — inside the methods they are fields of an instantiation, which
+// must still resolve to the annotated declarations.
+type cell[T any] struct {
+	mu       *sync.Mutex
+	cur      atomic.Pointer[T] // seclint:atomicptr mu
+	retained []*T              // seclint:guardedby mu
+}
+
+func (c *cell[T]) load() *T { return c.cur.Load() }
+
+func (c *cell[T]) installUnlocked(v *T) {
+	c.retained = append(c.retained, c.cur.Load()) // want `c\.retained \(cell\.retained\) is guarded by c\.mu` `c\.retained \(cell\.retained\) is guarded by c\.mu`
+	c.cur.Store(v)                                // want `c\.cur \(cell\.cur\) is an atomic pointer published under c\.mu`
+}
+
+func (c *cell[T]) retainedLen() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.retained)
+}
+
+// seclint:locked caller holds the owner's lock
+func (c *cell[T]) install(v *T) {
+	c.retained = append(c.retained, c.cur.Load())
+	c.cur.Store(v)
+}

@@ -1,6 +1,7 @@
 package reldb
 
 import (
+	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
@@ -84,15 +85,57 @@ var fuzzyCheckpointFacts = map[string]struct {
 	"c0":  {"u", 10}, "c1": {"u", 11}, "c2": {"u", 12},
 }
 
-// checkFuzzyCheckpointInvariants recovers a post-crash image and asserts
-// the fuzzy-checkpoint durability contract: every acknowledged fact is
-// present with its exact value (a crash mid-snapshot must fall back to
-// the previous snapshot plus the untruncated log — a torn snapshot is
-// never accepted), nothing unacknowledged materializes corrupted, and
-// recovery of the same image is deterministic.
-func checkFuzzyCheckpointInvariants(t *testing.T, img *faultinject.MemFS, acked map[string]bool, desc string) {
+// openPromoted recovers the way a failover does: open the WAL as a
+// follower, then promote it.
+func openPromoted(t *testing.T, fs wal.FS) *Database {
 	t.Helper()
-	db := openDurable(t, img)
+	w, err := wal.Open(wal.Options{FS: fs, Policy: wal.SyncAlways})
+	if err != nil {
+		t.Fatalf("wal.Open: %v", err)
+	}
+	f, err := OpenFollower(w)
+	if err != nil {
+		t.Fatalf("OpenFollower: %v", err)
+	}
+	db, err := f.Promote()
+	if err != nil {
+		t.Fatalf("Promote: %v", err)
+	}
+	return db
+}
+
+// snapshotFence returns the FenceLSN of the checkpoint snapshot in img (0
+// when there is none): the commits and DDL at or below it are inside the
+// snapshot, and recovery never redoes them.
+func snapshotFence(t *testing.T, img *faultinject.MemFS) int64 {
+	t.Helper()
+	w, err := wal.Open(wal.Options{FS: img.AfterCrash(false), Policy: wal.SyncAlways})
+	if err != nil {
+		t.Fatalf("wal.Open: %v", err)
+	}
+	payload, _, ok := w.Snapshot()
+	if !ok {
+		return 0
+	}
+	var snap dbSnap
+	if err := json.Unmarshal(payload, &snap); err != nil {
+		t.Fatalf("decode snapshot: %v", err)
+	}
+	return snap.FenceLSN
+}
+
+// checkFuzzyCheckpointInvariants recovers a post-crash image through open
+// and asserts the fuzzy-checkpoint durability contract: every acknowledged
+// fact is present with its exact value (a crash mid-snapshot must fall back
+// to the previous snapshot plus the untruncated log — a torn snapshot is
+// never accepted), nothing unacknowledged materializes corrupted, recovery
+// of the same image is deterministic, and the recovered database never
+// reassigns an LSN at or below the snapshot fence (the next recovery would
+// skip a commit stamped there as already inside the snapshot).
+func checkFuzzyCheckpointInvariants(t *testing.T, img *faultinject.MemFS, acked map[string]bool, desc string, open func(*testing.T, wal.FS) *Database) {
+	t.Helper()
+	fence := snapshotFence(t, img)
+	db := open(t, img)
 	rows := map[string]map[string]int64{
 		"t": tableRows(t, db, "t"),
 		"u": tableRows(t, db, "u"),
@@ -121,7 +164,24 @@ func checkFuzzyCheckpointInvariants(t *testing.T, img *faultinject.MemFS, acked 
 			}
 		}
 	}
-	assertDBEqual(t, db, openDurable(t, img), desc+" (recover twice)")
+	assertDBEqual(t, db, open(t, img.AfterCrash(false)), desc+" (recover twice)")
+	if _, ok := db.Table("t"); !ok {
+		return
+	}
+	res := mustExec(t, db, "INSERT INTO t VALUES ('post', 1)")
+	if res.LSN <= fence {
+		t.Fatalf("%s: commit after recovery got LSN %d, at or below the snapshot fence %d", desc, res.LSN, fence)
+	}
+	if got := tableRows(t, open(t, img.AfterCrash(true)), "t"); got["post"] != 1 {
+		t.Fatalf("%s: commit acknowledged after recovery lost by the next recovery: %v", desc, got)
+	}
+}
+
+// recoveries are the ways a crashed image comes back: a single-node
+// restart, and a replica promoted over the same log. They must agree.
+var recoveries = map[string]func(*testing.T, wal.FS) *Database{
+	"OpenDatabase":         openDurable,
+	"OpenFollower+Promote": openPromoted,
 }
 
 // TestCrashMatrixFuzzyCheckpoint kills the store at sampled byte offsets
@@ -153,8 +213,10 @@ func TestCrashMatrixFuzzyCheckpoint(t *testing.T) {
 		fs.LimitWriteBytes(b)
 		a := fuzzyCheckpointWorkload(fs)
 		for _, drop := range []bool{false, true} {
-			checkFuzzyCheckpointInvariants(t, fs.AfterCrash(drop), a,
-				fmt.Sprintf("checkpoint crash at byte %d dropUnsynced=%v", b, drop))
+			for name, open := range recoveries {
+				checkFuzzyCheckpointInvariants(t, fs.AfterCrash(drop), a,
+					fmt.Sprintf("checkpoint crash at byte %d dropUnsynced=%v via %s", b, drop, name), open)
+			}
 		}
 		points++
 	}
@@ -163,10 +225,53 @@ func TestCrashMatrixFuzzyCheckpoint(t *testing.T) {
 		fs.LimitSyncs(k)
 		a := fuzzyCheckpointWorkload(fs)
 		for _, drop := range []bool{false, true} {
-			checkFuzzyCheckpointInvariants(t, fs.AfterCrash(drop), a,
-				fmt.Sprintf("checkpoint crash inside fsync %d dropUnsynced=%v", k, drop))
+			for name, open := range recoveries {
+				checkFuzzyCheckpointInvariants(t, fs.AfterCrash(drop), a,
+					fmt.Sprintf("checkpoint crash inside fsync %d dropUnsynced=%v via %s", k, drop, name), open)
+			}
 		}
 		points++
 	}
 	t.Logf("fuzzy-checkpoint crash matrix: %d points × 2 images over ~%d bytes / %d fsyncs", points, total, syncs)
+}
+
+// TestRecoveryReanchorsAtFence is the directed case the matrix does not
+// reach under SyncAlways: the log does not fsync on commit, so a crash right
+// after a fuzzy checkpoint's snapshot rename leaves a durable snapshot whose
+// fence lies ABOVE everything else on disk (the straddling transaction holds
+// the truncation point below the fence, and the frames in between died
+// unsynced). Every recovery must then jump the log position to the fence.
+func TestRecoveryReanchorsAtFence(t *testing.T) {
+	fs := faultinject.NewMemFS()
+	w, err := wal.Open(wal.Options{FS: fs, Policy: wal.SyncNever})
+	if err != nil {
+		t.Fatalf("wal.Open: %v", err)
+	}
+	db, err := OpenDatabase(w)
+	if err != nil {
+		t.Fatalf("OpenDatabase: %v", err)
+	}
+	mustExec(t, db, "CREATE TABLE t (k TEXT, v INT)")
+	mustExec(t, db, "CREATE TABLE u (k TEXT, v INT)")
+	straddler := db.Begin()
+	if _, err := straddler.Exec("INSERT INTO t VALUES ('mid', 100)"); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, "INSERT INTO u VALUES ('c0', 10)")
+	mustExec(t, db, "INSERT INTO u VALUES ('c1', 11)")
+	if err := db.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	img := fs.AfterCrash(true)
+
+	probe, err := wal.Open(wal.Options{FS: img.AfterCrash(false), Policy: wal.SyncAlways})
+	if err != nil {
+		t.Fatalf("wal.Open: %v", err)
+	}
+	if fence := snapshotFence(t, img); fence <= int64(probe.LastLSN()) {
+		t.Fatalf("image does not have its fence above the log: fence %d, LastLSN %d", fence, probe.LastLSN())
+	}
+	for name, open := range recoveries {
+		checkFuzzyCheckpointInvariants(t, img.AfterCrash(false), nil, "fence above log via "+name, open)
+	}
 }

@@ -4,7 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
+
+	"webdbsec/internal/mvcc"
 )
 
 // Result is the outcome of executing a statement.
@@ -12,6 +13,10 @@ type Result struct {
 	Columns  []string
 	Rows     []Row
 	Affected int
+	// LSN is the log position of the Commit (or DDL) record a write
+	// statement appended — the position a replicated deployment waits on
+	// before acknowledging it. Zero for reads.
+	LSN int64
 }
 
 // Database is the engine: a multi-versioned table heap, the metadata
@@ -19,8 +24,8 @@ type Result struct {
 // Exec; multi-statement transactions go through Begin (txn.go).
 //
 // Concurrency model (version.go has the full story): the committed state
-// is an immutable dbVersion behind an atomic pointer. Readers Load it and
-// never block — SELECTs, catalog lookups and snapshots take no mutex.
+// is an immutable dbVersion published through an mvcc.Cell. Readers Load it
+// and never block — SELECTs, catalog lookups and snapshots take no mutex.
 // db.mu is a writer-side lock only: it serializes version installs,
 // transaction bookkeeping, DDL and checkpoint fencing.
 type Database struct {
@@ -29,13 +34,9 @@ type Database struct {
 	mu  sync.Mutex
 	log *Log
 
-	// current is the committed version; readers Load it lock-free, writers
-	// Store a successor under mu.
-	current atomic.Pointer[dbVersion] // seclint:atomicptr mu
-
-	// retained holds superseded versions until no snapshot pins them.
-	retained []*dbVersion // seclint:guardedby mu
-	vstats   VersionStats // seclint:guardedby mu
+	// versions publishes the committed version; readers Load or Pin it
+	// lock-free, writers Install a successor under mu.
+	versions mvcc.Cell[dbVersion]
 
 	lockMgr *lockManager
 	txnSeq  int64 // seclint:guardedby mu
@@ -47,16 +48,22 @@ type Database struct {
 	cons       *constraintSet  // seclint:guardedby mu
 }
 
-// NewDatabase returns an empty database with a fresh log.
-//
-// seclint:locked db is not yet published; no other goroutine holds a reference before NewDatabase returns
+// NewDatabase returns an empty in-memory database.
 func NewDatabase() *Database {
+	return newDatabaseAt(dbVersion{tables: make(map[string]*Table)})
+}
+
+// newDatabaseAt returns an in-memory database whose committed state is v.
+//
+// seclint:locked db is not yet published; no other goroutine holds a reference before newDatabaseAt returns
+func newDatabaseAt(v dbVersion) *Database {
 	db := &Database{
-		log:        NewLog(),
+		log:        &Log{nextLSN: v.lsn},
 		lockMgr:    newLockManager(),
+		txnSeq:     v.txnSeq,
 		activeTxns: make(map[int64]int64),
 	}
-	db.current.Store(&dbVersion{tables: make(map[string]*Table)})
+	db.versions.Init(&db.mu, v)
 	return db
 }
 
@@ -68,12 +75,12 @@ func (db *Database) Log() *Log { return db.log }
 // making several calls sees potentially different versions — pin a
 // Snapshot for a consistent multi-table view.
 func (db *Database) Table(name string) (*Table, bool) {
-	return db.current.Load().table(name)
+	return db.versions.Load().table(name)
 }
 
 // Tables returns the table names, sorted — the catalog listing. Lock-free.
 func (db *Database) Tables() []string {
-	return db.current.Load().tableNames()
+	return db.versions.Load().tableNames()
 }
 
 // Exec parses and executes one statement in autocommit mode.
@@ -105,7 +112,7 @@ func (db *Database) ExecStmt(st Stmt) (*Result, error) {
 			txn.Abort()
 			return nil, err
 		}
-		if err := txn.Commit(); err != nil {
+		if res.LSN, err = txn.commit(); err != nil {
 			return nil, err
 		}
 		return res, nil
@@ -120,12 +127,12 @@ func (db *Database) execDDL(st Stmt) (*Result, error) {
 		}
 		db.mu.Lock()
 		defer db.mu.Unlock()
-		if _, exists := db.current.Load().table(s.Table); exists {
+		if _, exists := db.versions.Load().table(s.Table); exists {
 			return nil, fmt.Errorf("reldb: table %s already exists", s.Table)
 		}
 		lsn, _ := db.log.appendAsync(LogRecord{Op: OpCreateTable, Table: s.Table, Schema: &s.Schema})
 		db.installLocked(lsn, map[string]*Table{s.Table: NewTable(s.Table, s.Schema).freeze()})
-		return &Result{}, nil
+		return &Result{LSN: lsn}, nil
 
 	case *CreateIndexStmt:
 		// Serialize against transactional writers through the lock manager:
@@ -145,7 +152,7 @@ func (db *Database) execDDL(st Stmt) (*Result, error) {
 
 		db.mu.Lock()
 		defer db.mu.Unlock()
-		cur, ok := db.current.Load().table(s.Table)
+		cur, ok := db.versions.Load().table(s.Table)
 		if !ok {
 			return nil, fmt.Errorf("reldb: unknown table %s", s.Table)
 		}
@@ -161,7 +168,7 @@ func (db *Database) execDDL(st Stmt) (*Result, error) {
 		}
 		lsn, _ := db.log.appendAsync(LogRecord{Op: OpCreateIndex, Table: s.Table, Column: s.Column, Ordered: s.Ordered})
 		db.installLocked(lsn, map[string]*Table{s.Table: work.freeze()})
-		return &Result{}, nil
+		return &Result{LSN: lsn}, nil
 	}
 	return nil, fmt.Errorf("reldb: not DDL")
 }
@@ -170,7 +177,7 @@ func (db *Database) execDDL(st Stmt) (*Result, error) {
 // committed version. Lock-free: the version is loaded once, so the query
 // sees one consistent state no matter what commits concurrently.
 func (db *Database) execSelect(s *SelectStmt) (*Result, error) {
-	return execSelectVersion(db.current.Load(), s)
+	return execSelectVersion(db.versions.Load(), s)
 }
 
 // execSelectVersion runs a SELECT against one pinned version.

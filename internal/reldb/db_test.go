@@ -5,9 +5,11 @@ import (
 	"testing"
 )
 
-func empDB(t *testing.T) *Database {
+func empDB(t *testing.T) *Database { return loadEmp(t, NewDatabase()) }
+
+// loadEmp creates and fills the emp table in db.
+func loadEmp(t *testing.T, db *Database) *Database {
 	t.Helper()
-	db := NewDatabase()
 	mustExec(t, db, "CREATE TABLE emp (id INT, name TEXT, dept TEXT, salary INT)")
 	rows := []string{
 		"(1, 'Ada', 'eng', 120)",

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"webdbsec/internal/mvcc"
 	"webdbsec/internal/wal"
 )
 
@@ -103,92 +104,44 @@ func (s *tableSnap) restore() (*Table, error) {
 	return t, nil
 }
 
-// decodeSnap restores a dbSnap payload into a fresh table map plus its
-// transaction high-water mark and fence LSN.
-func decodeSnap(payload []byte) (map[string]*Table, int64, int64, error) {
+// restoreSnap decodes a dbSnap payload into a stage holding its (still
+// private, unfrozen) tables, plus its transaction high-water mark and fence
+// LSN. An empty payload is the empty database.
+func restoreSnap(payload []byte) (st *tableStage, txnSeq, fence int64, err error) {
+	st = newTableStage(nil)
+	if len(payload) == 0 {
+		return st, 0, 0, nil
+	}
 	var snap dbSnap
 	if err := json.Unmarshal(payload, &snap); err != nil {
 		return nil, 0, 0, fmt.Errorf("reldb: decode snapshot: %w", err)
 	}
-	tables := make(map[string]*Table, len(snap.Tables))
 	for i := range snap.Tables {
 		t, err := snap.Tables[i].restore()
 		if err != nil {
 			return nil, 0, 0, err
 		}
-		tables[t.Name] = t
+		st.put(t)
 	}
-	return tables, snap.TxnSeq, snap.FenceLSN, nil
+	return st, snap.TxnSeq, snap.FenceLSN, nil
 }
 
-// OpenDatabase recovers a database from its durable log: the checkpoint
-// snapshot (if any) is restored, the records above the snapshot's fence
-// are redone for committed transactions exactly as Recover would, and the
-// database is wired to keep appending to w. The caller owns w's lifecycle
-// but must not use it directly afterwards.
-//
-// seclint:locked db is not yet published; no other goroutine holds a reference before OpenDatabase returns
+// OpenDatabase recovers a database from its durable log and wires it to
+// keep appending to w: a single node is a follower of its own log that
+// promotes at once, so restart and failover share one recovery path. The
+// caller owns w's lifecycle but must not use it directly afterwards.
 func OpenDatabase(w *wal.WAL) (*Database, error) {
-	db := NewDatabase()
-	var snapTxnSeq, fence int64
-	st := newTableStage(nil)
-	if payload, _, ok := w.Snapshot(); ok {
-		tables, txnSeq, f, err := decodeSnap(payload)
-		if err != nil {
-			return nil, err
-		}
-		st.work = tables
-		snapTxnSeq, fence = txnSeq, f
-	}
-	var recs []LogRecord
-	err := w.Replay(func(lsn uint64, payload []byte) error {
-		rec, err := decodeLogRecord(payload)
-		if err != nil {
-			return err
-		}
-		rec.LSN = int64(lsn)
-		recs = append(recs, rec)
-		return nil
-	})
+	f, err := OpenFollower(w)
 	if err != nil {
 		return nil, err
 	}
-	if err := applyRecords(st, recs, committedAfter(recs, fence), fence); err != nil {
-		return nil, err
-	}
-	db.txnSeq = snapTxnSeq
-	if mt := maxTxn(recs); mt > db.txnSeq {
-		db.txnSeq = mt
-	}
-	last := int64(w.LastLSN())
-	if fence > last {
-		// The fuzzy snapshot captured commits whose WAL frames never reached
-		// disk (they were in the group-commit pipeline, unsynced, when the
-		// process died — their effects are durable only through the
-		// snapshot). The recovered state is still an exact prefix of the
-		// commit history, but the log position must jump to the fence so no
-		// LSN at or below it is ever reassigned: re-anchor the backend at
-		// the fence.
-		if payload, _, ok := w.Snapshot(); ok {
-			if err := w.InstallSnapshot(payload, uint64(fence)); err != nil {
-				return nil, fmt.Errorf("reldb: re-anchor at fence: %w", err)
-			}
-		}
-		last = fence
-	}
-	db.log.mu.Lock()
-	db.log.records = recs
-	db.log.nextLSN = last
-	db.log.w = w
-	db.log.mu.Unlock()
-	db.current.Store(&dbVersion{lsn: last, txnSeq: db.txnSeq, tables: st.frozen()})
-	return db, nil
+	return f.Promote()
 }
 
 // Checkpoint writes a snapshot of a committed version and truncates the
-// log, on disk (segment deletion) and in memory (record list). It is
-// FUZZY: transactions keep beginning and committing while the snapshot
-// streams out — nothing quiesces and nothing is refused.
+// log (segment deletion). It is FUZZY: transactions keep beginning and
+// committing while the snapshot streams out — nothing quiesces and nothing
+// is refused.
 //
 // Two LSNs do the work. The fence F is the pinned version's LSN: the
 // snapshot contains exactly the commits and DDL with LSN <= F, and
@@ -202,11 +155,11 @@ func OpenDatabase(w *wal.WAL) (*Database, error) {
 // activeTxns has either installed its version (commit LSN <= F) or
 // aborted, and any transaction present has beginLSN > T by construction.
 func (db *Database) Checkpoint() error {
+	var pin mvcc.Pin[dbVersion]
 	db.mu.Lock()
-	v := db.current.Load()
-	// Pin directly: db.mu excludes installs, so v cannot be swept between
-	// the Load and the pin.
-	v.pins.Add(1)
+	db.versions.Pin(&pin)
+	defer pin.Release()
+	v := pin.Value()
 	fence := v.lsn
 	trunc := fence
 	for _, beginLSN := range db.activeTxns {
@@ -215,7 +168,6 @@ func (db *Database) Checkpoint() error {
 		}
 	}
 	db.mu.Unlock()
-	defer v.pins.Add(-1)
 
 	snap := dbSnap{TxnSeq: v.txnSeq, FenceLSN: fence}
 	for _, name := range v.tableNames() {

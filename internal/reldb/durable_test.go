@@ -23,6 +23,13 @@ func openDurable(t *testing.T, fs wal.FS) *Database {
 	return db
 }
 
+// recoverCrashed recovers, through the real OpenDatabase, the disk image a
+// machine crash at this instant would leave on fs (unsynced bytes gone).
+func recoverCrashed(t *testing.T, fs *faultinject.MemFS) *Database {
+	t.Helper()
+	return openDurable(t, fs.AfterCrash(true))
+}
+
 // tableRows reads table name as a map k -> v, or nil when the table does
 // not exist. The test schema is always (k TEXT, v INT).
 func tableRows(t *testing.T, db *Database, name string) map[string]int64 {
@@ -76,14 +83,8 @@ func TestOpenCheckpointReopen(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		mustExec(t, db, fmt.Sprintf("INSERT INTO t VALUES ('k%d', %d)", i, i))
 	}
-	if !db.Log().Durable() {
-		t.Fatal("log not durable")
-	}
 	if err := db.Checkpoint(); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
-	}
-	if db.Log().Len() != 0 {
-		t.Fatalf("in-memory log not truncated by checkpoint: %d records", db.Log().Len())
 	}
 	// Post-checkpoint tail.
 	mustExec(t, db, "INSERT INTO t VALUES ('k5', 5)")

@@ -7,21 +7,22 @@ import (
 	"webdbsec/internal/wal"
 )
 
-// Follower is the replica-side replay engine: it consumes the leader's log
-// records one at a time — in LSN order, as the replication layer hands
-// them over — and maintains a read-only materialization of the committed
-// state through the same redo path recovery uses (applyRecords). DML for a
-// transaction is buffered until its Commit record arrives, then staged and
-// installed as one new version stamped with the Commit record's LSN — so
-// the follower's database moves through exactly the same version sequence
-// as the leader's, and replica reads are lock-free snapshot reads like
-// leader reads. An Abort drops the buffer, exactly mirroring what crash
-// recovery would do.
+// Follower is the replay engine — of a replica, and of every restart: it
+// consumes log records one at a time, in LSN order, and maintains a
+// read-only materialization of the committed state through the one redo
+// path (applyRecords). DML for a transaction is buffered until its Commit
+// record arrives, then staged and installed as one new version stamped with
+// the Commit record's LSN — so the follower's database moves through
+// exactly the same version sequence as the leader's, and replica reads are
+// lock-free snapshot reads like leader reads. An Abort drops the buffer,
+// exactly mirroring what crash recovery would do.
 //
-// The replication layer owns the follower's local WAL (it appends shipped
+// The replication layer owns a follower's local WAL (it appends shipped
 // frames, truncates on divergence, installs snapshots); the Follower only
-// tracks the in-memory materialization. On failover, Promote turns the
-// materialization into a writable Database anchored at the WAL position.
+// tracks the in-memory materialization. Promote turns the materialization
+// into a writable Database anchored at the WAL position — on failover, and
+// (OpenDatabase) on every single-node start: a single node is a follower
+// of its own log that promotes at once.
 type Follower struct {
 	mu sync.Mutex
 	db *Database // seclint:guardedby mu
@@ -35,50 +36,42 @@ type Follower struct {
 	fence int64 // seclint:guardedby mu
 	// pending buffers DML of transactions whose Commit has not arrived.
 	pending map[int64][]LogRecord // seclint:guardedby mu
-	// recs mirrors every consumed record, so a promoted database carries
-	// the same in-memory log a crash-recovered one would.
-	recs []LogRecord // seclint:guardedby mu
 	// promoted poisons further Apply/Restore calls once the follower has
 	// handed its database over.
 	promoted bool // seclint:guardedby mu
 }
 
-// OpenFollower recovers a follower's materialization from its local WAL:
-// snapshot restored, committed transactions redone, uncommitted tails
-// re-buffered (their Commit may still arrive from the leader). The
-// replication layer keeps owning w for appends.
+// OpenFollower recovers a materialization from a WAL: snapshot restored,
+// committed transactions redone, uncommitted tails re-buffered (their
+// Commit may still arrive from the leader). It is the one function that
+// turns WAL contents into a database — restart (OpenDatabase), replica
+// start and demotion all come through here. The replication layer keeps
+// owning w for appends.
 //
-// Unlike OpenDatabase it reads the log through a cursor, not Replay, so it
-// works on a live WAL too — the demote path reopens a follower over the
-// same WAL instance an ex-leader has been writing to since process start,
-// and Replay only ever sees the recovery-time tail. The pipeline is
-// drained first so the cursor (bounded by the durable watermark) covers
-// every appended record.
+// It reads the log through a cursor, not Replay, so it works on a live WAL
+// too — the demote path reopens a follower over the same WAL instance an
+// ex-leader has been writing to since process start, and Replay only ever
+// sees the recovery-time tail. The pipeline is drained first so the cursor
+// (bounded by the durable watermark) covers every appended record.
 //
 // seclint:locked f is not yet published; no other goroutine holds a reference before OpenFollower returns
 func OpenFollower(w *wal.WAL) (*Follower, error) {
 	if err := w.Sync(); err != nil {
 		return nil, fmt.Errorf("reldb: follower open: %w", err)
 	}
-	f := &Follower{w: w, pending: make(map[int64][]LogRecord)}
-	db := NewDatabase()
-	var snapTxnSeq, fence int64
-	st := newTableStage(nil)
-	payload, snapLSN, hasSnap := w.Snapshot()
-	if hasSnap {
-		tables, txnSeq, fl, err := decodeSnap(payload)
-		if err != nil {
-			return nil, err
-		}
-		st.work = tables
-		snapTxnSeq, fence = txnSeq, fl
+	payload, snapLSN, _ := w.Snapshot()
+	st, txnSeq, fence, err := restoreSnap(payload)
+	if err != nil {
+		return nil, err
 	}
 	cur, err := w.OpenCursor(snapLSN)
 	if err != nil {
 		return nil, fmt.Errorf("reldb: follower open: %w", err)
 	}
-	var recs []LogRecord
-	applied := snapLSN
+	// The whole local log is redone onto one stage over the snapshot;
+	// transactions with neither Commit nor Abort stay buffered — their
+	// verdict is still in flight on the leader.
+	f := &Follower{w: w, fence: fence, pending: make(map[int64][]LogRecord), appliedLSN: snapLSN}
 	for {
 		r, ok, err := cur.Next()
 		if err != nil {
@@ -87,121 +80,92 @@ func OpenFollower(w *wal.WAL) (*Follower, error) {
 		if !ok {
 			break
 		}
-		rec, err := decodeLogRecord(r.Payload)
+		rec, err := f.consume(st, r.LSN, r.Payload)
 		if err != nil {
 			return nil, err
 		}
-		rec.LSN = int64(r.LSN)
-		recs = append(recs, rec)
-		applied = r.LSN
-	}
-	committed := committedAfter(recs, fence)
-	if err := applyRecords(st, recs, committed, fence); err != nil {
-		return nil, err
-	}
-	// Transactions with neither Commit nor Abort stay buffered: their
-	// verdict is still in flight on the leader.
-	aborted := map[int64]bool{}
-	preFence := committedAfter(recs, 0)
-	for _, r := range recs {
-		if r.Op == OpAbort {
-			aborted[r.Txn] = true
+		if rec.Txn > txnSeq {
+			txnSeq = rec.Txn
 		}
 	}
-	for _, r := range recs {
-		switch r.Op {
-		case OpInsert, OpUpdate, OpDelete:
-			if !preFence[r.Txn] && !aborted[r.Txn] {
-				f.pending[r.Txn] = append(f.pending[r.Txn], r)
-			}
-		}
-	}
-	db.txnSeq = snapTxnSeq
-	if mt := maxTxn(recs); mt > db.txnSeq {
-		db.txnSeq = mt
-	}
-	db.current.Store(&dbVersion{lsn: int64(applied), txnSeq: db.txnSeq, tables: st.frozen()})
-	f.db = db
-	f.recs = recs
-	f.fence = fence
 	// The position is what the cursor actually delivered — under a
 	// concurrent appender (demote racing the new leader's stream) this can
 	// trail LastLSN; the replication layer re-applies the gap from here.
-	f.appliedLSN = applied
+	f.db = newDatabaseAt(dbVersion{lsn: int64(f.appliedLSN), txnSeq: txnSeq, tables: st.frozen()})
 	return f, nil
 }
 
-// Apply consumes one replicated log record. Records must arrive in strict
-// LSN order; the replication layer guarantees it only hands over records
-// at or below the cluster commit watermark, so everything Apply
-// materializes is durable on a quorum. Each applied Commit/DDL record
-// installs a new version into the follower's database at the record's LSN;
-// replica readers pin snapshots of it exactly as leader readers do.
-func (f *Follower) Apply(lsn uint64, payload []byte) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.promoted {
-		return fmt.Errorf("reldb: follower already promoted")
-	}
+// consume advances the replay state by the record at lsn — the one place a
+// log record becomes state, for the bulk replay of OpenFollower and the
+// record-at-a-time Apply alike. Records arrive in strict LSN order. DML is
+// buffered per transaction; its Commit redoes the buffer onto st, an Abort
+// drops it; DDL is redone at once. A Commit or DDL at or below the fence is
+// already inside the restored snapshot (a fuzzy checkpoint holds the
+// snapshot frame's LSN, where replay starts, below the fence) and is
+// skipped. Caller holds f.mu (or owns f exclusively).
+//
+// seclint:locked caller holds f.mu
+func (f *Follower) consume(st *tableStage, lsn uint64, payload []byte) (LogRecord, error) {
 	if lsn != f.appliedLSN+1 {
-		return fmt.Errorf("reldb: follower apply LSN %d, want %d", lsn, f.appliedLSN+1)
+		return LogRecord{}, fmt.Errorf("reldb: follower apply LSN %d, want %d", lsn, f.appliedLSN+1)
 	}
 	rec, err := decodeLogRecord(payload)
 	if err != nil {
-		return err
+		return rec, err
 	}
 	rec.LSN = int64(lsn)
 	switch rec.Op {
 	case OpCreateTable, OpCreateIndex:
-		// DDL applies unconditionally, as in recovery — unless the restored
-		// snapshot's fence already covers it.
 		if rec.LSN > f.fence {
-			if err := f.installLocked(rec.LSN, []LogRecord{rec}, nil); err != nil {
-				return err
-			}
+			err = applyRecords(st, []LogRecord{rec})
 		}
 	case OpBegin:
 		f.pending[rec.Txn] = nil
 	case OpInsert, OpUpdate, OpDelete:
 		f.pending[rec.Txn] = append(f.pending[rec.Txn], rec)
 	case OpCommit:
-		buf := f.pending[rec.Txn]
-		delete(f.pending, rec.Txn)
-		// A commit at or below the fence is already inside the restored
-		// snapshot (the leader streams from the snapshot frame's LSN, which
-		// a fuzzy checkpoint holds below the fence); drop the buffer.
 		if rec.LSN > f.fence {
-			if err := f.installLocked(rec.LSN, buf, map[int64]bool{rec.Txn: true}); err != nil {
-				return err
-			}
+			err = applyRecords(st, f.pending[rec.Txn])
 		}
+		delete(f.pending, rec.Txn)
 	case OpAbort:
 		delete(f.pending, rec.Txn)
 	default:
-		return fmt.Errorf("reldb: follower apply: unknown op %d at lsn %d", rec.Op, lsn)
+		err = fmt.Errorf("reldb: follower apply: unknown op %d at lsn %d", rec.Op, lsn)
 	}
-	f.recs = append(f.recs, rec)
+	if err != nil {
+		return rec, err
+	}
 	f.appliedLSN = lsn
-	f.db.mu.Lock()
-	if rec.Txn > f.db.txnSeq {
-		f.db.txnSeq = rec.Txn
-	}
-	f.db.mu.Unlock()
-	return nil
+	return rec, nil
 }
 
-// installLocked stages recs over the follower database's current version
-// and installs the result at lsn. Caller holds f.mu.
-//
-// seclint:locked caller holds f.mu
-func (f *Follower) installLocked(lsn int64, recs []LogRecord, committed map[int64]bool) error {
-	st := newTableStage(f.db.current.Load().tables)
-	if err := applyRecords(st, recs, committed, f.fence); err != nil {
+// Apply consumes one replicated log record. Records must arrive in strict
+// LSN order; the replication layer guarantees it only hands over records
+// at or below the cluster commit watermark, so everything Apply
+// materializes is durable on a quorum. Each applied Commit/DDL record that
+// changed a table installs a new version into the follower's database at
+// the record's LSN — as the leader's own commit did; replica readers pin
+// snapshots of it exactly as leader readers do.
+func (f *Follower) Apply(lsn uint64, payload []byte) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.promoted {
+		return fmt.Errorf("reldb: follower already promoted")
+	}
+	st := newTableStage(f.db.versions.Load().tables)
+	rec, err := f.consume(st, lsn, payload)
+	if err != nil {
 		return err
 	}
 	f.db.mu.Lock()
-	f.db.installLocked(lsn, st.frozen())
-	f.db.mu.Unlock()
+	defer f.db.mu.Unlock()
+	if rec.Txn > f.db.txnSeq {
+		f.db.txnSeq = rec.Txn
+	}
+	if len(st.work) > 0 {
+		f.db.installLocked(rec.LSN, st.frozen())
+	}
 	return nil
 }
 
@@ -214,26 +178,16 @@ func (f *Follower) Restore(lsn uint64, snapshot []byte) error {
 	if f.promoted {
 		return fmt.Errorf("reldb: follower already promoted")
 	}
-	db := NewDatabase()
-	var txnSeq, fence int64
-	st := newTableStage(nil)
 	// An empty snapshot is a reset to genesis: a leader that has never
 	// checkpointed resyncs divergent followers by wiping them and
 	// streaming its whole log.
-	if len(snapshot) > 0 {
-		tables, ts, fl, err := decodeSnap(snapshot)
-		if err != nil {
-			return err
-		}
-		st.work = tables
-		txnSeq, fence = ts, fl
+	st, txnSeq, fence, err := restoreSnap(snapshot)
+	if err != nil {
+		return err
 	}
-	db.txnSeq = txnSeq                                                                 // seclint:locked db is not yet published
-	db.current.Store(&dbVersion{lsn: int64(lsn), txnSeq: txnSeq, tables: st.frozen()}) // seclint:locked db is not yet published
-	f.db = db
+	f.db = newDatabaseAt(dbVersion{lsn: int64(lsn), txnSeq: txnSeq, tables: st.frozen()})
 	f.fence = fence
 	f.pending = make(map[int64][]LogRecord)
-	f.recs = nil
 	f.appliedLSN = lsn
 	return nil
 }
@@ -257,23 +211,41 @@ func (f *Follower) DB() *Database {
 
 // Promote turns the follower into a writable database anchored at its WAL
 // position — the failover step, after the replication layer has applied
-// every locally-durable record. Transactions still pending (no Commit
-// record shipped before the old leader died) are dropped, exactly as
-// crash recovery drops uncommitted tails. The follower is dead
-// afterwards: further Apply/Restore calls fail.
+// every locally-durable record, and the last step of every single-node
+// open. Transactions still pending (no Commit record before the old leader
+// or the previous process died) are dropped, exactly as crash recovery
+// drops uncommitted tails. The follower is dead afterwards: further
+// Apply/Restore calls fail.
 func (f *Follower) Promote() (*Database, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.promoted {
 		return nil, fmt.Errorf("reldb: follower already promoted")
 	}
-	if f.w != nil && f.appliedLSN != f.w.LastLSN() {
+	if f.appliedLSN != f.w.LastLSN() {
 		return nil, fmt.Errorf("reldb: promote at applied LSN %d, wal at %d", f.appliedLSN, f.w.LastLSN())
 	}
-	f.promoted = true
 	db := f.db
+	if uint64(f.fence) > f.appliedLSN {
+		// The fuzzy snapshot captured commits whose WAL frames this log
+		// never received (they were in the group-commit pipeline, unsynced,
+		// when the process died; or the leader died before shipping them —
+		// their effects are durable only through the snapshot). The state is
+		// still an exact prefix of the commit history, but the log position
+		// must jump to the fence so no LSN at or below it is ever
+		// reassigned — recovery would skip a commit stamped there as
+		// already inside the snapshot. Re-anchor the backend at the fence.
+		payload, _, _ := f.w.Snapshot()
+		if err := f.w.InstallSnapshot(payload, uint64(f.fence)); err != nil {
+			return nil, fmt.Errorf("reldb: re-anchor at fence: %w", err)
+		}
+		f.appliedLSN = uint64(f.fence)
+		db.mu.Lock()
+		db.installLocked(f.fence, nil)
+		db.mu.Unlock()
+	}
+	f.promoted = true
 	db.log.mu.Lock()
-	db.log.records = f.recs
 	db.log.nextLSN = int64(f.appliedLSN)
 	db.log.w = f.w
 	db.log.mu.Unlock()

@@ -2,7 +2,6 @@ package reldb
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"webdbsec/internal/wal"
@@ -24,8 +23,8 @@ const (
 )
 
 // LogRecord is one entry of the write-ahead log. DML records carry enough
-// state to redo (After) the change; Before is kept for auditing and
-// inspection.
+// state to redo (After) the change; Before is kept in the durable record
+// for auditing and inspection.
 type LogRecord struct {
 	LSN     int64
 	Txn     int64
@@ -39,29 +38,24 @@ type LogRecord struct {
 	After   Row
 }
 
-// Log is the write-ahead log ("the paper's recovery techniques have to be
-// developed for the transaction models", §2.1): an in-memory record list,
-// optionally mirrored to a durable backend (internal/wal). Recover
-// rebuilds a database from it, redoing exactly the committed transactions;
-// OpenDatabase (durable.go) does the same from disk.
+// Log is the database's side of the write-ahead log ("the paper's recovery
+// techniques have to be developed for the transaction models", §2.1): it
+// assigns every record its LSN and, when a durable backend (internal/wal)
+// is attached, encodes the record into it. The backend IS the log — no
+// copy of the records is kept here; an in-memory database's Log only
+// assigns LSNs. OpenFollower (follower.go) is the one function that turns
+// the backend's contents back into a database.
 type Log struct {
 	mu      sync.Mutex
-	records []LogRecord // seclint:guardedby mu
-	nextLSN int64       // seclint:guardedby mu
+	nextLSN int64 // seclint:guardedby mu
 	// w, when set, receives every record as an encoded frame. A backend
 	// failure sticks in err: the in-memory engine keeps running, but
 	// Txn.Commit refuses to report durability it cannot provide.
 	w   *wal.WAL // seclint:guardedby mu
 	err error    // seclint:guardedby mu
-	// checkpointing serializes checkpointAt calls (appends continue; only a
-	// second concurrent checkpoint is refused).
-	checkpointing bool // seclint:guardedby mu
 }
 
-// NewLog returns an empty in-memory log.
-func NewLog() *Log { return &Log{} }
-
-// Append adds a record, assigning its LSN, and mirrors it to the durable
+// Append adds a record, assigning its LSN, and encodes it into the durable
 // backend when one is attached. It returns as soon as the record is
 // enqueued into the backend's commit pipeline — Append does NOT wait for
 // the disk verdict. Callers that acknowledge durability (Txn.Commit)
@@ -85,7 +79,7 @@ func (l *Log) AppendWait(rec LogRecord) (int64, error) {
 	return lsn, l.waitAck(ack)
 }
 
-// appendAsync assigns the record's LSN, mirrors it into the backend's
+// appendAsync assigns the record's LSN, encodes it into the backend's
 // commit pipeline without waiting, and returns the pending ack (nil for
 // an in-memory or already-poisoned log).
 func (l *Log) appendAsync(rec LogRecord) (int64, *wal.Ack) {
@@ -106,7 +100,6 @@ func (l *Log) appendAsync(rec LogRecord) (int64, *wal.Ack) {
 			ack = a
 		}
 	}
-	l.records = append(l.records, rec)
 	return rec.LSN, ack
 }
 
@@ -137,139 +130,38 @@ func (l *Log) Err() error {
 	return l.err
 }
 
-// Durable reports whether the log has a disk backend attached.
-func (l *Log) Durable() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.w != nil
-}
-
 // checkpointAt forwards the snapshot to the backend, truncating the log at
 // trunc (every record with LSN <= trunc is covered by the snapshot or
 // belongs to a transaction whose records the backend keeps; durable.go
 // computes the fence). Appends continue concurrently throughout — l.mu is
-// NOT held across the backend I/O, only while swapping bookkeeping — which
-// is what makes the database-level Checkpoint fuzzy.
+// NOT held across the backend I/O — which is what makes the database-level
+// Checkpoint fuzzy; the backend serializes concurrent checkpoints itself.
 func (l *Log) checkpointAt(snapshot []byte, trunc int64) error {
-	w, err := l.beginCheckpoint()
+	l.mu.Lock()
+	w, err := l.w, l.err
+	l.mu.Unlock()
+	if w == nil {
+		return fmt.Errorf("reldb: checkpoint: no durable backend")
+	}
 	if err != nil {
 		return err
 	}
-
-	err = w.CheckpointAt(snapshot, uint64(trunc))
-
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.checkpointing = false
-	if err != nil {
+	if err := w.CheckpointAt(snapshot, uint64(trunc)); err != nil {
+		l.mu.Lock()
 		if l.err == nil {
 			l.err = err
 		}
+		l.mu.Unlock()
 		return err
 	}
-	// Drop the in-memory mirror of everything at or below the truncation
-	// point — the growth bound the backend's segment deletion provides on
-	// disk.
-	recs := l.records
-	i := sort.Search(len(recs), func(i int) bool { return recs[i].LSN > trunc })
-	l.records = append([]LogRecord(nil), recs[i:]...)
 	return nil
 }
 
-// beginCheckpoint claims the single checkpoint slot and returns the
-// backend to stream to. The claim is released by checkpointAt's epilogue.
-func (l *Log) beginCheckpoint() (*wal.WAL, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.w == nil {
-		return nil, fmt.Errorf("reldb: checkpoint: no durable backend")
-	}
-	if l.err != nil {
-		return nil, l.err
-	}
-	if l.checkpointing {
-		return nil, fmt.Errorf("reldb: checkpoint already in progress")
-	}
-	l.checkpointing = true
-	return l.w, nil
-}
-
-// Len returns the number of records.
-func (l *Log) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.records)
-}
-
-// Records returns a snapshot of the log.
-func (l *Log) Records() []LogRecord {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]LogRecord(nil), l.records...)
-}
-
-// Recover rebuilds a fresh database from the log: DDL is replayed
-// unconditionally; DML is redone only for transactions with a Commit
-// record (uncommitted and aborted work disappears, which is exactly the
-// atomicity contract).
-//
-// seclint:locked db is not yet published; no other goroutine holds a reference before Recover returns
-func Recover(l *Log) (*Database, error) {
-	recs := l.Records()
-	db := NewDatabase()
-	st := newTableStage(nil)
-	if err := applyRecords(st, recs, committedTxns(recs), 0); err != nil {
-		return nil, err
-	}
-	// The recovered database continues the same history.
-	nextLSN := int64(len(recs))
-	if n := len(recs); n > 0 && recs[n-1].LSN > nextLSN {
-		nextLSN = recs[n-1].LSN
-	}
-	db.log.mu.Lock()
-	db.log.records = recs
-	db.log.nextLSN = nextLSN
-	db.log.mu.Unlock()
-	db.txnSeq = maxTxn(recs)
-	db.current.Store(&dbVersion{lsn: nextLSN, txnSeq: db.txnSeq, tables: st.frozen()})
-	return db, nil
-}
-
-// committedTxns returns the ids of transactions recs contains a Commit
-// record for.
-func committedTxns(recs []LogRecord) map[int64]bool {
-	return committedAfter(recs, 0)
-}
-
-// committedAfter returns the ids of transactions whose Commit record in
-// recs has LSN > fence — the transactions a fenced recovery must redo
-// (commits at or below the fence are already inside the snapshot).
-func committedAfter(recs []LogRecord, fence int64) map[int64]bool {
-	committed := map[int64]bool{}
-	for _, r := range recs {
-		if r.Op == OpCommit && r.LSN > fence {
-			committed[r.Txn] = true
-		}
-	}
-	return committed
-}
-
-// maxTxn returns the highest transaction id appearing in recs.
-func maxTxn(recs []LogRecord) int64 {
-	var max int64
-	for _, r := range recs {
-		if r.Txn > max {
-			max = r.Txn
-		}
-	}
-	return max
-}
-
 // tableStage is a private mutable overlay over a frozen table map — the
-// working state of every redo path (recovery, post-checkpoint tail replay,
-// follower apply). Reads and writes go to work, cloning from base on first
-// touch; frozen() seals the overlay for installation into a version.
-// A stage is single-goroutine by construction.
+// working state of redo (whole-log replay and follower apply). Reads and
+// writes go to work, cloning from base on first touch; frozen() seals the
+// overlay for installation into a version. A stage is single-goroutine by
+// construction.
 type tableStage struct {
 	base map[string]*Table // frozen source tables (nil = empty database)
 	work map[string]*Table // private mutable copies
@@ -296,15 +188,6 @@ func (st *tableStage) mutable(name string) (*Table, bool) {
 // put installs a fresh table into the stage.
 func (st *tableStage) put(t *Table) { st.work[t.Name] = t }
 
-// has reports whether the stage (overlay or base) knows the table.
-func (st *tableStage) has(name string) bool {
-	if _, ok := st.work[name]; ok {
-		return true
-	}
-	_, ok := st.base[name]
-	return ok
-}
-
 // frozen freezes every staged table and returns the overlay, ready for
 // Database.installLocked (or for building a fresh version).
 func (st *tableStage) frozen() map[string]*Table {
@@ -314,72 +197,39 @@ func (st *tableStage) frozen() map[string]*Table {
 	return st.work
 }
 
-// applyRecords redoes recs onto the stage: DDL for records above the
-// fence, DML for the transactions listed in committed (the caller computes
-// committed with the same fence via committedAfter, so a transaction whose
-// effects the snapshot already contains is not redone). It is the shared
-// redo engine of Recover (full history, fence 0), OpenDatabase
-// (post-checkpoint tail over a restored snapshot) and Follower.Apply (one
-// commit's buffer over the current version).
-func applyRecords(st *tableStage, recs []LogRecord, committed map[int64]bool, fence int64) error {
+// applyRecords redoes recs — DDL, or the DML of one committed transaction —
+// onto the stage. It is the one redo engine, reached only through
+// Follower.consume, which decides what is committed and above the fence.
+func applyRecords(st *tableStage, recs []LogRecord) error {
 	for _, r := range recs {
-		switch r.Op {
-		case OpCreateTable:
-			if r.LSN <= fence {
-				continue
-			}
+		if r.Op == OpCreateTable {
 			if r.Schema == nil {
 				return fmt.Errorf("reldb: recover: CreateTable without schema")
 			}
 			st.put(NewTable(r.Table, *r.Schema))
+			continue
+		}
+		t, ok := st.mutable(r.Table)
+		if !ok {
+			return fmt.Errorf("reldb: recover: record %d for unknown table %s", r.LSN, r.Table)
+		}
+		var err error
+		switch r.Op {
 		case OpCreateIndex:
-			if r.LSN <= fence {
-				continue
-			}
-			t, ok := st.mutable(r.Table)
-			if !ok {
-				return fmt.Errorf("reldb: recover: index on unknown table %s", r.Table)
-			}
-			var err error
 			if r.Ordered {
 				err = t.CreateOrderedIndex(r.Column)
 			} else {
 				err = t.CreateHashIndex(r.Column)
 			}
-			if err != nil {
-				return err
-			}
 		case OpInsert:
-			if !committed[r.Txn] {
-				continue
-			}
-			t, ok := st.mutable(r.Table)
-			if !ok {
-				return fmt.Errorf("reldb: recover: insert into unknown table %s", r.Table)
-			}
 			t.insertAt(r.RowID, r.After)
 		case OpUpdate:
-			if !committed[r.Txn] {
-				continue
-			}
-			t, ok := st.mutable(r.Table)
-			if !ok {
-				return fmt.Errorf("reldb: recover: update of unknown table %s", r.Table)
-			}
-			if _, err := t.Update(r.RowID, r.After); err != nil {
-				return fmt.Errorf("reldb: recover: %w", err)
-			}
+			_, err = t.Update(r.RowID, r.After)
 		case OpDelete:
-			if !committed[r.Txn] {
-				continue
-			}
-			t, ok := st.mutable(r.Table)
-			if !ok {
-				return fmt.Errorf("reldb: recover: delete from unknown table %s", r.Table)
-			}
-			if _, err := t.Delete(r.RowID); err != nil {
-				return fmt.Errorf("reldb: recover: %w", err)
-			}
+			_, err = t.Delete(r.RowID)
+		}
+		if err != nil {
+			return fmt.Errorf("reldb: recover: %w", err)
 		}
 	}
 	return nil

@@ -5,13 +5,18 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"webdbsec/internal/resilience/faultinject"
 )
 
 // randomTable builds a table with random rows; deterministic in seed.
 func randomTable(t *testing.T, seed int64, rows int) *Database {
+	return loadRandomTable(t, NewDatabase(), seed, rows)
+}
+
+func loadRandomTable(t *testing.T, db *Database, seed int64, rows int) *Database {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	db := NewDatabase()
 	mustExec(t, db, "CREATE TABLE r (k INT, cat TEXT, v INT)")
 	for i := 0; i < rows; i++ {
 		mustExec(t, db, fmt.Sprintf("INSERT INTO r VALUES (%d, 'c%d', %d)",
@@ -99,10 +104,11 @@ func TestQuickAbortIsIdentity(t *testing.T) {
 }
 
 func TestQuickRecoverEqualsLiveState(t *testing.T) {
-	// After an arbitrary committed history, Recover(log) reproduces the
-	// live table contents exactly.
+	// After an arbitrary committed history, crash recovery of the WAL
+	// reproduces the live table contents exactly.
 	f := func(seed int64) bool {
-		db := randomTable(t, seed, 50)
+		fs := faultinject.NewMemFS()
+		db := loadRandomTable(t, openDurable(t, fs), seed, 50)
 		rng := rand.New(rand.NewSource(seed ^ 0x123))
 		for i := 0; i < 15; i++ {
 			txn := db.Begin()
@@ -124,11 +130,7 @@ func TestQuickRecoverEqualsLiveState(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		rec, err := Recover(db.Log())
-		if err != nil {
-			return false
-		}
-		recovered, err := rec.Exec("SELECT * FROM r ORDER BY k, cat, v")
+		recovered, err := recoverCrashed(t, fs).Exec("SELECT * FROM r ORDER BY k, cat, v")
 		if err != nil {
 			return false
 		}

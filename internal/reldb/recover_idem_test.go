@@ -4,16 +4,19 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+
+	"webdbsec/internal/resilience/faultinject"
 )
 
-// TestRecoverIdempotent: recovering a recovered database's log yields an
+// TestRecoverIdempotent: recovering a recovered database's WAL yields an
 // identical database — tables, rows (with rowIDs), indexes and the
 // transaction sequence. Regression guard for the redo path: if replay ever
 // mutated the log it replays from, or produced state whose re-serialized
 // history diverged, chained recoveries (crash during recovery, recovery of
 // a standby's copy) would drift.
 func TestRecoverIdempotent(t *testing.T) {
-	db := NewDatabase()
+	fs := faultinject.NewMemFS()
+	db := openDurable(t, fs)
 	mustExec(t, db, "CREATE TABLE t (k TEXT, v INT)")
 	mustExec(t, db, "CREATE HASH INDEX ON t (k)")
 	mustExec(t, db, "CREATE ORDERED INDEX ON t (v)")
@@ -32,15 +35,12 @@ func TestRecoverIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	once, err := Recover(db.Log())
-	if err != nil {
-		t.Fatalf("first Recover: %v", err)
-	}
-	twice, err := Recover(once.Log())
-	if err != nil {
-		t.Fatalf("second Recover: %v", err)
-	}
-	assertDBEqual(t, once, twice, "Recover(Recover(log))")
+	// The first recovery opens (and so may repair) the crash image; the
+	// second recovers what the first left on disk.
+	crashed := fs.AfterCrash(true)
+	once := openDurable(t, crashed)
+	twice := openDurable(t, crashed.AfterCrash(true))
+	assertDBEqual(t, once, twice, "recover(recover(wal))")
 
 	// And both agree with the live database's committed state. (Content
 	// comparison, not structural: the aborted insert consumed a rowID on

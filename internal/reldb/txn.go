@@ -144,13 +144,13 @@ func (t *Txn) writeTable(name string) (*Table, error) {
 	if w, ok := t.work[name]; ok {
 		return w, nil
 	}
-	if _, ok := t.db.current.Load().table(name); !ok {
+	if _, ok := t.db.versions.Load().table(name); !ok {
 		return nil, fmt.Errorf("reldb: unknown table %s", name)
 	}
 	if err := t.db.lockMgr.acquireExclusive(t.id, name); err != nil {
 		return nil, err
 	}
-	cur, ok := t.db.current.Load().table(name)
+	cur, ok := t.db.versions.Load().table(name)
 	if !ok {
 		return nil, fmt.Errorf("reldb: unknown table %s", name)
 	}
@@ -200,7 +200,7 @@ func (t *Txn) ExecStmt(st Stmt) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.db.log.Append(LogRecord{Txn: t.id, Op: OpInsert, Table: s.Table, RowID: id, After: Row(s.Values).Clone()})
+		t.db.log.Append(LogRecord{Txn: t.id, Op: OpInsert, Table: s.Table, RowID: id, After: Row(s.Values)})
 		return &Result{Affected: 1}, nil
 
 	case *UpdateStmt:
@@ -238,7 +238,7 @@ func (t *Txn) ExecStmt(st Stmt) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			t.db.log.Append(LogRecord{Txn: t.id, Op: OpUpdate, Table: s.Table, RowID: id, Before: before.Clone(), After: newRow})
+			t.db.log.Append(LogRecord{Txn: t.id, Op: OpUpdate, Table: s.Table, RowID: id, Before: before, After: newRow})
 			n++
 		}
 		return &Result{Affected: n}, nil
@@ -258,7 +258,7 @@ func (t *Txn) ExecStmt(st Stmt) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			t.db.log.Append(LogRecord{Txn: t.id, Op: OpDelete, Table: s.Table, RowID: id, Before: before.Clone()})
+			t.db.log.Append(LogRecord{Txn: t.id, Op: OpDelete, Table: s.Table, RowID: id, Before: before})
 			n++
 		}
 		return &Result{Affected: n}, nil
@@ -284,8 +284,14 @@ func (t *Txn) ExecStmt(st Stmt) (*Result, error) {
 // block inside the same batched fsync, which is exactly the window group
 // commit amortizes.
 func (t *Txn) Commit() error {
+	_, err := t.commit()
+	return err
+}
+
+// commit is Commit, also returning the Commit record's LSN.
+func (t *Txn) commit() (int64, error) {
 	if t.done {
-		return fmt.Errorf("reldb: transaction %d already finished", t.id)
+		return 0, fmt.Errorf("reldb: transaction %d already finished", t.id)
 	}
 	t.done = true
 	db := t.db
@@ -304,7 +310,7 @@ func (t *Txn) Commit() error {
 	db.lockMgr.releaseAll(t.id)
 	t.snap.Release()
 	t.work = nil
-	return err
+	return lsn, err
 }
 
 // Abort discards the transaction: its working copies are dropped

@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"webdbsec/internal/resilience/faultinject"
 )
 
 func TestCommitMakesChangesVisible(t *testing.T) {
@@ -264,7 +266,8 @@ func TestConcurrentCommittedInserts(t *testing.T) {
 }
 
 func TestRecoverReplaysOnlyCommitted(t *testing.T) {
-	db := empDB(t)
+	fs := faultinject.NewMemFS()
+	db := loadEmp(t, openDurable(t, fs))
 	mustExec(t, db, "CREATE HASH INDEX ON emp (dept)")
 
 	good := db.Begin()
@@ -287,10 +290,7 @@ func TestRecoverReplaysOnlyCommitted(t *testing.T) {
 	crashed := db.Begin()
 	crashed.Exec("INSERT INTO emp VALUES (12, 'Jon', 'eng', 77)")
 
-	rec, err := Recover(db.Log())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec := recoverCrashed(t, fs)
 	res := mustExec(t, rec, "SELECT name FROM emp WHERE dept = 'eng' ORDER BY name")
 	names := map[string]bool{}
 	for _, r := range res.Rows {

@@ -2,7 +2,8 @@ package reldb
 
 import (
 	"sort"
-	"sync/atomic"
+
+	"webdbsec/internal/mvcc"
 )
 
 // Multi-version concurrency control for the relational engine.
@@ -20,12 +21,8 @@ import (
 // replication/log order are the same total order: version V.lsn covers
 // exactly the commits and DDL with LSN <= V.lsn.
 //
-// Reclamation is writer-driven: superseded versions sit on db.retained
-// until no Snapshot pins them, and every install sweeps the unpinned ones.
-// Readers only touch atomics — a reader that loses the pin race with a
-// sweep still holds a valid immutable version (the Go GC is the actual
-// deallocator; the sweep is bookkeeping that bounds the retained list and
-// feeds VersionStats).
+// The publication, pin and reclamation protocol itself is mvcc.Cell's —
+// the same cell xmldoc.Store publishes through.
 
 // dbVersion is one immutable committed state of the database.
 type dbVersion struct {
@@ -37,8 +34,6 @@ type dbVersion struct {
 	// tables maps table name to its frozen state. The map and every table
 	// in it are immutable.
 	tables map[string]*Table
-	// pins counts Snapshots holding this version.
-	pins atomic.Int64
 }
 
 func (v *dbVersion) table(name string) (*Table, bool) {
@@ -72,87 +67,50 @@ func (v *dbVersion) cloneTables() map[string]*Table {
 // version can be reclaimed; a leaked snapshot delays bookkeeping but never
 // blocks writers.
 type Snapshot struct {
-	db       *Database
-	v        *dbVersion
-	released atomic.Bool
+	pin mvcc.Pin[dbVersion]
 }
 
 // Snapshot pins the current committed version and returns a read view of
 // it. It never blocks: pinning is lock-free even while commits, DDL and
 // checkpoints run.
 func (db *Database) Snapshot() *Snapshot {
-	for {
-		v := db.current.Load()
-		v.pins.Add(1)
-		// An install may have superseded v between the Load and the pin —
-		// and the sweep may already have counted v reclaimable. Re-check and
-		// retry on the fresh version; the stale pin is dropped.
-		if db.current.Load() == v {
-			return &Snapshot{db: db, v: v}
-		}
-		v.pins.Add(-1)
-	}
+	s := &Snapshot{}
+	db.versions.Pin(&s.pin)
+	return s
 }
 
 // Release unpins the snapshot. Idempotent.
-func (s *Snapshot) Release() {
-	if s.released.CompareAndSwap(false, true) {
-		s.v.pins.Add(-1)
-	}
-}
+func (s *Snapshot) Release() { s.pin.Release() }
 
 // LSN returns the WAL LSN the snapshot's version was installed at: the
 // snapshot contains exactly the commits and DDL with LSN <= LSN().
-func (s *Snapshot) LSN() int64 { return s.v.lsn }
+func (s *Snapshot) LSN() int64 { return s.pin.Value().lsn }
 
 // Table returns the snapshot's frozen state of the named table.
-func (s *Snapshot) Table(name string) (*Table, bool) { return s.v.table(name) }
+func (s *Snapshot) Table(name string) (*Table, bool) { return s.pin.Value().table(name) }
 
 // Tables returns the snapshot's table names, sorted.
-func (s *Snapshot) Tables() []string { return s.v.tableNames() }
+func (s *Snapshot) Tables() []string { return s.pin.Value().tableNames() }
 
 // ExecSelect runs a read-only query against the pinned version.
 //
 // seclint:exempt storage engine below the access-control gate; SecureDB authorizes and rewrites before queries reach a snapshot
 // seclint:sink
 func (s *Snapshot) ExecSelect(stmt *SelectStmt) (*Result, error) {
-	return execSelectVersion(s.v, stmt)
-}
-
-// VersionStats counts the version lifecycle for debugging and tests.
-type VersionStats struct {
-	// Installed counts versions installed since open (the initial empty
-	// version is not counted).
-	Installed uint64
-	// Reclaimed counts superseded versions swept off the retained list
-	// with no snapshot pinning them.
-	Reclaimed uint64
-	// Retained is the current length of the retained list: superseded
-	// versions still pinned by some snapshot (or not yet swept).
-	Retained int
-	// Pinned is the pin count of the current version right now.
-	Pinned int64
+	return execSelectVersion(s.pin.Value(), stmt)
 }
 
 // VersionStats snapshots the MVCC bookkeeping counters.
-func (db *Database) VersionStats() VersionStats {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	st := db.vstats
-	st.Retained = len(db.retained)
-	st.Pinned = db.current.Load().pins.Load()
-	return st
-}
+func (db *Database) VersionStats() mvcc.Stats { return db.versions.Stats() }
 
 // installLocked publishes a new version: the current tables overlaid with
 // the (already frozen) tables in work, stamped at lsn. Caller holds db.mu;
 // lsn is the WAL LSN assigned in the same critical section, so versions
-// install in LSN order. The superseded version is retained until no
-// snapshot pins it; each install sweeps the unpinned ones.
+// install in LSN order.
 //
 // seclint:locked caller holds db.mu
 func (db *Database) installLocked(lsn int64, work map[string]*Table) {
-	cur := db.current.Load()
+	cur := db.versions.Load()
 	tables := cur.cloneTables()
 	for name, t := range work {
 		if !t.frozen {
@@ -163,27 +121,5 @@ func (db *Database) installLocked(lsn int64, work map[string]*Table) {
 	if lsn < cur.lsn {
 		lsn = cur.lsn
 	}
-	v := &dbVersion{lsn: lsn, txnSeq: db.txnSeq, tables: tables}
-	db.current.Store(v)
-	db.vstats.Installed++
-	db.retained = append(db.retained, cur)
-	db.sweepLocked()
-}
-
-// sweepLocked drops retained versions with no pins. Caller holds db.mu.
-//
-// seclint:locked caller holds db.mu
-func (db *Database) sweepLocked() {
-	kept := db.retained[:0]
-	for _, v := range db.retained {
-		if v.pins.Load() > 0 {
-			kept = append(kept, v)
-		} else {
-			db.vstats.Reclaimed++
-		}
-	}
-	for i := len(kept); i < len(db.retained); i++ {
-		db.retained[i] = nil
-	}
-	db.retained = kept
+	db.versions.Install(dbVersion{lsn: lsn, txnSeq: db.txnSeq, tables: tables})
 }

@@ -126,42 +126,3 @@ func TestSnapshotUnaffectedByLaterMutations(t *testing.T) {
 		t.Error("live store missing b.xml")
 	}
 }
-
-// TestSnapshotRetentionAndReclaim: a pinned snapshot keeps exactly its
-// version alive; unpinned superseded versions are swept at the next
-// install, and releasing the snapshot lets its version go too. Readers
-// never block writers — the store keeps installing while the pin is
-// held — and retention is bounded by the pins actually outstanding.
-func TestSnapshotRetentionAndReclaim(t *testing.T) {
-	s := NewStore()
-	s.Put(genDoc("a.xml"))
-	sn := s.Snapshot()
-
-	// Two installs while pinned: the pinned version is retained, the
-	// intermediate (unpinned) one is reclaimed by the writer-driven sweep.
-	s.Put(genDoc("b.xml"))
-	s.Put(genDoc("c.xml"))
-	st := s.VersionStats()
-	if st.Retained != 1 {
-		t.Fatalf("Retained = %d while one snapshot pinned, want 1", st.Retained)
-	}
-	if st.Pinned != 1 {
-		t.Fatalf("Pinned = %d, want 1", st.Pinned)
-	}
-	if st.Reclaimed == 0 {
-		t.Fatal("intermediate unpinned version was never reclaimed")
-	}
-
-	sn.Release()
-	s.Put(genDoc("d.xml"))
-	st = s.VersionStats()
-	if st.Retained != 0 {
-		t.Fatalf("Retained = %d after release and install, want 0", st.Retained)
-	}
-	if st.Pinned != 0 {
-		t.Fatalf("Pinned = %d after release, want 0", st.Pinned)
-	}
-	if st.Installed != st.Reclaimed {
-		t.Fatalf("Installed = %d, Reclaimed = %d; all superseded versions should be reclaimed", st.Installed, st.Reclaimed)
-	}
-}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"webdbsec/internal/mvcc"
 	"webdbsec/internal/wal"
 )
 
@@ -46,58 +47,73 @@ type storeSnap struct {
 //
 // seclint:locked s is not yet published; no other goroutine holds a reference before OpenStore returns
 func OpenStore(w *wal.WAL) (*Store, error) {
-	s := NewStore()
-	v := newStoreVersion()
-	if payload, snapLSN, ok := w.Snapshot(); ok {
-		var snap storeSnap
-		if err := json.Unmarshal(payload, &snap); err != nil {
-			return nil, fmt.Errorf("xmldoc: decode snapshot: %w", err)
-		}
-		if err := stageSnap(v, &snap); err != nil {
-			return nil, err
-		}
-		v.lsn = int64(snapLSN)
+	payload, snapLSN, _ := w.Snapshot()
+	v, err := stageSnap(snapLSN, payload)
+	if err != nil {
+		return nil, err
 	}
-	err := w.Replay(func(lsn uint64, payload []byte) error {
-		var rec storeJournal
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return fmt.Errorf("xmldoc: decode journal at lsn %d: %w", lsn, err)
-		}
-		switch rec.Op {
-		case "put":
-			d, err := ParseString(rec.Doc, rec.XML)
-			if err != nil {
-				return fmt.Errorf("xmldoc: replay put %s: %w", rec.Doc, err)
-			}
-			v.docs[rec.Doc] = d
-		case "remove":
-			delete(v.docs, rec.Doc)
-			v.unlinkDoc(rec.Doc)
-		case "addset":
-			v.linkOwned(rec.Set, rec.Doc)
-		default:
-			return fmt.Errorf("xmldoc: unknown journal op %q at lsn %d", rec.Op, lsn)
-		}
-		v.docGens[rec.Doc] = rec.DocGen
-		v.gen = rec.Gen
-		v.lsn = int64(lsn)
-		return nil
+	err = w.Replay(func(lsn uint64, payload []byte) error {
+		return applyJournal(v, lsn, payload, true)
 	})
 	if err != nil {
 		return nil, err
 	}
+	s := newStoreAt(v)
 	s.w = w
-	s.current.Store(v)
 	return s, nil
 }
 
-// stageSnap decodes a checkpoint snapshot into the private staging
-// version v.
-func stageSnap(v *storeVersion, snap *storeSnap) error {
+// applyJournal applies the journal entry at lsn to v and stamps v with it
+// — the one place a journal op becomes a state change, for restart
+// (OpenStore) and replication (ApplyReplicated) alike. v is private to the
+// caller; owned says its inner set maps are private too (recovery staging),
+// so membership is linked in place instead of copy-on-write.
+func applyJournal(v *storeVersion, lsn uint64, payload []byte, owned bool) error {
+	var rec storeJournal
+	if err := json.Unmarshal(payload, &rec); err != nil {
+		return fmt.Errorf("xmldoc: decode journal at lsn %d: %w", lsn, err)
+	}
+	switch rec.Op {
+	case "put":
+		d, err := ParseString(rec.Doc, rec.XML)
+		if err != nil {
+			return fmt.Errorf("xmldoc: replay put %s: %w", rec.Doc, err)
+		}
+		v.docs[rec.Doc] = d
+	case "remove":
+		delete(v.docs, rec.Doc)
+		v.unlinkDoc(rec.Doc)
+	case "addset":
+		if owned {
+			v.linkOwned(rec.Set, rec.Doc)
+		} else {
+			v.link(rec.Set, rec.Doc)
+		}
+	default:
+		return fmt.Errorf("xmldoc: unknown journal op %q at lsn %d", rec.Op, lsn)
+	}
+	v.docGens[rec.Doc] = rec.DocGen
+	v.gen = rec.Gen
+	v.lsn = int64(lsn)
+	return nil
+}
+
+// stageSnap decodes the checkpoint snapshot taken at lsn into a private
+// staging version. An empty payload is the empty store.
+func stageSnap(lsn uint64, payload []byte) (*storeVersion, error) {
+	v := newStoreVersion()
+	v.lsn = int64(lsn)
+	if len(payload) == 0 {
+		return v, nil
+	}
+	var snap storeSnap
+	if err := json.Unmarshal(payload, &snap); err != nil {
+		return nil, fmt.Errorf("xmldoc: decode snapshot: %w", err)
+	}
 	for name, xml := range snap.Docs {
 		d, err := ParseString(name, xml)
 		if err != nil {
-			return fmt.Errorf("xmldoc: restore %s: %w", name, err)
+			return nil, fmt.Errorf("xmldoc: restore %s: %w", name, err)
 		}
 		v.docs[name] = d
 	}
@@ -110,21 +126,24 @@ func stageSnap(v *storeVersion, snap *storeSnap) error {
 		v.docGens[name] = g
 	}
 	v.gen = snap.Gen
-	return nil
+	return v, nil
 }
 
 // Checkpoint writes a snapshot of the store and truncates the journal at
 // the snapshotted version's LSN. The checkpoint is fuzzy: it pins the
-// current version and releases mu before encoding, so mutations keep
+// current version and holds no lock while encoding, so mutations keep
 // committing while the snapshot streams out. Because every journal entry
 // is one complete mutation, the snapshot at LSN n plus the journal tail
 // above n reconstructs every later state — nothing blocks, nothing tears.
 func (s *Store) Checkpoint() error {
-	w, v, err := s.pinForCheckpoint()
+	w, err := s.backend()
 	if err != nil {
 		return err
 	}
-	defer v.pins.Add(-1)
+	var pin mvcc.Pin[storeVersion]
+	s.versions.Pin(&pin)
+	defer pin.Release()
+	v := pin.Value()
 	snap := storeSnap{
 		Gen:     v.gen,
 		DocGens: make(map[string]uint64, len(v.docGens)),
@@ -155,20 +174,14 @@ func (s *Store) Checkpoint() error {
 	return nil
 }
 
-// pinForCheckpoint pins the current version under the writer mutex and
-// returns it with the journal backend. The caller unpins.
-func (s *Store) pinForCheckpoint() (*wal.WAL, *storeVersion, error) {
+// backend returns the healthy journal backend a checkpoint streams to.
+func (s *Store) backend() (*wal.WAL, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.w == nil {
-		return nil, nil, fmt.Errorf("xmldoc: checkpoint: no durable backend")
+		return nil, fmt.Errorf("xmldoc: checkpoint: no durable backend")
 	}
-	if s.err != nil {
-		return nil, nil, s.err
-	}
-	v := s.current.Load()
-	v.pins.Add(1)
-	return s.w, v, nil
+	return s.w, s.err
 }
 
 // Err returns the sticky journal error, if any.

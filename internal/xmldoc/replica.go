@@ -1,10 +1,5 @@
 package xmldoc
 
-import (
-	"encoding/json"
-	"fmt"
-)
-
 // Replica-side replay for the document store: the replication layer ships
 // the leader's journal entries (the same storeJournal frames persist.go
 // writes) and a follower applies them here, one at a time, without
@@ -19,31 +14,13 @@ import (
 // mirrors the leader's and replica readers pin snapshots exactly as
 // leader readers do.
 func (s *Store) ApplyReplicated(lsn uint64, payload []byte) error {
-	var rec storeJournal
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return fmt.Errorf("xmldoc: decode replicated entry at lsn %d: %w", lsn, err)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	v := s.current.Load().clone()
-	switch rec.Op {
-	case "put":
-		d, err := ParseString(rec.Doc, rec.XML)
-		if err != nil {
-			return fmt.Errorf("xmldoc: replicate put %s: %w", rec.Doc, err)
-		}
-		v.docs[rec.Doc] = d
-	case "remove":
-		delete(v.docs, rec.Doc)
-		v.unlinkDoc(rec.Doc)
-	case "addset":
-		v.link(rec.Set, rec.Doc)
-	default:
-		return fmt.Errorf("xmldoc: unknown replicated op %q at lsn %d", rec.Op, lsn)
+	v := s.versions.Load().clone()
+	if err := applyJournal(v, lsn, payload, false); err != nil {
+		return err
 	}
-	v.docGens[rec.Doc] = rec.DocGen
-	v.gen = rec.Gen
-	s.installLocked(int64(lsn), v)
+	s.versions.Install(*v)
 	return nil
 }
 
@@ -51,27 +28,16 @@ func (s *Store) ApplyReplicated(lsn uint64, payload []byte) error {
 // snapshot (full resync). The replacement is one version install: readers
 // holding pinned snapshots keep their pre-resync view until they release.
 func (s *Store) RestoreReplicated(lsn uint64, snapshot []byte) error {
-	var snap storeSnap
 	// An empty snapshot resets to genesis (a never-checkpointed leader
 	// resyncs divergent replicas by wiping and re-streaming its log).
-	if len(snapshot) > 0 {
-		if err := json.Unmarshal(snapshot, &snap); err != nil {
-			return fmt.Errorf("xmldoc: decode replicated snapshot: %w", err)
-		}
-	}
-	v := newStoreVersion()
-	if err := stageSnap(v, &snap); err != nil {
+	v, err := stageSnap(lsn, snapshot)
+	if err != nil {
 		return err
 	}
-	v.lsn = int64(lsn)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// A resync may rewind the LSN (divergence repair), so bypass
-	// installLocked's monotone stamp and publish v as-is.
-	cur := s.current.Load()
-	s.current.Store(v)
-	s.retained = append(s.retained, cur)
-	s.vstats.Installed++
-	s.sweepLocked()
+	// A resync may rewind the LSN (divergence repair), so v is published
+	// as stamped, not through installLocked's monotone clamp.
+	s.versions.Install(*v)
 	return nil
 }

@@ -17,8 +17,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
+	"webdbsec/internal/mvcc"
 	"webdbsec/internal/wal"
 )
 
@@ -435,8 +435,9 @@ func (d *Document) Prune(keep func(*Node) bool) *Document {
 //
 // Internally the store is multi-versioned: the whole decision-relevant
 // state (documents, set membership, generations) lives in an immutable
-// storeVersion behind an atomic pointer. Readers load the pointer and
-// never take a lock; writers build a copy-on-write successor under mu and
+// storeVersion published through an mvcc.Cell (the same cell
+// reldb.Database publishes through). Readers load it and never take a
+// lock; writers build a copy-on-write successor under mu and
 // publish it stamped with the WAL LSN of its journal entry, so version
 // order and replication order coincide. Snapshot pins a version when a
 // caller needs several reads to observe one consistent state.
@@ -444,13 +445,9 @@ type Store struct {
 	// mu serializes writers (Put, Remove, AddToSet, the replication apply
 	// path) and version installation; readers never take it.
 	mu sync.Mutex
-	// current is the latest published version. Stored under mu; loaded
-	// anywhere.
-	current atomic.Pointer[storeVersion] // seclint:atomicptr mu
-	// retained holds superseded versions until no snapshot pins them.
-	retained []*storeVersion // seclint:guardedby mu
-	// vstats counts version lifecycle events.
-	vstats StoreVersionStats // seclint:guardedby mu
+	// versions publishes the latest version: installed under mu, loaded
+	// and pinned anywhere.
+	versions mvcc.Cell[storeVersion]
 	// w, when set, receives a journal entry for every mutation (see
 	// persist.go); err is the sticky journal failure.
 	w   *wal.WAL // seclint:guardedby mu
@@ -475,8 +472,6 @@ type storeVersion struct {
 	// the policy index find set-level policies without scanning all sets.
 	memberOf map[string]map[string]bool
 	docGens  map[string]uint64
-	// pins counts snapshots holding this version live.
-	pins atomic.Int64
 }
 
 func newStoreVersion() *storeVersion {
@@ -596,78 +591,33 @@ func (v *storeVersion) setMembers(set string) []string {
 }
 
 // NewStore returns an empty document store.
-//
-// seclint:locked s is not yet published; no other goroutine holds a reference before NewStore returns
-func NewStore() *Store {
+func NewStore() *Store { return newStoreAt(newStoreVersion()) }
+
+// newStoreAt returns an in-memory store whose state is v; v's maps belong
+// to the store from here on.
+func newStoreAt(v *storeVersion) *Store {
 	s := &Store{}
-	s.current.Store(newStoreVersion())
+	s.versions.Init(&s.mu, *v)
 	return s
 }
 
 // installLocked publishes v as the current version, stamped with the WAL
 // LSN of the journal entry that produced it. A zero lsn (no durable
 // backend, or a journal failure already recorded in s.err) keeps the
-// predecessor's stamp so version LSNs stay monotone. The superseded
-// version is retained until no snapshot pins it. Caller holds s.mu.
+// predecessor's stamp so version LSNs stay monotone. Caller holds s.mu.
 //
 // seclint:locked caller holds s.mu
 func (s *Store) installLocked(lsn int64, v *storeVersion) {
-	cur := s.current.Load()
-	if lsn < cur.lsn {
-		lsn = cur.lsn
+	if cur := s.versions.Load().lsn; lsn < cur {
+		lsn = cur
 	}
 	v.lsn = lsn
-	s.current.Store(v)
-	s.retained = append(s.retained, cur)
-	s.vstats.Installed++
-	s.sweepLocked()
-}
-
-// sweepLocked drops retained versions no snapshot pins. Writer-driven:
-// it runs at every install, so retention is bounded by the lifetime of
-// the snapshots actually held. Caller holds s.mu.
-//
-// seclint:locked caller holds s.mu
-func (s *Store) sweepLocked() {
-	kept := s.retained[:0]
-	for _, v := range s.retained {
-		if v.pins.Load() > 0 {
-			kept = append(kept, v)
-		} else {
-			s.vstats.Reclaimed++
-		}
-	}
-	for i := len(kept); i < len(s.retained); i++ {
-		s.retained[i] = nil
-	}
-	s.retained = kept
-}
-
-// StoreVersionStats counts version lifecycle events; see
-// (*Store).VersionStats.
-type StoreVersionStats struct {
-	// Installed and Reclaimed count versions published and swept.
-	Installed int64
-	Reclaimed int64
-	// Retained is the number of superseded versions still held for
-	// snapshots; Pinned is the total pin count across all live versions.
-	Retained int
-	Pinned   int64
+	s.versions.Install(*v)
 }
 
 // VersionStats reports version lifecycle counters — test and operational
 // visibility into snapshot retention.
-func (s *Store) VersionStats() StoreVersionStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.vstats
-	st.Retained = len(s.retained)
-	for _, v := range s.retained {
-		st.Pinned += v.pins.Load()
-	}
-	st.Pinned += s.current.Load().pins.Load()
-	return st
-}
+func (s *Store) VersionStats() mvcc.Stats { return s.versions.Stats() }
 
 // Put adds or replaces a document, advancing its generation.
 //
@@ -675,7 +625,7 @@ func (s *Store) VersionStats() StoreVersionStats {
 func (s *Store) Put(d *Document) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	v := s.current.Load().clone()
+	v := s.versions.Load().clone()
 	v.docs[d.Name] = d
 	v.docGens[d.Name]++
 	v.gen++
@@ -690,7 +640,7 @@ func (s *Store) Put(d *Document) {
 //
 // seclint:exempt document storage below the access-control gate; accessctl.Engine computes authorized views above it
 func (s *Store) Get(name string) (*Document, bool) {
-	v := s.current.Load()
+	v := s.versions.Load()
 	d, ok := v.docs[name]
 	return d, ok
 }
@@ -702,7 +652,7 @@ func (s *Store) Get(name string) (*Document, bool) {
 func (s *Store) Remove(name string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	v := s.current.Load().clone()
+	v := s.versions.Load().clone()
 	delete(v.docs, name)
 	v.unlinkDoc(name)
 	v.docGens[name]++
@@ -715,13 +665,13 @@ func (s *Store) Remove(name string) {
 
 // Len returns the number of documents in the store.
 func (s *Store) Len() int {
-	return len(s.current.Load().docs)
+	return len(s.versions.Load().docs)
 }
 
 // Generation returns the store-wide mutation counter: it advances on every
 // Put, Remove and AddToSet and never repeats.
 func (s *Store) Generation() uint64 {
-	return s.current.Load().gen
+	return s.versions.Load().gen
 }
 
 // DocGeneration returns the named document's generation: it advances
@@ -731,12 +681,12 @@ func (s *Store) Generation() uint64 {
 // (name, generation) are invalidated precisely — mutating one document
 // does not disturb cached artifacts of any other.
 func (s *Store) DocGeneration(name string) uint64 {
-	return s.current.Load().docGens[name]
+	return s.versions.Load().docGens[name]
 }
 
 // Names returns the document names in sorted order.
 func (s *Store) Names() []string {
-	return s.current.Load().names()
+	return s.versions.Load().names()
 }
 
 // AddToSet places a document into a named document set, creating the set if
@@ -747,7 +697,7 @@ func (s *Store) Names() []string {
 func (s *Store) AddToSet(set, doc string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	v := s.current.Load().clone()
+	v := s.versions.Load().clone()
 	v.link(set, doc)
 	v.docGens[doc]++
 	v.gen++
@@ -759,18 +709,18 @@ func (s *Store) AddToSet(set, doc string) {
 
 // SetContains reports whether the named set contains the document.
 func (s *Store) SetContains(set, doc string) bool {
-	return s.current.Load().sets[set][doc]
+	return s.versions.Load().sets[set][doc]
 }
 
 // SetsOf returns the names of the sets containing the document, sorted.
 // It returns nil for documents in no set.
 func (s *Store) SetsOf(doc string) []string {
-	return s.current.Load().setsOf(doc)
+	return s.versions.Load().setsOf(doc)
 }
 
 // SetMembers returns the sorted document names of a set.
 func (s *Store) SetMembers(set string) []string {
-	return s.current.Load().setMembers(set)
+	return s.versions.Load().setMembers(set)
 }
 
 // StoreSnapshot is a pinned, immutable view of the store at one version.
@@ -780,73 +730,60 @@ func (s *Store) SetMembers(set string) []string {
 // meanwhile. Release it when done so the version can be reclaimed;
 // reads are lock-free throughout.
 type StoreSnapshot struct {
-	v        *storeVersion
-	released atomic.Bool
+	pin mvcc.Pin[storeVersion]
 }
 
 // Snapshot pins the current version and returns a consistent read view.
 func (s *Store) Snapshot() *StoreSnapshot {
-	for {
-		v := s.current.Load()
-		v.pins.Add(1)
-		// A writer may have published a successor between the load and the
-		// pin; re-check so the pin provably lands on a version that was
-		// current while pinned.
-		if s.current.Load() == v {
-			return &StoreSnapshot{v: v}
-		}
-		v.pins.Add(-1)
-	}
+	sn := &StoreSnapshot{}
+	s.versions.Pin(&sn.pin)
+	return sn
 }
 
 // Release unpins the snapshot. Safe to call more than once.
-func (sn *StoreSnapshot) Release() {
-	if sn.released.CompareAndSwap(false, true) {
-		sn.v.pins.Add(-1)
-	}
-}
+func (sn *StoreSnapshot) Release() { sn.pin.Release() }
 
 // LSN returns the WAL LSN of the journal entry that produced the pinned
 // version (0 for genesis or an in-memory store).
-func (sn *StoreSnapshot) LSN() int64 { return sn.v.lsn }
+func (sn *StoreSnapshot) LSN() int64 { return sn.pin.Value().lsn }
 
 // Get returns the named document as of the snapshot.
 //
 // seclint:exempt document storage below the access-control gate; accessctl.Engine computes authorized views above it
 func (sn *StoreSnapshot) Get(name string) (*Document, bool) {
-	d, ok := sn.v.docs[name]
+	d, ok := sn.pin.Value().docs[name]
 	return d, ok
 }
 
 // Len returns the number of documents as of the snapshot.
-func (sn *StoreSnapshot) Len() int { return len(sn.v.docs) }
+func (sn *StoreSnapshot) Len() int { return len(sn.pin.Value().docs) }
 
 // Generation returns the store-wide mutation counter as of the snapshot.
-func (sn *StoreSnapshot) Generation() uint64 { return sn.v.gen }
+func (sn *StoreSnapshot) Generation() uint64 { return sn.pin.Value().gen }
 
 // DocGeneration returns the named document's generation as of the
 // snapshot.
 func (sn *StoreSnapshot) DocGeneration(name string) uint64 {
-	return sn.v.docGens[name]
+	return sn.pin.Value().docGens[name]
 }
 
 // Names returns the document names in sorted order as of the snapshot.
-func (sn *StoreSnapshot) Names() []string { return sn.v.names() }
+func (sn *StoreSnapshot) Names() []string { return sn.pin.Value().names() }
 
 // SetContains reports whether the named set contains the document as of
 // the snapshot.
 func (sn *StoreSnapshot) SetContains(set, doc string) bool {
-	return sn.v.sets[set][doc]
+	return sn.pin.Value().sets[set][doc]
 }
 
 // SetsOf returns the names of the sets containing the document as of the
 // snapshot, sorted; nil for documents in no set.
 func (sn *StoreSnapshot) SetsOf(doc string) []string {
-	return sn.v.setsOf(doc)
+	return sn.pin.Value().setsOf(doc)
 }
 
 // SetMembers returns the sorted document names of a set as of the
 // snapshot.
 func (sn *StoreSnapshot) SetMembers(set string) []string {
-	return sn.v.setMembers(set)
+	return sn.pin.Value().setMembers(set)
 }
