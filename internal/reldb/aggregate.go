@@ -167,10 +167,12 @@ func (db *Database) ExecAggregate(st *AggregateStmt) (*Result, error) {
 			return nil, fmt.Errorf("reldb: unknown GROUP BY column %s", st.GroupBy)
 		}
 	}
-	_, rows, err := planScan(t, st.Where)
+	plan, err := planScan(t, st.Where)
 	if err != nil {
 		return nil, err
 	}
+	var rows []Row
+	plan.run(func(_ int64, r Row) { rows = append(rows, r) })
 
 	type acc struct {
 		groupVal Value

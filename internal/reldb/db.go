@@ -2,7 +2,7 @@ package reldb
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"webdbsec/internal/mvcc"
@@ -191,138 +191,167 @@ func execSelectVersion(v *dbVersion, s *SelectStmt) (*Result, error) {
 
 // execSelectTable runs a SELECT against one table state (a frozen version
 // table, or a transaction's private working copy for read-your-writes).
+//
+// Every name the statement mentions is resolved before the first row is
+// read, so an unknown column is an error on every table state, the empty
+// one included. Stored rows are immutable, so filter, ORDER BY and LIMIT
+// work on the table's own rows and only those that survive LIMIT are
+// copied out.
 func execSelectTable(t *Table, s *SelectStmt) (*Result, error) {
-	_, rows, err := planScan(t, s.Where)
+	plan, err := planScan(t, s.Where)
 	if err != nil {
 		return nil, err
 	}
-	// Order: multi-key lexicographic, per-key direction.
-	if len(s.OrderBy) > 0 {
-		keys := make([]int, len(s.OrderBy))
-		for i, k := range s.OrderBy {
-			ci := t.Schema.ColIndex(k.Col)
-			if ci < 0 {
-				return nil, fmt.Errorf("reldb: unknown ORDER BY column %s", k.Col)
-			}
-			keys[i] = ci
-		}
-		sort.SliceStable(rows, func(i, j int) bool {
-			for ki, ci := range keys {
-				c := Compare(rows[i][ci], rows[j][ci])
-				if c == 0 {
-					continue
-				}
-				if s.OrderBy[ki].Desc {
-					return c > 0
-				}
-				return c < 0
-			}
-			return false
-		})
+	order, err := bindOrder(&t.Schema, s.OrderBy)
+	if err != nil {
+		return nil, err
 	}
-	// Limit.
+	names, cols, err := bindColumns(&t.Schema, s.Columns)
+	if err != nil {
+		return nil, err
+	}
+	var rows []Row
+	plan.run(func(_ int64, r Row) { rows = append(rows, r) })
+	if order != nil {
+		// Stable over the scan's rowID order, so ties come out by rowID and
+		// truncating afterwards is ORDER BY ... LIMIT.
+		slices.SortStableFunc(rows, order)
+	}
 	if s.Limit >= 0 && len(rows) > s.Limit {
 		rows = rows[:s.Limit]
 	}
-	// Project.
-	return project(&t.Schema, rows, s.Columns)
+	return project(rows, names, cols), nil
 }
 
-// project selects the named columns (nil = all) out of rows.
-func project(schema *Schema, rows []Row, cols []string) (*Result, error) {
-	if cols == nil {
-		names := make([]string, len(schema.Columns))
-		for i, c := range schema.Columns {
-			names[i] = c.Name
-		}
-		return &Result{Columns: names, Rows: rows, Affected: len(rows)}, nil
+// bindOrder resolves ORDER BY keys into a row comparison (multi-key
+// lexicographic, per-key direction); nil when there are no keys.
+func bindOrder(schema *Schema, keys []OrderKey) (func(a, b Row) int, error) {
+	if len(keys) == 0 {
+		return nil, nil
 	}
-	idx := make([]int, len(cols))
-	for i, c := range cols {
-		ci := schema.ColIndex(c)
+	type orderCol struct {
+		idx  int
+		desc bool
+	}
+	cols := make([]orderCol, len(keys))
+	for i, k := range keys {
+		ci := schema.ColIndex(k.Col)
 		if ci < 0 {
-			return nil, fmt.Errorf("reldb: unknown column %s", c)
+			return nil, fmt.Errorf("reldb: unknown ORDER BY column %s", k.Col)
 		}
-		idx[i] = ci
+		cols[i] = orderCol{ci, k.Desc}
 	}
+	return func(a, b Row) int {
+		for _, k := range cols {
+			if c := compareTo(&a[k.idx], &b[k.idx]); c != 0 {
+				if k.desc {
+					return -c
+				}
+				return c
+			}
+		}
+		return 0
+	}, nil
+}
+
+// bindColumns resolves a select list (nil = every column, in schema order)
+// into the result's column names and their positions in a table row.
+func bindColumns(schema *Schema, cols []string) (names []string, idx []int, err error) {
+	if cols == nil {
+		names, idx = make([]string, len(schema.Columns)), make([]int, len(schema.Columns))
+		for i, c := range schema.Columns {
+			names[i], idx[i] = c.Name, i
+		}
+		return names, idx, nil
+	}
+	idx = make([]int, len(cols))
+	for i, c := range cols {
+		if idx[i] = schema.ColIndex(c); idx[i] < 0 {
+			return nil, nil, fmt.Errorf("reldb: unknown column %s", c)
+		}
+	}
+	return append([]string(nil), cols...), idx, nil
+}
+
+// project copies columns idx (named names) out of rows. The result never
+// aliases table storage, SELECT * included: callers own their result rows
+// and write into them (SecureDB.mask NULLs hidden columns in place). All
+// result rows are cut from one backing array, each capped at its own
+// length so an append cannot reach its neighbour.
+func project(rows []Row, names []string, idx []int) *Result {
+	width := len(idx)
+	vals := make([]Value, len(rows)*width)
 	out := make([]Row, len(rows))
 	for i, r := range rows {
-		pr := make(Row, len(idx))
+		pr := vals[i*width : (i+1)*width : (i+1)*width]
 		for j, ci := range idx {
 			pr[j] = r[ci]
 		}
 		out[i] = pr
 	}
-	return &Result{Columns: append([]string(nil), cols...), Rows: out, Affected: len(out)}, nil
+	return &Result{Columns: names, Rows: out, Affected: len(out)}
 }
 
-// planScan chooses an access path for the predicate: an equality on a
-// hash-indexed column or a comparison on an ordered-indexed column is
-// served from the index; everything else is a full scan. The full
-// predicate is always re-applied to the candidates.
-func planScan(t *Table, where Expr) ([]int64, []Row, error) {
-	var candIDs []int64
-	usedIndex := false
-	if cmp := indexableCmp(t, where); cmp != nil {
-		switch cmp.Op {
-		case "=":
-			if ids, ok := t.LookupEq(cmp.Col, cmp.Val); ok {
-				candIDs, usedIndex = ids, true
-			}
-		case "<", "<=":
-			hi := cmp.Val
-			if ids, ok := t.LookupRange(cmp.Col, nil, &hi); ok {
-				candIDs, usedIndex = ids, true
-			}
-		case ">", ">=":
-			lo := cmp.Val
-			if ids, ok := t.LookupRange(cmp.Col, &lo, nil); ok {
-				candIDs, usedIndex = ids, true
-			}
+// scanPlan is a predicate bound to a table: the matcher, and the access
+// path that feeds it.
+type scanPlan struct {
+	t     *Table
+	where Expr
+	match matcher
+}
+
+// planScan binds the predicate (nil matches every row) to the table. It
+// reads no row, so an unknown column or operator is reported whatever the
+// table holds.
+func planScan(t *Table, where Expr) (scanPlan, error) {
+	match := matcher(matchAll)
+	if where != nil {
+		var err error
+		if match, err = where.bind(&t.Schema); err != nil {
+			return scanPlan{}, err
 		}
 	}
-	var ids []int64
-	var rows []Row
-	check := func(id int64, r Row) (bool, error) {
-		if where == nil {
-			return true, nil
+	return scanPlan{t: t, where: where, match: match}, nil
+}
+
+// run calls emit, in rowID order, for every row the predicate accepts. An
+// equality on a hash-indexed column or a comparison on an ordered-indexed
+// column is served from the index, everything else by a full scan; the
+// full predicate is always re-applied to the candidates. Emitted rows are
+// the stored ones — shared, never to be modified.
+func (p scanPlan) run(emit func(id int64, r Row)) {
+	if cmp, ids := indexCandidates(p.t, p.where); cmp != nil {
+		for _, id := range ids {
+			if r := p.t.rows.get(id); r != nil && p.match(r) {
+				emit(id, r)
+			}
 		}
-		return where.Eval(&t.Schema, r)
+		return
 	}
-	if usedIndex {
-		for _, id := range candIDs {
-			r, ok := t.Get(id)
-			if !ok {
-				continue
-			}
-			ok2, err := check(id, r)
-			if err != nil {
-				return nil, nil, err
-			}
-			if ok2 {
-				ids = append(ids, id)
-				rows = append(rows, r)
-			}
-		}
-		return ids, rows, nil
-	}
-	var scanErr error
-	t.Scan(func(id int64, r Row) bool {
-		ok, err := check(id, r)
-		if err != nil {
-			scanErr = err
-			return false
-		}
-		if ok {
-			ids = append(ids, id)
-			rows = append(rows, r.Clone())
+	p.t.rows.scan(func(id int64, r Row) bool {
+		if p.match(r) {
+			emit(id, r)
 		}
 		return true
 	})
-	if scanErr != nil {
-		return nil, nil, scanErr
+}
+
+// indexCandidates returns the comparison of the predicate an index serves
+// and the rowIDs, ascending, the index offers for it; cmp is nil when no
+// index applies.
+func indexCandidates(t *Table, where Expr) (cmp *CmpExpr, ids []int64) {
+	if cmp = indexableCmp(t, where); cmp == nil {
+		return nil, nil
 	}
-	return ids, rows, nil
+	switch cmp.Op {
+	case "=":
+		ids, _ = t.LookupEq(cmp.Col, cmp.Val)
+	case "<", "<=":
+		ids, _ = t.LookupRange(cmp.Col, nil, &cmp.Val)
+	default: // ">", ">=": indexableCmp admits nothing else from a bound predicate
+		ids, _ = t.LookupRange(cmp.Col, &cmp.Val, nil)
+	}
+	return cmp, ids
 }
 
 // indexableCmp digs a comparison usable as an access path out of the

@@ -127,6 +127,7 @@ func TestIndexMaintainedAcrossDML(t *testing.T) {
 
 func TestErrors(t *testing.T) {
 	db := empDB(t)
+	mustExec(t, db, "CREATE TABLE empty (a INT)")
 	for _, src := range []string{
 		"CREATE TABLE emp (x INT)",                  // duplicate
 		"SELECT * FROM ghost",                       // unknown table
@@ -138,6 +139,18 @@ func TestErrors(t *testing.T) {
 		"UPDATE emp SET ghost = 1",                  // unknown set col
 		"CREATE HASH INDEX ON ghost (x)",            // unknown table
 		"CREATE HASH INDEX ON emp (ghost)",          // unknown column
+		// Names are resolved before any row is read, so the verdict cannot
+		// depend on what the table holds: not on its being empty, and not on
+		// whether some row gets past the left arm of an OR.
+		"SELECT * FROM empty WHERE ghost = 1",
+		"SELECT * FROM empty ORDER BY ghost",
+		"SELECT ghost FROM empty",
+		"UPDATE empty SET ghost = 1",
+		"UPDATE empty SET a = 1 WHERE ghost = 1",
+		"DELETE FROM empty WHERE ghost = 1",
+		"SELECT * FROM emp WHERE id > 0 OR ghost = 2",
+		"SELECT * FROM emp WHERE id < 0 AND ghost = 2",
+		"DELETE FROM emp WHERE id > 0 OR ghost = 2",
 	} {
 		if _, err := db.Exec(src); err == nil {
 			t.Errorf("%s: want error", src)

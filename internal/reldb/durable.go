@@ -3,6 +3,7 @@ package reldb
 import (
 	"encoding/json"
 	"fmt"
+	"sort"
 
 	"webdbsec/internal/mvcc"
 	"webdbsec/internal/wal"
@@ -63,19 +64,25 @@ type dbSnap struct {
 }
 
 // snapshot captures the table — no lock needed: checkpoint snapshots are
-// taken from frozen version tables.
+// taken from frozen version tables. Rows go out in rowID order and index
+// names sorted, so one state always encodes to the same bytes and a
+// checkpoint image can be compared with, or replayed against, another. The
+// rows are shared with the table, not copied: the snapshot is only encoded.
 func (t *Table) snapshot() tableSnap {
 	snap := tableSnap{Name: t.Name, Schema: t.Schema, NextID: t.nextID}
 	for col := range t.hashIdx {
 		snap.HashIdx = append(snap.HashIdx, col)
 	}
+	sort.Strings(snap.HashIdx)
 	for col := range t.ordIdx {
 		snap.OrdIdx = append(snap.OrdIdx, col)
 	}
-	snap.Rows = make([]rowSnap, 0, len(t.rows))
-	for id, r := range t.rows {
-		snap.Rows = append(snap.Rows, rowSnap{ID: id, Row: r.Clone()})
-	}
+	sort.Strings(snap.OrdIdx)
+	snap.Rows = make([]rowSnap, 0, t.Len())
+	t.Scan(func(id int64, r Row) bool {
+		snap.Rows = append(snap.Rows, rowSnap{ID: id, Row: r})
+		return true
+	})
 	return snap
 }
 
@@ -169,13 +176,24 @@ func (db *Database) Checkpoint() error {
 	}
 	db.mu.Unlock()
 
-	snap := dbSnap{TxnSeq: v.txnSeq, FenceLSN: fence}
+	payload, err := v.encodeSnap()
+	if err != nil {
+		return err
+	}
+	return db.log.checkpointAt(payload, trunc)
+}
+
+// encodeSnap serializes the version as a checkpoint payload fenced at its
+// own LSN. The encoding is a function of the state alone: tables by name,
+// rows by rowID, index names sorted.
+func (v *dbVersion) encodeSnap() ([]byte, error) {
+	snap := dbSnap{TxnSeq: v.txnSeq, FenceLSN: v.lsn}
 	for _, name := range v.tableNames() {
 		snap.Tables = append(snap.Tables, v.tables[name].snapshot())
 	}
 	payload, err := json.Marshal(&snap)
 	if err != nil {
-		return fmt.Errorf("reldb: encode snapshot: %w", err)
+		return nil, fmt.Errorf("reldb: encode snapshot: %w", err)
 	}
-	return db.log.checkpointAt(payload, trunc)
+	return payload, nil
 }

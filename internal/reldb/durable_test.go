@@ -1,6 +1,7 @@
 package reldb
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"sort"
@@ -111,6 +112,84 @@ func TestOpenCheckpointReopen(t *testing.T) {
 		t.Fatalf("recovered txnSeq did not advance: %d", txn.ID())
 	}
 	txn.Abort()
+}
+
+// TestCheckpointImageReproducible: one committed state encodes to one
+// checkpoint payload, byte for byte — rows in rowID order, index names
+// sorted — so a crash-matrix failure can be replayed from its image.
+func TestCheckpointImageReproducible(t *testing.T) {
+	fs := faultinject.NewMemFS()
+	db := openDurable(t, fs)
+	mustExec(t, db, "CREATE TABLE t (k TEXT, v INT, a INT, b INT)")
+	for _, ddl := range []string{
+		"CREATE HASH INDEX ON t (k)", "CREATE HASH INDEX ON t (a)", "CREATE HASH INDEX ON t (b)",
+		"CREATE ORDERED INDEX ON t (v)", "CREATE ORDERED INDEX ON t (a)", "CREATE ORDERED INDEX ON t (b)",
+	} {
+		mustExec(t, db, ddl)
+	}
+	for i := 0; i < 600; i++ {
+		mustExec(t, db, fmt.Sprintf("INSERT INTO t VALUES ('k%d', %d, %d, %d)", i, i%7, i%5, i%3))
+	}
+	mustExec(t, db, "DELETE FROM t WHERE v = 3")
+	image := func(db *Database) []byte {
+		t.Helper()
+		payload, err := db.versions.Load().encodeSnap()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return payload
+	}
+	first := image(db)
+	if second := image(db); !bytes.Equal(first, second) {
+		t.Fatalf("two images of one state differ (%d vs %d bytes)", len(first), len(second))
+	}
+	// The state recovered from a checkpoint encodes to that checkpoint.
+	if err := db.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	written, _, _ := db.log.w.Snapshot()
+	if !bytes.Equal(first, written) {
+		t.Fatal("Checkpoint wrote a different image")
+	}
+	if third := image(openDurable(t, fs)); !bytes.Equal(first, third) {
+		t.Fatal("image of the recovered state differs from the one it was recovered from")
+	}
+}
+
+// TestRestoreUnorderedSnapshot: images written before snapshots were
+// ordered list rows and index names in map order; they must keep opening.
+func TestRestoreUnorderedSnapshot(t *testing.T) {
+	payload := []byte(`{"TxnSeq":9,"FenceLSN":40,"Tables":[{"Name":"t",` +
+		`"Schema":{"Columns":[{"Name":"k","Kind":3},{"Name":"v","Kind":1}]},"NextID":700,` +
+		`"Rows":[{"ID":513,"Row":[{"Kind":3,"I":0,"F":0,"S":"c","B":false},{"Kind":1,"I":3,"F":0,"S":"","B":false}]},` +
+		`{"ID":2,"Row":[{"Kind":3,"I":0,"F":0,"S":"a","B":false},{"Kind":1,"I":1,"F":0,"S":"","B":false}]},` +
+		`{"ID":300,"Row":[{"Kind":3,"I":0,"F":0,"S":"b","B":false},{"Kind":1,"I":2,"F":0,"S":"","B":false}]}],` +
+		`"HashIdx":["v","k"],"OrdIdx":["v"]}]}`)
+	st, txnSeq, fence, err := restoreSnap(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if txnSeq != 9 || fence != 40 {
+		t.Fatalf("txnSeq %d fence %d", txnSeq, fence)
+	}
+	tbl := st.frozen()["t"]
+	var got []string
+	tbl.Scan(func(id int64, r Row) bool {
+		got = append(got, fmt.Sprintf("%d=%s/%d", id, r[0].S, r[1].I))
+		return true
+	})
+	if want := []string{"2=a/1", "300=b/2", "513=c/3"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("rows %v, want %v", got, want)
+	}
+	if tbl.nextID != 700 || tbl.Len() != 3 {
+		t.Fatalf("nextID %d, len %d", tbl.nextID, tbl.Len())
+	}
+	if !tbl.HasHashIndex("k") || !tbl.HasHashIndex("v") || !tbl.HasOrderedIndex("v") {
+		t.Fatal("indexes not rebuilt")
+	}
+	if ids, _ := tbl.LookupEq("k", Str("b")); !reflect.DeepEqual(ids, []int64{300}) {
+		t.Fatalf("LookupEq = %v", ids)
+	}
 }
 
 // TestCheckpointFuzzyWithActiveTxns asserts the fuzzy-checkpoint contract

@@ -53,28 +53,13 @@ func (db *Database) Explain(src string) (*Plan, error) {
 		return nil, fmt.Errorf("reldb: unknown table %s", sel.Table)
 	}
 	plan := &Plan{Table: sel.Table, Access: "full-scan", EstRows: t.Len()}
-	if cmp := indexableCmp(t, sel.Where); cmp != nil {
-		switch cmp.Op {
-		case "=":
-			if ids, ok := t.LookupEq(cmp.Col, cmp.Val); ok {
-				plan.Access = "index-eq"
-				plan.IndexColumn = cmp.Col
-				plan.EstRows = len(ids)
-			}
-		default:
-			var lo, hi *Value
-			v := cmp.Val
-			if cmp.Op == "<" || cmp.Op == "<=" {
-				hi = &v
-			} else {
-				lo = &v
-			}
-			if ids, ok := t.LookupRange(cmp.Col, lo, hi); ok {
-				plan.Access = "index-range"
-				plan.IndexColumn = cmp.Col
-				plan.EstRows = len(ids)
-			}
+	if cmp, ids := indexCandidates(t, sel.Where); cmp != nil {
+		plan.Access = "index-range"
+		if cmp.Op == "=" {
+			plan.Access = "index-eq"
 		}
+		plan.IndexColumn = cmp.Col
+		plan.EstRows = len(ids)
 	}
 	// Cost model: one unit per candidate row plus one per predicate node
 	// evaluated over it.

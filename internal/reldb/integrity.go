@@ -53,14 +53,13 @@ func (db *Database) AddCheck(c *CheckConstraint) error {
 	if !ok {
 		return fmt.Errorf("reldb: unknown table %s", c.Table)
 	}
+	holds, err := c.Check.bind(&t.Schema)
+	if err != nil {
+		return err
+	}
 	var violation error
 	t.Scan(func(id int64, r Row) bool {
-		okRow, err := c.Check.Eval(&t.Schema, r)
-		if err != nil {
-			violation = err
-			return false
-		}
-		if !okRow {
+		if !holds(r) {
 			violation = fmt.Errorf("reldb: existing row %d violates constraint %s", id, c.Name)
 			return false
 		}

@@ -3,6 +3,9 @@ package reldb
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -197,4 +200,263 @@ func TestQuickAggregatesConsistentWithRows(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
 	}
+}
+
+// --- Row store model test ---
+
+// modelTable pairs a table with the map it must behave like and the rowIDs
+// its lineage has ever handed out.
+type modelTable struct {
+	t    *Table
+	ref  map[int64]Row
+	used map[int64]bool
+}
+
+func (m *modelTable) fork() *modelTable {
+	c := &modelTable{t: m.t.clone(), ref: make(map[int64]Row, len(m.ref)), used: make(map[int64]bool, len(m.used))}
+	for id, r := range m.ref {
+		c.ref[id] = r
+	}
+	for id := range m.used {
+		c.used[id] = true
+	}
+	return c
+}
+
+// check compares every read path of the table with the reference map.
+func (m *modelTable) check(t *testing.T, desc string) {
+	t.Helper()
+	if m.t.Len() != len(m.ref) {
+		t.Fatalf("%s: Len %d, want %d", desc, m.t.Len(), len(m.ref))
+	}
+	last, seen := int64(-1), 0
+	m.t.Scan(func(id int64, r Row) bool {
+		if id <= last {
+			t.Fatalf("%s: Scan went from id %d to %d", desc, last, id)
+		}
+		last = id
+		want, ok := m.ref[id]
+		if !ok || !reflect.DeepEqual(r, want) {
+			t.Fatalf("%s: Scan row %d = %v, want %v (present %v)", desc, id, r, want, ok)
+		}
+		seen++
+		return true
+	})
+	if seen != len(m.ref) {
+		t.Fatalf("%s: Scan visited %d rows, want %d", desc, seen, len(m.ref))
+	}
+	for id := int64(-2); id <= m.t.nextID+2*chunkSize; id++ {
+		got, ok := m.t.Get(id)
+		if want, exists := m.ref[id]; ok != exists || (ok && !reflect.DeepEqual(got, want)) {
+			t.Fatalf("%s: Get(%d) = %v, %v; want %v, %v", desc, id, got, ok, want, exists)
+		}
+	}
+	for id := range m.used {
+		if id > m.t.nextID {
+			t.Fatalf("%s: nextID %d is below issued id %d", desc, m.t.nextID, id)
+		}
+	}
+}
+
+func mustPanic(t *testing.T, desc string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s: no panic", desc)
+		}
+	}()
+	fn()
+}
+
+// TestRowStoreModel drives random Insert/insertAt/Update/Delete/clone/freeze
+// sequences against a map reference. Working copies fork off ANY frozen
+// version, not just the newest, so siblings share chunks; at the end every
+// frozen version must still equal its own reference — no descendant's write
+// may have reached a chunk an ancestor still holds.
+func TestRowStoreModel(t *testing.T) {
+	schema := Schema{Columns: []Column{{"k", KindInt}, {"s", KindString}}}
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		newRow := func() Row { return Row{Int(rng.Int63n(1000)), Str(fmt.Sprint("s", rng.Intn(50)))} }
+		liveID := func(m *modelTable) (int64, bool) {
+			if len(m.ref) == 0 {
+				return 0, false
+			}
+			n := rng.Intn(len(m.ref))
+			for id := range m.ref {
+				if n == 0 {
+					return id, true
+				}
+				n--
+			}
+			panic("unreachable")
+		}
+		cur := &modelTable{t: NewTable("m", schema), ref: map[int64]Row{}, used: map[int64]bool{}}
+		var frozen []*modelTable
+		for step := 0; step < 1500; step++ {
+			desc := fmt.Sprintf("seed %d step %d", seed, step)
+			switch op := rng.Intn(100); {
+			case op < 45:
+				r := newRow()
+				id, err := cur.t.Insert(r)
+				if err != nil {
+					t.Fatalf("%s: Insert: %v", desc, err)
+				}
+				if cur.used[id] {
+					t.Fatalf("%s: Insert reused rowID %d", desc, id)
+				}
+				cur.ref[id], cur.used[id] = r.Clone(), true
+				r[0] = Int(-1) // the table must have stored its own copy
+			case op < 50:
+				// The redo path: an id of the log's choosing, possibly chunks ahead.
+				id := cur.t.nextID + 1 + rng.Int63n(3*chunkSize)
+				r := newRow()
+				cur.t.insertAt(id, r)
+				cur.ref[id], cur.used[id] = r, true
+			case op < 65:
+				if id, ok := liveID(cur); ok {
+					r := newRow()
+					old, err := cur.t.Update(id, r)
+					if err != nil || !reflect.DeepEqual(old, cur.ref[id]) {
+						t.Fatalf("%s: Update(%d) = %v, %v; want old %v", desc, id, old, err, cur.ref[id])
+					}
+					cur.ref[id] = r
+				}
+			case op < 80:
+				if id, ok := liveID(cur); ok {
+					old, err := cur.t.Delete(id)
+					if err != nil || !reflect.DeepEqual(old, cur.ref[id]) {
+						t.Fatalf("%s: Delete(%d) = %v, %v; want old %v", desc, id, old, err, cur.ref[id])
+					}
+					delete(cur.ref, id)
+					if _, err := cur.t.Delete(id); err == nil {
+						t.Fatalf("%s: second Delete(%d) succeeded", desc, id)
+					}
+					if _, err := cur.t.Update(id, newRow()); err == nil {
+						t.Fatalf("%s: Update of deleted row %d succeeded", desc, id)
+					}
+				}
+			case op < 84:
+				// Empty one whole chunk, so it is dropped from the vector.
+				if id, ok := liveID(cur); ok {
+					base := id &^ slotMask
+					for id := base; id < base+chunkSize; id++ {
+						if _, ok := cur.ref[id]; ok {
+							if _, err := cur.t.Delete(id); err != nil {
+								t.Fatalf("%s: Delete(%d): %v", desc, id, err)
+							}
+							delete(cur.ref, id)
+						}
+					}
+				}
+			case op < 94:
+				// Commit: freeze, then continue on a fork of a random version.
+				mustPanic(t, desc+": clone of unfrozen table", func() { cur.t.clone() })
+				cur.t.freeze()
+				frozen = append(frozen, cur)
+				cur = frozen[rng.Intn(len(frozen))].fork()
+			case op < 97:
+				// Checkpoint round trip.
+				snap := cur.t.snapshot()
+				restored, err := snap.restore()
+				if err != nil {
+					t.Fatalf("%s: restore: %v", desc, err)
+				}
+				if restored.nextID != cur.t.nextID {
+					t.Fatalf("%s: restored nextID %d, want %d", desc, restored.nextID, cur.t.nextID)
+				}
+				(&modelTable{t: restored, ref: cur.ref, used: cur.used}).check(t, desc+": restored")
+			default:
+				cur.check(t, desc)
+			}
+		}
+		cur.check(t, fmt.Sprintf("seed %d: final working copy", seed))
+		for i, f := range frozen {
+			f.check(t, fmt.Sprintf("seed %d: frozen version %d of %d", seed, i, len(frozen)))
+		}
+		f := frozen[0]
+		mustPanic(t, "Insert into frozen table", func() { f.t.Insert(newRow()) })
+		mustPanic(t, "insertAt into frozen table", func() { f.t.insertAt(f.t.nextID+1, newRow()) })
+		mustPanic(t, "Update of frozen table", func() { f.t.Update(1, newRow()) })
+		mustPanic(t, "Delete from frozen table", func() { f.t.Delete(1) })
+	}
+}
+
+// TestFrozenVersionReadableWhileCloneCommits: readers scan a frozen version
+// — and whatever version is newest — while a writer keeps cloning the
+// newest one, writing into chunks it shares with all of them, and
+// committing. Run under -race: a write that reached a shared chunk in
+// place is a data race with the readers here, besides breaking what they
+// check.
+func TestFrozenVersionReadableWhileCloneCommits(t *testing.T) {
+	const rows = 4 * chunkSize
+	base := NewTable("m", Schema{Columns: []Column{{"k", KindInt}, {"gen", KindInt}}})
+	for i := 1; i <= rows; i++ {
+		base.insertAt(int64(i), Row{Int(int64(i)), Int(0)})
+	}
+	base.freeze()
+	var newest atomic.Pointer[Table]
+	newest.Store(base)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				n := 0
+				base.Scan(func(id int64, r Row) bool {
+					n++
+					if r[0].I != id || r[1].I != 0 {
+						t.Errorf("frozen base changed: row %d = %v", id, r)
+						return false
+					}
+					return true
+				})
+				if n != rows {
+					t.Errorf("frozen base has %d rows, want %d", n, rows)
+				}
+				cur, last, n := newest.Load(), int64(0), 0
+				cur.Scan(func(id int64, r Row) bool {
+					if id <= last {
+						t.Errorf("scan went from id %d to %d", last, id)
+					}
+					last = id
+					n++
+					return true
+				})
+				if n != cur.Len() {
+					t.Errorf("scan saw %d rows, Len says %d", n, cur.Len())
+				}
+			}
+		}()
+	}
+	rng := rand.New(rand.NewSource(7))
+	for gen := int64(1); gen <= 400; gen++ {
+		w := newest.Load().clone()
+		for i := 0; i < 3; i++ {
+			id := 1 + rng.Int63n(rows)
+			if _, ok := w.Get(id); ok && rng.Intn(4) == 0 {
+				if _, err := w.Delete(id); err != nil {
+					t.Fatal(err)
+				}
+			} else if ok {
+				if _, err := w.Update(id, Row{Int(id), Int(gen)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if _, err := w.Insert(Row{Int(-gen), Int(gen)}); err != nil {
+			t.Fatal(err)
+		}
+		newest.Store(w.freeze())
+	}
+	close(stop)
+	wg.Wait()
 }

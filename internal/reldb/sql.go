@@ -76,10 +76,19 @@ func (*SelectStmt) stmt()      {}
 func (*UpdateStmt) stmt()      {}
 func (*DeleteStmt) stmt()      {}
 
-// Expr is a boolean expression over a row.
+// Expr is a boolean expression over a row. The set of expression nodes is
+// closed: every node binds itself to a schema (bind.go), and Eval is that
+// binding followed by one match.
 type Expr interface {
+	// Eval binds the expression to s and reports whether r satisfies it. A
+	// caller with more than one row binds once instead (bind).
 	Eval(s *Schema, r Row) (bool, error)
 	String() string
+	// bind resolves the expression against s into a matcher; it reports an
+	// unknown column or operator without looking at any row, and leaves the
+	// expression unmodified (parsed statements and row-policy predicates
+	// are shared between goroutines).
+	bind(s *Schema) (matcher, error)
 }
 
 // CmpExpr compares a column with a literal.
@@ -92,32 +101,7 @@ type CmpExpr struct {
 // Eval implements Expr.
 //
 // seclint:exempt expression node evaluating one row the engine already authorized
-func (e *CmpExpr) Eval(s *Schema, r Row) (bool, error) {
-	ci := s.ColIndex(e.Col)
-	if ci < 0 {
-		return false, fmt.Errorf("reldb: unknown column %s", e.Col)
-	}
-	v := r[ci]
-	if v.IsNull() || e.Val.IsNull() {
-		return false, nil // three-valued logic collapsed to false
-	}
-	c := Compare(v, e.Val)
-	switch e.Op {
-	case "=":
-		return c == 0, nil
-	case "!=":
-		return c != 0, nil
-	case "<":
-		return c < 0, nil
-	case "<=":
-		return c <= 0, nil
-	case ">":
-		return c > 0, nil
-	case ">=":
-		return c >= 0, nil
-	}
-	return false, fmt.Errorf("reldb: unknown operator %s", e.Op)
-}
+func (e *CmpExpr) Eval(s *Schema, r Row) (bool, error) { return evalBound(e, s, r) }
 
 func (e *CmpExpr) String() string {
 	v := e.Val.String()
@@ -133,13 +117,7 @@ type AndExpr struct{ L, R Expr }
 // Eval implements Expr.
 //
 // seclint:exempt expression node evaluating one row the engine already authorized
-func (e *AndExpr) Eval(s *Schema, r Row) (bool, error) {
-	l, err := e.L.Eval(s, r)
-	if err != nil || !l {
-		return false, err
-	}
-	return e.R.Eval(s, r)
-}
+func (e *AndExpr) Eval(s *Schema, r Row) (bool, error) { return evalBound(e, s, r) }
 
 func (e *AndExpr) String() string { return "(" + e.L.String() + " AND " + e.R.String() + ")" }
 
@@ -149,16 +127,7 @@ type OrExpr struct{ L, R Expr }
 // Eval implements Expr.
 //
 // seclint:exempt expression node evaluating one row the engine already authorized
-func (e *OrExpr) Eval(s *Schema, r Row) (bool, error) {
-	l, err := e.L.Eval(s, r)
-	if err != nil {
-		return false, err
-	}
-	if l {
-		return true, nil
-	}
-	return e.R.Eval(s, r)
-}
+func (e *OrExpr) Eval(s *Schema, r Row) (bool, error) { return evalBound(e, s, r) }
 
 func (e *OrExpr) String() string { return "(" + e.L.String() + " OR " + e.R.String() + ")" }
 
@@ -168,10 +137,7 @@ type NotExpr struct{ E Expr }
 // Eval implements Expr.
 //
 // seclint:exempt expression node evaluating one row the engine already authorized
-func (e *NotExpr) Eval(s *Schema, r Row) (bool, error) {
-	v, err := e.E.Eval(s, r)
-	return !v, err
-}
+func (e *NotExpr) Eval(s *Schema, r Row) (bool, error) { return evalBound(e, s, r) }
 
 func (e *NotExpr) String() string { return "NOT (" + e.E.String() + ")" }
 

@@ -2,6 +2,7 @@ package reldb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -9,13 +10,23 @@ import (
 // addressed by a stable rowID (never reused), which the transaction layer
 // uses for write sets and locks.
 //
-// Tables are copy-on-write at table granularity (the MVCC unit): a table
-// reachable from a published dbVersion is frozen — immutable forever — and
-// all reads on it are lock-free. Mutation happens only on private working
-// copies (a transaction's write set, recovery staging, a follower's apply
-// overlay) that exactly one goroutine owns; committing freezes the copy
-// and installs it into a new version. The frozen flag turns a violation of
-// that ownership discipline into a panic instead of a data race.
+// A table is the MVCC unit of versioning: one reachable from a published
+// dbVersion is frozen — immutable forever — and all reads on it are
+// lock-free. Mutation happens only on private working copies (a
+// transaction's write set, recovery staging, a follower's apply overlay)
+// that exactly one goroutine owns; committing freezes the copy and installs
+// it into a new version. The frozen flag turns a violation of that
+// ownership discipline into a panic instead of a data race.
+//
+// The unit of sharing is smaller than the table. A working copy shares its
+// rows with the version it was cloned from chunk by chunk (rowheap.go) and
+// copies a chunk of 256 rowID slots on its first write into it, so taking
+// the copy costs the chunk-pointer slice and a one-row commit costs one
+// chunk, whatever the table's size. The record of which chunks a copy has
+// made its own lives in the copy and ends when it is frozen: chunks outlive
+// the copies that made them, inside every later version that still shares
+// them, so nothing stored in a chunk can say who may write it. The index
+// structures are still copied whole by clone.
 type Table struct {
 	Name   string
 	Schema Schema
@@ -25,7 +36,7 @@ type Table struct {
 	// written again.
 	frozen bool
 
-	rows   map[int64]Row
+	rows   rowHeap
 	nextID int64
 
 	hashIdx map[string]*hashIndex
@@ -56,33 +67,37 @@ func NewTable(name string, schema Schema) *Table {
 	return &Table{
 		Name:    name,
 		Schema:  schema,
-		rows:    make(map[int64]Row),
 		hashIdx: make(map[string]*hashIndex),
 		ordIdx:  make(map[string]*orderedIndex),
 	}
 }
 
-// freeze marks the table immutable and returns it.
+// freeze marks the table immutable and returns it. Its claim on the chunks
+// it wrote ends here: from now on they are shared with every clone.
 func (t *Table) freeze() *Table {
 	t.frozen = true
+	t.rows.owned = nil
 	return t
 }
 
-// clone returns a private, unfrozen copy the caller may mutate. Row values
-// are shared with the original — safe, because rows in the map are never
-// mutated in place (Insert/Update store fresh clones) — while the row map
-// and both index structures are deep-copied.
+// clone returns a private, unfrozen copy of a frozen table that the caller
+// may mutate. Rows are shared with the original chunk by chunk — safe,
+// because a stored row is never mutated in place (Insert/Update store
+// fresh clones) and a shared chunk is copied before its first write —
+// while both index structures are deep-copied. Cloning a table that is
+// still being written would leave two writers trusting the same chunks, so
+// it panics like any other breach of the ownership discipline.
 func (t *Table) clone() *Table {
+	if !t.frozen {
+		panic("reldb: clone of unfrozen table " + t.Name + " (freeze it first)")
+	}
 	c := &Table{
 		Name:    t.Name,
 		Schema:  t.Schema,
-		rows:    make(map[int64]Row, len(t.rows)),
+		rows:    t.rows.clone(),
 		nextID:  t.nextID,
 		hashIdx: make(map[string]*hashIndex, len(t.hashIdx)),
 		ordIdx:  make(map[string]*orderedIndex, len(t.ordIdx)),
-	}
-	for id, r := range t.rows {
-		c.rows[id] = r
 	}
 	for col, idx := range t.hashIdx {
 		ci := &hashIndex{col: idx.col, rows: make(map[string]map[int64]bool, len(idx.rows))}
@@ -118,9 +133,10 @@ func (t *Table) CreateHashIndex(col string) error {
 		return fmt.Errorf("reldb: table %s has no column %s", t.Name, col)
 	}
 	idx := &hashIndex{col: ci, rows: make(map[string]map[int64]bool)}
-	for id, r := range t.rows {
+	t.rows.scan(func(id int64, r Row) bool {
 		idx.add(r[ci], id)
-	}
+		return true
+	})
 	t.hashIdx[col] = idx
 	return nil
 }
@@ -133,10 +149,11 @@ func (t *Table) CreateOrderedIndex(col string) error {
 	if ci < 0 {
 		return fmt.Errorf("reldb: table %s has no column %s", t.Name, col)
 	}
-	idx := &orderedIndex{col: ci}
-	for id, r := range t.rows {
+	idx := &orderedIndex{col: ci, entries: make([]ordEntry, 0, t.rows.n)}
+	t.rows.scan(func(id int64, r Row) bool {
 		idx.entries = append(idx.entries, ordEntry{r[ci], id})
-	}
+		return true
+	})
 	sort.Slice(idx.entries, func(i, j int) bool { return less(idx.entries[i], idx.entries[j]) })
 	t.ordIdx[col] = idx
 	return nil
@@ -194,7 +211,7 @@ func (t *Table) Insert(r Row) (int64, error) {
 	}
 	t.nextID++
 	id := t.nextID
-	t.rows[id] = r.Clone()
+	t.rows.put(id, r.Clone())
 	for _, idx := range t.hashIdx {
 		idx.add(r[idx.col], id)
 	}
@@ -207,7 +224,7 @@ func (t *Table) Insert(r Row) (int64, error) {
 // insertAt restores a row under a specific id (recovery/replica path).
 func (t *Table) insertAt(id int64, r Row) {
 	t.mutable()
-	t.rows[id] = r.Clone()
+	t.rows.put(id, r.Clone())
 	if id > t.nextID {
 		t.nextID = id
 	}
@@ -223,8 +240,8 @@ func (t *Table) insertAt(id int64, r Row) {
 //
 // seclint:exempt physical row storage; grants and row policies are enforced by SecureDB above the engine
 func (t *Table) Get(id int64) (Row, bool) {
-	r, ok := t.rows[id]
-	if !ok {
+	r := t.rows.get(id)
+	if r == nil {
 		return nil, false
 	}
 	return r.Clone(), true
@@ -239,8 +256,8 @@ func (t *Table) Update(id int64, r Row) (Row, error) {
 	if err := t.Schema.CheckRow(r); err != nil {
 		return nil, err
 	}
-	old, ok := t.rows[id]
-	if !ok {
+	old := t.rows.get(id)
+	if old == nil {
 		return nil, fmt.Errorf("reldb: table %s has no row %d", t.Name, id)
 	}
 	for _, idx := range t.hashIdx {
@@ -251,7 +268,7 @@ func (t *Table) Update(id int64, r Row) (Row, error) {
 		idx.remove(old[idx.col], id)
 		idx.add(r[idx.col], id)
 	}
-	t.rows[id] = r.Clone()
+	t.rows.put(id, r.Clone())
 	return old, nil
 }
 
@@ -261,8 +278,8 @@ func (t *Table) Update(id int64, r Row) (Row, error) {
 // seclint:exempt physical row storage; grants and row policies are enforced by SecureDB above the engine
 func (t *Table) Delete(id int64) (Row, error) {
 	t.mutable()
-	old, ok := t.rows[id]
-	if !ok {
+	old := t.rows.get(id)
+	if old == nil {
 		return nil, fmt.Errorf("reldb: table %s has no row %d", t.Name, id)
 	}
 	for _, idx := range t.hashIdx {
@@ -271,32 +288,24 @@ func (t *Table) Delete(id int64) (Row, error) {
 	for _, idx := range t.ordIdx {
 		idx.remove(old[idx.col], id)
 	}
-	delete(t.rows, id)
+	t.rows.remove(id)
 	return old, nil
 }
 
 // Len returns the number of rows. Lock-free.
 func (t *Table) Len() int {
-	return len(t.rows)
+	return t.rows.n
 }
 
-// Scan calls fn for every (rowID, row) pair; fn must not mutate the row.
-// Iteration order is by rowID for determinism. Lock-free: on a frozen
-// table the iteration sees exactly the version's state no matter what
-// commits concurrently.
+// Scan calls fn for every (rowID, row) pair in rowID order until fn
+// returns false. The row is the stored one, shared with every version that
+// holds it: fn must not mutate it. Lock-free: on a frozen table the
+// iteration sees exactly the version's state no matter what commits
+// concurrently.
 //
 // seclint:exempt physical row storage; grants and row policies are enforced by SecureDB above the engine
 func (t *Table) Scan(fn func(id int64, r Row) bool) {
-	ids := make([]int64, 0, len(t.rows))
-	for id := range t.rows {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		if !fn(id, t.rows[id]) {
-			return
-		}
-	}
+	t.rows.scan(fn)
 }
 
 // LookupEq uses a hash index (if present) to find rowIDs whose column
@@ -309,7 +318,7 @@ func (t *Table) LookupEq(col string, v Value) (ids []int64, ok bool) {
 	for id := range idx.rows[v.Key()] {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids, true
 }
 
@@ -332,7 +341,7 @@ func (t *Table) LookupRange(col string, lo, hi *Value) (ids []int64, ok bool) {
 		}
 		ids = append(ids, idx.entries[i].id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids, true
 }
 

@@ -208,11 +208,10 @@ func (t *Txn) ExecStmt(st Stmt) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		ids, rows, err := planScan(tbl, s.Where)
+		plan, err := planScan(tbl, s.Where)
 		if err != nil {
 			return nil, err
 		}
-		// Pre-resolve SET columns.
 		type setCol struct {
 			idx int
 			val Value
@@ -225,6 +224,14 @@ func (t *Txn) ExecStmt(st Stmt) (*Result, error) {
 			}
 			sets = append(sets, setCol{ci, v})
 		}
+		// Collect the targets first: the scan must not run over a heap the
+		// updates below are writing.
+		var ids []int64
+		var rows []Row
+		plan.run(func(id int64, r Row) {
+			ids = append(ids, id)
+			rows = append(rows, r)
+		})
 		n := 0
 		for i, id := range ids {
 			newRow := rows[i].Clone()
@@ -248,10 +255,12 @@ func (t *Txn) ExecStmt(st Stmt) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		ids, _, err := planScan(tbl, s.Where)
+		plan, err := planScan(tbl, s.Where)
 		if err != nil {
 			return nil, err
 		}
+		var ids []int64
+		plan.run(func(id int64, _ Row) { ids = append(ids, id) })
 		n := 0
 		for _, id := range ids {
 			before, err := tbl.Delete(id)

@@ -94,7 +94,11 @@ func (v Value) asFloat() (float64, bool) {
 // Compare orders two values: -1, 0 or +1. NULL sorts first; numeric kinds
 // compare numerically across int/float; mismatched non-numeric kinds
 // compare by kind. The boolean false sorts before true.
-func Compare(a, b Value) int {
+func Compare(a, b Value) int { return compareTo(&a, &b) }
+
+// compareTo is Compare without copying its operands — the form the
+// per-row paths (bound predicates, ORDER BY) call.
+func compareTo(a, b *Value) int {
 	if a.Kind == KindNull || b.Kind == KindNull {
 		switch {
 		case a.Kind == b.Kind:
