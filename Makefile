@@ -94,11 +94,14 @@ crashshort:
 
 # fuzzshort gives every fuzz target a short budget on each check run: the
 # decoders that parse attacker-controlled bytes (WAL records, auth
-# tokens) must never panic, whatever the input. The corpus accumulated
-# under testdata/ replays first, so past crashers stay fixed.
+# tokens, wsa envelopes) must never panic, whatever the input — and the
+# envelope decoder must keep accepting, with an identical body, whatever
+# its print-and-parse reference accepts. The corpus accumulated under
+# testdata/ replays first, so past crashers stay fixed.
 fuzzshort:
 	$(GO) test -run '^$$' -fuzz FuzzTokenDecode -fuzztime 5s ./internal/authtoken/
 	$(GO) test -run '^$$' -fuzz FuzzWALDecode -fuzztime 5s ./internal/wal/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeEnvelope -fuzztime 5s ./internal/wsa/
 
 # failovershort is the replication gate wired into check: a 3-node
 # cluster elects, replicates, survives kill-the-leader at sampled byte

@@ -711,9 +711,10 @@ func BenchmarkE17DecisionCache(b *testing.B) {
 		}
 	})
 
-	// Cold: every request is a never-seen subject, so each pays the full
-	// computation plus fingerprinting and insertion — the cache's overhead
-	// ceiling.
+	// Cold: every request is a never-seen identity of one role class.
+	// While the cache keyed on subject fingerprints each was a miss paying
+	// the full computation; keyed on the applicable policy list, all but
+	// the first are hits.
 	b.Run("cold/policies=1000", func(b *testing.B) {
 		eng, _ := e1Engine(nPolicies, "role")
 		cached := decisioncache.NewEngine(eng, 1<<17)
@@ -726,8 +727,9 @@ func BenchmarkE17DecisionCache(b *testing.B) {
 	})
 
 	// Warm: the same subject repeats, so after the first miss every
-	// request is a fingerprint hash plus one sharded map hit. The PR's
-	// acceptance bar is >= 5x over uncached at 1000 policies.
+	// request is one evaluation of the candidate policies' subject specs
+	// (the key) plus one sharded map hit. PR 2's acceptance bar was >= 5x
+	// over uncached at 1000 policies.
 	b.Run("warm/policies=1000", func(b *testing.B) {
 		eng, s := e1Engine(nPolicies, "role")
 		cached := decisioncache.NewEngine(eng, 1<<16)

@@ -46,7 +46,9 @@ type e17Measurement struct {
 }
 
 // e17Measure produces the row for one policy count: uncached decision
-// latency, cold-miss latency (unique subject per request), warm-hit
+// latency, first-sight latency (a never-seen identity per request — a miss
+// while the cache keyed on subject fingerprints, a hit of the identity's
+// role class now that it keys on the applicable policy list), warm-hit
 // latency (one subject repeating), and the labels-cache hit rate under a
 // Zipf subject mix an order of magnitude larger than the cache.
 func e17Measure(n int) e17Measurement {

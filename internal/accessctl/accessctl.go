@@ -61,6 +61,15 @@ func stronger(a, b mark) bool {
 // Labels computes the per-node decision vector for a subject requesting
 // priv on the document: out[id] is true iff node id is permitted.
 func (e *Engine) Labels(doc *xmldoc.Document, s *policy.Subject, priv policy.Privilege) []bool {
+	return LabelsUnder(doc, e.base.Applicable(e.store, doc.Name, s, priv))
+}
+
+// LabelsUnder is the labeled traversal proper: the decision vector the
+// applicable policies (Base.Applicable's answer for a subject, privilege
+// and this document) give the document's nodes. The subject enters a
+// decision only through that list, so callers that already hold it — the
+// decision cache keys on it — evaluate it once.
+func LabelsUnder(doc *xmldoc.Document, applicable []*policy.Policy) []bool {
 	marks := make([]mark, doc.NumNodes())
 	marked := make([]bool, doc.NumNodes())
 
@@ -71,7 +80,7 @@ func (e *Engine) Labels(doc *xmldoc.Document, s *policy.Subject, priv policy.Pri
 		}
 	}
 
-	for _, p := range e.base.Applicable(e.store, doc.Name, s, priv) {
+	for _, p := range applicable {
 		spec := objectSpecificity(p)
 		var roots []*xmldoc.Node
 		if pe := p.PathExpr(); pe != nil {
@@ -203,7 +212,13 @@ func (e *Engine) View(docName string, s *policy.Subject, priv policy.Privilege) 
 	if !ok {
 		return nil
 	}
-	labels := e.Labels(doc, s, priv)
+	return ViewUnder(doc, e.base.Applicable(e.store, docName, s, priv), priv)
+}
+
+// ViewUnder is View's computation given the document and the applicable
+// policies (see LabelsUnder).
+func ViewUnder(doc *xmldoc.Document, applicable []*policy.Policy, priv policy.Privilege) *xmldoc.Document {
+	labels := LabelsUnder(doc, applicable)
 	v := doc.Prune(func(n *xmldoc.Node) bool { return labels[n.ID()] })
 	if v == nil || priv != policy.Browse {
 		return v

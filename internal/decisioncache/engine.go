@@ -6,24 +6,26 @@ import (
 	"webdbsec/internal/xmldoc"
 )
 
-// decisionKey addresses one cached per-subject decision artifact: a
-// Labels vector or a pruned view. The two generations pin the exact
-// document state and policy state the artifact was computed under; the
-// subject fingerprint collapses equivalent subjects (same identity, roles
-// and wallet) onto one entry.
+// decisionKey addresses one cached decision artifact: a Labels vector or
+// a pruned view. The two generations pin the exact document state and
+// policy state the artifact was computed under. A decision reads the
+// subject only through the list of policies that apply to it, so the key
+// carries that list's identity (policy.Base.ApplicableList) and not the
+// subject's: subjects are qualified by roles and credentials (§3.1–3.2),
+// and all the identities the base cannot tell apart share one entry.
 type decisionKey struct {
-	doc     string
-	docGen  uint64
-	baseGen uint64
-	subject string
-	priv    policy.Privilege
+	doc        string
+	docGen     uint64
+	baseGen    uint64
+	applicable string
+	priv       policy.Privilege
 }
 
 func hashDecision(k decisionKey) uint64 {
 	h := hashBytes(fnvOffset, k.doc)
 	h = hashUint(h, k.docGen)
 	h = hashUint(h, k.baseGen)
-	h = hashBytes(h, k.subject)
+	h = hashBytes(h, k.applicable)
 	return hashBytes(h, string(k.priv))
 }
 
@@ -89,21 +91,24 @@ func (e *Engine) Store() *xmldoc.Store { return e.inner.Store() }
 func (e *Engine) Base() *policy.Base { return e.inner.Base() }
 
 // keyAt builds the decision key for the generations of one pinned store
-// snapshot. Reading the generations before computing is what makes caching
-// sound: a computation can only ever observe state at or after its key's
-// generations, and any reader that could be served a too-new artifact is
-// by definition racing the mutation itself. The snapshot makes the
+// snapshot and returns the applicable policies it names, for the miss path
+// to evaluate. Reading the generations before the list is what makes
+// caching sound: a computation can only ever observe state at or after its
+// key's generations, and any reader that could be served a too-new artifact
+// is by definition racing the mutation itself. The snapshot makes the
 // generation read and the currency check (currentAt) observe the same
 // store version, so a decision keys and validates against one consistent
 // state no matter how many writers commit meanwhile.
-func (e *Engine) keyAt(sn *xmldoc.StoreSnapshot, docName string, s *policy.Subject, priv policy.Privilege) decisionKey {
-	return decisionKey{
+func (e *Engine) keyAt(sn *xmldoc.StoreSnapshot, docName string, s *policy.Subject, priv policy.Privilege) (decisionKey, []*policy.Policy) {
+	k := decisionKey{
 		doc:     docName,
 		docGen:  sn.DocGeneration(docName),
 		baseGen: e.inner.Base().Generation(),
-		subject: s.Fingerprint(),
 		priv:    priv,
 	}
+	var applicable []*policy.Policy
+	applicable, k.applicable = e.inner.Base().ApplicableList(e.inner.Store(), docName, s, priv)
+	return k, applicable
 }
 
 // currentAt reports whether doc is the snapshot's binding for its name.
@@ -123,12 +128,12 @@ func (e *Engine) labelsSharedAt(sn *xmldoc.StoreSnapshot, doc *xmldoc.Document, 
 	// version: if doc is not that version's binding for its name, a vector
 	// computed from doc's tree must never be installed under the version's
 	// generation, so the cache is bypassed.
-	k := e.keyAt(sn, doc.Name, s, priv)
+	k, applicable := e.keyAt(sn, doc.Name, s, priv)
 	if !e.currentAt(sn, doc) {
-		return e.inner.Labels(doc, s, priv)
+		return accessctl.LabelsUnder(doc, applicable)
 	}
 	v, _ := e.labels.Do(k, func() ([]bool, error) {
-		return e.inner.Labels(doc, s, priv), nil
+		return accessctl.LabelsUnder(doc, applicable), nil
 	})
 	return v
 }
@@ -152,10 +157,14 @@ func (e *Engine) Labels(doc *xmldoc.Document, s *policy.Subject, priv policy.Pri
 // documents are immutable by convention everywhere in this repository.
 func (e *Engine) View(docName string, s *policy.Subject, priv policy.Privilege) *xmldoc.Document {
 	sn := e.inner.Store().Snapshot()
-	k := e.keyAt(sn, docName, s, priv)
-	sn.Release()
+	defer sn.Release()
+	k, applicable := e.keyAt(sn, docName, s, priv)
 	v, _ := e.views.Do(k, func() (*xmldoc.Document, error) {
-		return e.inner.View(docName, s, priv), nil
+		doc, ok := sn.Get(docName)
+		if !ok {
+			return nil, nil
+		}
+		return accessctl.ViewUnder(doc, applicable, priv), nil
 	})
 	return v
 }

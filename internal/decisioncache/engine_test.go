@@ -353,10 +353,13 @@ func TestConcurrentSnapshotCachedEqualsUncached(t *testing.T) {
 
 	var writers, readers sync.WaitGroup
 	for _, name := range docs {
+		// Generation 1 is in place before any reader starts: on a busy
+		// box the readers can otherwise finish before the first Put.
+		store.Put(versionDoc(name, 1))
 		writers.Add(1)
 		go func(name string) {
 			defer writers.Done()
-			for g := 1; g <= versions; g++ {
+			for g := 2; g <= versions; g++ {
 				store.Put(versionDoc(name, g))
 				runtime.Gosched() // widen the overlap window with readers
 			}

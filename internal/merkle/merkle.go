@@ -42,28 +42,46 @@ const HashSize = sha256.Size
 
 // Hash computes the Merkle hash of the subtree rooted at n.
 func Hash(n *xmldoc.Node) []byte {
-	h := sha256.New()
+	var scratch [256]byte
+	return bytes.Clone(appendHash(scratch[:0], n))
+}
+
+// appendHash appends the Merkle hash of the subtree rooted at n to buf.
+// The space beyond len(buf) is its scratch: a node's preimage is laid out
+// there (an element's component hashes landing in place, one recursion
+// each), digested, and overwritten by the digest — one buffer serves a
+// whole tree.
+func appendHash(buf []byte, n *xmldoc.Node) []byte {
+	start := len(buf)
 	switch n.Kind {
 	case xmldoc.KindText:
-		h.Write([]byte{0x02})
-		h.Write([]byte(n.Value))
+		buf = append(buf, 0x02)
+		buf = append(buf, n.Value...)
 	case xmldoc.KindAttr:
-		h.Write([]byte{0x01})
-		h.Write([]byte(n.Name))
-		h.Write([]byte{0x00})
-		h.Write([]byte(n.Value))
+		buf = append(buf, 0x01)
+		buf = append(buf, n.Name...)
+		buf = append(buf, 0x00)
+		buf = append(buf, n.Value...)
 	case xmldoc.KindElement:
-		h.Write([]byte{0x00})
-		h.Write([]byte(n.Name))
-		h.Write([]byte{0x00})
-		for _, a := range n.Attrs {
-			h.Write(Hash(a))
-		}
-		for _, c := range n.Children {
-			h.Write(Hash(c))
+		buf = appendElementTag(buf, n)
+		for i := 0; i < numComponents(n); i++ {
+			buf = appendHash(buf, component(n, i))
 		}
 	}
-	return h.Sum(nil)
+	return sealHash(buf, start)
+}
+
+// appendElementTag opens an element's preimage: 0x00 ‖ name ‖ 0x00.
+func appendElementTag(buf []byte, e *xmldoc.Node) []byte {
+	buf = append(buf, 0x00)
+	buf = append(buf, e.Name...)
+	return append(buf, 0x00)
+}
+
+// sealHash replaces the preimage buf[start:] with its digest.
+func sealHash(buf []byte, start int) []byte {
+	sum := sha256.Sum256(buf[start:])
+	return append(buf[:start], sum[:]...)
 }
 
 // DocumentHash returns the Merkle hash of the document root.
@@ -98,7 +116,8 @@ type PosHash struct {
 	Hash []byte
 }
 
-// ElementProof lists the pruned components of one retained element.
+// ElementProof lists the pruned components of one retained element, in
+// ascending position order; VerifyView refuses any other order.
 type ElementProof struct {
 	Missing []PosHash
 }
@@ -127,64 +146,57 @@ func (p *Proof) NumAuxHashes() int {
 // The publisher (discovery agency) runs this; it needs no signing key —
 // only the provider-signed summary signature accompanies the result.
 func PruneWithProof(d *xmldoc.Document, keep func(*xmldoc.Node) bool) (*xmldoc.Document, *Proof) {
-	// Evaluate keep exactly once per node (it may be stateful), then derive
-	// both the view and the retain set from the recorded answers. The
-	// retain rule mirrors xmldoc.Prune: a node is retained iff keep accepts
-	// it or it has an accepted descendant. Working on the original tree
-	// gives exact node identity, so identical-named siblings can never be
+	// Evaluate keep exactly once per node (it may be stateful), in document
+	// order, and derive the view and the proof from the one retain set:
+	// a node is retained iff keep accepts it or it has an accepted
+	// descendant, as in xmldoc.Prune. Working on the original tree gives
+	// exact node identity, so identical-named siblings can never be
 	// confused.
-	accepted := make([]bool, d.NumNodes())
-	d.Walk(func(n *xmldoc.Node) bool {
-		accepted[n.ID()] = keep(n)
-		return true
-	})
-	view := d.Prune(func(n *xmldoc.Node) bool { return accepted[n.ID()] })
+	retain := make([]bool, d.NumNodes())
+	for _, n := range d.Nodes() {
+		if keep(n) {
+			for m := n; m != nil && !retain[m.ID()]; m = m.Parent {
+				retain[m.ID()] = true
+			}
+		}
+	}
+	view := d.Prune(func(n *xmldoc.Node) bool { return retain[n.ID()] })
 	if view == nil {
 		return nil, nil
 	}
-	retain := make([]bool, d.NumNodes())
-	d.Walk(func(n *xmldoc.Node) bool {
-		if accepted[n.ID()] {
-			retain[n.ID()] = true
-			for p := n.Parent; p != nil; p = p.Parent {
-				retain[p.ID()] = true
-			}
-		}
-		return true
-	})
 	proof := &Proof{}
 	// Pre-order over retained elements of the original tree — the same
 	// order the view's elements appear in, which is how VerifyView consumes
-	// the proof.
+	// the proof. An element's entry is placed before its children's and
+	// filled in as they are walked.
 	var walk func(orig *xmldoc.Node)
 	walk = func(orig *xmldoc.Node) {
-		ep := ElementProof{}
-		var kept []*xmldoc.Node
-		for pos, oc := range components(orig) {
-			if retain[oc.ID()] {
-				kept = append(kept, oc)
-				continue
-			}
-			ep.Missing = append(ep.Missing, PosHash{Pos: pos, Hash: Hash(oc)})
-		}
-		proof.Elems = append(proof.Elems, ep)
-		for _, oc := range kept {
-			if oc.Kind == xmldoc.KindElement {
+		at := len(proof.Elems)
+		proof.Elems = append(proof.Elems, ElementProof{})
+		var missing []PosHash
+		for pos := 0; pos < numComponents(orig); pos++ {
+			switch oc := component(orig, pos); {
+			case !retain[oc.ID()]:
+				missing = append(missing, PosHash{Pos: pos, Hash: Hash(oc)})
+			case oc.Kind == xmldoc.KindElement:
 				walk(oc)
 			}
 		}
+		proof.Elems[at].Missing = missing
 	}
 	walk(d.Root)
 	return view, proof
 }
 
-// components returns the component list of an element: attributes first,
-// then children, in order.
-func components(e *xmldoc.Node) []*xmldoc.Node {
-	out := make([]*xmldoc.Node, 0, len(e.Attrs)+len(e.Children))
-	out = append(out, e.Attrs...)
-	out = append(out, e.Children...)
-	return out
+// An element's component list is its attributes first, then its children,
+// in order.
+func numComponents(e *xmldoc.Node) int { return len(e.Attrs) + len(e.Children) }
+
+func component(e *xmldoc.Node, i int) *xmldoc.Node {
+	if i < len(e.Attrs) {
+		return e.Attrs[i]
+	}
+	return e.Children[i-len(e.Attrs)]
 }
 
 // VerifyView recomputes the Merkle root hash of the original document from
@@ -198,76 +210,69 @@ func VerifyView(view *xmldoc.Document, proof *Proof, ss SummarySignature, dir *w
 	if proof == nil {
 		return fmt.Errorf("merkle: missing proof")
 	}
-	next := 0
-	var hashElem func(e *xmldoc.Node) ([]byte, error)
-	hashElem = func(e *xmldoc.Node) ([]byte, error) {
-		if next >= len(proof.Elems) {
-			return nil, fmt.Errorf("merkle: proof exhausted at element %q", e.Name)
-		}
-		ep := proof.Elems[next]
-		next++
-		comps := components(e)
-		total := len(comps) + len(ep.Missing)
-		// Place missing hashes at their recorded positions; fill the rest
-		// with the view components in order.
-		slot := make([][]byte, total)
-		for _, m := range ep.Missing {
-			if m.Pos < 0 || m.Pos >= total {
-				return nil, fmt.Errorf("merkle: proof position %d out of range for element %q", m.Pos, e.Name)
-			}
-			if slot[m.Pos] != nil {
-				return nil, fmt.Errorf("merkle: duplicate proof position %d in element %q", m.Pos, e.Name)
-			}
-			if len(m.Hash) != HashSize {
-				return nil, fmt.Errorf("merkle: malformed auxiliary hash in element %q", e.Name)
-			}
-			slot[m.Pos] = m.Hash
-		}
-		ci := 0
-		for pos := 0; pos < total; pos++ {
-			if slot[pos] != nil {
-				continue
-			}
-			if ci >= len(comps) {
-				return nil, fmt.Errorf("merkle: component/proof mismatch in element %q", e.Name)
-			}
-			c := comps[ci]
-			ci++
-			var h []byte
-			var err error
-			if c.Kind == xmldoc.KindElement {
-				h, err = hashElem(c)
-				if err != nil {
-					return nil, err
-				}
-			} else {
-				h = Hash(c)
-			}
-			slot[pos] = h
-		}
-		if ci != len(comps) {
-			return nil, fmt.Errorf("merkle: %d unmatched components in element %q", len(comps)-ci, e.Name)
-		}
-		h := sha256.New()
-		h.Write([]byte{0x00})
-		h.Write([]byte(e.Name))
-		h.Write([]byte{0x00})
-		for _, s := range slot {
-			h.Write(s)
-		}
-		return h.Sum(nil), nil
-	}
-	root, err := hashElem(view.Root)
+	var scratch [512]byte
+	v := viewHasher{elems: proof.Elems}
+	root, err := v.hashElem(scratch[:0], view.Root)
 	if err != nil {
 		return err
 	}
-	if next != len(proof.Elems) {
-		return fmt.Errorf("merkle: proof has %d unused element entries", len(proof.Elems)-next)
+	if v.next != len(proof.Elems) {
+		return fmt.Errorf("merkle: proof has %d unused element entries", len(proof.Elems)-v.next)
 	}
 	if !dir.Verify(root, ss.Sig) {
 		return fmt.Errorf("merkle: summary signature does not verify (signer %q)", ss.Sig.Signer)
 	}
 	return nil
+}
+
+// viewHasher walks a view in pre-order, consuming one ElementProof per
+// element.
+type viewHasher struct {
+	elems []ElementProof
+	next  int
+}
+
+// hashElem appends the hash of the original of view element e to buf (see
+// appendHash): the original's components are the view's, in order, with
+// each auxiliary hash slotted in at its recorded position.
+func (v *viewHasher) hashElem(buf []byte, e *xmldoc.Node) ([]byte, error) {
+	if v.next >= len(v.elems) {
+		return nil, fmt.Errorf("merkle: proof exhausted at element %q", e.Name)
+	}
+	missing := v.elems[v.next].Missing
+	v.next++
+	start := len(buf)
+	buf = appendElementTag(buf, e)
+	total := numComponents(e) + len(missing)
+	ci := 0
+	for pos := 0; pos < total; pos++ {
+		if len(missing) > 0 && missing[0].Pos == pos {
+			if len(missing[0].Hash) != HashSize {
+				return nil, fmt.Errorf("merkle: malformed auxiliary hash in element %q", e.Name)
+			}
+			buf = append(buf, missing[0].Hash...)
+			missing = missing[1:]
+			continue
+		}
+		if ci == numComponents(e) {
+			break
+		}
+		c := component(e, ci)
+		ci++
+		if c.Kind != xmldoc.KindElement {
+			buf = appendHash(buf, c)
+			continue
+		}
+		var err error
+		if buf, err = v.hashElem(buf, c); err != nil {
+			return nil, err
+		}
+	}
+	if len(missing) > 0 {
+		// Out of range, repeated, or not in ascending order.
+		return nil, fmt.Errorf("merkle: proof position %d misplaced in element %q", missing[0].Pos, e.Name)
+	}
+	return sealHash(buf, start), nil
 }
 
 // Equal reports whether two hashes are equal.

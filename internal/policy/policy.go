@@ -15,6 +15,7 @@ package policy
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"sort"
@@ -426,24 +427,43 @@ func (b *Base) Verifier() *credential.Verifier { return b.verifier }
 // the document: the bucket named after it, the buckets of the sets the
 // store places it in, and the wildcard bucket.
 func (b *Base) Applicable(store *xmldoc.Store, doc string, s *Subject, priv Privilege) []*Policy {
+	out, _ := b.ApplicableList(store, doc, s, priv)
+	return out
+}
+
+// ApplicableList is Applicable plus the identity of the list it returns:
+// the installation sequence numbers of its members, eight bytes each. A
+// sequence number is never reused within a base, so equal identities mean
+// the same policies in the same order — everything a decision reads of
+// the subject — which lets decision caches share one artifact between all
+// subjects the base cannot tell apart.
+func (b *Base) ApplicableList(store *xmldoc.Store, doc string, s *Subject, priv Privilege) ([]*Policy, string) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	cands := make([]*Policy, 0, 8)
-	cands = append(cands, b.byDoc[objKey{doc, priv}]...)
-	cands = append(cands, b.wild[priv]...)
+	// Match first, order second: the matching policies are few where the
+	// candidates can be many, and sorting them by installation sequence
+	// gives the list a full scan would.
+	var out []*Policy
+	collect := func(bucket []*Policy) {
+		for _, p := range bucket {
+			if p.Subject.Matches(s, b.verifier) {
+				out = append(out, p)
+			}
+		}
+	}
+	collect(b.byDoc[objKey{doc, priv}])
+	collect(b.wild[priv])
 	if store != nil {
 		for _, set := range store.SetsOf(doc) {
-			cands = append(cands, b.bySet[objKey{set, priv}]...)
+			collect(b.bySet[objKey{set, priv}])
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool { return b.seqOf[cands[i]] < b.seqOf[cands[j]] })
-	var out []*Policy
-	for _, p := range cands {
-		if p.Subject.Matches(s, b.verifier) {
-			out = append(out, p)
-		}
+	sort.Slice(out, func(i, j int) bool { return b.seqOf[out[i]] < b.seqOf[out[j]] })
+	id := make([]byte, 0, 8*len(out))
+	for _, p := range out {
+		id = binary.BigEndian.AppendUint64(id, b.seqOf[p])
 	}
-	return out
+	return out, string(id)
 }
 
 // All returns a copy of the installed policy list, so callers can never

@@ -1,6 +1,7 @@
 package uddi
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -190,5 +191,59 @@ func TestProviderSignRejectsInvalidEntity(t *testing.T) {
 	bad.Name = ""
 	if _, err := prov.Sign(bad); err == nil {
 		t.Error("invalid entity signed")
+	}
+}
+
+// TestRepublishedEntryIsServedAtOnce: the agency's label vectors are
+// cached per (entry generation, applicable policies). Publishing an entry
+// again must retire every cached answer about it: no requestor, whichever
+// identity asked before, may be served the old view or the old summary.
+func TestRepublishedEntryIsServedAtOnce(t *testing.T) {
+	prov, agency, dir := thirdPartySetup(t)
+	requestors := []*policy.Subject{
+		{ID: "v1"}, {ID: "v2"},
+		{ID: "p1", Roles: []string{"partner"}}, {ID: "p2", Roles: []string{"partner"}},
+	}
+	ask := func(round int, wantName string, wantSum []byte) {
+		t.Helper()
+		for _, s := range requestors {
+			res, err := agency.Query(s, "be-acme")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := res.Verify(dir); err != nil {
+				t.Fatalf("round %d, %s: %v", round, s.ID, err)
+			}
+			e, err := res.Entity()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e.Name != wantName || string(res.Summary.Sig.Value) != string(wantSum) {
+				t.Fatalf("round %d, %s: served %q with a summary that is not the current one", round, s.ID, e.Name)
+			}
+			if partner := len(s.Roles) > 0; partner != strings.Contains(res.View.Canonical(), "bindingTemplate") {
+				t.Fatalf("round %d, %s: bindings visibility wrong", round, s.ID)
+			}
+		}
+	}
+	current, err := prov.Sign(sampleEntity())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 4; round++ {
+		ask(round, current.Entity.Root.Child("name").Text(), current.Summary.Sig.Value)
+		ask(round, current.Entity.Root.Child("name").Text(), current.Summary.Sig.Value) // from the cache
+		e := sampleEntity()
+		e.Name = fmt.Sprintf("Acme, revision %d", round)
+		e.Services = e.Services[:1+round%len(e.Services)] // the node count changes too
+		if current, err = prov.Sign(e); err != nil {
+			t.Fatal(err)
+		}
+		if err := agency.Publish(current); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := agency.CacheStats().Labels; st.Hits == 0 || st.Misses > 2*5 {
+		t.Errorf("labels cache: %+v; want hits, and at most one miss per role class and revision", st)
 	}
 }

@@ -142,7 +142,7 @@ func (s *RegistryServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/xml")
-	io.WriteString(w, resp.Encode())
+	w.Write(resp)
 }
 
 // authenticate runs the token/wallet gate over the envelope's sender
@@ -187,10 +187,11 @@ func (s *RegistryServer) authenticate(w http.ResponseWriter, r *http.Request, en
 func writeFault(w http.ResponseWriter, code int, msg string) {
 	w.Header().Set("Content-Type", "application/xml")
 	w.WriteHeader(code)
-	io.WriteString(w, (&Envelope{Fault: msg}).Encode())
+	w.Write((&Envelope{Fault: msg}).encode())
 }
 
-func (s *RegistryServer) dispatch(env *Envelope) (*Envelope, error) {
+// dispatch runs the operation and returns the encoded reply envelope.
+func (s *RegistryServer) dispatch(env *Envelope) ([]byte, error) {
 	req := &policy.Subject{ID: env.Sender, Roles: env.Roles}
 	switch env.Operation {
 	case "find_business":
@@ -212,7 +213,7 @@ func (s *RegistryServer) dispatch(env *Envelope) (*Envelope, error) {
 				Attrib("name", bi.Name).
 				End()
 		}
-		return &Envelope{Operation: env.Operation, Body: b.Freeze()}, nil
+		return reply(env.Operation, b.Freeze()), nil
 
 	case "find_service":
 		pattern := ""
@@ -228,7 +229,7 @@ func (s *RegistryServer) dispatch(env *Envelope) (*Envelope, error) {
 				Attrib("name", si.Name).
 				End()
 		}
-		return &Envelope{Operation: env.Operation, Body: b.Freeze()}, nil
+		return reply(env.Operation, b.Freeze()), nil
 
 	case "get_businessDetail":
 		if env.Body == nil {
@@ -244,14 +245,7 @@ func (s *RegistryServer) dispatch(env *Envelope) (*Envelope, error) {
 		if err != nil {
 			return nil, err
 		}
-		b := xmldoc.NewBuilder("resp", "businessDetail")
-		d := b.Freeze()
-		for _, e := range ents {
-			entDoc := e.ToXML()
-			graft(d.Root, entDoc.Root)
-		}
-		reindex(d)
-		return &Envelope{Operation: env.Operation, Body: d}, nil
+		return reply(env.Operation, businessDetail(ents)), nil
 
 	case "save_business":
 		if env.Body == nil {
@@ -264,7 +258,7 @@ func (s *RegistryServer) dispatch(env *Envelope) (*Envelope, error) {
 		if err := s.Registry.SaveBusiness(env.Sender, e); err != nil {
 			return nil, err
 		}
-		return okEnvelope(env.Operation), nil
+		return okReply(env.Operation), nil
 
 	case "delete_business":
 		if env.Body == nil {
@@ -274,7 +268,7 @@ func (s *RegistryServer) dispatch(env *Envelope) (*Envelope, error) {
 		if err := s.Registry.DeleteBusiness(env.Sender, key); err != nil {
 			return nil, err
 		}
-		return okEnvelope(env.Operation), nil
+		return okReply(env.Operation), nil
 
 	case "query_authenticated":
 		if s.Agency == nil {
@@ -289,76 +283,68 @@ func (s *RegistryServer) dispatch(env *Envelope) (*Envelope, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Envelope{Operation: env.Operation, Body: encodeAuthenticated(res)}, nil
+		return authenticatedReply(env.Operation, res), nil
 
 	default:
 		return nil, fmt.Errorf("wsa: unknown operation %q", env.Operation)
 	}
 }
 
-func okEnvelope(op string) *Envelope {
+// reply encodes a successful response carrying body.
+func reply(op string, body *xmldoc.Document) []byte {
+	return (&Envelope{Operation: op, Body: body}).encode()
+}
+
+// businessDetail gathers the entities' documents under one root.
+func businessDetail(ents []*uddi.BusinessEntity) *xmldoc.Document {
+	root := &xmldoc.Node{Kind: xmldoc.KindElement, Name: "businessDetail"}
+	for _, e := range ents {
+		root.Children = append(root.Children, e.ToXML().Root)
+	}
+	return xmldoc.Detach("resp", root)
+}
+
+func okReply(op string) []byte {
 	b := xmldoc.NewBuilder("resp", "result")
 	b.Attrib("status", "ok")
-	return &Envelope{Operation: op, Body: b.Freeze()}
+	return reply(op, b.Freeze())
 }
 
-// graft deep-copies src (from another document) under dst.
-func graft(dst *xmldoc.Node, src *xmldoc.Node) {
-	n := &xmldoc.Node{Kind: src.Kind, Name: src.Name, Value: src.Value, Parent: dst}
-	for _, a := range src.Attrs {
-		n.Attrs = append(n.Attrs, &xmldoc.Node{Kind: xmldoc.KindAttr, Name: a.Name, Value: a.Value, Parent: n})
-	}
-	dst.Children = append(dst.Children, n)
-	for _, c := range src.Children {
-		graft(n, c)
-	}
+// authenticatedReply encodes a response carrying an AuthenticatedResult:
+// envelope and payload go into one buffer, with no document in between.
+func authenticatedReply(op string, res *uddi.AuthenticatedResult) []byte {
+	out := &Envelope{Operation: op}
+	return out.appendClose(appendAuthenticated(out.appendOpen(nil), res))
 }
 
-// reindex rebuilds a document's node table after grafting. Round-tripping
-// through the parser keeps xmldoc's invariants without exposing its
-// internals.
-func reindex(d *xmldoc.Document) {
-	nd, err := xmldoc.ParseString(d.Name, d.Canonical())
-	if err != nil {
-		return
-	}
-	*d = *nd
-}
-
-// encodeAuthenticated serializes an AuthenticatedResult: the view, the
-// proof (positions + hex hashes) and the summary signature.
-func encodeAuthenticated(res *uddi.AuthenticatedResult) *xmldoc.Document {
-	b := xmldoc.NewBuilder("resp", "authenticatedResult")
-	b.Begin("summary").
-		Attrib("signer", res.Summary.Sig.Signer).
-		Attrib("value", hex.EncodeToString(res.Summary.Sig.Value)).
-		End()
-	b.Begin("proof")
+// appendAuthenticated appends the canonical wire form of an
+// AuthenticatedResult: the summary signature, the proof (positions + hex
+// hashes, attributes in canonical order) and the view.
+func appendAuthenticated(dst []byte, res *uddi.AuthenticatedResult) []byte {
+	dst = append(dst, "<authenticatedResult><summary "...)
+	dst = xmldoc.AppendAttr(dst, "signer", res.Summary.Sig.Signer)
+	dst = append(dst, ` value="`...)
+	dst = hex.AppendEncode(dst, res.Summary.Sig.Value)
+	dst = append(dst, `"></summary><proof>`...)
 	for _, ep := range res.Proof.Elems {
-		b.Begin("element")
+		dst = append(dst, "<element>"...)
 		for _, m := range ep.Missing {
-			b.Begin("missing").
-				Attrib("pos", strconv.Itoa(m.Pos)).
-				Attrib("hash", hex.EncodeToString(m.Hash)).
-				End()
+			dst = append(dst, `<missing hash="`...)
+			dst = hex.AppendEncode(dst, m.Hash)
+			dst = append(dst, `" pos="`...)
+			dst = strconv.AppendInt(dst, int64(m.Pos), 10)
+			dst = append(dst, `"></missing>`...)
 		}
-		b.End()
+		dst = append(dst, "</element>"...)
 	}
-	b.End()
-	d := b.Freeze()
-	// Splice the view under a <view> wrapper.
-	viewXML := "<view>" + res.View.Canonical() + "</view>"
-	full := d.Canonical()
-	full = full[:len(full)-len("</authenticatedResult>")] + viewXML + "</authenticatedResult>"
-	out, err := xmldoc.ParseString("resp", full)
-	if err != nil {
-		return d
-	}
-	return out
+	dst = append(dst, "</proof><view>"...)
+	dst = xmldoc.AppendCanonical(dst, res.View.Root)
+	return append(dst, "</view></authenticatedResult>"...)
 }
 
-// DecodeAuthenticated parses the wire form back into an
-// AuthenticatedResult the requestor can Verify.
+// DecodeAuthenticated reads the wire form back into an AuthenticatedResult
+// the requestor can Verify. It consumes body: the view is detached from it
+// in place (xmldoc.Detach), so body must not be used afterwards.
 func DecodeAuthenticated(body *xmldoc.Document) (*uddi.AuthenticatedResult, error) {
 	if body == nil || body.Root.Name != "authenticatedResult" {
 		return nil, fmt.Errorf("wsa: not an authenticatedResult")
@@ -403,11 +389,7 @@ func DecodeAuthenticated(body *xmldoc.Document) (*uddi.AuthenticatedResult, erro
 		if len(inner) != 1 {
 			return nil, fmt.Errorf("wsa: view must wrap exactly one element")
 		}
-		doc, err := xmldoc.ParseString("view", xmldoc.CanonicalSubtree(inner[0]))
-		if err != nil {
-			return nil, fmt.Errorf("wsa: view: %w", err)
-		}
-		res.View = doc
+		res.View = xmldoc.Detach("view", inner[0])
 	}
 	if res.View == nil {
 		return nil, fmt.Errorf("wsa: authenticatedResult missing view")
@@ -626,11 +608,7 @@ func (c *Client) GetBusinessDetail(ctx context.Context, keys ...string) ([]*uddi
 		if en.Name != "businessEntity" {
 			continue
 		}
-		doc, err := xmldoc.ParseString("entity", xmldoc.CanonicalSubtree(en))
-		if err != nil {
-			return nil, err
-		}
-		e, err := uddi.EntityFromXML(doc)
+		e, err := uddi.EntityFromXML(xmldoc.Detach("entity", en))
 		if err != nil {
 			return nil, err
 		}

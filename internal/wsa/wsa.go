@@ -13,7 +13,6 @@ package wsa
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"webdbsec/internal/xmldoc"
 )
@@ -36,32 +35,48 @@ type Envelope struct {
 }
 
 // Encode serializes the envelope to its XML wire form.
-func (e *Envelope) Encode() string {
-	b := xmldoc.NewBuilder("envelope", "envelope")
-	b.Begin("header")
-	b.Element("operation", e.Operation)
+func (e *Envelope) Encode() string { return string(e.encode()) }
+
+func (e *Envelope) encode() []byte {
+	buf := e.appendOpen(nil)
+	if e.Body != nil && e.Body.Root != nil {
+		buf = xmldoc.AppendCanonical(buf, e.Body.Root)
+	}
+	return e.appendClose(buf)
+}
+
+// appendOpen appends the wire form up to where the payload starts; the
+// caller appends the payload's canonical bytes and then appendClose.
+func (e *Envelope) appendOpen(dst []byte) []byte {
+	dst = append(dst, "<envelope><header>"...)
+	dst = appendElement(dst, "operation", e.Operation)
 	if e.Sender != "" {
-		b.Element("sender", e.Sender)
+		dst = appendElement(dst, "sender", e.Sender)
 	}
 	for _, r := range e.Roles {
-		b.Element("role", r)
+		dst = appendElement(dst, "role", r)
 	}
-	b.End()
-	b.Begin("body")
+	return append(dst, "</header><body>"...)
+}
+
+// appendClose appends what follows the payload: the fault, if any, and the
+// closing tags.
+func (e *Envelope) appendClose(dst []byte) []byte {
 	if e.Fault != "" {
-		b.Element("fault", e.Fault)
+		dst = appendElement(dst, "fault", e.Fault)
 	}
-	b.End()
-	d := b.Freeze()
-	s := d.Canonical()
-	if e.Body != nil {
-		// Splice the body document inside <body>...</body>. The body is
-		// already canonical XML; direct string surgery keeps the codec
-		// simple and deterministic.
-		inner := e.Body.Canonical()
-		s = strings.Replace(s, "<body>", "<body>"+inner, 1)
-	}
-	return s
+	return append(dst, "</body></envelope>"...)
+}
+
+// appendElement appends <name>text</name>.
+func appendElement(dst []byte, name, text string) []byte {
+	dst = append(dst, '<')
+	dst = append(dst, name...)
+	dst = append(dst, '>')
+	dst = xmldoc.AppendText(dst, text)
+	dst = append(dst, "</"...)
+	dst = append(dst, name...)
+	return append(dst, '>')
 }
 
 // DecodeEnvelope parses the wire form back into an Envelope.
@@ -96,12 +111,9 @@ func DecodeEnvelope(r io.Reader) (*Envelope, error) {
 			if c.Name == "fault" {
 				continue
 			}
-			// Re-parse the first payload element as a standalone document.
-			sub, err := xmldoc.ParseString("body", xmldoc.CanonicalSubtree(c))
-			if err != nil {
-				return nil, fmt.Errorf("wsa: body payload: %w", err)
-			}
-			e.Body = sub
+			// The first payload element becomes the body document; the
+			// envelope's own tree is not used again.
+			e.Body = xmldoc.Detach("body", c)
 			break
 		}
 	}

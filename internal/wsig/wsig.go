@@ -14,6 +14,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"sync"
 
 	"webdbsec/internal/xmldoc"
 )
@@ -81,30 +82,86 @@ func VerifySubtree(n *xmldoc.Node, sig Signature, pub ed25519.PublicKey) bool {
 }
 
 // KeyDirectory maps signer names to verification keys — the trust anchor
-// store a requestor consults.
+// store a requestor consults. It is safe for concurrent use.
+//
+// Verify remembers the (key, data, signature) triples it has fully
+// verified: that a signature is valid for a digest under a key is a fact
+// about three byte strings and cannot change. The memo key is the SHA-256
+// of the public-key BYTES (not the signer's name), the data's digest and
+// the signature, so re-registering a name under another key, or any change
+// to data or signature, misses; only successes are remembered, so every
+// miss reaches ed25519.Verify (DESIGN.md, "The third-party inquiry path").
 type KeyDirectory struct {
-	keys map[string]ed25519.PublicKey
+	mu       sync.Mutex
+	keys     map[string]ed25519.PublicKey   // seclint:guardedby mu
+	verified map[[sha256.Size]byte]struct{} // seclint:guardedby mu
 }
+
+// maxVerified bounds the memo: when full it is dropped wholesale and
+// refills from the triples still in use.
+const maxVerified = 4096
 
 // NewKeyDirectory returns an empty directory.
 func NewKeyDirectory() *KeyDirectory {
-	return &KeyDirectory{keys: make(map[string]ed25519.PublicKey)}
+	return &KeyDirectory{
+		keys:     make(map[string]ed25519.PublicKey),
+		verified: make(map[[sha256.Size]byte]struct{}),
+	}
 }
 
 // Register adds a signer's key.
-func (d *KeyDirectory) Register(name string, pub ed25519.PublicKey) { d.keys[name] = pub }
+func (d *KeyDirectory) Register(name string, pub ed25519.PublicKey) {
+	d.mu.Lock()
+	d.keys[name] = pub
+	d.mu.Unlock()
+}
 
 // RegisterSigner adds the signer directly.
 func (d *KeyDirectory) RegisterSigner(s *Signer) { d.Register(s.Name, s.pub) }
 
 // Verify checks sig over data against the key registered for sig.Signer.
 func (d *KeyDirectory) Verify(data []byte, sig Signature) bool {
-	pub, ok := d.keys[sig.Signer]
-	return ok && VerifyBytes(data, sig, pub)
+	pub, ok := d.Lookup(sig.Signer)
+	// Fixed lengths make the concatenation below unambiguous; ed25519
+	// accepts no other.
+	if !ok || len(pub) != ed25519.PublicKeySize || len(sig.Value) != ed25519.SignatureSize {
+		return false
+	}
+	digest := sha256.Sum256(data)
+	var triple [ed25519.PublicKeySize + sha256.Size + ed25519.SignatureSize]byte
+	copy(triple[:], pub)
+	copy(triple[ed25519.PublicKeySize:], digest[:])
+	copy(triple[ed25519.PublicKeySize+sha256.Size:], sig.Value)
+	key := sha256.Sum256(triple[:])
+
+	d.mu.Lock()
+	_, seen := d.verified[key]
+	d.mu.Unlock()
+	if seen {
+		return true
+	}
+	if !ed25519.Verify(pub, digest[:], sig.Value) {
+		return false
+	}
+	d.remember(key)
+	return true
+}
+
+// remember adds a verified triple's key to the memo, emptying it first if
+// it is full.
+func (d *KeyDirectory) remember(key [sha256.Size]byte) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if len(d.verified) >= maxVerified {
+		clear(d.verified)
+	}
+	d.verified[key] = struct{}{}
 }
 
 // Lookup returns the key registered for the named signer.
 func (d *KeyDirectory) Lookup(name string) (ed25519.PublicKey, bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	k, ok := d.keys[name]
 	return k, ok
 }

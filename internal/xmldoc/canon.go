@@ -1,9 +1,5 @@
 package xmldoc
 
-import (
-	"strings"
-)
-
 // Canonical serialization. Signing and Merkle hashing (internal/wsig,
 // internal/merkle) need a byte representation that is identical for
 // structurally identical documents, regardless of how they were built or
@@ -11,56 +7,90 @@ import (
 // Canonical additionally escapes consistently and emits no insignificant
 // whitespace, in the spirit of W3C Canonical XML (the paper points at the
 // W3C XML-Signature work for exactly this purpose).
+//
+// There is one encoder, AppendCanonical, and it appends to a caller's
+// buffer: a codec that frames canonical subtrees with markup of its own
+// (internal/wsa) writes the whole message into one buffer with the same
+// escaping, instead of building a tree to print it.
 
 // Canonical returns the canonical serialization of the document.
 func (d *Document) Canonical() string {
-	var b strings.Builder
-	if d.Root != nil {
-		canonNode(&b, d.Root)
+	if d.Root == nil {
+		return ""
 	}
-	return b.String()
+	return CanonicalSubtree(d.Root)
 }
 
 // CanonicalSubtree returns the canonical serialization of the subtree rooted
 // at n. For attribute nodes it serializes name="value"; for text nodes the
 // escaped text.
 func CanonicalSubtree(n *Node) string {
-	var b strings.Builder
-	canonNode(&b, n)
-	return b.String()
+	return string(AppendCanonical(nil, n))
 }
 
-func canonNode(b *strings.Builder, n *Node) {
+// AppendCanonical appends CanonicalSubtree(n) to dst.
+//
+// seclint:exempt serializes a tree the caller already holds; reads no stored document
+func AppendCanonical(dst []byte, n *Node) []byte {
 	switch n.Kind {
 	case KindText:
-		b.WriteString(escapeText(n.Value))
+		dst = AppendText(dst, n.Value)
 	case KindAttr:
-		b.WriteString(n.Name)
-		b.WriteString(`="`)
-		b.WriteString(escapeAttr(n.Value))
-		b.WriteString(`"`)
+		dst = AppendAttr(dst, n.Name, n.Value)
 	case KindElement:
-		b.WriteByte('<')
-		b.WriteString(n.Name)
+		dst = append(dst, '<')
+		dst = append(dst, n.Name...)
 		for _, a := range n.Attrs {
-			b.WriteByte(' ')
-			b.WriteString(a.Name)
-			b.WriteString(`="`)
-			b.WriteString(escapeAttr(a.Value))
-			b.WriteString(`"`)
+			dst = append(dst, ' ')
+			dst = AppendAttr(dst, a.Name, a.Value)
 		}
-		b.WriteByte('>')
+		dst = append(dst, '>')
 		for _, c := range n.Children {
-			canonNode(b, c)
+			dst = AppendCanonical(dst, c)
 		}
-		b.WriteString("</")
-		b.WriteString(n.Name)
-		b.WriteByte('>')
+		dst = append(dst, "</"...)
+		dst = append(dst, n.Name...)
+		dst = append(dst, '>')
 	}
+	return dst
 }
 
-var textEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
-var attrEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", `"`, "&quot;")
+// AppendText appends s escaped as canonical element content.
+//
+// seclint:exempt string escaping; touches no document
+func AppendText(dst []byte, s string) []byte { return appendEscaped(dst, s, '>', "&gt;") }
 
-func escapeText(s string) string { return textEscaper.Replace(s) }
-func escapeAttr(s string) string { return attrEscaper.Replace(s) }
+// AppendAttr appends name="value" with the value escaped as a canonical
+// attribute value.
+//
+// seclint:exempt string escaping; touches no document
+func AppendAttr(dst []byte, name, value string) []byte {
+	dst = append(dst, name...)
+	dst = append(dst, `="`...)
+	dst = appendEscaped(dst, value, '"', "&quot;")
+	return append(dst, '"')
+}
+
+// appendEscaped escapes & and <, which no context may carry raw, and the
+// one character special to the context at hand: > in text, " in attribute
+// values.
+func appendEscaped(dst []byte, s string, special byte, specialEsc string) []byte {
+	last := 0
+	for i := 0; i < len(s); i++ {
+		var esc string
+		switch s[i] {
+		case '&':
+			esc = "&amp;"
+		case '<':
+			esc = "&lt;"
+		case special:
+			esc = specialEsc
+		default:
+			continue
+		}
+		dst = append(dst, s[last:i]...)
+		dst = append(dst, esc...)
+		last = i + 1
+	}
+	return append(dst, s[last:]...)
+}

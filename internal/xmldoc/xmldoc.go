@@ -14,6 +14,7 @@ package xmldoc
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -250,7 +251,7 @@ type Builder struct {
 // NewBuilder returns a Builder for a document with the given name and root
 // element name.
 func NewBuilder(docName, rootName string) *Builder {
-	d := &Document{Name: docName, byXMLID: make(map[string]*Node)}
+	d := &Document{Name: docName}
 	root := &Node{Kind: KindElement, Name: rootName, doc: d}
 	d.Root = root
 	return &Builder{doc: d, cur: root}
@@ -315,21 +316,23 @@ func (b *Builder) Freeze() *Document {
 	return d
 }
 
-// index (re)computes dense ids, the XML-ID index and the IDREF link set.
+// index computes dense ids, the XML-ID index and the IDREF link set of a
+// document that has only its tree.
 func (d *Document) index() {
-	d.nodes = d.nodes[:0]
-	d.byXMLID = make(map[string]*Node)
 	var walk func(*Node)
 	walk = func(n *Node) {
 		n.id = len(d.nodes)
 		n.doc = d
 		d.nodes = append(d.nodes, n)
-		sort.SliceStable(n.Attrs, func(i, j int) bool { return n.Attrs[i].Name < n.Attrs[j].Name })
+		slices.SortStableFunc(n.Attrs, func(a, b *Node) int { return strings.Compare(a.Name, b.Name) })
 		for _, a := range n.Attrs {
 			a.id = len(d.nodes)
 			a.doc = d
 			d.nodes = append(d.nodes, a)
 			if a.Name == "id" {
+				if d.byXMLID == nil {
+					d.byXMLID = make(map[string]*Node)
+				}
 				d.byXMLID[a.Value] = n
 			}
 		}
@@ -341,7 +344,6 @@ func (d *Document) index() {
 		walk(d.Root)
 	}
 	// Resolve IDREF links in a second pass, now that byXMLID is complete.
-	d.Links = d.Links[:0]
 	for _, n := range d.nodes {
 		if n.Kind != KindElement {
 			continue
@@ -359,25 +361,79 @@ func (d *Document) index() {
 	}
 }
 
+// Detach makes the subtree rooted at the element n a document of its own
+// without serialising it, and returns exactly the tree
+// ParseString(docName, CanonicalSubtree(n)) would build: adjacent text
+// nodes coalesced, carriage returns read as the parser reads them,
+// whitespace-only text dropped, attributes sorted, identifiers dense from
+// 0, the id index and IDREF links rebuilt over the subtree alone.
+//
+// It works in place. The document n belonged to is consumed: its node
+// table and links still name nodes that now belong to the result, so the
+// caller must drop it. n may also be a fresh element whose Children were
+// taken from other documents' roots; those donors are consumed likewise.
+func Detach(docName string, n *Node) *Document {
+	n.Parent = nil
+	normalize(n)
+	d := &Document{Name: docName, Root: n}
+	d.index()
+	return d
+}
+
+// normalize reshapes the subtree under element n as a parse of its
+// canonical form would.
+func normalize(n *Node) {
+	for _, a := range n.Attrs {
+		a.Parent = n
+		a.Value = parsedNewlines(a.Value)
+	}
+	kept := n.Children[:0]
+	for i := 0; i < len(n.Children); i++ {
+		c := n.Children[i]
+		c.Parent = n
+		if c.Kind == KindElement {
+			normalize(c)
+			kept = append(kept, c)
+			continue
+		}
+		// A run of text nodes parses back as one: "a" beside " " is "a ".
+		run := i + 1
+		for run < len(n.Children) && n.Children[run].Kind == KindText {
+			run++
+		}
+		if run > i+1 {
+			var b strings.Builder
+			for _, t := range n.Children[i:run] {
+				b.WriteString(t.Value)
+			}
+			c.Value = b.String()
+			i = run - 1
+		}
+		c.Value = parsedNewlines(c.Value)
+		if strings.TrimSpace(c.Value) != "" {
+			kept = append(kept, c)
+		}
+	}
+	clear(n.Children[len(kept):])
+	n.Children = kept
+}
+
+// parsedNewlines maps \r\n and a lone \r to \n, as encoding/xml does to
+// raw input. Canonical writes a carriage return raw, so one that reached a
+// tree through a character reference does not survive print-and-parse.
+func parsedNewlines(s string) string {
+	if !strings.Contains(s, "\r") {
+		return s
+	}
+	return strings.ReplaceAll(strings.ReplaceAll(s, "\r\n", "\n"), "\r", "\n")
+}
+
 // Clone returns a deep copy of the document. Node identifiers are preserved.
 func (d *Document) Clone() *Document {
-	b := &Builder{doc: &Document{Name: d.Name, byXMLID: make(map[string]*Node)}}
-	var copyNode func(src *Node, parent *Node) *Node
-	copyNode = func(src *Node, parent *Node) *Node {
-		n := &Node{Kind: src.Kind, Name: src.Name, Value: src.Value, Parent: parent, doc: b.doc}
-		for _, a := range src.Attrs {
-			n.Attrs = append(n.Attrs, &Node{Kind: KindAttr, Name: a.Name, Value: a.Value, Parent: n, doc: b.doc})
-		}
-		for _, c := range src.Children {
-			n.Children = append(n.Children, copyNode(c, n))
-		}
-		return n
+	if d.Root == nil {
+		return &Document{Name: d.Name}
 	}
-	if d.Root != nil {
-		b.doc.Root = copyNode(d.Root, nil)
-	}
-	b.doc.index()
-	return b.doc
+	return d.Prune(func(*Node) bool { return true })
 }
 
 // Prune returns a deep copy of the document retaining only the nodes for
@@ -402,7 +458,7 @@ func (d *Document) Prune(keep func(*Node) bool) *Document {
 	if d.Root == nil || !retain[d.Root.id] {
 		return nil
 	}
-	out := &Document{Name: d.Name, byXMLID: make(map[string]*Node)}
+	out := &Document{Name: d.Name}
 	var copyNode func(src *Node, parent *Node) *Node
 	copyNode = func(src *Node, parent *Node) *Node {
 		n := &Node{Kind: src.Kind, Name: src.Name, Value: src.Value, Parent: parent, doc: out}
