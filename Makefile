@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet lint lintshort build test race bench benchcheck benchsmoke fmt fmtcheck crashmatrix crashshort failovershort fuzzshort
+.PHONY: check vet lint lintshort build test race bench benchcheck benchsmoke fmt fmtcheck crashmatrix crashshort failovershort fuzzshort size
 
 # NPROC bounds go vet's package-level parallelism for the lint targets;
 # override on boxes where the cgroup CPU limit is below nproc.
@@ -110,3 +110,18 @@ fuzzshort:
 failovershort:
 	$(GO) test -race -short -run 'TestThreeNodeReplication|TestKillLeaderMatrix|TestFailoverOnLeaderStop' \
 		./internal/replication/
+
+# size prints the numbers ROADMAP tracks and CHANGES.md reports before ->
+# after: non-test Go lines per package under internal/ and cmd/ (testdata
+# fixtures excluded), then the totals — non-test lines, test lines,
+# packages, and exported top-level func/type declarations (methods count).
+size:
+	@src=$$(find internal cmd -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | sort); \
+	tests=$$(find internal cmd -name '*_test.go' ! -path '*/testdata/*'); \
+	for d in $$(dirname $$src | sort -u); do \
+		printf '%7d  %s\n' $$(echo "$$src" | grep "^$$d/[^/]*$$" | xargs cat | wc -l) $$d; \
+	done; \
+	printf '%7d  non-test lines\n' $$(cat $$src | wc -l); \
+	printf '%7d  test lines\n' $$(cat $$tests | wc -l); \
+	printf '%7d  packages\n' $$(dirname $$src | sort -u | wc -l); \
+	printf '%7d  exported func/type declarations\n' $$(cat $$src | grep -cE '^(type|func( \([^)]*\))?) [A-Z]')

@@ -60,8 +60,6 @@ type flags struct {
 	debug       bool
 	dataDir     string
 	walSync     string
-	walBatch    int
-	walMaxDelay time.Duration
 	ckptEvery   time.Duration
 	nodeID      string
 	replicaAddr string
@@ -112,8 +110,6 @@ func main() {
 	flag.BoolVar(&f.debug, "debug", false, "expose /debug/pprof and /debug/vars (off by default)")
 	flag.StringVar(&f.dataDir, "data", "", "durable data directory (empty = in-memory only)")
 	flag.StringVar(&f.walSync, "walsync", "always", "WAL fsync policy with -data: always, interval or never")
-	flag.IntVar(&f.walBatch, "walbatch", 1<<20, "group-commit batch cap in bytes (1 = fsync per append, no batching)")
-	flag.DurationVar(&f.walMaxDelay, "walmaxdelay", 0, "max time the group-commit leader lingers to widen a batch (0 = ship immediately)")
 	flag.DurationVar(&f.ckptEvery, "checkpoint", 0, "with -data, take a fuzzy checkpoint this often while serving (0 = only at shutdown)")
 	flag.StringVar(&f.nodeID, "nodeid", "", "cluster node ID; enables cluster mode with -replica and -peers")
 	flag.StringVar(&f.replicaAddr, "replica", "", "replication listen address (host:port) for cluster mode")
@@ -133,18 +129,14 @@ func main() {
 	cfg := config{people: f.people, tokenTTL: f.tokenTTL}
 	if f.dataDir != "" {
 		open := func(name string) *wal.WAL {
-			w, err := wal.Open(wal.Options{
-				FS: wal.DirFS(filepath.Join(f.dataDir, name)), Policy: policy,
-				MaxBatchBytes: f.walBatch, MaxDelay: f.walMaxDelay,
-			})
+			w, err := wal.Open(wal.Options{FS: wal.DirFS(filepath.Join(f.dataDir, name)), Policy: policy})
 			if err != nil {
 				log.Fatalf("securedb: open %s wal: %v", name, err)
 			}
 			return w
 		}
 		cfg.dbWAL, cfg.auditWAL = open("db"), open("audit")
-		log.Printf("securedb: durable mode: data=%s sync=%s batch=%dB maxdelay=%s",
-			f.dataDir, policy, f.walBatch, f.walMaxDelay)
+		log.Printf("securedb: durable mode: data=%s sync=%s", f.dataDir, policy)
 	}
 	if f.clustered() {
 		rc, err := f.replicationConfig()

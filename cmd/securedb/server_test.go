@@ -354,10 +354,9 @@ func TestValidateFlags(t *testing.T) {
 		refused string // substring of the error; empty = accepted
 	}{
 		{"single node, defaults", flags{walSync: "always"}, ""},
-		{"single node, every wal knob", flags{walSync: "interval", dataDir: "d", walBatch: 1, walMaxDelay: time.Millisecond, ckptEvery: time.Second}, ""},
+		{"single node, every wal knob", flags{walSync: "interval", dataDir: "d", ckptEvery: time.Second}, ""},
 		{"single node, unknown sync policy", flags{walSync: "sometimes"}, "sometimes"},
 		{"cluster", cluster, ""},
-		{"cluster, group-commit knobs", with(func(f *flags) { f.walBatch, f.walMaxDelay = 1, time.Millisecond }), ""},
 		{"cluster, -walsync interval", with(func(f *flags) { f.walSync = "interval" }), "-walsync always"},
 		{"cluster, -walsync never", with(func(f *flags) { f.walSync = "never" }), "-walsync always"},
 		{"cluster, -checkpoint", with(func(f *flags) { f.ckptEvery = time.Minute }), "-checkpoint"},

@@ -7,6 +7,7 @@ import (
 	"context"
 
 	"webdbsec/internal/audit"
+	"webdbsec/internal/policy"
 	"webdbsec/internal/reldb"
 	"webdbsec/internal/replication"
 	"webdbsec/internal/wal"
@@ -60,6 +61,18 @@ func waived(w *wal.WAL, p []byte) {
 
 func checkpointDB(d *reldb.Database) error {
 	return d.Checkpoint()
+}
+
+func checkpointAtDrop(w *wal.WAL, snap []byte) {
+	w.CheckpointAt(snap, w.LastLSN()) // want `durability verdict of \(\*wal\.WAL\)\.CheckpointAt is discarded \(bare call statement\)`
+}
+
+func checkpointBaseBlank(b *policy.Base) {
+	_ = b.Checkpoint() // want `durability verdict of \(\*policy\.Base\)\.Checkpoint is assigned to _`
+}
+
+func checkpointStoreDeferred(s *xmldoc.Store) {
+	defer s.Checkpoint() // want `durability verdict of \(\*xmldoc\.Store\)\.Checkpoint is unobservable \(deferred call\)`
 }
 
 func appendWait(l *reldb.Log, rec reldb.LogRecord) error {

@@ -1,9 +1,10 @@
 // Package verdictcheck forbids discarding a durability verdict. The WAL
 // group-commit pipeline (PR 4) moves the moment of truth from "the call
 // returned" to "the shared fsync's verdict arrived": wal.Ack.Wait,
-// wal.WAL.Append/Sync/Checkpoint, reldb.Log.AppendWait, reldb.Txn.Commit,
-// reldb.Database.Checkpoint and audit.Log.AppendChecked all return the
-// only evidence that a record actually reached disk. Dropping that value
+// wal.WAL.Append/Sync/CheckpointAt, reldb.Log.AppendWait, reldb.Txn.Commit,
+// the stores' Checkpoint methods (reldb.Database, policy.Base, xmldoc.Store)
+// and audit.Log.AppendChecked all return the only evidence that a record —
+// or a snapshot — actually reached disk. Dropping that value
 // — a bare call statement, `go`/`defer`, or assigning it to `_` — lets a
 // store acknowledge progress it cannot prove, exactly the silent decay
 // the paper's recovery discussion (§2.1) warns about. A deliberate drop
@@ -20,8 +21,8 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "verdictcheck",
-	Doc: "the durability verdicts of wal.Ack.Wait, wal.WAL.Append/Sync/Checkpoint/TruncateTo/InstallSnapshot, " +
-		"reldb.Log.AppendWait, reldb.Txn.Commit, reldb.Database.Checkpoint, audit.Log.AppendChecked, " +
+	Doc: "the durability verdicts of wal.Ack.Wait, wal.WAL.Append/Sync/CheckpointAt/TruncateTo/InstallSnapshot, " +
+		"reldb.Log.AppendWait, reldb.Txn.Commit, reldb.Database/policy.Base/xmldoc.Store.Checkpoint, audit.Log.AppendChecked, " +
 		"replication.Node.WaitCommitted and the replica apply/restore verdicts must not be discarded",
 	Run: run,
 }
@@ -32,10 +33,12 @@ var verdictFuncs = map[string]bool{
 	"(*webdbsec/internal/wal.Ack).Wait":              true,
 	"(*webdbsec/internal/wal.WAL).Append":            true,
 	"(*webdbsec/internal/wal.WAL).Sync":              true,
-	"(*webdbsec/internal/wal.WAL).Checkpoint":        true,
+	"(*webdbsec/internal/wal.WAL).CheckpointAt":      true,
 	"(*webdbsec/internal/reldb.Log).AppendWait":      true,
 	"(*webdbsec/internal/reldb.Txn).Commit":          true,
 	"(*webdbsec/internal/reldb.Database).Checkpoint": true,
+	"(*webdbsec/internal/policy.Base).Checkpoint":    true,
+	"(*webdbsec/internal/xmldoc.Store).Checkpoint":   true,
 	"(*webdbsec/internal/audit.Log).AppendChecked":   true,
 
 	// Replication verdicts (PR 6). WaitCommitted is the cluster-durability

@@ -150,3 +150,41 @@ func TestAuditCrashRecovery(t *testing.T) {
 		}
 	}
 }
+
+// TestOpenLogRefusesUnreadableSegment: a segment that cannot be read back
+// after the log itself opened must fail OpenLog. Losing the LAST segment is
+// the dangerous case: the records before it are a shorter chain that still
+// verifies, and appending to it would fork the trail.
+func TestOpenLogRefusesUnreadableSegment(t *testing.T) {
+	fs := faultinject.NewMemFS()
+	opts := wal.Options{FS: fs, Policy: wal.SyncAlways, SegmentBytes: 1024}
+	w, err := wal.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := OpenLog(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if _, err := l.AppendChecked("ana", "query", fmt.Sprintf("obj-%d", i), "permit"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	segs, err := fs.List()
+	if err != nil || len(segs) < 3 {
+		t.Fatalf("want at least 3 segments, have %v (%v)", segs, err)
+	}
+	for _, seg := range segs {
+		img := fs.AfterCrash(false)
+		opts.FS = img
+		w2, err := wal.Open(opts)
+		if err != nil {
+			t.Fatalf("wal.Open: %v", err)
+		}
+		img.FailReads(seg)
+		if l2, err := OpenLog(w2); err == nil {
+			t.Fatalf("%s unreadable: OpenLog returned a chain of %d of 20 records (Verify = %d)", seg, l2.Len(), l2.Verify())
+		}
+	}
+}

@@ -150,7 +150,11 @@ func OpenBase(verifier *credential.Verifier, w *wal.WAL) (*Base, error) {
 	return b, nil
 }
 
-// Checkpoint writes a snapshot of the base and truncates the journal.
+// Checkpoint writes a snapshot of the base and truncates the journal behind
+// it. The write lock makes this call the log's only appender, so the
+// snapshot covers everything up to LastLSN. The journal's active segment is
+// spared (wal.CheckpointAt): the log shrinks to the snapshot plus at most
+// one segment, not to the snapshot alone.
 func (b *Base) Checkpoint() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -168,7 +172,7 @@ func (b *Base) Checkpoint() error {
 	if err != nil {
 		return fmt.Errorf("policy: encode snapshot: %w", err)
 	}
-	if err := b.w.Checkpoint(payload); err != nil {
+	if err := b.w.CheckpointAt(payload, b.w.LastLSN()); err != nil {
 		b.err = err
 		return err
 	}

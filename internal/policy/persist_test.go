@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -131,6 +132,7 @@ func TestBaseCrashRecovery(t *testing.T) {
 		}
 		b.Add(persistTestPolicy("p1", "staff", "//patient"))
 		b.Add(persistTestPolicy("p2", "staff", "//name"))
+		b.Checkpoint() // seclint:exempt crash workload: a fault-injected checkpoint may legally fail; the invariants are checked on the recovered image
 		b.Remove("p1")
 		b.Add(persistTestPolicy("p3", "nurse", "//disease"))
 		return b
@@ -157,6 +159,41 @@ func TestBaseCrashRecovery(t *testing.T) {
 			if rb.Len() != wantLen {
 				t.Fatalf("crash at %d: gen %d with %d policies, want %d", b, gen, rb.Len(), wantLen)
 			}
+		}
+	}
+}
+
+// TestOpenBaseRefusesUnreadableSegment: a journal segment that cannot be
+// read back after the log itself opened must fail OpenBase — never yield a
+// base missing the mutations that segment held.
+func TestOpenBaseRefusesUnreadableSegment(t *testing.T) {
+	fs := faultinject.NewMemFS()
+	opts := wal.Options{FS: fs, Policy: wal.SyncAlways, SegmentBytes: 512}
+	w, err := wal.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := OpenBase(nil, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 12; i++ {
+		b.MustAdd(persistTestPolicy(fmt.Sprintf("p%d", i), "staff", "//patient"))
+	}
+	segs, err := fs.List()
+	if err != nil || len(segs) < 3 {
+		t.Fatalf("want at least 3 segments, have %v (%v)", segs, err)
+	}
+	for _, seg := range segs {
+		img := fs.AfterCrash(false)
+		opts.FS = img
+		w2, err := wal.Open(opts)
+		if err != nil {
+			t.Fatalf("wal.Open: %v", err)
+		}
+		img.FailReads(seg)
+		if b2, err := OpenBase(nil, w2); err == nil {
+			t.Fatalf("%s unreadable: OpenBase returned a base with %d of 12 policies", seg, b2.Len())
 		}
 	}
 }

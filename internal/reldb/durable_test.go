@@ -445,3 +445,93 @@ func TestCrashMatrixMidFsync(t *testing.T) {
 	}
 	t.Logf("crash matrix: %d mid-fsync points × 2 images", syncs)
 }
+
+// TestRecoversLogWrittenWithBeforeImages pins backward compatibility of the
+// record format: until PR 22 every record carried a "Before" key (the old
+// row on UPDATE/DELETE, null otherwise) that redo never read. The frames
+// below are what that encoder wrote, byte for byte; a database recovered
+// from them must hold exactly the committed state.
+func TestRecoversLogWrittenWithBeforeImages(t *testing.T) {
+	row := func(k string, v int) string {
+		return fmt.Sprintf(`[{"Kind":3,"I":0,"F":0,"S":%q,"B":false},{"Kind":1,"I":%d,"F":0,"S":"","B":false}]`, k, v)
+	}
+	rec := func(lsn, txn, op int, table string, rowID int, before, after string) string {
+		return fmt.Sprintf(`{"LSN":%d,"Txn":%d,"Op":%d,"Table":%q,"Column":"","Ordered":false,"Schema":null,"RowID":%d,"Before":%s,"After":%s}`,
+			lsn, txn, op, table, rowID, before, after)
+	}
+	frames := []string{
+		`{"LSN":1,"Txn":0,"Op":0,"Table":"t","Column":"","Ordered":false,"Schema":{"Columns":[{"Name":"k","Kind":3},{"Name":"v","Kind":1}]},"RowID":0,"Before":null,"After":null}`,
+		rec(2, 1, int(OpBegin), "", 0, "null", "null"),
+		rec(3, 1, int(OpInsert), "t", 1, "null", row("a", 1)),
+		rec(4, 1, int(OpInsert), "t", 2, "null", row("b", 2)),
+		rec(5, 1, int(OpCommit), "", 0, "null", "null"),
+		rec(6, 2, int(OpBegin), "", 0, "null", "null"),
+		rec(7, 2, int(OpUpdate), "t", 1, row("a", 1), row("a", 10)),
+		rec(8, 2, int(OpDelete), "t", 2, row("b", 2), "null"),
+		rec(9, 2, int(OpCommit), "", 0, "null", "null"),
+	}
+	fs := faultinject.NewMemFS()
+	w, err := wal.Open(wal.Options{FS: fs, Policy: wal.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range frames {
+		if _, err := w.Append([]byte(f)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db := openDurable(t, fs)
+	if got, want := tableRows(t, db, "t"), map[string]int64{"a": 10}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered %v, want %v", got, want)
+	}
+	// The recovered database keeps writing, in the format without the key.
+	if _, err := db.Exec("UPDATE t SET v = 11 WHERE k = 'a'"); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := tableRows(t, openDurable(t, fs.AfterCrash(true)), "t"), map[string]int64{"a": 11}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("after one more update, recovered %v, want %v", got, want)
+	}
+}
+
+// TestOpenDatabaseRefusesUnreadableSegment: a log segment that cannot be
+// read back after the log itself opened must fail OpenDatabase — never yield
+// a database missing the commits that segment held.
+func TestOpenDatabaseRefusesUnreadableSegment(t *testing.T) {
+	fs := faultinject.NewMemFS()
+	opts := wal.Options{FS: fs, Policy: wal.SyncAlways, SegmentBytes: 1024}
+	w, err := wal.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := OpenDatabase(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Exec("CREATE TABLE t (k TEXT, v INT)"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if _, err := db.Exec(fmt.Sprintf("INSERT INTO t VALUES ('k%d', %d)", i, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	segs, err := fs.List()
+	if err != nil || len(segs) < 3 {
+		t.Fatalf("want at least 3 segments, have %v (%v)", segs, err)
+	}
+	for _, seg := range segs {
+		img := fs.AfterCrash(false)
+		opts.FS = img
+		w2, err := wal.Open(opts)
+		if err != nil {
+			t.Fatalf("wal.Open: %v", err)
+		}
+		img.FailReads(seg)
+		if db2, err := OpenDatabase(w2); err == nil {
+			t.Fatalf("%s unreadable: OpenDatabase returned a database with %d of 10 rows", seg, len(tableRows(t, db2, "t")))
+		}
+	}
+}

@@ -48,49 +48,34 @@ type Follower struct {
 // start and demotion all come through here. The replication layer keeps
 // owning w for appends.
 //
-// It reads the log through a cursor, not Replay, so it works on a live WAL
-// too — the demote path reopens a follower over the same WAL instance an
-// ex-leader has been writing to since process start, and Replay only ever
-// sees the recovery-time tail. The pipeline is drained first so the cursor
-// (bounded by the durable watermark) covers every appended record.
+// It works on a live WAL too (wal.Replay's contract): the demote path
+// reopens a follower over the same WAL instance an ex-leader has been
+// writing to since process start.
 //
 // seclint:locked f is not yet published; no other goroutine holds a reference before OpenFollower returns
 func OpenFollower(w *wal.WAL) (*Follower, error) {
-	if err := w.Sync(); err != nil {
-		return nil, fmt.Errorf("reldb: follower open: %w", err)
-	}
 	payload, snapLSN, _ := w.Snapshot()
 	st, txnSeq, fence, err := restoreSnap(payload)
 	if err != nil {
 		return nil, err
 	}
-	cur, err := w.OpenCursor(snapLSN)
-	if err != nil {
-		return nil, fmt.Errorf("reldb: follower open: %w", err)
-	}
 	// The whole local log is redone onto one stage over the snapshot;
 	// transactions with neither Commit nor Abort stay buffered — their
 	// verdict is still in flight on the leader.
 	f := &Follower{w: w, fence: fence, pending: make(map[int64][]LogRecord), appliedLSN: snapLSN}
-	for {
-		r, ok, err := cur.Next()
-		if err != nil {
-			return nil, fmt.Errorf("reldb: follower open: %w", err)
-		}
-		if !ok {
-			break
-		}
-		rec, err := f.consume(st, r.LSN, r.Payload)
-		if err != nil {
-			return nil, err
-		}
+	err = w.Replay(func(lsn uint64, payload []byte) error {
+		rec, err := f.consume(st, lsn, payload)
 		if rec.Txn > txnSeq {
 			txnSeq = rec.Txn
 		}
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("reldb: follower open: %w", err)
 	}
-	// The position is what the cursor actually delivered — under a
-	// concurrent appender (demote racing the new leader's stream) this can
-	// trail LastLSN; the replication layer re-applies the gap from here.
+	// The position is what Replay actually delivered — under a concurrent
+	// appender (demote racing the new leader's stream) this can trail
+	// LastLSN; the replication layer re-applies the gap from here.
 	f.db = newDatabaseAt(dbVersion{lsn: int64(f.appliedLSN), txnSeq: txnSeq, tables: st.frozen()})
 	return f, nil
 }

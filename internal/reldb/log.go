@@ -23,8 +23,8 @@ const (
 )
 
 // LogRecord is one entry of the write-ahead log. DML records carry enough
-// state to redo (After) the change; Before is kept in the durable record
-// for auditing and inspection.
+// state to redo the change: the row's ID and, for an insert or update, the
+// row After it.
 type LogRecord struct {
 	LSN     int64
 	Txn     int64
@@ -34,7 +34,6 @@ type LogRecord struct {
 	Ordered bool
 	Schema  *Schema
 	RowID   int64
-	Before  Row
 	After   Row
 }
 

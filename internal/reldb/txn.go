@@ -241,11 +241,10 @@ func (t *Txn) ExecStmt(st Stmt) (*Result, error) {
 			if err := t.db.validateRow(s.Table, &tbl.Schema, newRow); err != nil {
 				return nil, err
 			}
-			before, err := tbl.Update(id, newRow)
-			if err != nil {
+			if _, err := tbl.Update(id, newRow); err != nil {
 				return nil, err
 			}
-			t.db.log.Append(LogRecord{Txn: t.id, Op: OpUpdate, Table: s.Table, RowID: id, Before: before, After: newRow})
+			t.db.log.Append(LogRecord{Txn: t.id, Op: OpUpdate, Table: s.Table, RowID: id, After: newRow})
 			n++
 		}
 		return &Result{Affected: n}, nil
@@ -263,11 +262,10 @@ func (t *Txn) ExecStmt(st Stmt) (*Result, error) {
 		plan.run(func(id int64, _ Row) { ids = append(ids, id) })
 		n := 0
 		for _, id := range ids {
-			before, err := tbl.Delete(id)
-			if err != nil {
+			if _, err := tbl.Delete(id); err != nil {
 				return nil, err
 			}
-			t.db.log.Append(LogRecord{Txn: t.id, Op: OpDelete, Table: s.Table, RowID: id, Before: before})
+			t.db.log.Append(LogRecord{Txn: t.id, Op: OpDelete, Table: s.Table, RowID: id})
 			n++
 		}
 		return &Result{Affected: n}, nil

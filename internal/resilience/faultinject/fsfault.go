@@ -53,6 +53,9 @@ type MemFS struct {
 
 	written int64
 	syncs   int64
+
+	// unreadable names the file whose ReadFile fails (FailReads).
+	unreadable string
 }
 
 type memFile struct {
@@ -80,6 +83,14 @@ func (m *MemFS) LimitSyncs(n int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.syncLimit = n
+}
+
+// FailReads makes every later ReadFile of name fail: a file that turns
+// unreadable under a running process, as opposed to one a crash tore.
+func (m *MemFS) FailReads(name string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.unreadable = name
 }
 
 // Crash kills the filesystem immediately.
@@ -215,6 +226,9 @@ func (m *MemFS) ReadFile(name string) ([]byte, error) {
 	f, ok := m.files[name]
 	if !ok {
 		return nil, fmt.Errorf("faultinject: %s: file does not exist", name)
+	}
+	if name == m.unreadable {
+		return nil, fmt.Errorf("faultinject: %s: injected read failure", name)
 	}
 	return append([]byte(nil), f.data...), nil
 }

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -48,15 +49,18 @@ type Config struct {
 	CloseLinger time.Duration
 }
 
-// Channel is an established secure channel. It is NOT safe for concurrent
-// use by multiple goroutines on the same direction; use one writer and one
-// reader.
+// Channel is an established secure channel. Send and Close may be called
+// from any goroutine: sendMu makes taking a sequence number and writing the
+// record it seals one step, so no two records share a nonce and no two
+// frames interleave on the wire. Receive is NOT safe for concurrent use; use
+// one reader.
 type Channel struct {
 	conn    net.Conn
 	cfg     Config
 	sendKey cipher.AEAD
 	recvKey cipher.AEAD
-	sendSeq uint64
+	sendMu  sync.Mutex
+	sendSeq uint64 // seclint:guardedby sendMu
 	recvSeq uint64
 	closed  atomic.Bool
 }
@@ -260,19 +264,25 @@ func (c *Channel) Send(payload []byte) error {
 	if len(payload) > MaxRecord {
 		return fmt.Errorf("secchan: record too large (%d bytes)", len(payload))
 	}
-	if c.closed.Load() {
-		return fmt.Errorf("secchan: send on closed channel")
-	}
+	c.sendMu.Lock()
+	defer c.sendMu.Unlock()
 	if c.cfg.WriteTimeout > 0 {
 		if err := c.conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout)); err != nil {
 			return fmt.Errorf("secchan: send: %w", err)
 		}
 	}
-	return c.sendRecord(payload)
+	// Checked after arming the deadline: a Send that gets past this point
+	// armed it before Close armed the linger, so the linger stands.
+	if c.closed.Load() {
+		return fmt.Errorf("secchan: send on closed channel")
+	}
+	return c.sendRecordLocked(payload)
 }
 
-// sendRecord seals and writes payload under the next sequence number.
-func (c *Channel) sendRecord(payload []byte) error {
+// sendRecordLocked seals and writes payload under the next sequence number.
+//
+// seclint:locked caller holds c.sendMu
+func (c *Channel) sendRecordLocked(payload []byte) error {
 	seq := c.sendSeq
 	c.sendSeq++
 	var seqBuf [8]byte
@@ -345,9 +355,17 @@ func (c *Channel) Close() error {
 	if linger <= 0 {
 		linger = defaultCloseLinger
 	}
-	// Best effort: a wedged peer must not turn Close into a hang.
-	if err := c.conn.SetWriteDeadline(time.Now().Add(linger)); err == nil {
-		_ = c.sendRecord(nil)
+	// Best effort: a wedged peer must not turn Close into a hang. The
+	// deadline is armed BEFORE taking sendMu, so a Send wedged on a dead
+	// peer is cut loose by the linger, and again under it, because a Send
+	// that lost the race with closed may have re-armed its own in between.
+	deadline := time.Now().Add(linger)
+	if err := c.conn.SetWriteDeadline(deadline); err == nil {
+		c.sendMu.Lock()
+		if err := c.conn.SetWriteDeadline(deadline); err == nil {
+			_ = c.sendRecordLocked(nil)
+		}
+		c.sendMu.Unlock()
 	}
 	return c.conn.Close()
 }

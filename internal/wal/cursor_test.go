@@ -185,7 +185,7 @@ func TestCursorCompactedByCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenCursor: %v", err)
 	}
-	if err := w.Checkpoint([]byte("snap")); err != nil {
+	if err := w.CheckpointAt([]byte("snap"), w.LastLSN()); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
 	if _, _, err := c.Next(); !errors.Is(err, wal.ErrCompacted) {
@@ -258,7 +258,7 @@ func TestTruncateBelowSnapshotRefused(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		mustAppend(t, w, "x")
 	}
-	if err := w.Checkpoint([]byte("snap")); err != nil {
+	if err := w.CheckpointAt([]byte("snap"), w.LastLSN()); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
 	if err := w.TruncateTo(3); err == nil {
@@ -352,7 +352,7 @@ func TestSnapshotReturnsCopy(t *testing.T) {
 	w := openTestWAL(t, fs, wal.Options{})
 	defer w.Close()
 	mustAppend(t, w, "r")
-	if err := w.Checkpoint([]byte("state")); err != nil {
+	if err := w.CheckpointAt([]byte("state"), w.LastLSN()); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
 	snap, _, ok := w.Snapshot()

@@ -54,8 +54,8 @@ const (
 	// on explicit Sync/Close. A crash loses at most one interval of
 	// appends.
 	SyncInterval
-	// SyncNever fsyncs only on explicit Sync, Checkpoint and Close. A
-	// crash may lose everything since the last explicit barrier.
+	// SyncNever fsyncs only on explicit Sync and Close. A crash may lose
+	// everything since the last explicit barrier.
 	SyncNever
 )
 
@@ -104,12 +104,6 @@ type Options struct {
 	// degenerates to one fsync per append — the pre-group-commit
 	// baseline, kept reachable for measurement.
 	MaxBatchBytes int
-	// MaxDelay, when positive, lets the batch leader linger up to this
-	// long after the oldest queued frame before shipping the batch, so
-	// late committers can widen it. The default 0 ships immediately:
-	// natural batching (frames queued while the previous fsync runs)
-	// already forms batches under load without taxing latency.
-	MaxDelay time.Duration
 }
 
 // Record is one recovered log entry.
@@ -225,10 +219,9 @@ type WAL struct {
 	fs   FS
 	opts Options
 
-	lastLSN  uint64   // seclint:guardedby mu
-	snapLSN  uint64   // seclint:guardedby mu
-	snapshot []byte   // seclint:guardedby mu
-	tail     []Record // seclint:guardedby mu
+	lastLSN  uint64 // seclint:guardedby mu
+	snapLSN  uint64 // seclint:guardedby mu
+	snapshot []byte // seclint:guardedby mu
 
 	// Replication watermarks. writtenLSN is the highest LSN whose frame
 	// reached the file; durableLSN the highest LSN covered by a completed
@@ -248,27 +241,28 @@ type WAL struct {
 	// Commit pipeline: qbuf holds the encoded frames of queued appends
 	// (pooled; nil when the queue is empty), queue their pending acks in
 	// LSN order. leader is true while some goroutine is draining the
-	// queue; ioBusy while someone (the leader, Sync, Checkpoint, Close or
-	// the interval flusher) owns the file. scratch is the leader's private
-	// waiter list, reused batch to batch so draining allocates nothing.
+	// queue; ioBusy while someone (the leader, Sync, TruncateTo,
+	// InstallSnapshot, Close or the interval flusher) owns the file. scratch
+	// is the leader's private waiter list, reused batch to batch so draining
+	// allocates nothing.
 	qbuf    *[]byte // seclint:guardedby mu
 	queue   []*Ack  // seclint:guardedby mu
 	scratch []*Ack  // seclint:guardedby mu
 	leader  bool    // seclint:guardedby mu
 	ioBusy  bool    // seclint:guardedby mu
-	// checkpointing is true while a fuzzy CheckpointAt streams its snapshot
-	// and deletes sealed segments. It is NOT io ownership — batch leaders
-	// keep claiming ioBusy and writing the active segment throughout — but
-	// the quiesce-based file operations (Checkpoint, Sync, TruncateTo,
-	// InstallSnapshot, Close) wait for it, because they touch the snapshot
-	// file and segment list a fuzzy checkpoint is working on.
+	// checkpointing is true while CheckpointAt streams its snapshot and
+	// deletes sealed segments. It is NOT io ownership — batch leaders keep
+	// claiming ioBusy and writing the active segment throughout — but the
+	// quiesce-based file operations (Sync, TruncateTo, InstallSnapshot,
+	// Close) wait for it, because they touch the snapshot file and segment
+	// list a checkpoint is working on.
 	checkpointing bool // seclint:guardedby mu
 
 	// File state: owned by the io-ownership holder (see above), touched by
-	// writeBatch/checkpointIO without mu — deliberately not mu-guarded.
-	// The segment NAME list, by contrast, lives under mu (io holders report
-	// created/deleted segments back under the lock) so cursors can snapshot
-	// it while the batch leader writes.
+	// writeBatch/truncateIO/installIO without mu — deliberately not
+	// mu-guarded. The segment NAME list, by contrast, lives under mu (io
+	// holders report created/deleted segments back under the lock) so
+	// cursors can snapshot it while the batch leader writes.
 	active     File
 	activeSize int
 	segSeq     int
@@ -321,10 +315,11 @@ func (a *Ack) Wait() error {
 func (a *Ack) LSN() uint64 { return a.lsn }
 
 // Open recovers the log rooted at opts.FS: it loads the checkpoint
-// snapshot if one exists, scans the segments in order, truncates the first
-// torn or corrupt frame and everything after it, and collects the records
-// newer than the snapshot for Replay. A corrupt snapshot (failed checksum)
-// is not recoverable mechanically and fails Open.
+// snapshot if one exists, scans the segments in order to find the last LSN,
+// and truncates the first torn or corrupt frame and everything after it. It
+// keeps no record in memory — Replay reads them back from the segments. A
+// corrupt snapshot (failed checksum) is not recoverable mechanically and
+// fails Open.
 //
 // seclint:locked w is not yet published; no other goroutine can hold a reference before Open returns
 func Open(opts Options) (*WAL, error) {
@@ -405,7 +400,7 @@ func (w *WAL) recover() error {
 		good := 0
 		rest := data
 		for len(rest) > 0 {
-			lsn, payload, next, err := DecodeFrame(rest)
+			lsn, _, next, err := DecodeFrame(rest)
 			if err != nil {
 				truncated = true
 				w.stats.TornTails++
@@ -413,9 +408,6 @@ func (w *WAL) recover() error {
 			}
 			good = len(data) - len(next)
 			rest = next
-			if lsn > w.snapLSN {
-				w.tail = append(w.tail, Record{LSN: lsn, Payload: append([]byte(nil), payload...)})
-			}
 			if lsn > w.lastLSN {
 				w.lastLSN = lsn
 			}
@@ -446,10 +438,7 @@ func (w *WAL) recover() error {
 // since), the LSN it covers, and whether one exists.
 //
 // Concurrency contract: Snapshot is safe while commits, checkpoints and
-// replication cursors run; the returned slice is a private copy the caller
-// owns. Nothing hands out the log's internal state — readers that want the
-// records themselves go through OpenCursor, whose iteration is anchored to
-// the mu-guarded watermarks rather than raw slices.
+// cursors run; the returned slice is a private copy the caller owns.
 func (w *WAL) Snapshot() ([]byte, uint64, bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -459,23 +448,40 @@ func (w *WAL) Snapshot() ([]byte, uint64, bool) {
 	return append([]byte(nil), w.snapshot...), w.snapLSN, true
 }
 
-// Replay calls fn for every record recovered at Open that is newer than
-// the snapshot, in LSN order. It does not see records appended after Open
-// — it is the recovery-time view, for stores rebuilding their state once.
-//
-// Concurrency contract: safe while commits continue. Replay iterates a
-// snapshot of the recovered tail taken under the lock; the tail itself is
-// immutable after Open (Checkpoint replaces, never mutates, it), so fn
-// observes a frozen prefix even if a checkpoint runs mid-iteration.
-// Streaming consumers that must also see post-Open appends use OpenCursor.
+// Replay calls fn, in LSN order, for every record above the checkpoint
+// snapshot — how a store rebuilds its state, at start and (reldb's demoted
+// leader) over a log that has been live since process start. It drains the
+// pipeline first (Sync), so every record appended before the call is
+// delivered; records appended meanwhile may or may not be. A cursor stops
+// without an error when it has caught up, but also at a segment it could
+// not read, so Replay holds it to the durable watermark read at the start:
+// a read that ends below it is an error, never a complete, shorter log.
 func (w *WAL) Replay(fn func(lsn uint64, payload []byte) error) error {
+	if err := w.Sync(); err != nil {
+		return err
+	}
 	w.mu.Lock()
-	tail := w.tail
+	last, durable := w.snapLSN, w.durableLSN
 	w.mu.Unlock()
-	for _, r := range tail {
-		if err := fn(r.LSN, r.Payload); err != nil {
+	cur, err := w.OpenCursor(last)
+	if err != nil {
+		return err
+	}
+	for {
+		rec, ok, err := cur.Next()
+		if err != nil {
 			return err
 		}
+		if !ok {
+			break
+		}
+		if err := fn(rec.LSN, rec.Payload); err != nil {
+			return err
+		}
+		last = rec.LSN
+	}
+	if last < durable {
+		return fmt.Errorf("wal: replay stopped at LSN %d, below the durable watermark %d", last, durable)
 	}
 	return nil
 }
@@ -544,27 +550,16 @@ func (w *WAL) AppendAsync(payload []byte) (uint64, *Ack, error) {
 // driveLocked drains the commit queue as the batch leader. Caller holds
 // w.mu and has set w.leader; driveLocked returns with the queue empty (or
 // failed, if the log poisoned). For each batch it claims io ownership,
-// releases w.mu for the write+fsync so followers keep enqueuing, then
-// delivers the shared verdict to every waiter in the batch.
+// flushes it (flushLocked releases w.mu for the write+fsync, so followers
+// keep enqueuing), then delivers the shared verdict to every waiter in the
+// batch.
 //
-// seclint:locked caller holds w.mu (and releases/reacquires it around the batch I/O below)
+// seclint:locked caller holds w.mu (flushLocked releases/reacquires it around the batch I/O)
 func (w *WAL) driveLocked() {
 	for len(w.queue) > 0 {
 		if w.err != nil {
 			w.failQueueLocked(w.err)
 			return
-		}
-		if d := w.opts.MaxDelay; d > 0 {
-			// Linger to let late committers widen the batch, bounded by the
-			// oldest waiter's enqueue time.
-			if wait := d - time.Since(w.queue[0].enq); wait > 0 && len(*w.qbuf) < w.opts.MaxBatchBytes {
-				w.mu.Unlock()
-				time.Sleep(wait)
-				w.mu.Lock()
-				if w.err != nil {
-					continue
-				}
-			}
 		}
 		for w.ioBusy {
 			w.cond.Wait()
@@ -596,25 +591,8 @@ func (w *WAL) driveLocked() {
 			w.queue = w.queue[:m]
 		}
 		w.ioBusy = true
-		wasDirty := w.dirty
-		w.mu.Unlock()
-		dirty, newSeg, fsyncs, rotations, err := w.writeBatch(batch, wasDirty)
-		w.mu.Lock()
+		err := w.flushLocked(batch, waiters[n-1].lsn, w.opts.Policy == SyncAlways)
 		w.ioBusy = false
-		w.dirty = dirty
-		if newSeg != "" {
-			w.segments = append(w.segments, newSeg)
-		}
-		if err == nil {
-			last := waiters[n-1].lsn
-			w.writtenLSN = last
-			if w.opts.Policy == SyncAlways {
-				w.advanceDurableLocked(last)
-			}
-		}
-		w.stats.Fsyncs += fsyncs
-		w.stats.Rotations += rotations
-		w.stats.Segments = len(w.segments)
 		w.stats.Batches++
 		w.stats.BatchFrames += uint64(n)
 		w.stats.BatchSizes[batchBucket(n)]++
@@ -623,9 +601,6 @@ func (w *WAL) driveLocked() {
 		}
 		if err == nil && w.opts.Policy == SyncAlways && n > 1 {
 			w.stats.FsyncsSaved += uint64(n - 1)
-		}
-		if err != nil && w.err == nil {
-			w.err = err
 		}
 		now := time.Now()
 		for _, a := range waiters {
@@ -657,51 +632,97 @@ func (w *WAL) failQueueLocked(err error) {
 	w.cond.Broadcast()
 }
 
-// writeBatch writes one coalesced batch of frames to the active segment,
-// rotating first when the batch would overflow it, and fsyncs under
-// SyncAlways. It runs with io ownership but without w.mu; it touches only
-// io-owned fields and reports counter deltas — and the name of any segment
-// it created — for the caller to fold into the mu-guarded state.
-func (w *WAL) writeBatch(buf []byte, wasDirty bool) (dirty bool, newSeg string, fsyncs, rotations uint64, err error) {
-	dirty = wasDirty
-	if w.active != nil && w.activeSize > 0 && w.activeSize+len(buf) > w.opts.SegmentBytes {
-		if dirty {
-			if err = w.active.Sync(); err != nil {
-				return dirty, newSeg, fsyncs, rotations, fmt.Errorf("wal: fsync: %w", err)
+// ioDelta is what one turn of io ownership did to the file state while
+// w.mu was released, for flushLocked to fold back into the guarded fields.
+type ioDelta struct {
+	dirty             bool   // the active segment holds unsynced bytes
+	newSeg            string // the segment created, if any
+	fsyncs, rotations uint64
+}
+
+// flushLocked is the one place bytes become durable — a batch, and the bare
+// barrier of Sync, Close and the interval flusher (buf empty, sync set)
+// alike. With io ownership claimed it releases w.mu for the file work, then
+// folds the outcome into the guarded state: last is the highest LSN in the
+// file afterwards, and once no unsynced byte is left the durable watermark
+// follows it. A failure poisons the log.
+//
+// seclint:locked caller holds w.mu and io ownership; w.mu is released around the file work
+func (w *WAL) flushLocked(buf []byte, last uint64, sync bool) error {
+	d := ioDelta{dirty: w.dirty}
+	w.mu.Unlock()
+	err := w.writeBatch(buf, sync, &d)
+	w.mu.Lock()
+	w.dirty = d.dirty
+	if d.newSeg != "" {
+		w.segments = append(w.segments, d.newSeg)
+		w.stats.Segments = len(w.segments)
+	}
+	w.stats.Fsyncs += d.fsyncs
+	w.stats.Rotations += d.rotations
+	if err != nil {
+		if w.err == nil {
+			w.err = err
+		}
+		return err
+	}
+	w.writtenLSN = last
+	if !d.dirty {
+		w.advanceDurableLocked(last)
+	}
+	return nil
+}
+
+// writeBatch appends buf — one coalesced batch of frames, or nothing — to
+// the active segment, rotating first when it would overflow, and fsyncs
+// afterwards when sync is set. It runs with io ownership but without w.mu:
+// it touches only io-owned fields and reports what it did through d.
+func (w *WAL) writeBatch(buf []byte, sync bool, d *ioDelta) error {
+	if len(buf) > 0 {
+		if w.active != nil && w.activeSize > 0 && w.activeSize+len(buf) > w.opts.SegmentBytes {
+			// A sealed segment is never fsynced again.
+			if err := w.syncIO(d); err != nil {
+				return err
 			}
-			dirty = false
-			fsyncs++
+			if err := w.active.Close(); err != nil {
+				return fmt.Errorf("wal: rotate close: %w", err)
+			}
+			w.active = nil
+			d.rotations++
 		}
-		if err = w.active.Close(); err != nil {
-			return dirty, newSeg, fsyncs, rotations, fmt.Errorf("wal: rotate close: %w", err)
+		if w.active == nil {
+			w.segSeq++
+			name := segmentName(w.segSeq)
+			f, err := w.fs.Create(name)
+			if err != nil {
+				return fmt.Errorf("wal: create segment %s: %w", name, err)
+			}
+			w.active, w.activeSize, d.newSeg = f, 0, name
 		}
-		w.active = nil
-		rotations++
-	}
-	if w.active == nil {
-		w.segSeq++
-		name := segmentName(w.segSeq)
-		f, err := w.fs.Create(name)
-		if err != nil {
-			return dirty, newSeg, fsyncs, rotations, fmt.Errorf("wal: create segment %s: %w", name, err)
+		if _, err := w.active.Write(buf); err != nil {
+			return fmt.Errorf("wal: append: %w", err)
 		}
-		w.active = f
-		w.activeSize = 0
-		newSeg = name
+		w.activeSize += len(buf)
+		d.dirty = true
 	}
-	if _, err = w.active.Write(buf); err != nil {
-		return dirty, newSeg, fsyncs, rotations, fmt.Errorf("wal: append: %w", err)
+	if sync {
+		return w.syncIO(d)
 	}
-	w.activeSize += len(buf)
-	dirty = true
-	if w.opts.Policy == SyncAlways {
-		if err = w.active.Sync(); err != nil {
-			return dirty, newSeg, fsyncs, rotations, fmt.Errorf("wal: fsync: %w", err)
-		}
-		dirty = false
-		fsyncs++
+	return nil
+}
+
+// syncIO fsyncs the active segment if it holds unsynced bytes. io ownership,
+// no w.mu.
+func (w *WAL) syncIO(d *ioDelta) error {
+	if w.active == nil || !d.dirty {
+		return nil
 	}
-	return dirty, newSeg, fsyncs, rotations, nil
+	if err := w.active.Sync(); err != nil {
+		return fmt.Errorf("wal: fsync: %w", err)
+	}
+	d.dirty = false
+	d.fsyncs++
+	return nil
 }
 
 // quiesceLocked drains the commit pipeline and claims io ownership. On
@@ -747,150 +768,62 @@ func (w *WAL) Sync() error {
 	if w.err != nil {
 		return w.err
 	}
-	if w.active == nil || !w.dirty {
-		w.advanceDurableLocked(w.writtenLSN)
-		return nil
-	}
-	w.mu.Unlock()
-	err := w.active.Sync()
-	w.mu.Lock()
-	if err != nil {
-		if w.err == nil {
-			w.err = fmt.Errorf("wal: fsync: %w", err)
-		}
-		return w.err
-	}
-	w.dirty = false
-	w.stats.Fsyncs++
-	w.advanceDurableLocked(w.writtenLSN)
-	return nil
-}
-
-// Checkpoint installs snapshot as the new recovery base covering every
-// record appended so far, then deletes the log segments: recovery becomes
-// "load snapshot, replay nothing", and disk usage drops to the snapshot.
-// The protocol is crash-safe at every step: the snapshot is written to a
-// temporary file, fsynced, and renamed into place (the atomic commit
-// point); segments are deleted only afterwards, and a crash between rename
-// and deletion merely leaves stale segments whose records are skipped on
-// open because their LSNs are covered by the snapshot. The pipeline is
-// drained first, so the snapshot's coverage claim never outruns the disk;
-// callers whose snapshot covers only a prefix of the log (fuzzy
-// checkpoints over an MVCC version) use CheckpointAt instead.
-// seclint:sink
-func (w *WAL) Checkpoint(snapshot []byte) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.err != nil {
-		return w.err
-	}
-	if len(snapshot) > MaxPayload {
-		return fmt.Errorf("wal: snapshot %d bytes exceeds MaxPayload", len(snapshot))
-	}
-	w.quiesceLocked()
-	defer w.releaseIOLocked()
-	if w.err != nil {
-		return w.err
-	}
-	lastLSN := w.lastLSN
-	segs := append([]string(nil), w.segments...)
-	w.mu.Unlock()
-	written, err := w.checkpointIO(snapshot, lastLSN, segs)
-	w.mu.Lock()
-	if err != nil {
-		if w.err == nil {
-			w.err = err
-		}
-		return w.err
-	}
-	w.snapLSN = lastLSN
-	w.snapshot = append([]byte(nil), snapshot...)
-	w.tail = nil
-	w.dirty = false
-	w.segments = nil
-	w.writtenLSN = lastLSN
-	w.advanceDurableLocked(lastLSN)
-	w.stats.Checkpoints++
-	w.stats.Segments = 0
-	w.stats.SnapshotLSN = lastLSN
-	w.stats.BytesWritten += uint64(written)
-	return nil
-}
-
-// checkpointIO performs the checkpoint's file work: tmp write, fsync,
-// atomic rename, then cleanup of the given segments. Runs with io
-// ownership, without w.mu (segs is the caller's copy of the mu-guarded
-// list). A failure after the rename poisons the log but cannot lose the
-// checkpoint.
-func (w *WAL) checkpointIO(snapshot []byte, lastLSN uint64, segs []string) (int, error) {
-	f, err := w.fs.Create(snapshotTmpName)
-	if err != nil {
-		return 0, fmt.Errorf("wal: checkpoint create: %w", err)
-	}
-	bp := getEncodeBuf()
-	*bp = EncodeFrame(*bp, lastLSN, snapshot)
-	buf := *bp
-	defer putEncodeBuf(bp)
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return 0, fmt.Errorf("wal: checkpoint write: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return 0, fmt.Errorf("wal: checkpoint fsync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return 0, fmt.Errorf("wal: checkpoint close: %w", err)
-	}
-	if err := w.fs.Rename(snapshotTmpName, snapshotName); err != nil {
-		return 0, fmt.Errorf("wal: checkpoint rename: %w", err)
-	}
-	// Committed. Everything below is cleanup; failures poison the log but
-	// cannot lose the checkpoint.
-	if w.active != nil {
-		if err := w.active.Close(); err != nil {
-			return 0, fmt.Errorf("wal: checkpoint close segment: %w", err)
-		}
-		w.active = nil
-	}
-	for _, name := range segs {
-		if err := w.fs.Remove(name); err != nil {
-			return 0, fmt.Errorf("wal: checkpoint drop segment %s: %w", name, err)
-		}
-	}
-	w.activeSize = 0
-	return len(buf), nil
+	return w.flushLocked(nil, w.writtenLSN, true)
 }
 
 // CheckpointAt installs snapshot as the new recovery base covering every
 // record with LSN <= upTo, WITHOUT quiescing the commit pipeline: appends,
-// batches and fsyncs keep running while the snapshot streams out. This is
-// the fuzzy-checkpoint primitive — the store above pins a consistent
-// in-memory version, keeps committing, and fences the log here at a point
-// the version provably covers (reldb additionally holds upTo below the
-// oldest in-flight transaction's first record so redo never loses a
-// record it needs).
+// batches and fsyncs keep running while the snapshot streams out. The store
+// above pins a consistent in-memory version, keeps committing, and fences
+// the log here at a point the version provably covers (reldb additionally
+// holds upTo below the oldest in-flight transaction's first record so redo
+// never loses a record it needs); a store that checkpoints under its own
+// write lock, as the log's only appender, passes LastLSN.
 //
-// Only sealed segments — never the one the batch pipeline may still be
-// appending to — whose frames all lie at or below upTo are deleted; the
-// records above the fence survive for replay. Crash-safety is the same
-// protocol as Checkpoint: tmp write + fsync + atomic rename is the commit
-// point, segment deletion happens after it, and a crash in between leaves
-// stale segments whose covered records are skipped on open. A checkpoint
-// at or below the current snapshot LSN is a no-op. Because the fsynced
-// snapshot itself makes every record at or below upTo recoverable, the
-// durable watermark advances to upTo on success.
+// The protocol is crash-safe at every step: the snapshot is written to a
+// temporary file, fsynced, and renamed into place (the atomic commit
+// point); segments are deleted only afterwards, and a crash in between
+// merely leaves stale segments whose covered records are skipped on open.
+// Only sealed segments whose frames all lie at or below upTo are deleted —
+// never the last one, which the batch pipeline may still be appending to,
+// even when upTo covers it: after a checkpoint the log occupies at most the
+// snapshot plus one segment (Options.SegmentBytes), not the snapshot alone.
+// A checkpoint at or below the current snapshot LSN is a no-op. Because the
+// fsynced snapshot itself makes every record at or below upTo recoverable,
+// the durable watermark advances to upTo on success.
 // seclint:sink
 func (w *WAL) CheckpointAt(snapshot []byte, upTo uint64) error {
-	candidates, claimed, err := w.claimCheckpoint(snapshot, upTo)
-	if err != nil || !claimed {
-		return err
-	}
-
-	written, removed, err := w.fuzzyCheckpointIO(snapshot, upTo, candidates)
-
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if len(snapshot) > MaxPayload {
+		return fmt.Errorf("wal: snapshot %d bytes exceeds MaxPayload", len(snapshot))
+	}
+	// Claim the single checkpoint slot, behind other checkpoints and any
+	// quiesce-based file operation holding io ownership right now; batch
+	// leaders that claim ioBusy after checkpointing is set run concurrently.
+	for w.checkpointing || w.ioBusy {
+		if w.err != nil {
+			return w.err
+		}
+		w.cond.Wait()
+	}
+	if w.err != nil {
+		return w.err
+	}
+	if upTo <= w.snapLSN {
+		return nil
+	}
+	if upTo > w.lastLSN {
+		return fmt.Errorf("wal: checkpoint at %d beyond last LSN %d", upTo, w.lastLSN)
+	}
+	w.checkpointing = true
+	var sealed []string
+	if len(w.segments) > 1 {
+		sealed = append(sealed, w.segments[:len(w.segments)-1]...)
+	}
+	w.mu.Unlock()
+	written, removed, err := w.checkpointIO(snapshot, upTo, sealed)
+	w.mu.Lock()
 	w.checkpointing = false
 	w.cond.Broadcast()
 	if err != nil {
@@ -901,28 +834,10 @@ func (w *WAL) CheckpointAt(snapshot []byte, upTo uint64) error {
 	}
 	w.snapLSN = upTo
 	w.snapshot = append([]byte(nil), snapshot...)
-	// Replace — never mutate — the recovered tail (Replay iterates it
-	// without the lock).
-	var tail []Record
-	for _, r := range w.tail {
-		if r.LSN > upTo {
-			tail = append(tail, r)
-		}
-	}
-	w.tail = tail
-	if len(removed) > 0 {
-		rm := make(map[string]bool, len(removed))
-		for _, name := range removed {
-			rm[name] = true
-		}
-		var kept []string
-		for _, name := range w.segments {
-			if !rm[name] {
-				kept = append(kept, name)
-			}
-		}
-		w.segments = kept
-	}
+	// The removed segments are a prefix of the list: sealed was one,
+	// rotation only appends, and everything that rewrites the list waits
+	// for the checkpointing claim.
+	w.segments = w.segments[removed:]
 	w.advanceDurableLocked(upTo)
 	w.stats.Checkpoints++
 	w.stats.Segments = len(w.segments)
@@ -931,100 +846,67 @@ func (w *WAL) CheckpointAt(snapshot []byte, upTo uint64) error {
 	return nil
 }
 
-// claimCheckpoint validates a CheckpointAt request and claims the single
-// checkpoint slot. claimed is false with a nil error when the request is
-// a no-op (upTo at or below the current snapshot). On a true claim it
-// also snapshots the deletion candidates: every segment name but the
-// last — the last named segment may be the active file the pipeline is
-// writing and is always spared (a later checkpoint reaps it once it is
-// sealed). The claim serializes against other fuzzy checkpoints and
-// against any quiesce-based file operation currently holding io
-// ownership; batch leaders claiming ioBusy after checkpointing is set
-// proceed concurrently.
-func (w *WAL) claimCheckpoint(snapshot []byte, upTo uint64) (candidates []string, claimed bool, err error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if len(snapshot) > MaxPayload {
-		return nil, false, fmt.Errorf("wal: snapshot %d bytes exceeds MaxPayload", len(snapshot))
-	}
-	for w.checkpointing || w.ioBusy {
-		if w.err != nil {
-			return nil, false, w.err
-		}
-		w.cond.Wait()
-	}
-	if w.err != nil {
-		return nil, false, w.err
-	}
-	if upTo <= w.snapLSN {
-		return nil, false, nil
-	}
-	if upTo > w.lastLSN {
-		return nil, false, fmt.Errorf("wal: checkpoint at %d beyond last LSN %d", upTo, w.lastLSN)
-	}
-	w.checkpointing = true
-	if len(w.segments) > 1 {
-		candidates = append([]string(nil), w.segments[:len(w.segments)-1]...)
-	}
-	return candidates, true, nil
-}
-
-// fuzzyCheckpointIO performs CheckpointAt's file work: tmp write, fsync,
-// atomic rename, then deletion of the candidate segments fully covered by
-// upTo. It runs WITHOUT io ownership — concurrent batch leaders write the
-// active segment while this streams — touching only the snapshot files and
-// sealed segments. Deletion stops at the first candidate with a frame
-// above upTo (frames are in LSN order across segments, so later candidates
-// are above it too).
-func (w *WAL) fuzzyCheckpointIO(snapshot []byte, upTo uint64, candidates []string) (written int, removed []string, err error) {
+// writeSnapshot makes the frame (lsn, snapshot) the recovery base: tmp
+// write, fsync, close, atomic rename — the commit point of CheckpointAt and
+// InstallSnapshot alike. It touches only the two snapshot files, which the
+// checkpointing claim (or a quiesce, which waits for it) keeps to one writer.
+func (w *WAL) writeSnapshot(snapshot []byte, lsn uint64) (written int, err error) {
 	f, err := w.fs.Create(snapshotTmpName)
 	if err != nil {
-		return 0, nil, fmt.Errorf("wal: checkpoint create: %w", err)
+		return 0, fmt.Errorf("wal: snapshot create: %w", err)
 	}
 	bp := getEncodeBuf()
-	*bp = EncodeFrame(*bp, upTo, snapshot)
+	*bp = EncodeFrame(*bp, lsn, snapshot)
 	buf := *bp
 	defer putEncodeBuf(bp)
 	if _, err := f.Write(buf); err != nil {
 		f.Close()
-		return 0, nil, fmt.Errorf("wal: checkpoint write: %w", err)
+		return 0, fmt.Errorf("wal: snapshot write: %w", err)
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return 0, nil, fmt.Errorf("wal: checkpoint fsync: %w", err)
+		return 0, fmt.Errorf("wal: snapshot fsync: %w", err)
 	}
 	if err := f.Close(); err != nil {
-		return 0, nil, fmt.Errorf("wal: checkpoint close: %w", err)
+		return 0, fmt.Errorf("wal: snapshot close: %w", err)
 	}
 	if err := w.fs.Rename(snapshotTmpName, snapshotName); err != nil {
-		return 0, nil, fmt.Errorf("wal: checkpoint rename: %w", err)
+		return 0, fmt.Errorf("wal: snapshot rename: %w", err)
+	}
+	return len(buf), nil
+}
+
+// checkpointIO performs CheckpointAt's file work: the snapshot, then
+// deletion of the leading sealed segments fully covered by upTo, whose count
+// it returns. It runs WITHOUT io ownership — concurrent batch leaders write
+// the active segment while this streams — touching only the snapshot files
+// and sealed segments. Deletion stops at the first segment with a frame
+// above upTo (frames are in LSN order across segments, so later ones are
+// above it too).
+func (w *WAL) checkpointIO(snapshot []byte, upTo uint64, sealed []string) (written, removed int, err error) {
+	if written, err = w.writeSnapshot(snapshot, upTo); err != nil {
+		return 0, 0, err
 	}
 	// Committed. Deletions below are cleanup; a failure poisons the log but
 	// cannot lose the checkpoint.
-	for _, name := range candidates {
+	for _, name := range sealed {
 		data, err := w.fs.ReadFile(name)
 		if err != nil {
-			return len(buf), removed, fmt.Errorf("wal: checkpoint read segment %s: %w", name, err)
+			return written, removed, fmt.Errorf("wal: checkpoint read segment %s: %w", name, err)
 		}
-		covered := true
-		rest := data
-		for len(rest) > 0 {
+		for rest := data; len(rest) > 0; {
 			lsn, _, next, derr := DecodeFrame(rest)
 			if derr != nil || lsn > upTo {
-				covered = false
-				break
+				return written, removed, nil
 			}
 			rest = next
 		}
-		if !covered {
-			break
-		}
 		if err := w.fs.Remove(name); err != nil {
-			return len(buf), removed, fmt.Errorf("wal: checkpoint drop segment %s: %w", name, err)
+			return written, removed, fmt.Errorf("wal: checkpoint drop segment %s: %w", name, err)
 		}
-		removed = append(removed, name)
+		removed++
 	}
-	return len(buf), removed, nil
+	return written, removed, nil
 }
 
 // advanceDurableLocked raises the durable watermark and pokes the
@@ -1048,7 +930,7 @@ func (w *WAL) advanceDurableLocked(lsn uint64) {
 // DurableLSN returns the highest LSN covered by a completed durability
 // barrier: under SyncAlways it tracks every acknowledged batch; under the
 // lazy policies it advances on explicit Sync, the interval flush and
-// Checkpoint. Replication cursors are bounded by it.
+// CheckpointAt. Cursors and Replay are bounded by it.
 func (w *WAL) DurableLSN() uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -1116,9 +998,6 @@ func (w *WAL) TruncateTo(lsn uint64) error {
 	w.writtenLSN = lsn
 	if w.durableLSN > lsn {
 		w.durableLSN = lsn
-	}
-	for len(w.tail) > 0 && w.tail[len(w.tail)-1].LSN > lsn {
-		w.tail = w.tail[:len(w.tail)-1]
 	}
 	w.dirty = false
 	w.rewinds++
@@ -1201,7 +1080,7 @@ func (w *WAL) InstallSnapshot(snapshot []byte, lsn uint64) error {
 	}
 	segs := append([]string(nil), w.segments...)
 	w.mu.Unlock()
-	written, err := w.checkpointIO(snapshot, lsn, segs)
+	written, err := w.installIO(snapshot, lsn, segs)
 	w.mu.Lock()
 	if err != nil {
 		if w.err == nil {
@@ -1213,7 +1092,6 @@ func (w *WAL) InstallSnapshot(snapshot []byte, lsn uint64) error {
 	w.snapshot = append([]byte(nil), snapshot...)
 	w.lastLSN = lsn
 	w.writtenLSN = lsn
-	w.tail = nil
 	w.dirty = false
 	w.segments = nil
 	w.rewinds++
@@ -1230,6 +1108,30 @@ func (w *WAL) InstallSnapshot(snapshot []byte, lsn uint64) error {
 	w.stats.DurableLSN = lsn
 	w.stats.BytesWritten += uint64(written)
 	return nil
+}
+
+// installIO performs InstallSnapshot's file work: the snapshot, then the
+// active file is closed and every segment dropped. Runs with io ownership,
+// without w.mu (segs is the caller's copy of the mu-guarded list). A failure
+// after the snapshot's rename poisons the log but cannot lose the snapshot.
+func (w *WAL) installIO(snapshot []byte, lsn uint64, segs []string) (int, error) {
+	written, err := w.writeSnapshot(snapshot, lsn)
+	if err != nil {
+		return 0, err
+	}
+	if w.active != nil {
+		if err := w.active.Close(); err != nil {
+			return 0, fmt.Errorf("wal: install close segment: %w", err)
+		}
+		w.active = nil
+	}
+	for _, name := range segs {
+		if err := w.fs.Remove(name); err != nil {
+			return 0, fmt.Errorf("wal: install drop segment %s: %w", name, err)
+		}
+	}
+	w.activeSize = 0
+	return written, nil
 }
 
 // Stats snapshots the counters.
@@ -1257,17 +1159,8 @@ func (w *WAL) Close() error {
 	}
 	w.quiesceLocked()
 	var firstErr error
-	if w.err == nil && w.active != nil && w.dirty {
-		w.mu.Unlock()
-		err := w.active.Sync()
-		w.mu.Lock()
-		if err != nil {
-			firstErr = err
-		} else {
-			w.dirty = false
-			w.stats.Fsyncs++
-			w.advanceDurableLocked(w.writtenLSN)
-		}
+	if w.err == nil {
+		firstErr = w.flushLocked(nil, w.writtenLSN, true)
 	}
 	if w.active != nil {
 		w.mu.Unlock()
@@ -1302,20 +1195,9 @@ func (w *WAL) flushLoop(stop, done chan struct{}) {
 				w.leader = false
 				w.cond.Broadcast()
 			}
-			if w.err == nil && !w.leader && !w.ioBusy && w.active != nil && w.dirty {
+			if w.err == nil && !w.leader && !w.ioBusy && w.dirty {
 				w.ioBusy = true
-				w.mu.Unlock()
-				err := w.active.Sync()
-				w.mu.Lock()
-				if err != nil {
-					if w.err == nil {
-						w.err = fmt.Errorf("wal: fsync: %w", err)
-					}
-				} else {
-					w.dirty = false
-					w.stats.Fsyncs++
-					w.advanceDurableLocked(w.writtenLSN)
-				}
+				_ = w.flushLocked(nil, w.writtenLSN, true) // a failure sticks in w.err
 				w.releaseIOLocked()
 			}
 			w.mu.Unlock()

@@ -1,6 +1,7 @@
 package xmldoc
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -104,4 +105,42 @@ func TestStoreCheckpointAndTail(t *testing.T) {
 	}
 	s3 := openStore(t, fs)
 	assertStoreEqual(t, s2, s3, "checkpoint after recovery")
+}
+
+// TestOpenStoreRefusesUnreadableSegment: a journal segment that cannot be
+// read back after the log itself opened must fail OpenStore — never yield a
+// store missing the documents that segment held.
+func TestOpenStoreRefusesUnreadableSegment(t *testing.T) {
+	fs := faultinject.NewMemFS()
+	opts := wal.Options{FS: fs, Policy: wal.SyncAlways, SegmentBytes: 1024}
+	w, err := wal.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenStore(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		s.Put(persistTestDoc(fmt.Sprintf("d%d.xml", i), i))
+	}
+	if err := s.Err(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := fs.List()
+	if err != nil || len(segs) < 3 {
+		t.Fatalf("want at least 3 segments, have %v (%v)", segs, err)
+	}
+	for _, seg := range segs {
+		img := fs.AfterCrash(false)
+		opts.FS = img
+		w2, err := wal.Open(opts)
+		if err != nil {
+			t.Fatalf("wal.Open: %v", err)
+		}
+		img.FailReads(seg)
+		if s2, err := OpenStore(w2); err == nil {
+			t.Fatalf("%s unreadable: OpenStore returned a store with %d of 8 documents", seg, len(s2.Names()))
+		}
+	}
 }
