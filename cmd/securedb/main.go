@@ -35,6 +35,7 @@ import (
 	"net/http"
 	"os/signal"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -341,16 +342,55 @@ func statement(rw http.ResponseWriter, r *http.Request, auth *authtoken.Service)
 	return subject, sql, true
 }
 
-// writeRows renders a result as tab-separated lines under a header line.
-func writeRows(rw http.ResponseWriter, res *reldb.Result) {
-	fmt.Fprintln(rw, strings.Join(res.Columns, "\t"))
+// appendReply renders a result as tab-separated lines under a header
+// line, then the privacy and inference note lines a /query reply carries
+// when there is something to note.
+func appendReply(b []byte, res *reldb.Result, masked, derived []string) []byte {
+	b = append(appendJoined(b, res.Columns, "\t"), '\n')
 	for _, row := range res.Rows {
-		cells := make([]string, len(row))
 		for i, v := range row {
-			cells[i] = v.String()
+			if i > 0 {
+				b = append(b, '\t')
+			}
+			switch v.Kind {
+			case reldb.KindInt:
+				b = strconv.AppendInt(b, v.I, 10)
+			case reldb.KindString:
+				b = append(b, v.S...)
+			default:
+				b = append(b, v.String()...)
+			}
 		}
-		fmt.Fprintln(rw, strings.Join(cells, "\t"))
+		b = append(b, '\n')
 	}
+	if len(masked) > 0 {
+		b = append(appendJoined(append(b, "# masked by privacy constraints: "...), masked, ", "), '\n')
+	}
+	if len(derived) > 0 {
+		b = append(appendJoined(append(b, "# inference controller notes you can now derive: "...), derived, ", "), '\n')
+	}
+	return b
+}
+
+// appendJoined is append(b, strings.Join(parts, sep)...) without the
+// joined string.
+func appendJoined(b []byte, parts []string, sep string) []byte {
+	for i, p := range parts {
+		if i > 0 {
+			b = append(b, sep...)
+		}
+		b = append(b, p...)
+	}
+	return b
+}
+
+// writeReply sends appendReply's rendering in one Write. The content type
+// is what net/http sniffed from the header line when that line was a Write
+// of its own.
+func writeReply(rw http.ResponseWriter, res *reldb.Result, masked, derived []string) {
+	b := make([]byte, 0, 128+8*(len(res.Rows)+1)*len(res.Columns))
+	rw.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	rw.Write(appendReply(b, res, masked, derived)) // a failed Write is the client gone; there is no one to tell
 }
 
 func serveQuery(rw http.ResponseWriter, r *http.Request, w *core.SecureWebDB, auth *authtoken.Service) {
@@ -363,13 +403,7 @@ func serveQuery(rw http.ResponseWriter, r *http.Request, w *core.SecureWebDB, au
 		http.Error(rw, err.Error(), http.StatusForbidden)
 		return
 	}
-	writeRows(rw, out.Result)
-	if len(out.MaskedColumns) > 0 {
-		fmt.Fprintf(rw, "# masked by privacy constraints: %s\n", strings.Join(out.MaskedColumns, ", "))
-	}
-	if len(out.Derived) > 0 {
-		fmt.Fprintf(rw, "# inference controller notes you can now derive: %s\n", strings.Join(out.Derived, ", "))
-	}
+	writeReply(rw, out.Result, out.MaskedColumns, out.Derived)
 }
 
 // serveExec runs INSERT/UPDATE/DELETE. committed, when set, holds the
@@ -412,7 +446,7 @@ func serveAgg(rw http.ResponseWriter, r *http.Request, w *core.SecureWebDB, auth
 		http.Error(rw, err.Error(), http.StatusForbidden)
 		return
 	}
-	writeRows(rw, res)
+	writeReply(rw, res, nil, nil)
 }
 
 // serveExplain prints the access plan the engine would choose.

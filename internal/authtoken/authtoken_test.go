@@ -24,7 +24,7 @@ type denyAll struct{}
 
 func (denyAll) AllowMint(*policy.Subject) bool { return false }
 
-func newTestGate(t *testing.T, ttl time.Duration) (*authtoken.Gate, *keymgmt.MintKeyring) {
+func newTestGate(t testing.TB, ttl time.Duration) (*authtoken.Gate, *keymgmt.MintKeyring) {
 	t.Helper()
 	ring, err := keymgmt.NewMintKeyring(2)
 	if err != nil {

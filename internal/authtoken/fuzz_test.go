@@ -2,6 +2,8 @@ package authtoken_test
 
 import (
 	"bytes"
+	"errors"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -10,24 +12,142 @@ import (
 	"webdbsec/internal/policy"
 )
 
+// verdictClasses are the sentinels a verification can answer with; class
+// names the one err carries ("ok" for nil).
+var verdictClasses = []error{
+	authtoken.ErrMalformed, authtoken.ErrUnknownEpoch, authtoken.ErrBadSignature, authtoken.ErrExpired,
+	authtoken.ErrFutureSkew, authtoken.ErrSubjectMismatch, authtoken.ErrReplay,
+}
+
+func class(err error) string {
+	if err == nil {
+		return "ok"
+	}
+	for _, c := range verdictClasses {
+		if errors.Is(err, c) {
+			return c.Error()
+		}
+	}
+	return "unclassified: " + err.Error()
+}
+
+// differ is the differential harness: a Gate whose verifier remembers
+// what the gate signs, beside a verify-only Verifier over the same key
+// set that is never told anything and so checks every signature with
+// ed25519.Verify. Both are shown exactly the same presentations in the
+// same order, so their replay state agrees and every verdict must.
+type differ struct {
+	gate *authtoken.Gate
+	ref  *authtoken.Verifier
+	subj *policy.Subject
+	now  time.Time
+}
+
+func newDiffer(tb testing.TB) *differ {
+	tb.Helper()
+	ring, err := keymgmt.NewMintKeyring(1)
+	if err != nil {
+		tb.Fatalf("keyring: %v", err)
+	}
+	m, err := authtoken.NewMinter(ring, nil, fuzzGate{}, time.Minute)
+	if err != nil {
+		tb.Fatalf("minter: %v", err)
+	}
+	return &differ{
+		gate: &authtoken.Gate{Verifier: authtoken.NewVerifier(ring, time.Minute, 0, 1024), Minter: m},
+		ref:  authtoken.NewVerifier(ring, time.Minute, 0, 1024),
+		subj: &policy.Subject{ID: "fuzz", Roles: []string{"r"}},
+		now:  time.Now(),
+	}
+}
+
+// present shows raw to both sides and returns the shared verdict class.
+func (d *differ) present(tb testing.TB, raw []byte) string {
+	tb.Helper()
+	_, gerr := d.gate.Verifier.VerifyBound(raw, d.subj, d.now)
+	_, rerr := d.ref.VerifyBound(raw, d.subj, d.now)
+	if class(gerr) != class(rerr) {
+		tb.Fatalf("verdicts differ: remembering verifier %q, verify-only %q", class(gerr), class(rerr))
+	}
+	return class(gerr)
+}
+
+// issue returns a genuine token the gate has signed and remembers: the
+// successor of a freshly minted one, which both sides see consumed.
+func (d *differ) issue(tb testing.TB) []byte {
+	tb.Helper()
+	first, err := d.gate.Minter.Mint(d.subj, d.now)
+	if err != nil {
+		tb.Fatalf("mint: %v", err)
+	}
+	res, err := d.gate.Authenticate(d.subj, first.Encode(), d.now)
+	if err != nil {
+		tb.Fatalf("roll: %v", err)
+	}
+	if _, err := d.ref.VerifyBound(first.Encode(), d.subj, d.now); err != nil {
+		tb.Fatalf("reference on the rolled token: %v", err)
+	}
+	return res.Token.Encode()
+}
+
+// fieldBounds are the wire layout's field boundaries (see the package
+// comment): version, epoch, issued-at, nonce, subject, signature.
+var fieldBounds = []int{0, 1, 5, 13, 21, 37, authtoken.TokenLen}
+
+// check drives one input through the harness: input itself as a token,
+// then a remembered genuine token altered in one byte and in one whole
+// field as input dictates — none of which may be accepted by either side
+// — and last the genuine token, which both must accept and the
+// remembering side must have recognised: no miss knocked its entry out.
+func (d *differ) check(tb testing.TB, input []byte) {
+	tb.Helper()
+	d.present(tb, input)
+
+	genuine := d.issue(tb)
+	at := func(i int) byte {
+		if len(input) == 0 {
+			return 0
+		}
+		return input[i%len(input)]
+	}
+	oneByte := bytes.Clone(genuine)
+	oneByte[int(at(0))%len(oneByte)] ^= at(1) | 1
+	field := int(at(2)) % (len(fieldBounds) - 1)
+	oneField := bytes.Clone(genuine)
+	for i := fieldBounds[field]; i < fieldBounds[field+1]; i++ {
+		oneField[i] = at(3 + i)
+	}
+	for _, mutated := range [][]byte{oneByte, oneField} {
+		if bytes.Equal(mutated, genuine) {
+			continue
+		}
+		if got := d.present(tb, mutated); got == "ok" {
+			tb.Fatalf("altered token accepted:\n genuine %x\n altered %x", genuine, mutated)
+		}
+	}
+	before := d.gate.Verifier.Stats().Recognised
+	if got := d.present(tb, genuine); got != "ok" {
+		tb.Fatalf("genuine token after the altered ones: %s", got)
+	}
+	if d.gate.Verifier.Stats().Recognised != before+1 {
+		tb.Fatalf("genuine token was not recognised: an altered presentation dropped its entry")
+	}
+	if got := d.present(tb, genuine); got != authtoken.ErrReplay.Error() {
+		tb.Fatalf("genuine token presented again: %s, want replay", got)
+	}
+}
+
 // FuzzTokenDecode drives arbitrary bytes through the binary token codec
 // and, when they decode, through a live verifier. Invariants: Decode
 // never panics, anything it accepts re-encodes to the identical bytes
 // (the signature covers the canonical encoding, so a non-canonical
-// decode would be a forgery vector), and the verifier classifies every
-// input without panicking.
+// decode would be a forgery vector), the verifier classifies every
+// input without panicking, and a verifier that recognises what its gate
+// signed answers every presentation exactly as one that verifies every
+// signature (differ.check).
 func FuzzTokenDecode(f *testing.F) {
-	ring, err := keymgmt.NewMintKeyring(1)
-	if err != nil {
-		f.Fatalf("keyring: %v", err)
-	}
-	m, err := authtoken.NewMinter(ring, nil, fuzzGate{}, time.Minute)
-	if err != nil {
-		f.Fatalf("minter: %v", err)
-	}
-	v := authtoken.NewVerifier(ring, time.Minute, 0, 1024)
-	now := time.Now()
-	tok, err := m.Mint(&policy.Subject{ID: "fuzz", Roles: []string{"r"}}, now)
+	d := newDiffer(f)
+	tok, err := d.gate.Minter.Mint(d.subj, d.now)
 	if err != nil {
 		f.Fatalf("mint: %v", err)
 	}
@@ -47,17 +167,43 @@ func FuzzTokenDecode(f *testing.F) {
 			if dec != nil {
 				t.Fatalf("error with non-nil token")
 			}
-			return
+		} else {
+			if !bytes.Equal(dec.Encode(), raw) {
+				t.Fatalf("decode/encode not canonical")
+			}
+			if _, err := authtoken.DecodeString(dec.EncodeString()); err != nil {
+				t.Fatalf("string round trip: %v", err)
+			}
 		}
-		if !bytes.Equal(dec.Encode(), raw) {
-			t.Fatalf("decode/encode not canonical")
-		}
-		if _, err := authtoken.DecodeString(dec.EncodeString()); err != nil {
-			t.Fatalf("string round trip: %v", err)
-		}
-		// Whatever decoded must classify cleanly, never panic.
-		v.Verify(raw, now)
+		d.check(t, raw)
 	})
+}
+
+// TestRecognisedEqualsVerified is the same differential without the fuzz
+// engine, so every plain test run covers a few thousand random tokens
+// and alterations of every field.
+func TestRecognisedEqualsVerified(t *testing.T) {
+	d := newDiffer(t)
+	rng := rand.New(rand.NewSource(23))
+	rounds := 1500
+	if testing.Short() {
+		rounds = 200
+	}
+	for n := 0; n < rounds; n++ {
+		input := make([]byte, []int{0, 1, 4, 37, authtoken.TokenLen, authtoken.TokenLen + 3}[rng.Intn(6)])
+		rng.Read(input)
+		if len(input) > 0 && rng.Intn(2) == 0 {
+			input[0] = authtoken.Version // decodes when the length allows
+		}
+		d.check(t, input)
+	}
+	st := d.gate.Verifier.Stats()
+	if st.Recognised != uint64(rounds) || st.IssuedEntries != 0 {
+		t.Fatalf("recognised %d of %d genuine tokens, %d entries left", st.Recognised, rounds, st.IssuedEntries)
+	}
+	if ref := d.ref.Stats(); ref.Recognised != 0 || ref.IssuedEntries != 0 || ref.Verified != st.Verified {
+		t.Fatalf("verify-only side: %+v, remembering side verified %d", ref, st.Verified)
+	}
 }
 
 type fuzzGate struct{}

@@ -10,11 +10,13 @@ import (
 
 // Gate is the request-time authentication gate the serving stack puts in
 // front of its handlers: consult the token verifier first, fall back to
-// the full wallet path. The fast path costs one Ed25519 verification
-// plus a nonce consume; the slow path is a complete mint — full wallet
-// verification and the MintGate policy decision — whose product is a
-// token, so a wallet-authenticated response upgrades the client to the
-// fast path for free.
+// the full wallet path. The fast path costs a nonce consume, one Ed25519
+// signature for the successor, and one Ed25519 verification only when the
+// presented token was not signed by this gate (another node's, or one the
+// issued table has since dropped); the slow path is a complete mint —
+// full wallet verification and the MintGate policy decision — whose
+// product is a token, so a wallet-authenticated response upgrades the
+// client to the fast path for free.
 type Gate struct {
 	Verifier *Verifier
 	// Minter is nil on a read replica: the gate then verifies tokens but
@@ -78,7 +80,7 @@ func (g *Gate) Authenticate(s *policy.Subject, rawToken []byte, now time.Time) (
 				g.fast.Add(1)
 				return &AuthResult{Path: PathToken, ExpiresAt: time.Unix(t.IssuedAt, 0).Add(g.Verifier.TTL())}, nil
 			}
-			succ, mintErr := g.Minter.mintBound(t.Subject, now)
+			succ, mintErr := g.sign(t.Subject, now)
 			if mintErr != nil {
 				g.rejected.Add(1)
 				return nil, fmt.Errorf("authtoken: roll successor: %w", mintErr)
@@ -100,7 +102,7 @@ func (g *Gate) Authenticate(s *policy.Subject, rawToken []byte, now time.Time) (
 			g.rejected.Add(1)
 			return nil, ErrMintUnavailable
 		}
-		t, err := g.Minter.Mint(s, now)
+		t, err := g.mint(s, now)
 		if err != nil {
 			g.rejected.Add(1)
 			return nil, err
@@ -110,6 +112,27 @@ func (g *Gate) Authenticate(s *policy.Subject, rawToken []byte, now time.Time) (
 	}
 	g.legacy.Add(1)
 	return &AuthResult{Path: PathLegacy}, nil
+}
+
+// mint is Minter.Mint through this gate: the full evaluation, then a
+// signature the gate's verifier remembers.
+func (g *Gate) mint(s *policy.Subject, now time.Time) (*Token, error) {
+	if err := g.Minter.qualify(s); err != nil {
+		return nil, err
+	}
+	return g.sign(BindingFingerprint(s), now)
+}
+
+// sign issues a token for an established fingerprint and has the verifier
+// remember it, so its presentation back at this gate skips the curve
+// check (see Verifier.remember).
+func (g *Gate) sign(fp [16]byte, now time.Time) (*Token, error) {
+	t, pub, err := g.Minter.mintBound(fp, now)
+	if err != nil {
+		return nil, err
+	}
+	g.Verifier.remember(pub, t, now)
+	return t, nil
 }
 
 // GateStats aggregates the gate's path counters with the verifier's and

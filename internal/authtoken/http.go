@@ -138,7 +138,7 @@ func (s *Service) MintHandler() http.HandlerFunc {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		t, err := s.Gate.Minter.Mint(subj, time.Now())
+		t, err := s.Gate.mint(subj, time.Now())
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusForbidden)
 			return

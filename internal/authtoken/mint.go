@@ -91,21 +91,31 @@ func (m *Minter) TTL() time.Duration { return m.ttl }
 // Mint runs the full evaluation for s and, if it passes, issues a token
 // bound to s's serving fingerprint at instant now.
 func (m *Minter) Mint(s *policy.Subject, now time.Time) (*Token, error) {
+	if err := m.qualify(s); err != nil {
+		return nil, err
+	}
+	t, _, err := m.mintBound(BindingFingerprint(s), now)
+	return t, err
+}
+
+// qualify is the evaluation every first signature stands on: the wallet
+// in full, then the MintGate policy decision.
+func (m *Minter) qualify(s *policy.Subject) error {
 	if s == nil || s.ID == "" {
 		m.denied.Add(1)
-		return nil, fmt.Errorf("%w: no subject", ErrMintDenied)
+		return fmt.Errorf("%w: no subject", ErrMintDenied)
 	}
 	if s.Wallet != nil {
 		if err := m.checkWallet(s); err != nil {
 			m.denied.Add(1)
-			return nil, err
+			return err
 		}
 	}
 	if !m.gate.AllowMint(s) {
 		m.denied.Add(1)
-		return nil, fmt.Errorf("%w: subject %s", ErrMintDenied, s.ID)
+		return fmt.Errorf("%w: subject %s", ErrMintDenied, s.ID)
 	}
-	return m.mintBound(BindingFingerprint(s), now)
+	return nil
 }
 
 // checkWallet is the full credential evaluation: the wallet must belong
@@ -131,19 +141,21 @@ func (m *Minter) checkWallet(s *policy.Subject) error {
 	return nil
 }
 
-// mintBound signs a token for an already-established fingerprint. It is
-// unexported on purpose: inside this package the only callers are Mint
+// mintBound signs a token for an already-established fingerprint and
+// returns it with the public half of the key that signed it (what the
+// Gate's verifier remembers the token under). It is unexported on
+// purpose: inside this package the only callers are Mint and Gate.mint
 // (after the full evaluation above) and the Gate's successor roll (after
 // a successful verification, which chains back to some Mint) — no path
 // reaches a signature without a policy decision at its root.
-func (m *Minter) mintBound(fp [16]byte, now time.Time) (*Token, error) {
+func (m *Minter) mintBound(fp [16]byte, now time.Time) (*Token, ed25519.PublicKey, error) {
 	var nb [8]byte
 	if _, err := rand.Read(nb[:]); err != nil {
-		return nil, fmt.Errorf("authtoken: nonce: %w", err)
+		return nil, nil, fmt.Errorf("authtoken: nonce: %w", err)
 	}
 	epoch, key := m.keys.SigningKey()
 	if len(key) != ed25519.PrivateKeySize {
-		return nil, fmt.Errorf("authtoken: no usable mint key for epoch %d", epoch)
+		return nil, nil, fmt.Errorf("authtoken: no usable mint key for epoch %d", epoch)
 	}
 	t := &Token{
 		Epoch:    epoch,
@@ -153,7 +165,7 @@ func (m *Minter) mintBound(fp [16]byte, now time.Time) (*Token, error) {
 	}
 	copy(t.Sig[:], ed25519.Sign(key, t.signedPrefix()))
 	m.minted.Add(1)
-	return t, nil
+	return t, ed25519.PublicKey(key[ed25519.SeedSize:]), nil
 }
 
 // MintStats is the counter snapshot debugz publishes.

@@ -44,11 +44,12 @@ type VerifyKeys interface {
 }
 
 // Verifier checks tokens statelessly: one signature verification against
-// the epoch key set, a timestamp window, and a nonce-consume in the
-// bounded replay cache. It holds no credential store and consults no
-// policy base — which is exactly why seclint's gatecheck only lets calls
-// to it count as an access gate because the *mint* side is provably
-// behind a real policy decision.
+// the epoch key set — skipped for a token it was told this process signed
+// under that same key (remember) — a timestamp window, and a
+// nonce-consume in the bounded replay cache. It holds no credential store
+// and consults no policy base — which is exactly why seclint's gatecheck
+// only lets calls to it count as an access gate because the *mint* side
+// is provably behind a real policy decision.
 type Verifier struct {
 	keys   VerifyKeys
 	ttl    time.Duration
@@ -56,6 +57,7 @@ type Verifier struct {
 	replay *replayCache
 
 	verified        atomic.Uint64
+	recognised      atomic.Uint64
 	expired         atomic.Uint64
 	futureSkew      atomic.Uint64
 	replayed        atomic.Uint64
@@ -128,7 +130,12 @@ func (v *Verifier) verifyBound(raw []byte, bind *[16]byte, now time.Time) (*Toke
 		v.unknownEpoch.Add(1)
 		return nil, fmt.Errorf("%w: epoch %d", ErrUnknownEpoch, t.Epoch)
 	}
-	if !ed25519.Verify(key, t.signedPrefix(), t.Sig[:]) {
+	// Decode accepts exactly the canonical encoding, so raw is the signed
+	// prefix followed by the signature. A token in the issued table was
+	// signed here under this very key and needs no curve check.
+	if v.replay != nil && v.replay.recognise(t.Nonce, key, raw) {
+		v.recognised.Add(1)
+	} else if !ed25519.Verify(key, raw[:signedLen], raw[signedLen:]) {
 		v.badSig.Add(1)
 		return nil, ErrBadSignature
 	}
@@ -146,8 +153,7 @@ func (v *Verifier) verifyBound(raw []byte, bind *[16]byte, now time.Time) (*Toke
 		return nil, ErrSubjectMismatch
 	}
 	if v.replay != nil {
-		expires := t.IssuedAt + int64(v.ttl/time.Second) + int64(v.skew/time.Second) + 1
-		if !v.replay.consume(t.Nonce, expires, now.Unix()) {
+		if !v.replay.consume(t.Nonce, v.forgetAt(t), now.Unix()) {
 			v.replayed.Add(1)
 			return nil, ErrReplay
 		}
@@ -156,9 +162,28 @@ func (v *Verifier) verifyBound(raw []byte, bind *[16]byte, now time.Time) (*Toke
 	return t, nil
 }
 
+// forgetAt is the instant, unix seconds, from which the time window
+// rejects t on its own, so nothing about it is worth remembering.
+func (v *Verifier) forgetAt(t *Token) int64 {
+	return t.IssuedAt + int64(v.ttl/time.Second) + int64(v.skew/time.Second) + 1
+}
+
+// remember records t as signed by this process under the private half of
+// pub, so that presenting it back here skips ed25519.Verify. A verifier
+// without a replay cache (read-replica mode) remembers nothing.
+func (v *Verifier) remember(pub ed25519.PublicKey, t *Token, now time.Time) {
+	if v.replay != nil {
+		v.replay.remember(t.Nonce, pub, t.Encode(), v.forgetAt(t), now.Unix())
+	}
+}
+
 // VerifierStats is the counter snapshot debugz publishes.
 type VerifierStats struct {
+	// Verified counts every accepted token; Recognised counts the
+	// signature checks among all presentations that were answered from
+	// the issued table instead of ed25519.Verify.
 	Verified        uint64
+	Recognised      uint64
 	Expired         uint64
 	FutureSkew      uint64
 	Replayed        uint64
@@ -172,17 +197,21 @@ type VerifierStats struct {
 	// undersized for the token population).
 	ReplayEntries   int
 	ReplayEvictions uint64
+	// IssuedEntries is the number of tokens signed here and not yet
+	// presented (or expired, or evicted).
+	IssuedEntries int
 }
 
 // Stats snapshots the verifier's counters.
 func (v *Verifier) Stats() VerifierStats {
-	var entries int
+	var entries, issued int
 	var evictions uint64
 	if v.replay != nil {
-		entries, evictions = v.replay.stats()
+		entries, issued, evictions = v.replay.stats()
 	}
 	return VerifierStats{
 		Verified:        v.verified.Load(),
+		Recognised:      v.recognised.Load(),
 		Expired:         v.expired.Load(),
 		FutureSkew:      v.futureSkew.Load(),
 		Replayed:        v.replayed.Load(),
@@ -192,6 +221,7 @@ func (v *Verifier) Stats() VerifierStats {
 		SubjectMismatch: v.subjectMismatch.Load(),
 		ReplayEntries:   entries,
 		ReplayEvictions: evictions,
+		IssuedEntries:   issued,
 	}
 }
 

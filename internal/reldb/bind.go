@@ -1,6 +1,9 @@
 package reldb
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+)
 
 // Predicate evaluation. An Expr is bound to a table's schema once per
 // execution — column names become positions, the operator string becomes a
@@ -52,10 +55,32 @@ func (e *CmpExpr) bind(s *Schema) (matcher, error) {
 	if lit.IsNull() {
 		return matchNone, nil
 	}
-	return func(r Row) bool {
+	// The literal's kind and the operator are known here, so the pairings
+	// scans spend their rows on — TEXT = 'x', an INT column against an INT
+	// — get a matcher that is compareTo's answer for that pairing without
+	// its per-row kind dispatch. Everything else, including any other kind
+	// turning up in an INT literal's column, is the generic closure.
+	if lit.Kind == KindString && e.Op == "=" {
+		want := lit.S
+		return func(r Row) bool {
+			v := &r[ci]
+			return v.Kind == KindString && v.S == want
+		}, nil
+	}
+	generic := func(r Row) bool {
 		v := &r[ci]
 		return v.Kind != KindNull && holds[compareTo(v, &lit)+1]
-	}, nil
+	}
+	if lit.Kind == KindInt {
+		n := lit.I
+		return func(r Row) bool {
+			if v := &r[ci]; v.Kind == KindInt {
+				return holds[cmp.Compare(v.I, n)+1]
+			}
+			return generic(r)
+		}, nil
+	}
+	return generic, nil
 }
 
 // bind implements Expr.

@@ -1,6 +1,7 @@
 package reldb
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -25,6 +26,11 @@ func refEval(e Expr, s *Schema, r Row) (bool, error) {
 			return false, nil
 		}
 		c := Compare(r[ci], x.Val)
+		if r[ci].Kind == KindInt && x.Val.Kind == KindInt {
+			// Two INTs order as integers, exactly — never through float64,
+			// which cannot tell 1<<53 from 1<<53 + 1.
+			c = cmp.Compare(r[ci].I, x.Val.I)
+		}
 		switch x.Op {
 		case "=":
 			return c == 0, nil
@@ -147,6 +153,39 @@ func TestBoundMatcherEqualsReference(t *testing.T) {
 		if e.String() != text {
 			t.Fatalf("binding rewrote the expression: %s became %s", text, e.String())
 		}
+	}
+}
+
+// TestIntEqualityScanAgreesWithHashIndex: INT = INT is exact on every
+// access path. Compared through float64, 1<<53 and 1<<53 + 1 were one
+// value to a scan (and to ORDER BY) and two to the hash index, which keys
+// them by their decimal text.
+func TestIntEqualityScanAgreesWithHashIndex(t *testing.T) {
+	db := NewDatabase()
+	mustExec(t, db, "CREATE TABLE t (a TEXT, b INT)")
+	mustExec(t, db, "INSERT INTO t VALUES ('odd', 9007199254740993)")
+	mustExec(t, db, "INSERT INTO t VALUES ('even', 9007199254740992)")
+	const q = "SELECT a FROM t WHERE b = 9007199254740992"
+	want := [][]Value{{Str("even")}}
+	check := func(path string) {
+		t.Helper()
+		got := mustExec(t, db, q)
+		if len(got.Rows) != 1 || got.Rows[0][0] != want[0][0] {
+			t.Errorf("%s: %s returned %v, want %v", path, q, got.Rows, want)
+		}
+	}
+	check("scan")
+	if got := mustExec(t, db, "SELECT a FROM t ORDER BY b"); len(got.Rows) != 2 || got.Rows[0][0].S != "even" {
+		t.Errorf("ORDER BY b: %v, want even before odd", got.Rows)
+	}
+	mustExec(t, db, "CREATE HASH INDEX ON t (b)")
+	check("hash index")
+	mustExec(t, db, "CREATE TABLE u (a TEXT, b INT)")
+	mustExec(t, db, "INSERT INTO u VALUES ('odd', 9007199254740993)")
+	mustExec(t, db, "INSERT INTO u VALUES ('even', 9007199254740992)")
+	mustExec(t, db, "CREATE ORDERED INDEX ON u (b)")
+	if got := mustExec(t, db, "SELECT a FROM u WHERE b > 9007199254740992"); len(got.Rows) != 1 || got.Rows[0][0].S != "odd" {
+		t.Errorf("ordered index: b > 1<<53 returned %v, want the odd row", got.Rows)
 	}
 }
 

@@ -9,6 +9,7 @@
 package reldb
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 	"strings"
@@ -91,9 +92,10 @@ func (v Value) asFloat() (float64, bool) {
 	return 0, false
 }
 
-// Compare orders two values: -1, 0 or +1. NULL sorts first; numeric kinds
-// compare numerically across int/float; mismatched non-numeric kinds
-// compare by kind. The boolean false sorts before true.
+// Compare orders two values: -1, 0 or +1. NULL sorts first; two INTs
+// compare as integers (exactly, as the hash index keys them), an INT and a
+// FLOAT as float64; mismatched non-numeric kinds compare by kind. The
+// boolean false sorts before true.
 func Compare(a, b Value) int { return compareTo(&a, &b) }
 
 // compareTo is Compare without copying its operands — the form the
@@ -108,6 +110,9 @@ func compareTo(a, b *Value) int {
 		default:
 			return 1
 		}
+	}
+	if a.Kind == KindInt && b.Kind == KindInt {
+		return cmp.Compare(a.I, b.I)
 	}
 	if af, ok := a.asFloat(); ok {
 		if bf, ok2 := b.asFloat(); ok2 {
