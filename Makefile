@@ -94,14 +94,16 @@ crashshort:
 
 # fuzzshort gives every fuzz target a short budget on each check run: the
 # decoders that parse attacker-controlled bytes (WAL records, auth
-# tokens, wsa envelopes) must never panic, whatever the input — and the
-# envelope decoder must keep accepting, with an identical body, whatever
-# its print-and-parse reference accepts. The corpus accumulated under
+# tokens, wsa envelopes, SQL text) must never panic, whatever the input —
+# the envelope decoder must keep accepting, with an identical body, whatever
+# its print-and-parse reference accepts, and any SELECT the SQL parser
+# accepts must execute without panicking. The corpus accumulated under
 # testdata/ replays first, so past crashers stay fixed.
 fuzzshort:
 	$(GO) test -run '^$$' -fuzz FuzzTokenDecode -fuzztime 5s ./internal/authtoken/
 	$(GO) test -run '^$$' -fuzz FuzzWALDecode -fuzztime 5s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEnvelope -fuzztime 5s ./internal/wsa/
+	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 5s ./internal/reldb/
 
 # failovershort is the replication gate wired into check: a 3-node
 # cluster elects, replicates, survives kill-the-leader at sampled byte

@@ -1,6 +1,7 @@
-// Command benchgen runs the synthetic experiment suite (DESIGN.md, E1–E14)
-// and prints one table per experiment — the rows recorded in
-// EXPERIMENTS.md. Unlike the testing.B benchmarks (which measure time),
+// Command benchgen runs the synthetic experiment suite (DESIGN.md, E1–E16,
+// E20, E22; the repository benchmark under bench/ answers the rest) and
+// prints one table per experiment — the rows recorded in EXPERIMENTS.md.
+// Unlike the testing.B benchmarks (which measure time),
 // benchgen also reports the quality metrics: mining precision/recall under
 // randomization, auxiliary-hash counts of Merkle proofs, inference
 // block rates, auction throughput under contention.
@@ -41,30 +42,21 @@ var experiments = []struct {
 	{"E14", "auction transaction model: open-bid vs locking", runE14},
 	{"E15", "federated query scaling and clearance filtering", runE15},
 	{"E16", "provenance-aware RDFS inference vs plain inference", runE16},
-	{"E17", "decision cache: uncached vs cold vs warm, Zipf hit rate", runE17},
-	{"E19", "WAL group commit: durable commit throughput vs committer count", runE19},
 	{"E20", "WAL-shipped replication: commit latency, catch-up lag, failover time vs follower count", runE20},
-	{"E21", "MVCC snapshot reads vs locked reads under committing writers; fuzzy-checkpoint stall", runE21},
 	{"E22", "stateless token fast path: wallet evaluation vs single-verification tokens over HTTP", runE22},
 }
 
 func main() {
 	runFlag := flag.String("run", "", "experiment id to run (default: all)")
 	quick := flag.Bool("quick", false, "use smaller workloads")
-	snapshotFlag := flag.String("snapshot", "", "write the before/after JSON record (-run selects E17, E19, E20, E21 or E22; default E17) to this file and exit")
+	snapshotFlag := flag.String("snapshot", "", "write the JSON record of -run E20 or E22 to this file and exit")
 	flag.Parse()
 
 	if *snapshotFlag != "" {
 		var err error
 		switch strings.ToUpper(*runFlag) {
-		case "", "E17":
-			err = writeSnapshot(*snapshotFlag, *quick)
-		case "E19":
-			err = writeSnapshotE19(*snapshotFlag, *quick)
 		case "E20":
 			err = writeSnapshotE20(*snapshotFlag, *quick)
-		case "E21":
-			err = writeSnapshotE21(*snapshotFlag, *quick)
 		case "E22":
 			err = writeSnapshotE22(*snapshotFlag, *quick)
 		default:

@@ -5,12 +5,16 @@
 //
 // Endpoints:
 //
-//	POST /query    form fields: subject, roles (comma-separated), sql
-//	POST /exec     same fields; for INSERT/UPDATE/DELETE
-//	POST /agg      same fields; aggregates over the subject's visible rows
+//	POST /query    form fields: subject, roles (comma-separated), sql: a
+//	               SELECT, aggregate or not, through the whole pipeline
+//	POST /agg      the same handler as /query, under its old name
+//	POST /exec     same fields; INSERT/UPDATE/DELETE; leader only
 //	POST /token    subject, roles: mint an auth token (X-Auth-Token)
-//	GET  /explain  sql: the access plan
-//	GET  /audit    the audit trail
+//	GET  /explain  sql: the access plan (unauthenticated)
+//	GET  /audit    the audit trail (unauthenticated)
+//
+// The statement, not the route, decides what runs: a write sent to /query,
+// or a SELECT sent to /exec, is refused (403) and audited, touching no table.
 //
 // Example:
 //
@@ -274,18 +278,9 @@ func (g grantMintGate) AllowMint(s *policy.Subject) bool {
 	return w.DB().Grants().HasPrivilege(s.ID, sysr.Select, "patients")
 }
 
-// newAuthService builds the mint-capable token service over a fresh keyring.
-func newAuthService(ttl time.Duration, current func() *core.SecureWebDB) (*authtoken.Service, error) {
-	ring, err := keymgmt.NewMintKeyring(2)
-	if err != nil {
-		return nil, err
-	}
-	return newAuthServiceWithRing(ring, ttl, current)
-}
-
-// newAuthServiceWithRing builds the mint-capable token service a leading
-// node runs: verifier and minter over ring, gated on the live grant catalog.
-func newAuthServiceWithRing(ring *keymgmt.MintKeyring, ttl time.Duration, current func() *core.SecureWebDB) (*authtoken.Service, error) {
+// newAuthService builds the mint-capable token service a leading node
+// runs: verifier and minter over ring, gated on the live grant catalog.
+func newAuthService(ring *keymgmt.MintKeyring, ttl time.Duration, current func() *core.SecureWebDB) (*authtoken.Service, error) {
 	minter, err := authtoken.NewMinter(ring, credential.NewVerifier(), grantMintGate{current: current}, ttl)
 	if err != nil {
 		return nil, err
@@ -296,43 +291,27 @@ func newAuthServiceWithRing(ring *keymgmt.MintKeyring, ttl time.Duration, curren
 	}}, nil
 }
 
-// authSubject resolves the request's serving subject: through the token
-// gate when the surface has one (fast path, wallet fallback, or legacy
-// passthrough), straight from the form fields when token auth is off.
-func authSubject(rw http.ResponseWriter, r *http.Request, auth *authtoken.Service) (*policy.Subject, bool) {
-	if auth != nil {
-		return auth.Authorize(rw, r)
-	}
-	subject := &policy.Subject{ID: r.FormValue("subject")}
-	if roles := r.FormValue("roles"); roles != "" {
-		subject.Roles = strings.Split(roles, ",")
-	}
-	return subject, true
-}
-
 // pipelineHandler serves one request against one pipeline and its gate.
 type pipelineHandler func(rw http.ResponseWriter, r *http.Request, w *core.SecureWebDB, auth *authtoken.Service)
 
-// handler binds the /query (isQuery) or /exec endpoint to one fixed pipeline.
-func handler(w *core.SecureWebDB, auth *authtoken.Service, isQuery bool) http.HandlerFunc {
-	return func(rw http.ResponseWriter, r *http.Request) {
-		if isQuery {
-			serveQuery(rw, r, w, auth)
-		} else {
-			serveExec(rw, r, w, auth, nil)
-		}
-	}
-}
-
 // statement authenticates a POSTed (subject, sql) pair; on !ok the refusal
-// is already written.
+// is already written. The serving subject comes through the token gate when
+// the surface has one (fast path, wallet fallback, or legacy passthrough),
+// straight from the form fields when token auth is off.
 func statement(rw http.ResponseWriter, r *http.Request, auth *authtoken.Service) (subject *policy.Subject, sql string, ok bool) {
 	if r.Method != http.MethodPost {
 		http.Error(rw, "POST only", http.StatusMethodNotAllowed)
 		return nil, "", false
 	}
-	if subject, ok = authSubject(rw, r, auth); !ok {
-		return nil, "", false
+	if auth != nil {
+		if subject, ok = auth.Authorize(rw, r); !ok {
+			return nil, "", false
+		}
+	} else {
+		subject = &policy.Subject{ID: r.FormValue("subject")}
+		if roles := r.FormValue("roles"); roles != "" {
+			subject.Roles = strings.Split(roles, ",")
+		}
 	}
 	sql = r.FormValue("sql")
 	if subject.ID == "" || sql == "" {
@@ -343,8 +322,8 @@ func statement(rw http.ResponseWriter, r *http.Request, auth *authtoken.Service)
 }
 
 // appendReply renders a result as tab-separated lines under a header
-// line, then the privacy and inference note lines a /query reply carries
-// when there is something to note.
+// line, then the privacy and inference note lines the reply carries when
+// there is something to note.
 func appendReply(b []byte, res *reldb.Result, masked, derived []string) []byte {
 	b = append(appendJoined(b, res.Columns, "\t"), '\n')
 	for _, row := range res.Rows {
@@ -393,6 +372,8 @@ func writeReply(rw http.ResponseWriter, res *reldb.Result, masked, derived []str
 	rw.Write(appendReply(b, res, masked, derived)) // a failed Write is the client gone; there is no one to tell
 }
 
+// serveQuery runs a SELECT, aggregate or not, through the whole pipeline;
+// it is /query and /agg.
 func serveQuery(rw http.ResponseWriter, r *http.Request, w *core.SecureWebDB, auth *authtoken.Service) {
 	subject, sql, ok := statement(rw, r, auth)
 	if !ok {
@@ -428,25 +409,6 @@ func serveExec(rw http.ResponseWriter, r *http.Request, w *core.SecureWebDB, aut
 		}
 	}
 	fmt.Fprintf(rw, "ok, %d row(s) affected\n", res.Affected)
-}
-
-// serveAgg serves statistical queries through the secure aggregate path:
-// the subject only ever aggregates over its visible rows.
-func serveAgg(rw http.ResponseWriter, r *http.Request, w *core.SecureWebDB, auth *authtoken.Service) {
-	if r.Method != http.MethodPost {
-		http.Error(rw, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	subject, ok := authSubject(rw, r, auth)
-	if !ok {
-		return
-	}
-	res, err := w.DB().ExecAggregateSecure(subject, r.FormValue("sql"))
-	if err != nil {
-		http.Error(rw, err.Error(), http.StatusForbidden)
-		return
-	}
-	writeReply(rw, res, nil, nil)
 }
 
 // serveExplain prints the access plan the engine would choose.

@@ -82,7 +82,7 @@ func newServer(c config) (*server, error) {
 		if s.ring, err = keymgmt.NewMintKeyring(2); err != nil {
 			return nil, fmt.Errorf("token auth: %w", err)
 		}
-		if s.leaderAuth, err = newAuthServiceWithRing(s.ring, c.tokenTTL, s.serving.Load); err != nil {
+		if s.leaderAuth, err = newAuthService(s.ring, c.tokenTTL, s.serving.Load); err != nil {
 			return nil, fmt.Errorf("token auth: %w", err)
 		}
 	}
@@ -271,7 +271,7 @@ func (s *server) mux(debug bool) *http.ServeMux {
 	mux.HandleFunc("/exec", s.serve(true, func(rw http.ResponseWriter, r *http.Request, w *core.SecureWebDB, a *authtoken.Service) {
 		serveExec(rw, r, w, a, s.committed)
 	}))
-	mux.HandleFunc("/agg", s.serve(false, serveAgg))
+	mux.HandleFunc("/agg", s.serve(false, serveQuery))
 	mux.HandleFunc("/explain", s.serve(false, serveExplain))
 	mux.HandleFunc("/audit", func(rw http.ResponseWriter, r *http.Request) {
 		for _, rec := range s.auditLog.Records() {

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"webdbsec/internal/authtoken"
+	"webdbsec/internal/policy"
 	"webdbsec/internal/reldb"
 	"webdbsec/internal/replication"
 	"webdbsec/internal/resilience/faultinject"
@@ -159,6 +160,22 @@ func script(t *testing.T, s *server) []string {
 	step(do(h, "POST", "/query", sqlForm("ana", "analyst", "SELECT zip FROM patients WHERE name = 'person-0003'"), ""))
 	step(do(h, "POST", "/agg", sqlForm("ana", "analyst", "SELECT COUNT(*) FROM patients"), ""))
 	step(do(h, "POST", "/agg", sqlForm("mallory", "analyst", "SELECT COUNT(*) FROM patients"), ""))
+	// {name, disease} is private: the aggregate's disease column comes back
+	// withheld (or the request refused), never the values.
+	byName := step(do(h, "POST", "/agg", sqlForm("ana", "analyst", "SELECT MIN(disease) FROM patients GROUP BY name"), ""))
+	if byName.status == 200 {
+		lines := strings.Split(strings.TrimSpace(byName.body), "\n")
+		if len(lines) != 27 || lines[26] != "# masked by privacy constraints: MIN(disease)" {
+			t.Errorf("MIN(disease) by name: %d lines ending %q", len(lines), lines[len(lines)-1])
+		}
+		for _, l := range lines[1:26] {
+			if !strings.HasSuffix(l, "\tNULL") {
+				t.Errorf("MIN(disease) by name released %q", l)
+			}
+		}
+	} else if !strings.Contains(byName.body, "infer") {
+		t.Errorf("MIN(disease) by name = %d %q", byName.status, byName.body)
+	}
 	step(do(h, "POST", "/explain", url.Values{"sql": {"SELECT age FROM patients WHERE age > 3"}}, ""))
 	step(do(h, "POST", "/explain", url.Values{"sql": {"SELEC"}}, ""))
 	step(do(h, "GET", "/audit", nil, ""))
@@ -193,7 +210,7 @@ func TestModeEquivalence(t *testing.T) {
 			t.Errorf("step %d differs:\nsingle node: %s\ngroup leader: %s", i, want[i], got[i])
 		}
 	}
-	if !strings.HasPrefix(want[len(want)-1], "200 ") || strings.Count(want[len(want)-1], "\n") != 6 {
+	if !strings.HasPrefix(want[len(want)-1], "200 ") || strings.Count(want[len(want)-1], "\n") != 9 {
 		t.Errorf("audit trail looks wrong: %q", want[len(want)-1])
 	}
 
@@ -217,8 +234,10 @@ func TestModeEquivalence(t *testing.T) {
 }
 
 // TestFollowerServesReadsRefusesWrites: a replica answers /query and
-// /explain through the same gate and refuses /exec and /token with the
-// leader hint.
+// /explain through the same gate, refuses /exec and /token with the leader
+// hint, and cannot be written through any route: at the parent of PR 24
+// /query executed an UPDATE on a follower, which then held a row the leader
+// never wrote.
 func TestFollowerServesReadsRefusesWrites(t *testing.T) {
 	group, leader := startGroup(t, "n1", "n2", "n3")
 	if r := do(leader.mux(false), "POST", "/exec", sqlForm("dba", "analyst", "UPDATE patients SET zip = '4' WHERE name = 'person-0004'"), ""); r.status != 200 {
@@ -246,11 +265,26 @@ func TestFollowerServesReadsRefusesWrites(t *testing.T) {
 		if r := do(h, "POST", "/explain", url.Values{"sql": {"SELECT age FROM patients"}}, ""); r.status != 200 {
 			t.Errorf("%s: /explain on a replica: %d %s", id, r.status, r.body)
 		}
+		update := sqlForm("dba", "analyst", "UPDATE patients SET zip = '5' WHERE name = 'person-0004'")
 		for _, path := range []string{"/exec", "/token"} {
-			r := do(h, "POST", path, sqlForm("dba", "analyst", "UPDATE patients SET zip = '5' WHERE name = 'person-0004'"), "")
+			r := do(h, "POST", path, update, "")
 			if r.status != http.StatusServiceUnavailable || !strings.Contains(r.body, "writes go to "+leader.nodeID) {
 				t.Errorf("%s: %s on a replica = %d %q, want 503 naming the leader", id, path, r.status, r.body)
 			}
+		}
+		// The read routes refuse a write by its kind, and the replica's
+		// database refuses it whatever route might reach it.
+		for _, path := range []string{"/query", "/agg"} {
+			if r := do(h, "POST", path, update, ""); r.status != http.StatusForbidden || !strings.Contains(r.body, "not a SELECT") {
+				t.Errorf("%s: UPDATE on %s of a replica = %d %q, want 403", id, path, r.status, r.body)
+			}
+		}
+		if _, err := s.serving.Load().DB().Exec(&policy.Subject{ID: "dba", Roles: []string{"analyst"}}, update.Get("sql")); err == nil || !strings.Contains(err.Error(), "read-only replica") {
+			t.Errorf("%s: UPDATE straight into a replica's database: %v, want the read-only refusal", id, err)
+		}
+		all := sqlForm("ana", "analyst", "SELECT zip, age FROM patients")
+		if mine, theirs := do(h, "POST", "/query", all, ""), do(leader.mux(false), "POST", "/query", all, ""); mine != theirs || mine.status != 200 {
+			t.Errorf("%s: replica read after the refused writes differs from the leader's:\n%v\n%v", id, mine, theirs)
 		}
 	}
 }

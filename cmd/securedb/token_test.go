@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"webdbsec/internal/authtoken"
-	"webdbsec/internal/core"
 )
 
 // End-to-end over the real HTTP surface: mint at /token (gated on the
@@ -18,20 +17,14 @@ import (
 
 func newTokenTestServer(t *testing.T) (*httptest.Server, *authtoken.Service) {
 	t.Helper()
-	w := core.NewSecureWebDB(core.Config{})
-	if err := setupDemo(w, 25, true); err != nil {
-		t.Fatalf("demo: %v", err)
-	}
-	svc, err := newAuthService(time.Minute, func() *core.SecureWebDB { return w })
+	s, err := newServer(config{people: 25, tokenTTL: time.Minute})
 	if err != nil {
-		t.Fatalf("auth service: %v", err)
+		t.Fatalf("newServer: %v", err)
 	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/query", handler(w, svc, true))
-	mux.HandleFunc("/token", svc.MintHandler())
-	ts := httptest.NewServer(mux)
+	t.Cleanup(s.close)
+	ts := httptest.NewServer(s.mux(false))
 	t.Cleanup(ts.Close)
-	return ts, svc
+	return ts, s.leaderAuth
 }
 
 func mintToken(t *testing.T, ts *httptest.Server, subject, roles string) (string, int) {

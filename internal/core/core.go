@@ -6,6 +6,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"webdbsec/internal/audit"
 	"webdbsec/internal/inference"
@@ -15,16 +16,20 @@ import (
 )
 
 // SecureWebDB is the full §3.1+§3.3 pipeline in front of the relational
-// substrate. A query passes, in order:
+// substrate. A statement is parsed once, must be of the kind its entry
+// serves — Query reads, Execute writes; the other kind is refused, and
+// audited, before it touches a table — and then passes, in order:
 //
 //  1. System R privilege check and row/column policy rewrite
 //     (reldb.SecureDB) — discretionary access control;
-//  2. privacy-constraint filtering of the result columns
-//     (privacy.Controller) — the privacy controller;
-//  3. the inference controller (inference.Controller) — the released
-//     attribute set, combined with the requestor's history, must not let
-//     it derive anything the constraints protect;
+//  2. (reads) privacy-constraint filtering of the result columns, by source
+//     attribute (privacy.Controller) — the privacy controller;
+//  3. (reads) the inference controller (inference.Controller) — the
+//     released attribute set, combined with the requestor's history, must
+//     not let it derive anything the constraints protect;
 //  4. the audit log records the decision either way.
+//
+// An aggregate is a read: F(col) releases col, COUNT(*) no attribute.
 type SecureWebDB struct {
 	sec   *reldb.SecureDB
 	priv  *privacy.Controller
@@ -80,23 +85,43 @@ type QueryOutcome struct {
 	Derived []string
 }
 
-// Query runs a SELECT through the whole pipeline.
+// access is the first stage of both entries: the statement is parsed once,
+// must be of the kind the entry serves, and that parse then passes
+// SecureDB's gate.
+func (w *SecureWebDB) access(s *policy.Subject, sql string, read bool) (reldb.Stmt, *reldb.Result, error) {
+	st, err := w.sec.Parse(sql)
+	if err != nil {
+		return nil, nil, err
+	}
+	if _, isRead := st.(*reldb.SelectStmt); isRead != read {
+		if read {
+			return nil, nil, fmt.Errorf("core: query refused: not a SELECT; INSERT, UPDATE and DELETE go through execute")
+		}
+		return nil, nil, fmt.Errorf("core: execute refused: a SELECT is a query, not a write")
+	}
+	res, err := w.sec.ExecStmt(s, st)
+	return st, res, err
+}
+
+// Query runs a SELECT, aggregate or not, through the whole pipeline.
 func (w *SecureWebDB) Query(s *policy.Subject, sql string) (*QueryOutcome, error) {
-	res, err := w.sec.Exec(s, sql)
+	st, res, err := w.access(s, sql, true)
 	if err != nil {
 		w.log.Append(s.ID, "query", sql, "deny:access")
 		return nil, err
 	}
 	masked := w.priv.FilterResult(s, res)
-	// Only columns that actually flow to the subject count for inference.
-	var released []string
-	maskedSet := map[string]bool{}
-	for _, m := range masked {
-		maskedSet[m] = true
+	// A masked cell is NULLed after the fold, which is too late for the
+	// GROUP BY column: its rows would stand one per hidden value.
+	if by := st.(*reldb.SelectStmt).GroupBy; by != "" && slices.Contains(masked, by) {
+		w.log.Append(s.ID, "query", sql, "deny:privacy:"+by)
+		return nil, fmt.Errorf("core: query refused: grouping by %s, which privacy constraints withhold from %s, would release one row per hidden value", by, s.ID)
 	}
-	for _, c := range res.Columns {
-		if !maskedSet[c] {
-			released = append(released, c)
+	// Only attributes that actually flow to the subject count for inference.
+	var released []string
+	for i, attr := range res.Attributes() {
+		if attr != "" && !slices.Contains(masked, res.Columns[i]) {
+			released = append(released, attr)
 		}
 	}
 	dec := w.infer.Check(s, released)
@@ -109,10 +134,10 @@ func (w *SecureWebDB) Query(s *policy.Subject, sql string) (*QueryOutcome, error
 	return &QueryOutcome{Result: res, MaskedColumns: masked, Derived: dec.Derived}, nil
 }
 
-// Execute runs non-SELECT DML through the access control layer with
-// auditing.
+// Execute runs INSERT, UPDATE or DELETE through the access control layer
+// with auditing.
 func (w *SecureWebDB) Execute(s *policy.Subject, sql string) (*reldb.Result, error) {
-	res, err := w.sec.Exec(s, sql)
+	_, res, err := w.access(s, sql, false)
 	if err != nil {
 		w.log.Append(s.ID, "execute", sql, "deny")
 		return nil, err

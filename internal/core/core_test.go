@@ -152,6 +152,105 @@ func TestExecuteAudited(t *testing.T) {
 	}
 }
 
+// lastOutcome is the newest audit record's outcome.
+func lastOutcome(w *SecureWebDB) string {
+	recs := w.Audit().Records()
+	return recs[len(recs)-1].Outcome
+}
+
+// TestAggregateIsAQuery: an aggregate passes the same four stages as any
+// SELECT, keyed on source attributes — MIN(disease) beside name is the
+// private pair, COUNT(*) releases nothing, and what MIN(name), MIN(zip)
+// release feeds the inference history like the columns themselves.
+func TestAggregateIsAQuery(t *testing.T) {
+	w, analyst := setupPipeline(t)
+	before := w.Audit().Len()
+	out, err := w.Query(analyst, "SELECT COUNT(*), MIN(disease) FROM patients GROUP BY name")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out.MaskedColumns) != 1 || out.MaskedColumns[0] != "MIN(disease)" || len(out.Result.Rows) != 2 {
+		t.Fatalf("masked = %v, rows = %v", out.MaskedColumns, out.Result.Rows)
+	}
+	for _, r := range out.Result.Rows {
+		if !r[2].IsNull() || r[1] != reldb.Int(1) {
+			t.Errorf("row %v: want the disease withheld and the count kept", r)
+		}
+	}
+	if w.Audit().Len() != before+1 || lastOutcome(w) != "permit" {
+		t.Errorf("audit grew by %d, last %q", w.Audit().Len()-before, lastOutcome(w))
+	}
+	if hist := w.Inference().History("ana"); strings.Join(hist, ",") != "name" {
+		t.Errorf("history after the masked aggregate = %v, want only name", hist)
+	}
+	if _, err := w.Query(analyst, "SELECT COUNT(*) FROM patients"); err != nil {
+		t.Fatal(err)
+	}
+	if hist := w.Inference().History("ana"); strings.Join(hist, ",") != "name" {
+		t.Errorf("COUNT(*) entered the history: %v", hist)
+	}
+	if _, err := w.Query(analyst, "SELECT MIN(name), MAX(zip) FROM patients"); err != nil {
+		t.Fatalf("name and zip aggregates blocked: %v", err)
+	}
+	if _, err := w.Query(analyst, "SELECT MAX(disease) FROM patients"); err == nil || !strings.HasPrefix(lastOutcome(w), "deny:inference") {
+		t.Errorf("MAX(disease) after name and zip: err %v, outcome %q; want an inference refusal", err, lastOutcome(w))
+	}
+}
+
+// TestGroupByWithheldAttributeRefused: when the GROUP BY column is itself
+// withheld, masking its cells afterwards would leave one row per hidden
+// value; the query is refused instead.
+func TestGroupByWithheldAttributeRefused(t *testing.T) {
+	w, analyst := setupPipeline(t)
+	if err := w.Privacy().Add(&privacy.Constraint{Name: "disease-alone", Attrs: []string{"disease"}, Class: privacy.Private}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Query(analyst, "SELECT COUNT(*) FROM patients GROUP BY disease"); err == nil || lastOutcome(w) != "deny:privacy:disease" {
+		t.Errorf("grouping by a withheld attribute: err %v, outcome %q", err, lastOutcome(w))
+	}
+	if out, err := w.Query(analyst, "SELECT COUNT(*), MAX(disease) FROM patients GROUP BY age"); err != nil || !out.Result.Rows[0][2].IsNull() {
+		t.Errorf("aggregating a withheld attribute: %v, %v; want it masked, not refused", out, err)
+	}
+}
+
+// TestStatementKindDecidesTheEntry: a write sent to Query and a read sent to
+// Execute are refused and audited before they touch a table, whoever sends
+// them.
+func TestStatementKindDecidesTheEntry(t *testing.T) {
+	w, analyst := setupPipeline(t)
+	dba := &policy.Subject{ID: "dba"}
+	for _, s := range []*policy.Subject{dba, analyst} {
+		for _, sql := range []string{
+			"UPDATE patients SET zip = 'x'", "DELETE FROM patients",
+			"INSERT INTO patients VALUES ('Eve', '1', 1, 'flu')", "CREATE TABLE t (a INT)",
+		} {
+			before := w.Audit().Len()
+			if _, err := w.Query(s, sql); err == nil || !strings.Contains(err.Error(), "not a SELECT") {
+				t.Errorf("Query(%s, %q) = %v, want a kind refusal", s.ID, sql, err)
+			}
+			if w.Audit().Len() != before+1 || lastOutcome(w) != "deny:access" {
+				t.Errorf("Query(%s, %q): audit grew by %d, last %q", s.ID, sql, w.Audit().Len()-before, lastOutcome(w))
+			}
+		}
+		for _, sql := range []string{"SELECT age FROM patients", "SELECT COUNT(*) FROM patients"} {
+			before := w.Audit().Len()
+			if res, err := w.Execute(s, sql); err == nil || !strings.Contains(err.Error(), "is a query") {
+				t.Errorf("Execute(%s, %q) = %v, %v, want a kind refusal", s.ID, sql, res, err)
+			}
+			if w.Audit().Len() != before+1 || lastOutcome(w) != "deny" {
+				t.Errorf("Execute(%s, %q): audit grew by %d, last %q", s.ID, sql, w.Audit().Len()-before, lastOutcome(w))
+			}
+		}
+	}
+	raw, err := w.DB().DB().Exec("SELECT name, zip FROM patients ORDER BY name")
+	if err != nil || len(raw.Rows) != 2 || raw.Rows[0][1] != reldb.Str("10001") {
+		t.Errorf("table after the refused statements = %v, %v", raw, err)
+	}
+	if hist := w.Inference().History("ana"); len(hist) != 0 {
+		t.Errorf("a refused Execute fed the inference history: %v", hist)
+	}
+}
+
 func TestDefaultsConstructed(t *testing.T) {
 	w := NewSecureWebDB(Config{})
 	if w.DB() == nil || w.Privacy() == nil || w.Inference() == nil || w.Audit() == nil {

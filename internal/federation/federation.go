@@ -260,7 +260,7 @@ func (r *Result) Partial() bool { return len(r.Failed) > 0 }
 // union and reported in Result.Failed — the query still answers from the
 // healthy members, in bounded time. Query returns an error only for
 // request-level problems (parse error, unknown virtual table, unexported
-// column) or when EVERY eligible source failed.
+// column, aggregate select list) or when EVERY eligible source failed.
 func (f *Federation) Query(ctx context.Context, req *Requestor, src string) (*Result, error) {
 	sel, err := f.parsed.Do(src, func() (*reldb.SelectStmt, error) {
 		st, err := reldb.Parse(src)
@@ -270,6 +270,11 @@ func (f *Federation) Query(ctx context.Context, req *Requestor, src string) (*Re
 		sel, ok := st.(*reldb.SelectStmt)
 		if !ok {
 			return nil, fmt.Errorf("federation: only SELECT is federated")
+		}
+		if len(sel.Aggs) > 0 {
+			// Each source would fold its own rows and the union would hold
+			// one partial aggregate per source: a wrong answer, not a slow one.
+			return nil, fmt.Errorf("federation: aggregate SELECT is not federated (a union of per-source aggregates is not the aggregate); select the rows and fold them")
 		}
 		return sel, nil
 	})

@@ -170,6 +170,14 @@ func TestFederationErrors(t *testing.T) {
 	if _, err := f.Query(context.Background(), req, "DELETE FROM cases"); err == nil {
 		t.Error("federated DML accepted")
 	}
+	// A union of per-source aggregates would be silently wrong: refused as
+	// a request-level error, before any source runs.
+	for _, agg := range []string{"SELECT COUNT(*) FROM cases", "SELECT MAX(patient) FROM cases GROUP BY disease"} {
+		res, err := f.Query(context.Background(), req, agg)
+		if err == nil || !strings.Contains(err.Error(), "aggregate SELECT is not federated") {
+			t.Errorf("%q = %v, %v; want the aggregate refusal", agg, res, err)
+		}
+	}
 	// Duplicate source names rejected.
 	dup := NewSource("city", reldb.NewDatabase(), rdf.Unclassified)
 	if err := f.AddSource(dup); err == nil {

@@ -128,22 +128,28 @@ func (c *Controller) MayRelease(s *policy.Subject, attrs []string) bool {
 	return true
 }
 
-// FilterResult enforces the constraints on a query result whose columns
-// are attributes: any column whose combination with the other released
-// columns violates a constraint for this subject is masked to NULL,
-// greedily dropping the *later* columns of violating combinations so the
-// maximal prefix survives. It returns the masked column names.
+// FilterResult enforces the constraints on a query result: any column
+// whose attribute, combined with the attributes already released, violates
+// a constraint for this subject is masked to NULL, greedily dropping the
+// *later* columns of violating combinations so the maximal prefix survives.
+// A column's attribute is its source attribute (res.Attributes): the column
+// itself in a row result, col for an aggregate F(col) — which releases
+// something about col — and none for COUNT(*). It returns the masked column
+// names.
 func (c *Controller) FilterResult(s *policy.Subject, res *reldb.Result) []string {
 	released := []string{}
 	masked := []string{}
 	maskedIdx := []int{}
-	for i, col := range res.Columns {
-		trial := append(append([]string(nil), released...), col)
+	for i, attr := range res.Attributes() {
+		if attr == "" {
+			continue
+		}
+		trial := append(append([]string(nil), released...), attr)
 		if c.MayRelease(s, trial) {
 			released = trial
 			continue
 		}
-		masked = append(masked, col)
+		masked = append(masked, res.Columns[i])
 		maskedIdx = append(maskedIdx, i)
 	}
 	for _, ci := range maskedIdx {

@@ -117,6 +117,25 @@ func TestFilterResultMasksViolatingColumns(t *testing.T) {
 	}
 }
 
+// TestFilterResultKeysOnSourceAttributes: an aggregate column is judged by
+// the attribute it was computed from — MIN(disease) beside name is the
+// private {name, disease} combination — and COUNT(*) by none.
+func TestFilterResultKeysOnSourceAttributes(t *testing.T) {
+	c := controller(t)
+	res := &reldb.Result{
+		Columns: []string{"name", "COUNT(*)", "MIN(disease)", "MAX(age)"},
+		Attrs:   []string{"name", "", "disease", "age"},
+		Rows:    []reldb.Row{{reldb.Str("Ada"), reldb.Int(1), reldb.Str("flu"), reldb.Int(30)}},
+	}
+	masked := c.FilterResult(&policy.Subject{ID: "anyone"}, res)
+	if len(masked) != 1 || masked[0] != "MIN(disease)" {
+		t.Fatalf("masked = %v, want the MIN(disease) column", masked)
+	}
+	if r := res.Rows[0]; !r[2].IsNull() || r[0].IsNull() || r[1].IsNull() || r[3].IsNull() {
+		t.Errorf("row after masking = %v", r)
+	}
+}
+
 func TestFilterResultRespectsNeedToKnow(t *testing.T) {
 	c := controller(t)
 	res := &reldb.Result{

@@ -3,323 +3,153 @@ package reldb
 import (
 	"fmt"
 	"sort"
-	"strings"
-
-	"webdbsec/internal/policy"
-	"webdbsec/internal/sysr"
 )
 
-// Aggregate queries: SELECT COUNT(*), SUM(col), AVG(col), MIN(col),
-// MAX(col) FROM t [WHERE ...] [GROUP BY col]. Statistical queries are the
-// workhorse of the paper's privacy scenarios — researchers get aggregates
-// while row-level access is constrained — so they are first-class here.
+// Aggregate SELECTs: COUNT(*), COUNT/SUM/AVG/MIN/MAX(col) [GROUP BY col].
+// Statistical queries are the workhorse of the paper's privacy scenarios —
+// researchers get aggregates while row-level access is constrained — and
+// they are ordinary SELECTs: the same parser, scan and gates, with a fold
+// where a row statement sorts and projects.
 
-// AggFunc names an aggregate function.
-type AggFunc string
-
-// Aggregate functions.
+// Aggregate inputs that are not a position in the row.
 const (
-	AggCount AggFunc = "COUNT"
-	AggSum   AggFunc = "SUM"
-	AggAvg   AggFunc = "AVG"
-	AggMin   AggFunc = "MIN"
-	AggMax   AggFunc = "MAX"
+	aggStar   = -1 // COUNT(*): every row counts
+	aggHidden = -2 // a column the subject's view hides: NULL in every row
 )
 
-// AggExpr is one aggregate in a select list.
-type AggExpr struct {
-	Func AggFunc
-	// Col is the aggregated column; "*" only for COUNT.
-	Col string
+// aggAcc folds one aggregate's input over one group.
+type aggAcc struct {
+	n        int64 // inputs folded: rows for COUNT(*), non-NULL values otherwise
+	sum      float64
+	min, max Value
 }
 
-func (a AggExpr) String() string { return fmt.Sprintf("%s(%s)", a.Func, a.Col) }
-
-// AggregateStmt is a parsed aggregate query.
-type AggregateStmt struct {
-	Table   string
-	Aggs    []AggExpr
-	Where   Expr
-	GroupBy string
+// value is the aggregate over what was folded: NULL over no input, except
+// COUNT.
+func (a *aggAcc) value(f AggFunc) Value {
+	switch {
+	case f == AggCount:
+		return Int(a.n)
+	case a.n == 0:
+		return Null()
+	case f == AggSum:
+		return Float(a.sum)
+	case f == AggAvg:
+		return Float(a.sum / float64(a.n))
+	case f == AggMin:
+		return a.min
+	}
+	return a.max
 }
 
-func (*AggregateStmt) stmt() {}
+// bindAggInput resolves a column an aggregate statement reads to its row
+// position — aggHidden when the subject's view hides it — and its kind.
+func bindAggInput(schema *Schema, s *SelectStmt, col string) (int, Kind, error) {
+	ci := schema.ColIndex(col)
+	switch {
+	case ci < 0:
+		return 0, 0, fmt.Errorf("reldb: unknown column %s", col)
+	case s.hidden[col]:
+		return aggHidden, schema.Columns[ci].Kind, nil
+	}
+	return ci, schema.Columns[ci].Kind, nil
+}
 
-// ParseAggregate parses an aggregate SELECT. It returns an error when the
-// statement is not an aggregate query (callers fall back to Parse).
-// seclint:sanitizer
-func ParseAggregate(src string) (*AggregateStmt, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks, src: src}
-	if !p.atKeyword("SELECT") {
-		return nil, fmt.Errorf("reldb: not a SELECT")
-	}
-	p.next()
-	st := &AggregateStmt{}
-	for {
-		fn, err := p.ident()
-		if err != nil {
+// aggregate folds the rows the plan accepts: one result row per group,
+// sorted by group key, or exactly one without GROUP BY (over zero rows too).
+// NULLs are skipped by SUM/AVG/MIN/MAX and COUNT(col); COUNT(*) counts rows.
+// Each result column carries its source attribute in Result.Attrs, which is
+// what the privacy and inference layers reason about: F(col) releases
+// something about col, COUNT(*) about no column.
+//
+// Everything the statement names is resolved against the schema before a
+// row is read — SUM and AVG want a numeric column — so whether a statement
+// errs never depends on what the table holds.
+func aggregate(plan scanPlan, s *SelectStmt) (*Result, error) {
+	schema := &plan.t.Schema
+	res := &Result{}
+	groupIdx := aggStar // no GROUP BY: one group
+	if s.GroupBy != "" {
+		var err error
+		if groupIdx, _, err = bindAggInput(schema, s, s.GroupBy); err != nil {
 			return nil, err
 		}
-		var agg AggFunc
-		switch strings.ToUpper(fn) {
-		case "COUNT":
-			agg = AggCount
-		case "SUM":
-			agg = AggSum
-		case "AVG":
-			agg = AggAvg
-		case "MIN":
-			agg = AggMin
-		case "MAX":
-			agg = AggMax
-		default:
-			return nil, fmt.Errorf("reldb: %q is not an aggregate function", fn)
-		}
-		if err := p.expectPunct("("); err != nil {
-			return nil, err
-		}
-		col := ""
-		if p.cur().kind == "punct" && p.cur().text == "*" {
-			p.next()
-			col = "*"
-		} else {
-			col, err = p.ident()
-			if err != nil {
+		res.Columns, res.Attrs = append(res.Columns, s.GroupBy), append(res.Attrs, s.GroupBy)
+	}
+	inputs := make([]int, len(s.Aggs))
+	for i, a := range s.Aggs {
+		attr := ""
+		if inputs[i] = aggStar; a.Col != "*" {
+			var kind Kind
+			var err error
+			if inputs[i], kind, err = bindAggInput(schema, s, a.Col); err != nil {
 				return nil, err
 			}
+			if (a.Func == AggSum || a.Func == AggAvg) && kind != KindInt && kind != KindFloat {
+				return nil, fmt.Errorf("reldb: %s over non-numeric column %s", a.Func, a.Col)
+			}
+			attr = a.Col
 		}
-		if err := p.expectPunct(")"); err != nil {
-			return nil, err
-		}
-		if col == "*" && agg != AggCount {
-			return nil, fmt.Errorf("reldb: %s(*) is not valid", agg)
-		}
-		st.Aggs = append(st.Aggs, AggExpr{Func: agg, Col: col})
-		if p.cur().kind == "punct" && p.cur().text == "," {
-			p.next()
-			continue
-		}
-		break
+		res.Columns, res.Attrs = append(res.Columns, a.String()), append(res.Attrs, attr)
 	}
-	if err := p.expectKeyword("FROM"); err != nil {
-		return nil, err
-	}
-	table, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	st.Table = table
-	if p.atKeyword("WHERE") {
-		p.next()
-		st.Where, err = p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-	}
-	if p.atKeyword("GROUP") {
-		p.next()
-		if err := p.expectKeyword("BY"); err != nil {
-			return nil, err
-		}
-		st.GroupBy, err = p.ident()
-		if err != nil {
-			return nil, err
-		}
-	}
-	if p.cur().kind != "eof" {
-		return nil, fmt.Errorf("reldb: trailing input %q in %q", p.cur().text, src)
-	}
-	return st, nil
-}
 
-// ExecAggregate evaluates an aggregate query. Group rows are sorted by
-// group key. NULLs are skipped by SUM/AVG/MIN/MAX and by COUNT(col);
-// COUNT(*) counts rows.
-//
-// seclint:exempt storage engine below the access-control gate; SecureDB authorizes before aggregation
-// seclint:sink
-func (db *Database) ExecAggregate(st *AggregateStmt) (*Result, error) {
-	t, ok := db.Table(st.Table)
-	if !ok {
-		return nil, fmt.Errorf("reldb: unknown table %s", st.Table)
+	type group struct {
+		key  Value
+		accs []aggAcc
 	}
-	// Resolve columns up front.
-	colIdx := make([]int, len(st.Aggs))
-	for i, a := range st.Aggs {
-		if a.Col == "*" {
-			colIdx[i] = -1
-			continue
-		}
-		ci := t.Schema.ColIndex(a.Col)
-		if ci < 0 {
-			return nil, fmt.Errorf("reldb: unknown column %s", a.Col)
-		}
-		colIdx[i] = ci
+	groups := map[string]*group{}
+	if s.GroupBy == "" {
+		groups[Null().Key()] = &group{accs: make([]aggAcc, len(inputs))}
 	}
-	groupIdx := -1
-	if st.GroupBy != "" {
-		groupIdx = t.Schema.ColIndex(st.GroupBy)
-		if groupIdx < 0 {
-			return nil, fmt.Errorf("reldb: unknown GROUP BY column %s", st.GroupBy)
-		}
-	}
-	plan, err := planScan(t, st.Where)
-	if err != nil {
-		return nil, err
-	}
-	var rows []Row
-	plan.run(func(_ int64, r Row) { rows = append(rows, r) })
-
-	type acc struct {
-		groupVal Value
-		count    []int64
-		sum      []float64
-		min      []Value
-		max      []Value
-		seen     []bool
-	}
-	newAcc := func(gv Value) *acc {
-		return &acc{
-			groupVal: gv,
-			count:    make([]int64, len(st.Aggs)),
-			sum:      make([]float64, len(st.Aggs)),
-			min:      make([]Value, len(st.Aggs)),
-			max:      make([]Value, len(st.Aggs)),
-			seen:     make([]bool, len(st.Aggs)),
-		}
-	}
-	groups := map[string]*acc{}
-	var order []string
-	for _, r := range rows {
-		key := ""
-		gv := Null()
+	plan.run(func(_ int64, r Row) {
+		var key Value // NULL: no GROUP BY, or a hidden GROUP BY column
 		if groupIdx >= 0 {
-			gv = r[groupIdx]
-			key = gv.Key()
+			key = r[groupIdx]
 		}
-		a := groups[key]
-		if a == nil {
-			a = newAcc(gv)
-			groups[key] = a
-			order = append(order, key)
+		k := key.Key()
+		g := groups[k]
+		if g == nil {
+			g = &group{key: key, accs: make([]aggAcc, len(inputs))}
+			groups[k] = g
 		}
-		for i, ag := range st.Aggs {
-			if colIdx[i] < 0 { // COUNT(*)
-				a.count[i]++
+		for i, ci := range inputs {
+			a := &g.accs[i]
+			if ci == aggStar {
+				a.n++
 				continue
 			}
-			v := r[colIdx[i]]
-			if v.IsNull() {
+			if ci == aggHidden || r[ci].IsNull() {
 				continue
 			}
-			a.count[i]++
-			if f, ok := v.asFloat(); ok {
-				a.sum[i] += f
-			} else if ag.Func == AggSum || ag.Func == AggAvg {
-				return nil, fmt.Errorf("reldb: %s over non-numeric column %s", ag.Func, ag.Col)
+			v := &r[ci]
+			if a.n == 0 || compareTo(v, &a.min) < 0 {
+				a.min = *v
 			}
-			if !a.seen[i] || Compare(v, a.min[i]) < 0 {
-				a.min[i] = v
+			if a.n == 0 || compareTo(v, &a.max) > 0 {
+				a.max = *v
 			}
-			if !a.seen[i] || Compare(v, a.max[i]) > 0 {
-				a.max[i] = v
-			}
-			a.seen[i] = true
+			f, _ := v.asFloat()
+			a.sum += f
+			a.n++
 		}
+	})
+
+	keys := make([]string, 0, len(groups))
+	for k := range groups {
+		keys = append(keys, k)
 	}
-	// Assemble result.
-	res := &Result{}
-	if groupIdx >= 0 {
-		res.Columns = append(res.Columns, st.GroupBy)
-	}
-	for _, a := range st.Aggs {
-		res.Columns = append(res.Columns, a.String())
-	}
-	sort.Strings(order)
-	for _, key := range order {
-		a := groups[key]
-		var row Row
-		if groupIdx >= 0 {
-			row = append(row, a.groupVal)
+	sort.Strings(keys)
+	for _, k := range keys {
+		g := groups[k]
+		row := make(Row, 0, len(res.Columns))
+		if s.GroupBy != "" {
+			row = append(row, g.key)
 		}
-		for i, ag := range st.Aggs {
-			switch ag.Func {
-			case AggCount:
-				row = append(row, Int(a.count[i]))
-			case AggSum:
-				if a.count[i] == 0 {
-					row = append(row, Null())
-				} else {
-					row = append(row, Float(a.sum[i]))
-				}
-			case AggAvg:
-				if a.count[i] == 0 {
-					row = append(row, Null())
-				} else {
-					row = append(row, Float(a.sum[i]/float64(a.count[i])))
-				}
-			case AggMin:
-				if !a.seen[i] {
-					row = append(row, Null())
-				} else {
-					row = append(row, a.min[i])
-				}
-			case AggMax:
-				if !a.seen[i] {
-					row = append(row, Null())
-				} else {
-					row = append(row, a.max[i])
-				}
-			}
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	// An ungrouped aggregate over zero rows still yields one row.
-	if groupIdx < 0 && len(res.Rows) == 0 {
-		var row Row
-		for _, ag := range st.Aggs {
-			if ag.Func == AggCount {
-				row = append(row, Int(0))
-			} else {
-				row = append(row, Null())
-			}
+		for i, a := range s.Aggs {
+			row = append(row, g.accs[i].value(a.Func))
 		}
 		res.Rows = append(res.Rows, row)
 	}
 	res.Affected = len(res.Rows)
 	return res, nil
 }
-
-// ExecAggregateSecure runs an aggregate query for a subject through the
-// same privilege + row-policy gates as SecureDB.Exec: aggregates are
-// computed over the subject's VISIBLE rows only, which is how statistical
-// access composes with row-level protection.
-func (s *SecureDB) ExecAggregateSecure(subject *policy.Subject, src string) (*Result, error) {
-	st, err := ParseAggregate(src)
-	if err != nil {
-		return nil, err
-	}
-	if !s.grants.HasPrivilege(subject.ID, sysr.Select, st.Table) {
-		return nil, fmt.Errorf("reldb: %s lacks SELECT on %s", subject.ID, st.Table)
-	}
-	rewritten, empty := s.rewriteWhere(subject, st.Table, st.Where)
-	if empty {
-		// No visible rows: COUNT 0 / NULLs, never an information leak.
-		st2 := *st
-		st2.Where = &falseExpr{}
-		return s.db.ExecAggregate(&st2)
-	}
-	st2 := *st
-	st2.Where = rewritten
-	return s.db.ExecAggregate(&st2)
-}
-
-// falseExpr matches nothing.
-type falseExpr struct{}
-
-func (falseExpr) Eval(*Schema, Row) (bool, error) { return false, nil }
-func (falseExpr) String() string                  { return "FALSE" }

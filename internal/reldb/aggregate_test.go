@@ -1,6 +1,7 @@
 package reldb
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -26,11 +27,7 @@ func aggDB(t *testing.T) *Database {
 
 func execAgg(t *testing.T, db *Database, src string) *Result {
 	t.Helper()
-	st, err := ParseAggregate(src)
-	if err != nil {
-		t.Fatalf("parse %q: %v", src, err)
-	}
-	res, err := db.ExecAggregate(st)
+	res, err := db.Exec(src)
 	if err != nil {
 		t.Fatalf("exec %q: %v", src, err)
 	}
@@ -109,15 +106,22 @@ func TestAggregateEmptyTable(t *testing.T) {
 
 func TestAggregateParseErrors(t *testing.T) {
 	for _, src := range []string{
-		"SELECT name FROM sales",             // not an aggregate
+		"SELECT region, COUNT(*) FROM sales", // columns or aggregates, not both
+		"SELECT COUNT(*), region FROM sales",
+		"SELECT region FROM sales GROUP BY region", // GROUP BY wants an aggregate list
+		"SELECT * FROM sales GROUP BY region",
+		"SELECT COUNT(*) FROM sales ORDER BY region", // ORDER BY / LIMIT want a row list
+		"SELECT COUNT(*) FROM sales GROUP BY region ORDER BY region",
+		"SELECT COUNT(*) FROM sales LIMIT 1",
+		"SELECT COUNT( FROM sales",
+		"SELECT COUNT(amount FROM sales",
 		"SELECT SUM(*) FROM sales",           // * only for COUNT
 		"SELECT NOPE(x) FROM sales",          // unknown function
 		"SELECT COUNT(*) FROM",               // missing table
 		"SELECT COUNT(*) FROM sales GROUP x", // bad group by
 		"SELECT COUNT(*) FROM sales trailing",
-		"INSERT INTO sales VALUES (1)",
 	} {
-		if _, err := ParseAggregate(src); err == nil {
+		if _, err := Parse(src); err == nil {
 			t.Errorf("%q: want error", src)
 		}
 	}
@@ -131,13 +135,71 @@ func TestAggregateExecErrors(t *testing.T) {
 		"SELECT COUNT(*) FROM ghost",     // unknown table
 		"SELECT COUNT(*) FROM sales GROUP BY ghost",
 	} {
-		st, err := ParseAggregate(src)
-		if err != nil {
-			continue // parse-level rejection is fine too
-		}
-		if _, err := db.ExecAggregate(st); err == nil {
+		if _, err := db.Exec(src); err == nil {
 			t.Errorf("%q: want exec error", src)
 		}
+	}
+	// Whether a statement errs is decided from the schema alone: the same
+	// statements fail over a table with no row to trip on.
+	mustExec(t, db, "DELETE FROM sales")
+	if _, err := db.Exec("SELECT SUM(region) FROM sales"); err == nil {
+		t.Error("SUM over a TEXT column accepted on an empty table")
+	}
+}
+
+// TestAggregateIsASelect: an aggregate text parses to the same statement
+// type as any SELECT, a column may share an aggregate function's name, and
+// the result names each column's source attribute.
+func TestAggregateIsASelect(t *testing.T) {
+	st, err := Parse("select count(*), Sum(amount), MIN(rep) from sales where amount > 1 group by region")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, ok := st.(*SelectStmt)
+	if !ok || len(sel.Aggs) != 3 || sel.GroupBy != "region" || sel.Columns != nil || sel.Where == nil || sel.Limit != -1 {
+		t.Fatalf("parsed %#v", st)
+	}
+	if sel.Aggs[0] != (AggExpr{AggCount, "*"}) || sel.Aggs[1] != (AggExpr{AggSum, "amount"}) {
+		t.Errorf("aggs = %v", sel.Aggs)
+	}
+	db := aggDB(t)
+	res := execAgg(t, db, "SELECT COUNT(*), SUM(amount), MIN(rep) FROM sales GROUP BY region")
+	if got, want := fmt.Sprint(res.Attributes()), "[region  amount rep]"; got != want {
+		t.Errorf("attributes = %s, want %s", got, want)
+	}
+	if rows := execAgg(t, db, "SELECT region FROM sales"); rows.Attrs != nil || fmt.Sprint(rows.Attributes()) != "[region]" {
+		t.Errorf("row result attributes = %v / %v", rows.Attrs, rows.Attributes())
+	}
+	mustExec(t, db, "CREATE TABLE odd (count INT, max TEXT)")
+	mustExec(t, db, "INSERT INTO odd VALUES (3, 'x')")
+	if res := execAgg(t, db, "SELECT count, max FROM odd"); res.Rows[0][0] != Int(3) {
+		t.Errorf("columns named like aggregates = %v", res.Rows)
+	}
+	if res := execAgg(t, db, "SELECT MAX(count) FROM odd"); res.Rows[0][0] != Int(3) {
+		t.Errorf("MAX(count) = %v", res.Rows)
+	}
+}
+
+// TestAggregateInTxnAndExplain: what the one SELECT path gives aggregates
+// for free — read-your-writes inside a transaction, a plan from Explain.
+func TestAggregateInTxnAndExplain(t *testing.T) {
+	db := aggDB(t)
+	mustExec(t, db, "CREATE HASH INDEX ON sales (region)")
+	txn := db.Begin()
+	defer txn.Abort()
+	if _, err := txn.Exec("INSERT INTO sales VALUES ('east', 700, 'z')"); err != nil {
+		t.Fatal(err)
+	}
+	res, err := txn.Exec("SELECT COUNT(*), SUM(amount) FROM sales WHERE region = 'east'")
+	if err != nil || res.Rows[0][0] != Int(3) || res.Rows[0][1] != Float(1000) {
+		t.Errorf("aggregate inside the transaction = %v, %v; want its own insert counted", res, err)
+	}
+	if out := execAgg(t, db, "SELECT COUNT(*) FROM sales WHERE region = 'east'"); out.Rows[0][0] != Int(2) {
+		t.Errorf("aggregate outside the transaction = %v, want the committed 2", out.Rows)
+	}
+	plan, err := db.Explain("SELECT COUNT(*) FROM sales WHERE region = 'east' GROUP BY rep")
+	if err != nil || plan.Access != "index-eq" || plan.EstRows != 2 {
+		t.Errorf("Explain of an aggregate = %v, %v; want index-eq over 2 rows", plan, err)
 	}
 }
 
@@ -169,7 +231,7 @@ func TestSecureAggregateRespectsRowPolicies(t *testing.T) {
 		Subject: policy.SubjectSpec{IDs: []string{"east-analyst"}}, Pred: pred,
 	})
 	analyst := &policy.Subject{ID: "east-analyst"}
-	res, err := sdb.ExecAggregateSecure(analyst, "SELECT COUNT(*), SUM(amount) FROM sales")
+	res, err := sdb.Exec(analyst, "SELECT COUNT(*), SUM(amount) FROM sales")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +243,7 @@ func TestSecureAggregateRespectsRowPolicies(t *testing.T) {
 	if err := sdb.Grants().Grant("dba", "outsider", sysr.Select, "sales", false); err != nil {
 		t.Fatal(err)
 	}
-	res, err = sdb.ExecAggregateSecure(&policy.Subject{ID: "outsider"}, "SELECT COUNT(*) FROM sales")
+	res, err = sdb.Exec(&policy.Subject{ID: "outsider"}, "SELECT COUNT(*) FROM sales")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +251,7 @@ func TestSecureAggregateRespectsRowPolicies(t *testing.T) {
 		t.Errorf("outsider count = %v, want 0", res.Rows[0][0])
 	}
 	// No privilege at all: refused.
-	if _, err := sdb.ExecAggregateSecure(&policy.Subject{ID: "nobody"}, "SELECT COUNT(*) FROM sales"); err == nil {
+	if _, err := sdb.Exec(&policy.Subject{ID: "nobody"}, "SELECT COUNT(*) FROM sales"); err == nil {
 		t.Error("aggregate without SELECT privilege accepted")
 	}
 }

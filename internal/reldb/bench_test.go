@@ -29,7 +29,7 @@ func patientsTable(tb testing.TB, n int) *Table {
 // patientsDB is an in-memory database holding patientsTable(n).
 func patientsDB(tb testing.TB, n int) *Database {
 	tb.Helper()
-	return newDatabaseAt(dbVersion{tables: map[string]*Table{"patients": patientsTable(tb, n)}})
+	return newDatabaseAt(dbVersion{tables: map[string]*Table{"patients": patientsTable(tb, n)}}, false)
 }
 
 var benchSizes = []int{200, 5000, 50000}

@@ -1,22 +1,37 @@
 package reldb
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"webdbsec/internal/mvcc"
 )
 
 // Result is the outcome of executing a statement.
 type Result struct {
-	Columns  []string
+	Columns []string
+	// Attrs, when set, names each column's source attribute — the table
+	// column its values were computed from, "" for none (COUNT(*)). Only an
+	// aggregate result sets it; every other result's columns are attributes.
+	Attrs    []string
 	Rows     []Row
 	Affected int
 	// LSN is the log position of the Commit (or DDL) record a write
 	// statement appended — the position a replicated deployment waits on
 	// before acknowledging it. Zero for reads.
 	LSN int64
+}
+
+// Attributes returns the source attribute of each result column: what the
+// privacy and inference layers reason about.
+func (r *Result) Attributes() []string {
+	if r.Attrs != nil {
+		return r.Attrs
+	}
+	return r.Columns
 }
 
 // Database is the engine: a multi-versioned table heap, the metadata
@@ -46,23 +61,34 @@ type Database struct {
 	// are lost (durable.go).
 	activeTxns map[int64]int64 // seclint:guardedby mu
 	cons       *constraintSet  // seclint:guardedby mu
+	// readOnly marks a follower's materialization: only the replay path
+	// (Follower.Apply) installs versions into it, so DDL and Begin — and
+	// with Begin every INSERT, UPDATE and DELETE — fail until Promote. It
+	// only ever goes from true to false, so a writer that saw false may
+	// carry on without holding anything.
+	readOnly atomic.Bool
 }
+
+// errReadOnly refuses a write to a follower's database.
+var errReadOnly = errors.New("reldb: database is a read-only replica; writes go to the leader")
 
 // NewDatabase returns an empty in-memory database.
 func NewDatabase() *Database {
-	return newDatabaseAt(dbVersion{tables: make(map[string]*Table)})
+	return newDatabaseAt(dbVersion{tables: make(map[string]*Table)}, false)
 }
 
-// newDatabaseAt returns an in-memory database whose committed state is v.
+// newDatabaseAt returns an in-memory database whose committed state is v;
+// readOnly is a follower's materialization.
 //
 // seclint:locked db is not yet published; no other goroutine holds a reference before newDatabaseAt returns
-func newDatabaseAt(v dbVersion) *Database {
+func newDatabaseAt(v dbVersion, readOnly bool) *Database {
 	db := &Database{
 		log:        &Log{nextLSN: v.lsn},
 		lockMgr:    newLockManager(),
 		txnSeq:     v.txnSeq,
 		activeTxns: make(map[int64]int64),
 	}
+	db.readOnly.Store(readOnly)
 	db.versions.Init(&db.mu, v)
 	return db
 }
@@ -120,6 +146,9 @@ func (db *Database) ExecStmt(st Stmt) (*Result, error) {
 }
 
 func (db *Database) execDDL(st Stmt) (*Result, error) {
+	if db.readOnly.Load() {
+		return nil, errReadOnly
+	}
 	switch s := st.(type) {
 	case *CreateTableStmt:
 		if len(s.Schema.Columns) == 0 {
@@ -192,21 +221,25 @@ func execSelectVersion(v *dbVersion, s *SelectStmt) (*Result, error) {
 // execSelectTable runs a SELECT against one table state (a frozen version
 // table, or a transaction's private working copy for read-your-writes).
 //
-// Every name the statement mentions is resolved before the first row is
-// read, so an unknown column is an error on every table state, the empty
-// one included. Stored rows are immutable, so filter, ORDER BY and LIMIT
-// work on the table's own rows and only those that survive LIMIT are
-// copied out.
+// This is the only SELECT executor: one scan, then either the aggregate
+// fold or ORDER BY / LIMIT / projection. Every name the statement mentions
+// is resolved before the first row is read, so an unknown column is an error
+// on every table state, the empty one included. Stored rows are immutable,
+// so filter, ORDER BY and LIMIT work on the table's own rows and only those
+// that survive LIMIT are copied out.
 func execSelectTable(t *Table, s *SelectStmt) (*Result, error) {
 	plan, err := planScan(t, s.Where)
 	if err != nil {
 		return nil, err
 	}
+	if len(s.Aggs) > 0 {
+		return aggregate(plan, s)
+	}
 	order, err := bindOrder(&t.Schema, s.OrderBy)
 	if err != nil {
 		return nil, err
 	}
-	names, cols, err := bindColumns(&t.Schema, s.Columns)
+	names, cols, err := bindColumns(&t.Schema, s.Columns, s.hidden)
 	if err != nil {
 		return nil, err
 	}
@@ -255,29 +288,35 @@ func bindOrder(schema *Schema, keys []OrderKey) (func(a, b Row) int, error) {
 }
 
 // bindColumns resolves a select list (nil = every column, in schema order)
-// into the result's column names and their positions in a table row.
-func bindColumns(schema *Schema, cols []string) (names []string, idx []int, err error) {
+// into the result's column names and their positions in a table row; a
+// hidden column's position is -1, which project reads as NULL.
+func bindColumns(schema *Schema, cols []string, hidden map[string]bool) (names []string, idx []int, err error) {
 	if cols == nil {
-		names, idx = make([]string, len(schema.Columns)), make([]int, len(schema.Columns))
+		names = make([]string, len(schema.Columns))
 		for i, c := range schema.Columns {
-			names[i], idx[i] = c.Name, i
+			names[i] = c.Name
 		}
-		return names, idx, nil
+	} else {
+		names = append(names, cols...)
 	}
-	idx = make([]int, len(cols))
-	for i, c := range cols {
+	idx = make([]int, len(names))
+	for i, c := range names {
 		if idx[i] = schema.ColIndex(c); idx[i] < 0 {
 			return nil, nil, fmt.Errorf("reldb: unknown column %s", c)
 		}
+		if hidden[c] {
+			idx[i] = -1
+		}
 	}
-	return append([]string(nil), cols...), idx, nil
+	return names, idx, nil
 }
 
-// project copies columns idx (named names) out of rows. The result never
-// aliases table storage, SELECT * included: callers own their result rows
-// and write into them (SecureDB.mask NULLs hidden columns in place). All
-// result rows are cut from one backing array, each capped at its own
-// length so an append cannot reach its neighbour.
+// project copies columns idx (named names) out of rows; position -1 is a
+// column the subject's view hides and stays NULL. The result never aliases
+// table storage, SELECT * included: callers own their result rows and write
+// into them (privacy.FilterResult NULLs masked columns in place). All
+// result rows are cut from one backing array, each capped at its own length
+// so an append cannot reach its neighbour.
 func project(rows []Row, names []string, idx []int) *Result {
 	width := len(idx)
 	vals := make([]Value, len(rows)*width)
@@ -285,7 +324,9 @@ func project(rows []Row, names []string, idx []int) *Result {
 	for i, r := range rows {
 		pr := vals[i*width : (i+1)*width : (i+1)*width]
 		for j, ci := range idx {
-			pr[j] = r[ci]
+			if ci >= 0 {
+				pr[j] = r[ci]
+			}
 		}
 		out[i] = pr
 	}

@@ -76,7 +76,7 @@ func OpenFollower(w *wal.WAL) (*Follower, error) {
 	// The position is what Replay actually delivered — under a concurrent
 	// appender (demote racing the new leader's stream) this can trail
 	// LastLSN; the replication layer re-applies the gap from here.
-	f.db = newDatabaseAt(dbVersion{lsn: int64(f.appliedLSN), txnSeq: txnSeq, tables: st.frozen()})
+	f.db = newDatabaseAt(dbVersion{lsn: int64(f.appliedLSN), txnSeq: txnSeq, tables: st.frozen()}, true)
 	return f, nil
 }
 
@@ -170,7 +170,7 @@ func (f *Follower) Restore(lsn uint64, snapshot []byte) error {
 	if err != nil {
 		return err
 	}
-	f.db = newDatabaseAt(dbVersion{lsn: int64(lsn), txnSeq: txnSeq, tables: st.frozen()})
+	f.db = newDatabaseAt(dbVersion{lsn: int64(lsn), txnSeq: txnSeq, tables: st.frozen()}, true)
 	f.fence = fence
 	f.pending = make(map[int64][]LogRecord)
 	f.appliedLSN = lsn
@@ -184,10 +184,10 @@ func (f *Follower) AppliedLSN() uint64 {
 	return f.appliedLSN
 }
 
-// DB returns the follower's materialized database for READ access only —
-// replica reads go through the same access-control gate as leader reads,
-// wrapped around this database. Writing to it would diverge the replica;
-// the replication layer never exposes it for writes.
+// DB returns the follower's materialized database: read-only (DDL, Begin
+// and every DML statement fail on it) until Promote hands it over. Replica
+// reads go through the same access-control gate as leader reads, wrapped
+// around this database.
 func (f *Follower) DB() *Database {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -235,5 +235,6 @@ func (f *Follower) Promote() (*Database, error) {
 	db.log.w = f.w
 	db.log.mu.Unlock()
 	f.pending = nil
+	db.readOnly.Store(false) // last: a write admitted from here on has the WAL under it
 	return db, nil
 }

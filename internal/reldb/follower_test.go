@@ -1,6 +1,7 @@
 package reldb
 
 import (
+	"errors"
 	"testing"
 
 	"webdbsec/internal/resilience/faultinject"
@@ -182,5 +183,69 @@ func TestFollowerPromote(t *testing.T) {
 	// The dead follower refuses further replication traffic.
 	if err := f.Apply(f.AppliedLSN()+1, []byte("{}")); err == nil {
 		t.Fatal("Apply after Promote succeeded")
+	}
+}
+
+// TestFollowerDatabaseIsReadOnly: the database a follower hands out refuses
+// DDL, Begin and every DML statement — leaving its tables, transaction
+// counter and log position untouched — serves reads, and takes writes once
+// Promote has handed it over.
+func TestFollowerDatabaseIsReadOnly(t *testing.T) {
+	db := openDurable(t, faultinject.NewMemFS())
+	mustExec(t, db, "CREATE TABLE kv (k TEXT, v INT)")
+	mustExec(t, db, "INSERT INTO kv VALUES ('a', 1)")
+	fw := leaderWAL(t, faultinject.NewMemFS())
+	f, err := OpenFollower(fw)
+	if err != nil {
+		t.Fatalf("OpenFollower: %v", err)
+	}
+	lw := db.Log()
+	lw.mu.Lock()
+	leaderBack := lw.w
+	lw.mu.Unlock()
+	shipAll(t, leaderBack, fw, f)
+
+	replica := f.DB()
+	position := func() (seq, lsn int64) {
+		replica.mu.Lock()
+		defer replica.mu.Unlock()
+		replica.log.mu.Lock()
+		defer replica.log.mu.Unlock()
+		return replica.txnSeq, replica.log.nextLSN
+	}
+	seq, lsn := position()
+	for _, src := range []string{
+		"INSERT INTO kv VALUES ('x', 9)",
+		"UPDATE kv SET v = 9",
+		"DELETE FROM kv",
+		"CREATE TABLE other (k TEXT)",
+		"CREATE HASH INDEX ON kv (k)",
+	} {
+		if _, err := replica.Exec(src); !errors.Is(err, errReadOnly) {
+			t.Errorf("%q on a follower's database: %v, want errReadOnly", src, err)
+		}
+	}
+	txn := replica.Begin()
+	if _, err := txn.Exec("INSERT INTO kv VALUES ('x', 9)"); !errors.Is(err, errReadOnly) {
+		t.Errorf("statement in a transaction begun on a follower: %v, want errReadOnly", err)
+	}
+	if err := txn.Commit(); !errors.Is(err, errReadOnly) {
+		t.Errorf("Commit of a transaction begun on a follower: %v, want errReadOnly", err)
+	}
+	txn.Abort()
+	if got := tableRows(t, replica, "kv"); got["a"] != 1 || len(got) != 1 {
+		t.Errorf("follower rows after refused writes = %v", got)
+	}
+	if s2, l2 := position(); s2 != seq || l2 != lsn {
+		t.Errorf("refused writes moved the follower: txnSeq %d -> %d, log %d -> %d", seq, s2, lsn, l2)
+	}
+
+	promoted, err := f.Promote()
+	if err != nil {
+		t.Fatalf("Promote: %v", err)
+	}
+	mustExec(t, promoted, "UPDATE kv SET v = 2 WHERE k = 'a'")
+	if got := tableRows(t, promoted, "kv"); got["a"] != 2 {
+		t.Errorf("promoted rows = %v", got)
 	}
 }

@@ -4,12 +4,16 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
 
+	"webdbsec/internal/policy"
 	"webdbsec/internal/resilience/faultinject"
+	"webdbsec/internal/sysr"
 )
 
 // randomTable builds a table with random rows; deterministic in seed.
@@ -157,7 +161,7 @@ func TestQuickParserNeverPanics(t *testing.T) {
 		Parse(src)
 		Parse("SELECT " + src + " FROM t")
 		Parse("SELECT * FROM t WHERE " + src)
-		ParseAggregate("SELECT COUNT(" + src + ") FROM t")
+		Parse("SELECT COUNT(" + src + ") FROM t")
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -165,39 +169,198 @@ func TestQuickParserNeverPanics(t *testing.T) {
 	}
 }
 
-func TestQuickAggregatesConsistentWithRows(t *testing.T) {
-	// COUNT/SUM/MIN/MAX agree with a manual pass over SELECT *.
-	f := func(seed int64) bool {
-		db := randomTable(t, seed, 150)
-		rows, err := db.Exec("SELECT v FROM r")
-		if err != nil {
-			return false
-		}
-		var sum, minV, maxV int64
-		minV, maxV = 1<<62, -(1 << 62)
-		for _, r := range rows.Rows {
-			v := r[0].I
-			sum += v
-			if v < minV {
-				minV = v
-			}
-			if v > maxV {
-				maxV = v
+// foldRef is the aggregate oracle: a brute-force fold, group by group and
+// aggregate by aggregate, over rows a SELECT * returned (columns cols).
+func foldRef(cols []string, rows []Row, aggs []AggExpr, groupBy string) []Row {
+	at := func(name string) int {
+		for i, c := range cols {
+			if c == name {
+				return i
 			}
 		}
-		st, err := ParseAggregate("SELECT COUNT(*), SUM(v), MIN(v), MAX(v) FROM r")
-		if err != nil {
-			return false
-		}
-		agg, err := db.ExecAggregate(st)
-		if err != nil {
-			return false
-		}
-		got := agg.Rows[0]
-		return got[0].I == int64(len(rows.Rows)) &&
-			int64(got[1].F) == sum && got[2].I == minV && got[3].I == maxV
+		return -1
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+	var keys []Value
+	if groupBy == "" {
+		keys = []Value{Null()}
+	}
+	member := func(r Row, key Value) bool {
+		if groupBy == "" {
+			return true
+		}
+		v := r[at(groupBy)]
+		return v.IsNull() && key.IsNull() || Equal(v, key)
+	}
+	for _, r := range rows {
+		seen := false
+		for _, k := range keys {
+			seen = seen || member(r, k)
+		}
+		if !seen {
+			keys = append(keys, r[at(groupBy)])
+		}
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i].Key() < keys[j].Key() })
+	var out []Row
+	for _, key := range keys {
+		var row Row
+		if groupBy != "" {
+			row = append(row, key)
+		}
+		for _, a := range aggs {
+			var vals []Value // the aggregate's non-NULL inputs in this group
+			n := 0           // the group's rows
+			for _, r := range rows {
+				if !member(r, key) {
+					continue
+				}
+				n++
+				if a.Col != "*" && !r[at(a.Col)].IsNull() {
+					vals = append(vals, r[at(a.Col)])
+				}
+			}
+			sum := 0.0
+			lo, hi := Null(), Null()
+			for i, v := range vals {
+				f, _ := v.asFloat()
+				sum += f
+				if i == 0 || Compare(v, lo) < 0 {
+					lo = v
+				}
+				if i == 0 || Compare(v, hi) > 0 {
+					hi = v
+				}
+			}
+			switch {
+			case a.Col == "*":
+				row = append(row, Int(int64(n)))
+			case a.Func == AggCount:
+				row = append(row, Int(int64(len(vals))))
+			case len(vals) == 0:
+				row = append(row, Null())
+			case a.Func == AggSum:
+				row = append(row, Float(sum))
+			case a.Func == AggAvg:
+				row = append(row, Float(sum/float64(len(vals))))
+			case a.Func == AggMin:
+				row = append(row, lo)
+			default:
+				row = append(row, hi)
+			}
+		}
+		out = append(out, row)
+	}
+	return out
+}
+
+// TestQuickAggregatesConsistentWithRows is the differential aggregate
+// oracle: for seeded tables, row policies, column policies and subjects,
+// SecureDB.Exec of an aggregate equals a brute-force fold over what
+// SecureDB.Exec of SELECT * with the same predicate shows the same subject —
+// the aggregate is computed over the subject's view and nothing else.
+// COUNT/SUM/AVG/MIN/MAX, with and without GROUP BY, the grouped and the
+// aggregated columns hidden and not, indexed and not.
+func TestQuickAggregatesConsistentWithRows(t *testing.T) {
+	cols := []string{"g", "k", "x", "y", "s"}
+	numeric := []string{"k", "x", "y"}
+	subjects := []*policy.Subject{
+		{ID: "u1", Roles: []string{"r1"}},
+		{ID: "u2", Roles: []string{"r2"}},
+		{ID: "u3", Roles: []string{"r1", "r2"}},
+		{ID: "dba"}, // owner, no role: an empty view once the table has a row policy
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		pick := func(from []string) string { return from[rng.Intn(len(from))] }
+		lit := func(v string) string {
+			if rng.Intn(6) == 0 {
+				return "NULL"
+			}
+			return v
+		}
+		pred := func() string {
+			switch rng.Intn(5) {
+			case 0:
+				return fmt.Sprintf("g = 'g%d'", rng.Intn(5))
+			case 1:
+				return fmt.Sprintf("x >= %d", rng.Intn(50))
+			case 2:
+				return fmt.Sprintf("k < %d OR y > %d.5", rng.Intn(8), rng.Intn(40))
+			case 3:
+				return fmt.Sprintf("NOT (s = 's%d') AND x != %d", rng.Intn(4), rng.Intn(50))
+			}
+			return "k >= 0"
+		}
+		sdb := NewSecureDB(NewDatabase(), nil)
+		dba := subjects[3]
+		mustNoErr(t, sdb.CreateTable(dba, "CREATE TABLE m (g TEXT, k INT, x INT, y FLOAT, s TEXT)"))
+		for i := 0; i < 60; i++ {
+			_, err := sdb.Exec(dba, fmt.Sprintf("INSERT INTO m VALUES (%s, %s, %s, %s, %s)",
+				lit(fmt.Sprintf("'g%d'", rng.Intn(4))), lit(fmt.Sprint(rng.Intn(8))), lit(fmt.Sprint(rng.Intn(50)-10)),
+				lit(fmt.Sprintf("%d.25", rng.Intn(40))), lit(fmt.Sprintf("'s%d'", rng.Intn(4)))))
+			mustNoErr(t, err)
+		}
+		if rng.Intn(2) == 0 {
+			mustExec(t, sdb.DB(), "CREATE HASH INDEX ON m (g)")
+			mustExec(t, sdb.DB(), "CREATE ORDERED INDEX ON m (x)")
+		}
+		for _, s := range subjects[:3] {
+			mustNoErr(t, sdb.Grants().Grant("dba", s.ID, sysr.Select, "m", false))
+		}
+		for _, role := range []string{"r1", "r2"} {
+			if rng.Intn(3) > 0 {
+				mustNoErr(t, sdb.AddRowPolicy(&RowPolicy{Name: "rows-" + role, Table: "m",
+					Subject: policy.SubjectSpec{Roles: []string{role}},
+					Pred:    MustParse("SELECT * FROM m WHERE " + pred()).(*SelectStmt).Where}))
+			}
+			if rng.Intn(3) > 0 {
+				mustNoErr(t, sdb.AddColPolicy(&ColPolicy{Name: "cols-" + role, Table: "m",
+					Subject: policy.SubjectSpec{Roles: []string{role}},
+					Columns: []string{pick(cols), pick(cols)}}))
+			}
+		}
+		for q := 0; q < 12; q++ {
+			var aggs []AggExpr
+			for i := rng.Intn(4) + 1; i > 0; i-- {
+				switch fn := []AggFunc{AggCount, AggSum, AggAvg, AggMin, AggMax}[rng.Intn(5)]; {
+				case fn == AggCount && rng.Intn(2) == 0:
+					aggs = append(aggs, AggExpr{fn, "*"})
+				case fn == AggSum || fn == AggAvg:
+					aggs = append(aggs, AggExpr{fn, pick(numeric)})
+				default:
+					aggs = append(aggs, AggExpr{fn, pick(cols)})
+				}
+			}
+			list := make([]string, len(aggs))
+			for i, a := range aggs {
+				list[i] = a.String()
+			}
+			where, groupBy, tail := pred(), "", ""
+			if rng.Intn(3) > 0 {
+				groupBy = pick(cols)
+				tail = " GROUP BY " + groupBy
+			}
+			agg := fmt.Sprintf("SELECT %s FROM m WHERE %s%s", strings.Join(list, ", "), where, tail)
+			for _, s := range subjects {
+				view, err := sdb.Exec(s, "SELECT * FROM m WHERE "+where)
+				if err != nil {
+					t.Logf("seed %d: %s: view: %v", seed, s.ID, err)
+					return false
+				}
+				got, err := sdb.Exec(s, agg)
+				if err != nil {
+					t.Logf("seed %d: %s: %q: %v", seed, s.ID, agg, err)
+					return false
+				}
+				if want := foldRef(cols, view.Rows, aggs, groupBy); fmt.Sprint(got.Rows) != fmt.Sprint(want) {
+					t.Logf("seed %d: %s: %q over %d visible rows\n got  %v\n want %v", seed, s.ID, agg, len(view.Rows), got.Rows, want)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
 }

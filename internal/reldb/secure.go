@@ -21,8 +21,9 @@ import (
 //   - row-level policies: per-table predicates attached to subject specs;
 //     the query processor rewrites WHERE clauses so a subject can only
 //     ever see (or modify) its visible rows;
-//   - column policies: per-table column masks; masked columns come back
-//     NULL.
+//   - column policies: per-table column masks; a masked column reads NULL
+//     in the subject's view — in a result, and before an aggregate groups
+//     or folds it.
 
 // RowPolicy grants visibility of the rows of Table matching Pred to the
 // subjects matching Subject. Multiple applicable policies union (OR).
@@ -36,7 +37,7 @@ type RowPolicy struct {
 }
 
 // ColPolicy hides the listed columns of Table from the subjects matching
-// Subject: their values are masked to NULL in every result.
+// Subject: they read NULL, in every result and under every aggregate.
 type ColPolicy struct {
 	Name    string
 	Table   string
@@ -54,10 +55,11 @@ type SecureDB struct {
 	rowPols  []*RowPolicy
 	colPols  []*ColPolicy
 	verifier *credential.Verifier
-	// parsed caches compiled SELECTs by source text. Only SELECTs are
-	// cached: Exec copies the statement before the security rewrite, so the
-	// cached form is never mutated, while INSERT/UPDATE/DELETE texts carry
-	// inline values and would churn the cache without repeats.
+	// parsed caches compiled SELECTs, aggregates included, by source text.
+	// Only SELECTs are cached: ExecStmt copies the statement before the
+	// security rewrite, so the cached form is never mutated, while
+	// INSERT/UPDATE/DELETE texts carry inline values and would churn the
+	// cache without repeats.
 	parsed *decisioncache.Cache[string, *SelectStmt]
 }
 
@@ -77,9 +79,12 @@ func NewSecureDB(db *Database, verifier *credential.Verifier) *SecureDB {
 // ParseCacheStats snapshots the SELECT parse-cache counters.
 func (s *SecureDB) ParseCacheStats() decisioncache.Stats { return s.parsed.Stats() }
 
-// parse compiles a statement, serving repeated SELECT texts from the
-// bounded parse cache.
-func (s *SecureDB) parse(src string) (Stmt, error) {
+// Parse compiles a statement, serving repeated SELECT texts from the
+// bounded parse cache. The statement is shared: hand it to ExecStmt, do not
+// modify it.
+//
+// seclint:sanitizer
+func (s *SecureDB) Parse(src string) (Stmt, error) {
 	if sel, ok := s.parsed.Get(src); ok {
 		return sel, nil
 	}
@@ -166,12 +171,16 @@ func (s *SecureDB) rowPredicate(subject *policy.Subject, table string) (Expr, bo
 	return pred, true
 }
 
-// maskedColumns returns the set of column names hidden from the subject.
-func (s *SecureDB) maskedColumns(subject *policy.Subject, table string) map[string]bool {
-	out := map[string]bool{}
+// hiddenColumns returns the set of column names hidden from the subject;
+// nil when there are none.
+func (s *SecureDB) hiddenColumns(subject *policy.Subject, table string) map[string]bool {
+	var out map[string]bool
 	for _, p := range s.colPols {
 		if p.Table != table || !p.Subject.Matches(subject, s.verifier) {
 			continue
+		}
+		if out == nil {
+			out = map[string]bool{}
 		}
 		for _, c := range p.Columns {
 			out[c] = true
@@ -180,66 +189,67 @@ func (s *SecureDB) maskedColumns(subject *policy.Subject, table string) map[stri
 	return out
 }
 
-// Exec runs a statement as the subject, enforcing privileges, row policies
-// and column masks. This is the paper's "query processing [taking] into
-// consideration the access control policies" — the rewrite happens before
-// planning, so the engine's index selection still applies.
+// Exec parses a statement and runs it as the subject through ExecStmt.
 func (s *SecureDB) Exec(subject *policy.Subject, src string) (*Result, error) {
-	st, err := s.parse(src)
+	st, err := s.Parse(src)
 	if err != nil {
 		return nil, err
 	}
+	return s.ExecStmt(subject, st)
+}
+
+// ExecStmt runs a parsed statement as the subject. It is the one gate every
+// statement kind passes: the table privilege, then the subject's view — its
+// row policies conjoined onto WHERE and, for a SELECT, its hidden columns —
+// installed on a copy of the statement, then the engine. This is the
+// paper's "query processing [taking] into consideration the access control
+// policies": the rewrite happens before planning, so the engine's index
+// selection still applies, and an aggregate is computed over the view.
+func (s *SecureDB) ExecStmt(subject *policy.Subject, st Stmt) (*Result, error) {
+	var (
+		priv  sysr.Privilege
+		table string
+		where *Expr       // the copy's WHERE; nil for a statement without one
+		sel   *SelectStmt // the copy, when the statement is a SELECT
+	)
 	switch q := st.(type) {
 	case *SelectStmt:
-		if !s.grants.HasPrivilege(subject.ID, sysr.Select, q.Table) {
-			return nil, fmt.Errorf("reldb: %s lacks SELECT on %s", subject.ID, q.Table)
-		}
-		rewritten, empty := s.rewriteWhere(subject, q.Table, q.Where)
-		if empty {
-			return &Result{Columns: q.Columns}, nil
-		}
 		q2 := *q
-		q2.Where = rewritten
-		res, err := s.db.execSelect(&q2)
-		if err != nil {
-			return nil, err
-		}
-		s.mask(subject, q.Table, res)
-		return res, nil
-
+		priv, table, where, st, sel = sysr.Select, q.Table, &q2.Where, &q2, &q2
 	case *InsertStmt:
-		if !s.grants.HasPrivilege(subject.ID, sysr.Insert, q.Table) {
-			return nil, fmt.Errorf("reldb: %s lacks INSERT on %s", subject.ID, q.Table)
-		}
-		return s.db.ExecStmt(q)
-
+		priv, table = sysr.Insert, q.Table
 	case *UpdateStmt:
-		if !s.grants.HasPrivilege(subject.ID, sysr.Update, q.Table) {
-			return nil, fmt.Errorf("reldb: %s lacks UPDATE on %s", subject.ID, q.Table)
-		}
-		rewritten, empty := s.rewriteWhere(subject, q.Table, q.Where)
-		if empty {
-			return &Result{}, nil
-		}
 		q2 := *q
-		q2.Where = rewritten
-		// seclint:taint-exempt the statement is structural: subject attributes land in predicate constants compared by the evaluator, never re-parsed as SQL text
-		return s.db.ExecStmt(&q2)
-
+		priv, table, where, st = sysr.Update, q.Table, &q2.Where, &q2
 	case *DeleteStmt:
-		if !s.grants.HasPrivilege(subject.ID, sysr.Delete, q.Table) {
-			return nil, fmt.Errorf("reldb: %s lacks DELETE on %s", subject.ID, q.Table)
-		}
-		rewritten, empty := s.rewriteWhere(subject, q.Table, q.Where)
-		if empty {
-			return &Result{}, nil
-		}
 		q2 := *q
-		q2.Where = rewritten
-		// seclint:taint-exempt the statement is structural: subject attributes land in predicate constants compared by the evaluator, never re-parsed as SQL text
-		return s.db.ExecStmt(&q2)
+		priv, table, where, st = sysr.Delete, q.Table, &q2.Where, &q2
+	default:
+		return nil, fmt.Errorf("reldb: statement kind not allowed through SecureDB.Exec")
 	}
-	return nil, fmt.Errorf("reldb: statement kind not allowed through SecureDB.Exec")
+	if !s.grants.HasPrivilege(subject.ID, priv, table) {
+		return nil, fmt.Errorf("reldb: %s lacks %s on %s", subject.ID, priv, table)
+	}
+	if sel != nil {
+		sel.hidden = s.hiddenColumns(subject, table)
+	}
+	if where != nil {
+		rewritten, empty := s.rewriteWhere(subject, table, *where)
+		if empty {
+			switch {
+			case sel == nil:
+				return &Result{}, nil // a write over no visible row
+			case len(sel.Aggs) == 0:
+				return &Result{Columns: sel.Columns}, nil
+			}
+			// An aggregate over no visible row still answers — COUNT 0,
+			// NULLs — never an error that tells the tables apart.
+			rewritten = falseExpr{}
+		}
+		*where = rewritten
+	}
+	// seclint:taint-exempt the statement is structural: subject attributes land in predicate constants compared by the evaluator, never re-parsed as SQL text
+	return s.db.ExecStmt(st)
 }
 
 // rewriteWhere conjoins the subject's row-visibility predicate onto the
@@ -257,20 +267,4 @@ func (s *SecureDB) rewriteWhere(subject *policy.Subject, table string, where Exp
 		return pred, false
 	}
 	return &AndExpr{L: where, R: pred}, false
-}
-
-// mask NULLs out hidden columns in a result, in place.
-func (s *SecureDB) mask(subject *policy.Subject, table string, res *Result) {
-	hidden := s.maskedColumns(subject, table)
-	if len(hidden) == 0 {
-		return
-	}
-	for ci, name := range res.Columns {
-		if !hidden[name] {
-			continue
-		}
-		for _, r := range res.Rows {
-			r[ci] = Null()
-		}
-	}
 }

@@ -1,6 +1,7 @@
 package reldb
 
 import (
+	"fmt"
 	"testing"
 
 	"webdbsec/internal/policy"
@@ -139,6 +140,18 @@ func TestColumnMasking(t *testing.T) {
 		if !r[si].IsNull() {
 			t.Error("salary visible via SELECT *")
 		}
+	}
+	// A hidden column reads NULL before an aggregate groups or folds it:
+	// one NULL-labelled group, never one unlabeled row per hidden value.
+	res, err = sdb.Exec(eng, "SELECT COUNT(*), MAX(salary), COUNT(salary) FROM emp GROUP BY salary")
+	mustNoErr(t, err)
+	if got := fmt.Sprint(res.Rows); got != "[[NULL 2 NULL 0]]" {
+		t.Errorf("staff aggregate over the hidden salary = %s, want one NULL group of its 2 visible rows", got)
+	}
+	res, err = sdb.Exec(mgr, "SELECT COUNT(*), MAX(salary) FROM emp GROUP BY salary")
+	mustNoErr(t, err)
+	if len(res.Rows) != 3 {
+		t.Errorf("manager groups = %v, want one per salary", res.Rows)
 	}
 }
 

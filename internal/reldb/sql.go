@@ -13,6 +13,8 @@ import (
 //	CREATE ORDERED INDEX ON t (col)
 //	INSERT INTO t VALUES (v, ...)
 //	SELECT * | col, ... FROM t [WHERE expr] [ORDER BY col [DESC]] [LIMIT n]
+//	SELECT agg, ... FROM t [WHERE expr] [GROUP BY col]
+//	                                          agg ∈ COUNT(*) | COUNT|SUM|AVG|MIN|MAX(col)
 //	UPDATE t SET col = value, ... [WHERE expr]
 //	DELETE FROM t [WHERE expr]
 //
@@ -47,13 +49,44 @@ type OrderKey struct {
 	Desc bool
 }
 
-// SelectStmt reads rows.
+// AggFunc names an aggregate function.
+type AggFunc string
+
+// Aggregate functions.
+const (
+	AggCount AggFunc = "COUNT"
+	AggSum   AggFunc = "SUM"
+	AggAvg   AggFunc = "AVG"
+	AggMin   AggFunc = "MIN"
+	AggMax   AggFunc = "MAX"
+)
+
+// AggExpr is one aggregate in a select list.
+type AggExpr struct {
+	Func AggFunc
+	// Col is the aggregated column; "*" only for COUNT.
+	Col string
+}
+
+func (a AggExpr) String() string { return fmt.Sprintf("%s(%s)", a.Func, a.Col) }
+
+// SelectStmt reads rows, or — with a non-empty Aggs — folds them: one
+// result row per GroupBy value (one in all without GroupBy), holding the
+// group column, if any, then one column per aggregate. An aggregate
+// statement has no Columns, OrderBy or Limit; a row statement no GroupBy.
 type SelectStmt struct {
 	Table   string
-	Columns []string // nil means *
+	Columns []string // nil means * (or an aggregate list)
+	Aggs    []AggExpr
+	GroupBy string
 	Where   Expr
 	OrderBy []OrderKey
 	Limit   int // -1 means no limit
+	// hidden names the columns the subject's column policies hide: they
+	// read NULL in every row, before grouping, aggregation and projection.
+	// Only SecureDB sets it, on its own copy of the statement, next to the
+	// row-policy rewrite of Where — the two together are the subject's view.
+	hidden map[string]bool
 }
 
 // UpdateStmt modifies rows.
@@ -150,6 +183,12 @@ type TrueExpr struct{}
 // seclint:exempt expression node evaluating one row the engine already authorized
 func (TrueExpr) Eval(*Schema, Row) (bool, error) { return true, nil }
 func (TrueExpr) String() string                  { return "TRUE" }
+
+// falseExpr matches nothing: the view of a subject no row policy admits.
+type falseExpr struct{}
+
+func (falseExpr) Eval(*Schema, Row) (bool, error) { return false, nil }
+func (falseExpr) String() string                  { return "FALSE" }
 
 // --- Lexer ---
 
@@ -306,10 +345,14 @@ func (p *parser) expectKeyword(kw string) error {
 	return nil
 }
 
-func (p *parser) expectPunct(s string) error {
+func (p *parser) atPunct(s string) bool {
 	t := p.cur()
-	if t.kind != "punct" || t.text != s {
-		return fmt.Errorf("reldb: expected %q near %q in %q", s, t.text, p.src)
+	return t.kind == "punct" && t.text == s
+}
+
+func (p *parser) expectPunct(s string) error {
+	if !p.atPunct(s) {
+		return fmt.Errorf("reldb: expected %q near %q in %q", s, p.cur().text, p.src)
 	}
 	p.next()
 	return nil
@@ -376,7 +419,7 @@ func (p *parser) parseCreate() (Stmt, error) {
 				return nil, fmt.Errorf("reldb: unknown type %s", typ)
 			}
 			schema.Columns = append(schema.Columns, Column{Name: col, Kind: k})
-			if p.cur().kind == "punct" && p.cur().text == "," {
+			if p.atPunct(",") {
 				p.next()
 				continue
 			}
@@ -437,7 +480,7 @@ func (p *parser) parseInsert() (Stmt, error) {
 			return nil, err
 		}
 		vals = append(vals, v)
-		if p.cur().kind == "punct" && p.cur().text == "," {
+		if p.atPunct(",") {
 			p.next()
 			continue
 		}
@@ -449,23 +492,37 @@ func (p *parser) parseInsert() (Stmt, error) {
 	return &InsertStmt{Table: table, Values: vals}, nil
 }
 
+// parseSelect is the one SELECT grammar: a select list is *, columns, or
+// aggregates; only an aggregate list takes GROUP BY, only the others
+// ORDER BY and LIMIT.
 func (p *parser) parseSelect() (Stmt, error) {
 	p.next() // SELECT
 	st := &SelectStmt{Limit: -1}
-	if p.cur().kind == "punct" && p.cur().text == "*" {
+	if p.atPunct("*") {
 		p.next()
 	} else {
 		for {
-			col, err := p.ident()
+			name, err := p.ident()
 			if err != nil {
 				return nil, err
 			}
-			st.Columns = append(st.Columns, col)
-			if p.cur().kind == "punct" && p.cur().text == "," {
+			if p.atPunct("(") {
+				agg, err := p.parseAgg(name)
+				if err != nil {
+					return nil, err
+				}
+				st.Aggs = append(st.Aggs, agg)
+			} else {
+				st.Columns = append(st.Columns, name)
+			}
+			if p.atPunct(",") {
 				p.next()
 				continue
 			}
 			break
+		}
+		if st.Aggs != nil && st.Columns != nil {
+			return nil, fmt.Errorf("reldb: a select list is columns or aggregates, not both, in %q", p.src)
 		}
 	}
 	if err := p.expectKeyword("FROM"); err != nil {
@@ -482,6 +539,18 @@ func (p *parser) parseSelect() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
+	}
+	if st.Aggs != nil {
+		if p.atKeyword("GROUP") {
+			p.next()
+			if err := p.expectKeyword("BY"); err != nil {
+				return nil, err
+			}
+			if st.GroupBy, err = p.ident(); err != nil {
+				return nil, err
+			}
+		}
+		return st, nil // ORDER BY and LIMIT here are Parse's trailing input
 	}
 	if p.atKeyword("ORDER") {
 		p.next()
@@ -501,7 +570,7 @@ func (p *parser) parseSelect() (Stmt, error) {
 				p.next()
 			}
 			st.OrderBy = append(st.OrderBy, key)
-			if p.cur().kind == "punct" && p.cur().text == "," {
+			if p.atPunct(",") {
 				p.next()
 				continue
 			}
@@ -521,6 +590,31 @@ func (p *parser) parseSelect() (Stmt, error) {
 		st.Limit = n
 	}
 	return st, nil
+}
+
+// parseAgg parses the parenthesised argument of the aggregate whose
+// function name, fn, the caller has consumed.
+func (p *parser) parseAgg(fn string) (AggExpr, error) {
+	agg := AggExpr{Func: AggFunc(strings.ToUpper(fn))}
+	switch agg.Func {
+	case AggCount, AggSum, AggAvg, AggMin, AggMax:
+	default:
+		return agg, fmt.Errorf("reldb: %q is not an aggregate function", fn)
+	}
+	p.next() // (
+	if p.atPunct("*") {
+		p.next()
+		if agg.Func != AggCount {
+			return agg, fmt.Errorf("reldb: %s(*) is not valid", agg.Func)
+		}
+		agg.Col = "*"
+	} else {
+		var err error
+		if agg.Col, err = p.ident(); err != nil {
+			return agg, err
+		}
+	}
+	return agg, p.expectPunct(")")
 }
 
 func (p *parser) parseUpdate() (Stmt, error) {
@@ -547,7 +641,7 @@ func (p *parser) parseUpdate() (Stmt, error) {
 			return nil, err
 		}
 		set[col] = v
-		if p.cur().kind == "punct" && p.cur().text == "," {
+		if p.atPunct(",") {
 			p.next()
 			continue
 		}
@@ -626,7 +720,7 @@ func (p *parser) parseNot() (Expr, error) {
 		}
 		return &NotExpr{E: e}, nil
 	}
-	if p.cur().kind == "punct" && p.cur().text == "(" {
+	if p.atPunct("(") {
 		p.next()
 		e, err := p.parseExpr()
 		if err != nil {

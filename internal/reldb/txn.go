@@ -115,13 +115,22 @@ type Txn struct {
 	// taken while holding the table's exclusive lock).
 	work map[string]*Table
 	done bool
+	// refused is why the transaction never started (Begin on a read-only
+	// replica); such a transaction is born done.
+	refused error
 }
 
 // Begin starts a transaction. The Begin record's LSN is assigned in the
 // same critical section that registers the transaction as active, so the
 // checkpoint fence (durable.go) can prove every record of an in-flight
 // transaction lies above its WAL truncation point.
+//
+// On a follower's read-only database nothing is registered or logged: the
+// returned transaction refuses every statement and Commit with errReadOnly.
 func (db *Database) Begin() *Txn {
+	if db.readOnly.Load() {
+		return &Txn{db: db, done: true, refused: errReadOnly}
+	}
 	db.mu.Lock()
 	db.txnSeq++
 	id := db.txnSeq
@@ -159,6 +168,14 @@ func (t *Txn) writeTable(name string) (*Table, error) {
 	return w, nil
 }
 
+// finished is the error a done transaction answers with.
+func (t *Txn) finished() error {
+	if t.refused != nil {
+		return t.refused
+	}
+	return fmt.Errorf("reldb: transaction %d already finished", t.id)
+}
+
 // Exec parses and executes a statement inside the transaction.
 //
 // seclint:exempt storage engine below the access-control gate; SecureDB authorizes before transactional work
@@ -177,7 +194,7 @@ func (t *Txn) Exec(src string) (*Result, error) {
 // seclint:sink
 func (t *Txn) ExecStmt(st Stmt) (*Result, error) {
 	if t.done {
-		return nil, fmt.Errorf("reldb: transaction %d already finished", t.id)
+		return nil, t.finished()
 	}
 	switch s := st.(type) {
 	case *SelectStmt:
@@ -298,7 +315,7 @@ func (t *Txn) Commit() error {
 // commit is Commit, also returning the Commit record's LSN.
 func (t *Txn) commit() (int64, error) {
 	if t.done {
-		return 0, fmt.Errorf("reldb: transaction %d already finished", t.id)
+		return 0, t.finished()
 	}
 	t.done = true
 	db := t.db
