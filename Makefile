@@ -94,16 +94,19 @@ crashshort:
 
 # fuzzshort gives every fuzz target a short budget on each check run: the
 # decoders that parse attacker-controlled bytes (WAL records, auth
-# tokens, wsa envelopes, SQL text) must never panic, whatever the input —
-# the envelope decoder must keep accepting, with an identical body, whatever
-# its print-and-parse reference accepts, and any SELECT the SQL parser
-# accepts must execute without panicking. The corpus accumulated under
+# tokens, wsa envelopes, SQL text, replicated reldb log records) must never
+# panic, whatever the input — the envelope decoder must keep accepting, with
+# an identical body, whatever its print-and-parse reference accepts, any
+# SELECT the SQL parser accepts must execute without panicking, and a log
+# record a follower applies either leaves it untouched or stores only rows
+# its schema accepts. The corpus accumulated under
 # testdata/ replays first, so past crashers stay fixed.
 fuzzshort:
 	$(GO) test -run '^$$' -fuzz FuzzTokenDecode -fuzztime 5s ./internal/authtoken/
 	$(GO) test -run '^$$' -fuzz FuzzWALDecode -fuzztime 5s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEnvelope -fuzztime 5s ./internal/wsa/
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 5s ./internal/reldb/
+	$(GO) test -run '^$$' -fuzz FuzzApplyCommit -fuzztime 5s ./internal/reldb/
 
 # failovershort is the replication gate wired into check: a 3-node
 # cluster elects, replicates, survives kill-the-leader at sampled byte

@@ -351,8 +351,8 @@ func (s *server) checkpoint() error {
 
 // close stops replication and flushes durable state. A single node
 // checkpoints so the next start replays nothing (fuzzy, so it succeeds even
-// with a straggling transaction in flight — the WAL tail keeps whatever the
-// snapshot fence excludes); a group member's log is history its peers catch
+// with a straggling transaction in flight — which has logged nothing until
+// it commits); a group member's log is history its peers catch
 // up from, so truncating it is not a shutdown side effect. Failures are
 // logged, not fatal — the WAL already holds everything a redo needs.
 func (s *server) close() {

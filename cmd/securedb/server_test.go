@@ -349,14 +349,8 @@ func TestExecAckWaitsOnOwnCommit(t *testing.T) {
 		if !ok || commit.Op != reldb.OpCommit {
 			t.Fatalf("ack for %s waited on LSN %d, which holds %+v, not a Commit record", zip, lsn, commit)
 		}
-		wrote := false
-		for _, rec := range recs {
-			if rec.Txn == commit.Txn && rec.Op == reldb.OpUpdate && fmt.Sprint(rec.After[1]) == zip {
-				wrote = true
-			}
-		}
-		if !wrote {
-			t.Errorf("ack for %s waited on LSN %d, the commit of transaction %d, which did not write it", zip, lsn, commit.Txn)
+		if len(commit.Changes) != 1 || fmt.Sprint(commit.Changes[0].Row[1]) != zip {
+			t.Errorf("ack for %s waited on LSN %d, a commit that wrote %v", zip, lsn, commit.Changes)
 		}
 	}
 

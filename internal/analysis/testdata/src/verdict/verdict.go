@@ -75,11 +75,6 @@ func checkpointStoreDeferred(s *xmldoc.Store) {
 	defer s.Checkpoint() // want `durability verdict of \(\*xmldoc\.Store\)\.Checkpoint is unobservable \(deferred call\)`
 }
 
-func appendWait(l *reldb.Log, rec reldb.LogRecord) error {
-	_, err := l.AppendWait(rec)
-	return err
-}
-
 // --- replication verdicts (PR 6) ---
 
 func ackWithoutQuorum(n *replication.Node, w *wal.WAL) {

@@ -1,7 +1,7 @@
 // Package verdictcheck forbids discarding a durability verdict. The WAL
 // group-commit pipeline (PR 4) moves the moment of truth from "the call
 // returned" to "the shared fsync's verdict arrived": wal.Ack.Wait,
-// wal.WAL.Append/Sync/CheckpointAt, reldb.Log.AppendWait, reldb.Txn.Commit,
+// wal.WAL.Append/Sync/CheckpointAt, reldb.Txn.Commit,
 // the stores' Checkpoint methods (reldb.Database, policy.Base, xmldoc.Store)
 // and audit.Log.AppendChecked all return the only evidence that a record —
 // or a snapshot — actually reached disk. Dropping that value
@@ -22,7 +22,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "verdictcheck",
 	Doc: "the durability verdicts of wal.Ack.Wait, wal.WAL.Append/Sync/CheckpointAt/TruncateTo/InstallSnapshot, " +
-		"reldb.Log.AppendWait, reldb.Txn.Commit, reldb.Database/policy.Base/xmldoc.Store.Checkpoint, audit.Log.AppendChecked, " +
+		"reldb.Txn.Commit, reldb.Database/policy.Base/xmldoc.Store.Checkpoint, audit.Log.AppendChecked, " +
 		"replication.Node.WaitCommitted and the replica apply/restore verdicts must not be discarded",
 	Run: run,
 }
@@ -34,7 +34,6 @@ var verdictFuncs = map[string]bool{
 	"(*webdbsec/internal/wal.WAL).Append":            true,
 	"(*webdbsec/internal/wal.WAL).Sync":              true,
 	"(*webdbsec/internal/wal.WAL).CheckpointAt":      true,
-	"(*webdbsec/internal/reldb.Log).AppendWait":      true,
 	"(*webdbsec/internal/reldb.Txn).Commit":          true,
 	"(*webdbsec/internal/reldb.Database).Checkpoint": true,
 	"(*webdbsec/internal/policy.Base).Checkpoint":    true,

@@ -39,7 +39,7 @@ func NewAuctionHouse(db *Database) (*AuctionHouse, error) {
 // Open lists an item for sale.
 func (a *AuctionHouse) Open(item, seller string) error {
 	_, err := a.db.Exec(fmt.Sprintf(
-		"INSERT INTO auction_items VALUES ('%s', '%s', 'open', '', 0)", item, seller))
+		"INSERT INTO auction_items VALUES (%s, %s, 'open', '', 0)", QuoteString(item), QuoteString(seller)))
 	return err
 }
 
@@ -48,8 +48,7 @@ func (a *AuctionHouse) Open(item, seller string) error {
 // time.
 func (a *AuctionHouse) PlaceBid(item, bidder string, amount int64) error {
 	txn := a.db.Begin()
-	res, err := txn.Exec(fmt.Sprintf(
-		"SELECT status FROM auction_items WHERE item = '%s'", item))
+	res, err := txn.Exec("SELECT status FROM auction_items WHERE item = " + QuoteString(item))
 	if err != nil {
 		txn.Abort()
 		return err
@@ -62,12 +61,16 @@ func (a *AuctionHouse) PlaceBid(item, bidder string, amount int64) error {
 		txn.Abort()
 		return fmt.Errorf("reldb: auction for %s is closed", item)
 	}
-	if _, err := txn.Exec(fmt.Sprintf(
-		"INSERT INTO auction_bids VALUES ('%s', '%s', %d)", item, bidder, amount)); err != nil {
+	if _, err := txn.Exec(bidInsert(item, bidder, amount)); err != nil {
 		txn.Abort()
 		return err
 	}
 	return txn.Commit()
+}
+
+// bidInsert is the statement that records one bid.
+func bidInsert(item, bidder string, amount int64) string {
+	return fmt.Sprintf("INSERT INTO auction_bids VALUES (%s, %s, %d)", QuoteString(item), QuoteString(bidder), amount)
 }
 
 // Close atomically selects the highest bid, marks the item sold and
@@ -80,8 +83,7 @@ func (a *AuctionHouse) Close(item string) (winner string, price int64, err error
 			txn.Abort()
 		}
 	}()
-	res, err := txn.Exec(fmt.Sprintf(
-		"SELECT bidder, amount FROM auction_bids WHERE item = '%s' ORDER BY amount DESC LIMIT 1", item))
+	res, err := txn.Exec("SELECT bidder, amount FROM auction_bids WHERE item = " + QuoteString(item) + " ORDER BY amount DESC LIMIT 1")
 	if err != nil {
 		return "", 0, err
 	}
@@ -92,8 +94,8 @@ func (a *AuctionHouse) Close(item string) (winner string, price int64, err error
 		status = "sold"
 	}
 	upd, err := txn.Exec(fmt.Sprintf(
-		"UPDATE auction_items SET status = '%s', winner = '%s', price = %d WHERE item = '%s' AND status = 'open'",
-		status, winner, price, item))
+		"UPDATE auction_items SET status = %s, winner = %s, price = %d WHERE item = %s AND status = 'open'",
+		QuoteString(status), QuoteString(winner), price, QuoteString(item)))
 	if err != nil {
 		return "", 0, err
 	}
@@ -109,8 +111,7 @@ func (a *AuctionHouse) Close(item string) (winner string, price int64, err error
 
 // Bids returns the number of bids recorded for an item.
 func (a *AuctionHouse) Bids(item string) (int, error) {
-	res, err := a.db.Exec(fmt.Sprintf(
-		"SELECT bidder FROM auction_bids WHERE item = '%s'", item))
+	res, err := a.db.Exec("SELECT bidder FROM auction_bids WHERE item = " + QuoteString(item))
 	if err != nil {
 		return 0, err
 	}
@@ -138,14 +139,12 @@ func NewLockingAuctionHouse(a *AuctionHouse, think time.Duration) *LockingAuctio
 func (l *LockingAuctionHouse) PlaceBid(item, bidder string, amount int64) error {
 	txn := l.inner.db.Begin()
 	// Exclusive lock on the items table for the duration of the "visit".
-	if _, err := txn.Exec(fmt.Sprintf(
-		"UPDATE auction_items SET status = 'open' WHERE item = '%s' AND status = 'open'", item)); err != nil {
+	if _, err := txn.Exec("UPDATE auction_items SET status = 'open' WHERE item = " + QuoteString(item) + " AND status = 'open'"); err != nil {
 		txn.Abort()
 		return err
 	}
 	time.Sleep(l.ThinkTime)
-	if _, err := txn.Exec(fmt.Sprintf(
-		"INSERT INTO auction_bids VALUES ('%s', '%s', %d)", item, bidder, amount)); err != nil {
+	if _, err := txn.Exec(bidInsert(item, bidder, amount)); err != nil {
 		txn.Abort()
 		return err
 	}

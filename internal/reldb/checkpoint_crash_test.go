@@ -1,7 +1,6 @@
 package reldb
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
@@ -12,35 +11,40 @@ import (
 
 // fuzzyCheckpointWorkload is the scripted workload the fuzzy-checkpoint
 // crash matrix kills at every point: three commits, then a checkpoint
-// taken while one transaction is held open across it (its records pinned
-// below the fence) and a committer races the snapshot stream into a
+// taken while one transaction is held open across it (it has written, but
+// logged nothing yet) and a committer races the snapshot stream into a
 // second table, then the straddling transaction commits, more commits
 // land, and a second checkpoint truncates at quiescence. It returns the
-// durably acknowledged facts; under SyncAlways an acknowledgement means
-// the commit record was fsynced, so every acknowledged fact must survive
-// a crash anywhere in the stream — including inside the checkpoint's
-// snapshot write, fsync and rename.
-func fuzzyCheckpointWorkload(fs *faultinject.MemFS) map[string]bool {
-	acked := make(map[string]bool)
+// durably acknowledged facts and the LSN every fact's commit was assigned;
+// under SyncAlways an acknowledgement means the commit record was fsynced,
+// so every acknowledged fact must survive a crash anywhere in the stream —
+// including inside the checkpoint's snapshot write, fsync and rename.
+func fuzzyCheckpointWorkload(fs *faultinject.MemFS) (acked map[string]bool, lsns map[string]int64) {
+	acked, lsns = make(map[string]bool), make(map[string]int64)
 	w, err := wal.Open(wal.Options{FS: fs, Policy: wal.SyncAlways})
 	if err != nil {
-		return acked
+		return acked, lsns
 	}
 	db, err := OpenDatabase(w)
 	if err != nil {
-		return acked
+		return acked, lsns
 	}
 	db.Exec("CREATE TABLE t (k TEXT, v INT)")
 	db.Exec("CREATE TABLE u (k TEXT, v INT)")
 	var mu sync.Mutex
+	finish := func(txn *Txn, k string) {
+		lsn, err := txn.commit()
+		mu.Lock()
+		defer mu.Unlock()
+		lsns[k] = lsn
+		if err == nil {
+			acked[k] = true
+		}
+	}
 	commit := func(table, k string, v int) {
 		txn := db.Begin()
 		txn.Exec(fmt.Sprintf("INSERT INTO %s VALUES ('%s', %d)", table, k, v))
-		if txn.Commit() == nil {
-			mu.Lock()
-			acked[k] = true
-			mu.Unlock()
-		}
+		finish(txn, k)
 	}
 	for i := 0; i < 3; i++ {
 		commit("t", fmt.Sprintf("k%d", i), i)
@@ -62,15 +66,13 @@ func fuzzyCheckpointWorkload(fs *faultinject.MemFS) map[string]bool {
 	}()
 	db.Checkpoint() // seclint:exempt crash workload: a fault-injected checkpoint may legally fail; invariants are checked against acknowledgements
 	race.Wait()
-	if inflight.Commit() == nil {
-		acked["mid"] = true
-	}
+	finish(inflight, "mid")
 	for i := 3; i < 5; i++ {
 		commit("t", fmt.Sprintf("k%d", i), i)
 	}
 	db.Checkpoint() // seclint:exempt crash workload: quiescent this time (full tail truncation); may legally fail under injected faults
 	commit("t", "k5", 5)
-	return acked
+	return acked, lsns
 }
 
 // fuzzyCheckpointFacts maps every fact the workload can acknowledge to
@@ -104,24 +106,20 @@ func openPromoted(t *testing.T, fs wal.FS) *Database {
 	return db
 }
 
-// snapshotFence returns the FenceLSN of the checkpoint snapshot in img (0
-// when there is none): the commits and DDL at or below it are inside the
-// snapshot, and recovery never redoes them.
-func snapshotFence(t *testing.T, img *faultinject.MemFS) int64 {
+// imageSnapshot returns the checkpoint snapshot in img, restored but not
+// replayed onto, and the LSN the WAL holds it at (0 when there is none).
+func imageSnapshot(t *testing.T, img *faultinject.MemFS) (map[string]*Table, int64) {
 	t.Helper()
 	w, err := wal.Open(wal.Options{FS: img.AfterCrash(false), Policy: wal.SyncAlways})
 	if err != nil {
 		t.Fatalf("wal.Open: %v", err)
 	}
-	payload, _, ok := w.Snapshot()
-	if !ok {
-		return 0
+	payload, lsn, _ := w.Snapshot()
+	st, err := restoreSnap(payload)
+	if err != nil {
+		t.Fatalf("restore snapshot: %v", err)
 	}
-	var snap dbSnap
-	if err := json.Unmarshal(payload, &snap); err != nil {
-		t.Fatalf("decode snapshot: %v", err)
-	}
-	return snap.FenceLSN
+	return st.frozen(), int64(lsn)
 }
 
 // checkFuzzyCheckpointInvariants recovers a post-crash image through open
@@ -130,11 +128,26 @@ func snapshotFence(t *testing.T, img *faultinject.MemFS) int64 {
 // to the previous snapshot plus the untruncated log — a torn snapshot is
 // never accepted), nothing unacknowledged materializes corrupted, recovery
 // of the same image is deterministic, and the recovered database never
-// reassigns an LSN at or below the snapshot fence (the next recovery would
-// skip a commit stamped there as already inside the snapshot).
-func checkFuzzyCheckpointInvariants(t *testing.T, img *faultinject.MemFS, acked map[string]bool, desc string, open func(*testing.T, wal.FS) *Database) {
+// reassigns an LSN at or below the snapshot's (the next recovery would
+// skip a commit stamped there as already inside the snapshot). The
+// snapshot itself is the pinned version at its own LSN — fence and
+// truncation point are one — so it holds exactly the facts whose commit
+// LSN (lsns) is at or below that LSN.
+func checkFuzzyCheckpointInvariants(t *testing.T, img *faultinject.MemFS, acked map[string]bool, lsns map[string]int64, desc string, open func(*testing.T, wal.FS) *Database) {
 	t.Helper()
-	fence := snapshotFence(t, img)
+	snapTables, fence := imageSnapshot(t, img)
+	if fence > 0 {
+		for fact, lsn := range lsns {
+			tbl, ok := snapTables[fuzzyCheckpointFacts[fact].table]
+			in := false
+			if ok {
+				in = tableHasKey(tbl, fact)
+			}
+			if in != (lsn > 0 && lsn <= fence) {
+				t.Fatalf("%s: snapshot at LSN %d holds %s=%v, committed at LSN %d", desc, fence, fact, in, lsn)
+			}
+		}
+	}
 	db := open(t, img)
 	rows := map[string]map[string]int64{
 		"t": tableRows(t, db, "t"),
@@ -170,7 +183,7 @@ func checkFuzzyCheckpointInvariants(t *testing.T, img *faultinject.MemFS, acked 
 	}
 	res := mustExec(t, db, "INSERT INTO t VALUES ('post', 1)")
 	if res.LSN <= fence {
-		t.Fatalf("%s: commit after recovery got LSN %d, at or below the snapshot fence %d", desc, res.LSN, fence)
+		t.Fatalf("%s: commit after recovery got LSN %d, at or below the snapshot's %d", desc, res.LSN, fence)
 	}
 	if got := tableRows(t, open(t, img.AfterCrash(true)), "t"); got["post"] != 1 {
 		t.Fatalf("%s: commit acknowledged after recovery lost by the next recovery: %v", desc, got)
@@ -193,7 +206,7 @@ var recoveries = map[string]func(*testing.T, wal.FS) *Database{
 // dropped) are recovered at every point.
 func TestCrashMatrixFuzzyCheckpoint(t *testing.T) {
 	dry := faultinject.NewMemFS()
-	acked := fuzzyCheckpointWorkload(dry)
+	acked, _ := fuzzyCheckpointWorkload(dry)
 	if len(acked) != len(fuzzyCheckpointFacts) {
 		t.Fatalf("dry run acknowledged %d facts, want %d", len(acked), len(fuzzyCheckpointFacts))
 	}
@@ -211,10 +224,10 @@ func TestCrashMatrixFuzzyCheckpoint(t *testing.T) {
 	for b := int64(0); b < total; b += byteStride {
 		fs := faultinject.NewMemFS()
 		fs.LimitWriteBytes(b)
-		a := fuzzyCheckpointWorkload(fs)
+		a, lsns := fuzzyCheckpointWorkload(fs)
 		for _, drop := range []bool{false, true} {
 			for name, open := range recoveries {
-				checkFuzzyCheckpointInvariants(t, fs.AfterCrash(drop), a,
+				checkFuzzyCheckpointInvariants(t, fs.AfterCrash(drop), a, lsns,
 					fmt.Sprintf("checkpoint crash at byte %d dropUnsynced=%v via %s", b, drop, name), open)
 			}
 		}
@@ -223,10 +236,10 @@ func TestCrashMatrixFuzzyCheckpoint(t *testing.T) {
 	for k := int64(0); k < syncs; k += syncStride {
 		fs := faultinject.NewMemFS()
 		fs.LimitSyncs(k)
-		a := fuzzyCheckpointWorkload(fs)
+		a, lsns := fuzzyCheckpointWorkload(fs)
 		for _, drop := range []bool{false, true} {
 			for name, open := range recoveries {
-				checkFuzzyCheckpointInvariants(t, fs.AfterCrash(drop), a,
+				checkFuzzyCheckpointInvariants(t, fs.AfterCrash(drop), a, lsns,
 					fmt.Sprintf("checkpoint crash inside fsync %d dropUnsynced=%v via %s", k, drop, name), open)
 			}
 		}
@@ -237,10 +250,10 @@ func TestCrashMatrixFuzzyCheckpoint(t *testing.T) {
 
 // TestRecoveryReanchorsAtFence is the directed case the matrix does not
 // reach under SyncAlways: the log does not fsync on commit, so a crash right
-// after a fuzzy checkpoint's snapshot rename leaves a durable snapshot whose
-// fence lies ABOVE everything else on disk (the straddling transaction holds
-// the truncation point below the fence, and the frames in between died
-// unsynced). Every recovery must then jump the log position to the fence.
+// after a fuzzy checkpoint's snapshot rename leaves a durable snapshot above
+// every frame on disk (they died unsynced) while a transaction that had
+// written straddled the checkpoint. The snapshot's LSN is its fence, so the
+// log position every recovery continues from is that fence.
 func TestRecoveryReanchorsAtFence(t *testing.T) {
 	fs := faultinject.NewMemFS()
 	w, err := wal.Open(wal.Options{FS: fs, Policy: wal.SyncNever})
@@ -258,7 +271,7 @@ func TestRecoveryReanchorsAtFence(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustExec(t, db, "INSERT INTO u VALUES ('c0', 10)")
-	mustExec(t, db, "INSERT INTO u VALUES ('c1', 11)")
+	res := mustExec(t, db, "INSERT INTO u VALUES ('c1', 11)")
 	if err := db.Checkpoint(); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
@@ -268,10 +281,20 @@ func TestRecoveryReanchorsAtFence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("wal.Open: %v", err)
 	}
-	if fence := snapshotFence(t, img); fence <= int64(probe.LastLSN()) {
-		t.Fatalf("image does not have its fence above the log: fence %d, LastLSN %d", fence, probe.LastLSN())
+	if _, fence := imageSnapshot(t, img); fence != res.LSN || fence != int64(probe.LastLSN()) {
+		t.Fatalf("snapshot at LSN %d, want the last commit's %d and the log's end %d", fence, res.LSN, probe.LastLSN())
 	}
 	for name, open := range recoveries {
-		checkFuzzyCheckpointInvariants(t, img.AfterCrash(false), nil, "fence above log via "+name, open)
+		checkFuzzyCheckpointInvariants(t, img.AfterCrash(false), nil, nil, "fence above log via "+name, open)
 	}
+}
+
+// tableHasKey reports whether a (k TEXT, v INT) table holds a row with k.
+func tableHasKey(tbl *Table, k string) bool {
+	found := false
+	tbl.Scan(func(_ int64, r Row) bool {
+		found = r[0].S == k
+		return !found
+	})
+	return found
 }

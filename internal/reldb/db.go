@@ -40,12 +40,12 @@ func (r *Result) Attributes() []string {
 //
 // Concurrency model (version.go has the full story): the committed state
 // is an immutable dbVersion published through an mvcc.Cell. Readers Load it
-// and never block — SELECTs, catalog lookups and snapshots take no mutex.
-// db.mu is a writer-side lock only: it serializes version installs,
-// transaction bookkeeping, DDL and checkpoint fencing.
+// and never block — SELECTs, catalog lookups and snapshots take no mutex,
+// and checkpoints do not take db.mu. db.mu is a writer-side lock only: it
+// serializes version installs with the LSNs they are stamped with, and DDL.
 type Database struct {
-	// mu serializes writers (installs, txn bookkeeping, DDL, checkpoint
-	// fencing). The read path never takes it.
+	// mu serializes writers (LSN assignment with the install it stamps,
+	// DDL). The read path never takes it.
 	mu  sync.Mutex
 	log *Log
 
@@ -54,13 +54,7 @@ type Database struct {
 	versions mvcc.Cell[dbVersion]
 
 	lockMgr *lockManager
-	txnSeq  int64 // seclint:guardedby mu
-	// activeTxns maps each in-flight transaction id to the LSN of its Begin
-	// record. Fuzzy Checkpoint truncates the WAL at
-	// min(fence, min(activeTxns)-1) so no in-flight transaction's records
-	// are lost (durable.go).
-	activeTxns map[int64]int64 // seclint:guardedby mu
-	cons       *constraintSet  // seclint:guardedby mu
+	cons    constraintSet
 	// readOnly marks a follower's materialization: only the replay path
 	// (Follower.Apply) installs versions into it, so DDL and Begin — and
 	// with Begin every INSERT, UPDATE and DELETE — fail until Promote. It
@@ -83,10 +77,8 @@ func NewDatabase() *Database {
 // seclint:locked db is not yet published; no other goroutine holds a reference before newDatabaseAt returns
 func newDatabaseAt(v dbVersion, readOnly bool) *Database {
 	db := &Database{
-		log:        &Log{nextLSN: v.lsn},
-		lockMgr:    newLockManager(),
-		txnSeq:     v.txnSeq,
-		activeTxns: make(map[int64]int64),
+		log:     &Log{nextLSN: v.lsn},
+		lockMgr: newLockManager(),
 	}
 	db.readOnly.Store(readOnly)
 	db.versions.Init(&db.mu, v)
@@ -170,10 +162,7 @@ func (db *Database) execDDL(st Stmt) (*Result, error) {
 		// table version without the index). The lock is taken BEFORE db.mu —
 		// the writer may be blocked in Commit waiting for db.mu, and taking
 		// the table lock second would stall every commit behind the wait.
-		db.mu.Lock()
-		db.txnSeq++
-		owner := db.txnSeq
-		db.mu.Unlock()
+		owner := db.lockMgr.newOwner()
 		if err := db.lockMgr.acquireExclusive(owner, s.Table); err != nil {
 			return nil, err
 		}

@@ -13,7 +13,7 @@ import (
 // snapshots travel as JSON payloads inside internal/wal frames — the frame
 // layer provides integrity (CRC32C) and torn-tail truncation, this layer
 // provides the schema. JSON is verbose but self-describing: every field of
-// LogRecord, Schema and Value is exported, so a record round-trips with
+// LogRecord, Change, Schema and Value is exported, so a record round-trips with
 // plain encoding/json and a decoding failure is always a corruption signal
 // rather than a versioning accident.
 
@@ -48,19 +48,13 @@ type rowSnap struct {
 	Row Row
 }
 
-// dbSnap is a whole-database checkpoint snapshot.
+// dbSnap is a whole-database checkpoint snapshot: the committed state as of
+// the snapshot frame's own LSN. Snapshots written before a transaction
+// became one log record also carry a transaction counter and a fence LSN;
+// decoding ignores both (DESIGN.md, "Fuzzy checkpoints", has why such a
+// snapshot still opens to exactly its committed state or not at all).
 type dbSnap struct {
-	TxnSeq int64
-	// FenceLSN is the LSN of the version the snapshot captured: it contains
-	// the effects of exactly the commits and DDL with LSN <= FenceLSN.
-	// Recovery must not redo those (committedAfter). The WAL snapshot frame
-	// itself may sit at a LOWER LSN — the truncation point is held back to
-	// below the oldest record of any transaction that was in flight during
-	// the fuzzy checkpoint, so their records survive for redo. Zero on
-	// snapshots from before fuzzy checkpoints: those were quiescent, so
-	// frame LSN and fence coincide and the old semantics are preserved.
-	FenceLSN int64
-	Tables   []tableSnap
+	Tables []tableSnap
 }
 
 // snapshot captures the table — no lock needed: checkpoint snapshots are
@@ -112,25 +106,24 @@ func (s *tableSnap) restore() (*Table, error) {
 }
 
 // restoreSnap decodes a dbSnap payload into a stage holding its (still
-// private, unfrozen) tables, plus its transaction high-water mark and fence
-// LSN. An empty payload is the empty database.
-func restoreSnap(payload []byte) (st *tableStage, txnSeq, fence int64, err error) {
-	st = newTableStage(nil)
+// private, unfrozen) tables. An empty payload is the empty database.
+func restoreSnap(payload []byte) (*tableStage, error) {
+	st := newTableStage(nil)
 	if len(payload) == 0 {
-		return st, 0, 0, nil
+		return st, nil
 	}
 	var snap dbSnap
 	if err := json.Unmarshal(payload, &snap); err != nil {
-		return nil, 0, 0, fmt.Errorf("reldb: decode snapshot: %w", err)
+		return nil, fmt.Errorf("reldb: decode snapshot: %w", err)
 	}
 	for i := range snap.Tables {
 		t, err := snap.Tables[i].restore()
 		if err != nil {
-			return nil, 0, 0, err
+			return nil, err
 		}
 		st.put(t)
 	}
-	return st, snap.TxnSeq, snap.FenceLSN, nil
+	return st, nil
 }
 
 // OpenDatabase recovers a database from its durable log and wires it to
@@ -147,47 +140,29 @@ func OpenDatabase(w *wal.WAL) (*Database, error) {
 
 // Checkpoint writes a snapshot of a committed version and truncates the
 // log (segment deletion). It is FUZZY: transactions keep beginning and
-// committing while the snapshot streams out — nothing quiesces and nothing
-// is refused.
-//
-// Two LSNs do the work. The fence F is the pinned version's LSN: the
-// snapshot contains exactly the commits and DDL with LSN <= F, and
-// recovery skips redo at or below it (dbSnap.FenceLSN). The truncation
-// point T = min(F, min over in-flight transactions of beginLSN-1) is where
-// the WAL is actually cut: an in-flight transaction's records all have
-// LSN >= its Begin record's LSN > T, so a commit record that lands after
-// the snapshot keeps every record it needs for redo. Both are computed in
-// one db.mu critical section — commits install (and deregister from
-// activeTxns) under the same mutex, so any transaction absent from
-// activeTxns has either installed its version (commit LSN <= F) or
-// aborted, and any transaction present has beginLSN > T by construction.
+// committing while the snapshot streams out — nothing quiesces, nothing is
+// refused, and no writer lock is taken. The fence is the pinned version's
+// LSN: the version holds exactly the records at or below it, and because
+// every record is one complete mutation, none above it depends on one
+// below, so the log is cut right there and the snapshot needs no fence of
+// its own.
 func (db *Database) Checkpoint() error {
 	var pin mvcc.Pin[dbVersion]
-	db.mu.Lock()
 	db.versions.Pin(&pin)
 	defer pin.Release()
 	v := pin.Value()
-	fence := v.lsn
-	trunc := fence
-	for _, beginLSN := range db.activeTxns {
-		if beginLSN-1 < trunc {
-			trunc = beginLSN - 1
-		}
-	}
-	db.mu.Unlock()
-
 	payload, err := v.encodeSnap()
 	if err != nil {
 		return err
 	}
-	return db.log.checkpointAt(payload, trunc)
+	return db.log.checkpointAt(payload, v.lsn)
 }
 
-// encodeSnap serializes the version as a checkpoint payload fenced at its
-// own LSN. The encoding is a function of the state alone: tables by name,
-// rows by rowID, index names sorted.
+// encodeSnap serializes the version as a checkpoint payload. The encoding
+// is a function of the state alone: tables by name, rows by rowID, index
+// names sorted.
 func (v *dbVersion) encodeSnap() ([]byte, error) {
-	snap := dbSnap{TxnSeq: v.txnSeq, FenceLSN: v.lsn}
+	var snap dbSnap
 	for _, name := range v.tableNames() {
 		snap.Tables = append(snap.Tables, v.tables[name].snapshot())
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"webdbsec/internal/resilience/faultinject"
@@ -50,15 +51,11 @@ func tableRows(t *testing.T, db *Database, name string) map[string]int64 {
 }
 
 // assertDBEqual compares two databases structurally: table set, schemas,
-// rows with their stable rowIDs, rowID high-water marks, index sets and
-// the transaction sequence.
+// rows with their stable rowIDs, rowID high-water marks and index sets.
 func assertDBEqual(t *testing.T, a, b *Database, desc string) {
 	t.Helper()
 	if !reflect.DeepEqual(a.Tables(), b.Tables()) {
 		t.Fatalf("%s: table sets differ: %v vs %v", desc, a.Tables(), b.Tables())
-	}
-	if a.txnSeq != b.txnSeq {
-		t.Fatalf("%s: txnSeq %d vs %d", desc, a.txnSeq, b.txnSeq)
 	}
 	for _, name := range a.Tables() {
 		ta, _ := a.Table(name)
@@ -106,12 +103,6 @@ func TestOpenCheckpointReopen(t *testing.T) {
 	if !tbl.HasHashIndex("k") {
 		t.Fatal("index not recovered")
 	}
-	// A transaction started on the recovered database gets a fresh id.
-	txn := db2.Begin()
-	if txn.ID() <= db.txnSeq-1 && txn.ID() == 0 {
-		t.Fatalf("recovered txnSeq did not advance: %d", txn.ID())
-	}
-	txn.Abort()
 }
 
 // TestCheckpointImageReproducible: one committed state encodes to one
@@ -157,7 +148,9 @@ func TestCheckpointImageReproducible(t *testing.T) {
 }
 
 // TestRestoreUnorderedSnapshot: images written before snapshots were
-// ordered list rows and index names in map order; they must keep opening.
+// ordered list rows and index names in map order, and images written
+// before a transaction became one log record carry a transaction counter
+// and a fence LSN; they must keep opening.
 func TestRestoreUnorderedSnapshot(t *testing.T) {
 	payload := []byte(`{"TxnSeq":9,"FenceLSN":40,"Tables":[{"Name":"t",` +
 		`"Schema":{"Columns":[{"Name":"k","Kind":3},{"Name":"v","Kind":1}]},"NextID":700,` +
@@ -165,12 +158,9 @@ func TestRestoreUnorderedSnapshot(t *testing.T) {
 		`{"ID":2,"Row":[{"Kind":3,"I":0,"F":0,"S":"a","B":false},{"Kind":1,"I":1,"F":0,"S":"","B":false}]},` +
 		`{"ID":300,"Row":[{"Kind":3,"I":0,"F":0,"S":"b","B":false},{"Kind":1,"I":2,"F":0,"S":"","B":false}]}],` +
 		`"HashIdx":["v","k"],"OrdIdx":["v"]}]}`)
-	st, txnSeq, fence, err := restoreSnap(payload)
+	st, err := restoreSnap(payload)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if txnSeq != 9 || fence != 40 {
-		t.Fatalf("txnSeq %d fence %d", txnSeq, fence)
 	}
 	tbl := st.frozen()["t"]
 	var got []string
@@ -195,9 +185,9 @@ func TestRestoreUnorderedSnapshot(t *testing.T) {
 // TestCheckpointFuzzyWithActiveTxns asserts the fuzzy-checkpoint contract
 // that replaced the old ErrActiveTxns quiescence requirement: Checkpoint
 // succeeds with transactions in flight, the snapshot covers exactly the
-// committed state, and the in-flight transaction — whose records the fence
-// keeps below the WAL truncation point — commits afterwards and survives
-// recovery.
+// committed state and sits at the pinned version's own LSN (the in-flight
+// transaction has logged nothing, so nothing of it needs keeping), and the
+// in-flight transaction commits afterwards and survives recovery.
 func TestCheckpointFuzzyWithActiveTxns(t *testing.T) {
 	fs := faultinject.NewMemFS()
 	db := openDurable(t, fs)
@@ -208,8 +198,13 @@ func TestCheckpointFuzzyWithActiveTxns(t *testing.T) {
 	if _, err := txn.Exec("INSERT INTO t VALUES ('inflight', 2)"); err != nil {
 		t.Fatal(err)
 	}
+	pinned := db.Snapshot()
+	defer pinned.Release()
 	if err := db.Checkpoint(); err != nil {
 		t.Fatalf("Checkpoint with txn in flight: %v", err)
+	}
+	if _, lsn, _ := db.log.w.Snapshot(); int64(lsn) != pinned.LSN() || lsn != db.log.w.LastLSN() {
+		t.Fatalf("snapshot at LSN %d, want the pinned version's %d (log ends at %d)", lsn, pinned.LSN(), db.log.w.LastLSN())
 	}
 	// The uncommitted write is invisible to the checkpointed state and to
 	// concurrent readers.
@@ -231,6 +226,93 @@ func TestCheckpointFuzzyWithActiveTxns(t *testing.T) {
 		t.Fatalf("Checkpoint at quiescence: %v", err)
 	}
 	assertDBEqual(t, db2, openDurable(t, fs), "reopen after quiescent checkpoint")
+}
+
+// TestTransactionIsOneLogRecord: a committed transaction adds exactly one
+// WAL frame — its Commit, carrying every row it wrote, in order — however
+// many rows and tables that is; an aborted or read-only transaction, and a
+// statement that failed, add none; a statement that matched no row commits
+// one empty record.
+func TestTransactionIsOneLogRecord(t *testing.T) {
+	fs := faultinject.NewMemFS()
+	db := openDurable(t, fs)
+	mustExec(t, db, "CREATE TABLE t (k TEXT, v INT)")
+	mustExec(t, db, "CREATE TABLE u (k TEXT, v INT)")
+	mustExec(t, db, "INSERT INTO t VALUES ('old', 0)")
+	w := db.log.w
+	framesSince := func(lsn uint64) []LogRecord {
+		t.Helper()
+		c, err := w.OpenCursor(lsn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var recs []LogRecord
+		for {
+			f, ok, err := c.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				return recs
+			}
+			rec, err := decodeLogRecord(f.Payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs = append(recs, rec)
+		}
+	}
+
+	last := w.LastLSN()
+	txn := db.Begin()
+	for _, src := range []string{
+		"INSERT INTO t VALUES ('a', 1)",
+		"INSERT INTO t VALUES ('b', 2)",
+		"UPDATE t SET v = 9 WHERE k = 'a'",
+		"DELETE FROM t WHERE k = 'old'",
+		"INSERT INTO u VALUES ('x', 1)",
+	} {
+		if _, err := txn.Exec(src); err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+	}
+	if err := txn.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	recs := framesSince(last)
+	if len(recs) != 1 || recs[0].Op != OpCommit {
+		t.Fatalf("a committed transaction added %d frames (%+v), want one Commit", len(recs), recs)
+	}
+	got := fmt.Sprint(recs[0].Changes)
+	if want := "[{t 2 [a 1]} {t 3 [b 2]} {t 2 [a 9]} {t 1 []} {u 1 [x 1]}]"; got != want {
+		t.Fatalf("commit carries %s, want %s", got, want)
+	}
+
+	last = w.LastLSN()
+	aborted := db.Begin()
+	if _, err := aborted.Exec("INSERT INTO t VALUES ('ghost', 1)"); err != nil {
+		t.Fatal(err)
+	}
+	aborted.Abort()
+	reader := db.Begin()
+	if _, err := reader.Exec("SELECT * FROM t"); err != nil {
+		t.Fatal(err)
+	}
+	if err := reader.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Exec("INSERT INTO t VALUES (1, 'wrong kinds')"); err == nil {
+		t.Fatal("a row of the wrong kinds was inserted")
+	}
+	if recs := framesSince(last); len(recs) != 0 {
+		t.Fatalf("aborted, read-only and failed transactions added %d frames: %+v", len(recs), recs)
+	}
+
+	res := mustExec(t, db, "UPDATE t SET v = 0 WHERE k = 'nobody'")
+	if recs := framesSince(last); len(recs) != 1 || recs[0].Op != OpCommit || len(recs[0].Changes) != 0 || int64(w.LastLSN()) != res.LSN {
+		t.Fatalf("an UPDATE matching no row added %+v, want one empty Commit at its LSN %d", recs, res.LSN)
+	}
+	assertDBEqual(t, db, openDurable(t, fs.AfterCrash(true)), "recovered from one record per transaction")
 }
 
 func TestCommitReportsLostDurability(t *testing.T) {
@@ -395,8 +477,10 @@ func TestCrashMatrixRecordBoundaries(t *testing.T) {
 			rest = next
 		}
 	}
-	if len(boundaries) < 20 {
-		t.Fatalf("dry run produced only %d records", len(boundaries))
+	// One frame per DDL statement and per committed transaction; the
+	// aborted transaction wrote none.
+	if len(boundaries) != 2+len(acked) {
+		t.Fatalf("dry run produced %d records, want %d", len(boundaries), 2+len(acked))
 	}
 	if boundaries[len(boundaries)-1] != fs0.BytesWritten() {
 		t.Fatalf("frame boundaries (%d) disagree with write stream (%d)",
@@ -434,9 +518,8 @@ func TestCrashMatrixMidFsync(t *testing.T) {
 	fs0 := faultinject.NewMemFS()
 	acked := crashWorkload(fs0)
 	syncs := fs0.SyncCount()
-	// Group commit coalesced the old one-fsync-per-append stream into one
-	// barrier per acknowledged commit: the workload's DML and abort frames
-	// ride the next commit's batch. Exactly the acknowledged commits fsync.
+	// One barrier per acknowledged commit at least: a commit is one frame,
+	// and it is acknowledged only once that frame is fsynced.
 	if syncs < int64(len(acked)) {
 		t.Fatalf("dry run performed only %d fsyncs for %d acknowledged commits", syncs, len(acked))
 	}
@@ -446,12 +529,16 @@ func TestCrashMatrixMidFsync(t *testing.T) {
 	t.Logf("crash matrix: %d mid-fsync points × 2 images", syncs)
 }
 
-// TestRecoversLogWrittenWithBeforeImages pins backward compatibility of the
-// record format: until PR 22 every record carried a "Before" key (the old
-// row on UPDATE/DELETE, null otherwise) that redo never read. The frames
-// below are what that encoder wrote, byte for byte; a database recovered
-// from them must hold exactly the committed state.
-func TestRecoversLogWrittenWithBeforeImages(t *testing.T) {
+// TestRetiredLogFormat pins what a log of the per-operation format opens
+// to: a transaction was a Begin record, one record per row it wrote (which
+// also carried a "Before" key redo never read), and a Commit or Abort, and
+// snapshots carried a transaction counter and a fence. A single node that
+// format's release shut down cleanly has its rows in the shutdown snapshot
+// and only row-less records above it — it opens to exactly its committed
+// state and keeps writing. A log with a row record above its snapshot is
+// refused by the record's kind, never partly replayed.
+func TestRetiredLogFormat(t *testing.T) {
+	const begin, commit, abort, insert, update, del = 2, 3, 4, 5, 6, 7
 	row := func(k string, v int) string {
 		return fmt.Sprintf(`[{"Kind":3,"I":0,"F":0,"S":%q,"B":false},{"Kind":1,"I":%d,"F":0,"S":"","B":false}]`, k, v)
 	}
@@ -459,40 +546,85 @@ func TestRecoversLogWrittenWithBeforeImages(t *testing.T) {
 		return fmt.Sprintf(`{"LSN":%d,"Txn":%d,"Op":%d,"Table":%q,"Column":"","Ordered":false,"Schema":null,"RowID":%d,"Before":%s,"After":%s}`,
 			lsn, txn, op, table, rowID, before, after)
 	}
-	frames := []string{
+	history := []string{
 		`{"LSN":1,"Txn":0,"Op":0,"Table":"t","Column":"","Ordered":false,"Schema":{"Columns":[{"Name":"k","Kind":3},{"Name":"v","Kind":1}]},"RowID":0,"Before":null,"After":null}`,
-		rec(2, 1, int(OpBegin), "", 0, "null", "null"),
-		rec(3, 1, int(OpInsert), "t", 1, "null", row("a", 1)),
-		rec(4, 1, int(OpInsert), "t", 2, "null", row("b", 2)),
-		rec(5, 1, int(OpCommit), "", 0, "null", "null"),
-		rec(6, 2, int(OpBegin), "", 0, "null", "null"),
-		rec(7, 2, int(OpUpdate), "t", 1, row("a", 1), row("a", 10)),
-		rec(8, 2, int(OpDelete), "t", 2, row("b", 2), "null"),
-		rec(9, 2, int(OpCommit), "", 0, "null", "null"),
+		rec(2, 1, begin, "", 0, "null", "null"),
+		rec(3, 1, insert, "t", 1, "null", row("a", 1)),
+		rec(4, 1, insert, "t", 2, "null", row("b", 2)),
+		rec(5, 1, commit, "", 0, "null", "null"),
+		rec(6, 2, begin, "", 0, "null", "null"),
+		rec(7, 2, update, "t", 1, row("a", 1), row("a", 10)),
+		rec(8, 2, del, "t", 2, row("b", 2), "null"),
+		rec(9, 2, commit, "", 0, "null", "null"),
 	}
-	fs := faultinject.NewMemFS()
-	w, err := wal.Open(wal.Options{FS: fs, Policy: wal.SyncAlways})
-	if err != nil {
-		t.Fatal(err)
+	// After its shutdown checkpoint at the last commit: a statement that
+	// failed before writing a row, and a transaction that only read.
+	rowless := []string{
+		rec(10, 3, begin, "", 0, "null", "null"),
+		rec(11, 3, abort, "", 0, "null", "null"),
+		rec(12, 4, begin, "", 0, "null", "null"),
+		rec(13, 4, commit, "", 0, "null", "null"),
 	}
-	for _, f := range frames {
-		if _, err := w.Append([]byte(f)); err != nil {
+	snapshot := `{"TxnSeq":2,"FenceLSN":9,"Tables":[{"Name":"t","Schema":{"Columns":[{"Name":"k","Kind":3},{"Name":"v","Kind":1}]},` +
+		`"NextID":2,"Rows":[{"ID":1,"Row":` + row("a", 10) + `}],"HashIdx":null,"OrdIdx":null}]}`
+	write := func(frames []string, checkpoint bool, more []string) *faultinject.MemFS {
+		t.Helper()
+		fs := faultinject.NewMemFS()
+		w, err := wal.Open(wal.Options{FS: fs, Policy: wal.SyncAlways})
+		if err != nil {
 			t.Fatal(err)
 		}
+		for _, f := range frames {
+			if _, err := w.Append([]byte(f)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if checkpoint {
+			if err := w.CheckpointAt([]byte(snapshot), w.LastLSN()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, f := range more {
+			if _, err := w.Append([]byte(f)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return fs
 	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
+
+	clean := write(history, true, rowless)
+	for name, open := range recoveries {
+		db := open(t, clean.AfterCrash(false))
+		if got, want := tableRows(t, db, "t"), map[string]int64{"a": 10}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: clean shutdown recovered %v, want %v", name, got, want)
+		}
 	}
-	db := openDurable(t, fs)
-	if got, want := tableRows(t, db, "t"), map[string]int64{"a": 10}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("recovered %v, want %v", got, want)
-	}
-	// The recovered database keeps writing, in the format without the key.
+	// The opened log keeps writing, in the current format.
+	db := openDurable(t, clean)
 	if _, err := db.Exec("UPDATE t SET v = 11 WHERE k = 'a'"); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := tableRows(t, openDurable(t, fs.AfterCrash(true)), "t"), map[string]int64{"a": 11}; !reflect.DeepEqual(got, want) {
+	if got, want := tableRows(t, openDurable(t, clean.AfterCrash(true)), "t"), map[string]int64{"a": 11}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("after one more update, recovered %v, want %v", got, want)
+	}
+
+	// Row records above the snapshot: the whole history with no checkpoint,
+	// and a transaction that wrote a row and aborted after the last one.
+	unfinished := []string{rec(10, 3, begin, "", 0, "null", "null"), rec(11, 3, insert, "t", 2, "null", row("c", 3)), rec(12, 3, abort, "", 0, "null", "null")}
+	for desc, fs := range map[string]*faultinject.MemFS{
+		"no checkpoint":            write(history, false, nil),
+		"row record above the end": write(history, true, unfinished),
+	} {
+		w, err := wal.Open(wal.Options{FS: fs, Policy: wal.SyncAlways})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenDatabase(w); err == nil || !strings.Contains(err.Error(), "(Insert) belongs to the retired per-operation log format") {
+			t.Fatalf("%s: OpenDatabase = %v, want a refusal naming the Insert record", desc, err)
+		}
 	}
 }
 
@@ -513,7 +645,7 @@ func TestOpenDatabaseRefusesUnreadableSegment(t *testing.T) {
 	if _, err := db.Exec("CREATE TABLE t (k TEXT, v INT)"); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 30; i++ {
 		if _, err := db.Exec(fmt.Sprintf("INSERT INTO t VALUES ('k%d', %d)", i, i)); err != nil {
 			t.Fatal(err)
 		}
@@ -531,7 +663,7 @@ func TestOpenDatabaseRefusesUnreadableSegment(t *testing.T) {
 		}
 		img.FailReads(seg)
 		if db2, err := OpenDatabase(w2); err == nil {
-			t.Fatalf("%s unreadable: OpenDatabase returned a database with %d of 10 rows", seg, len(tableRows(t, db2, "t")))
+			t.Fatalf("%s unreadable: OpenDatabase returned a database with %d of 30 rows", seg, len(tableRows(t, db2, "t")))
 		}
 	}
 }

@@ -58,7 +58,7 @@ func TestFollowerTracksLeader(t *testing.T) {
 	if err := txn.Commit(); err != nil {
 		t.Fatalf("Commit: %v", err)
 	}
-	// An aborted transaction ships too, and must leave no trace.
+	// An aborted transaction logs nothing, so nothing of it ships.
 	txn2 := db.Begin()
 	if _, err := txn2.Exec("INSERT INTO kv VALUES ('ghost', 9)"); err != nil {
 		t.Fatalf("INSERT: %v", err)
@@ -81,7 +81,7 @@ func TestFollowerTracksLeader(t *testing.T) {
 		t.Fatalf("follower rows = %v", got)
 	}
 	// The follower's materialization is exactly what crash recovery of the
-	// leader's WAL would produce (uncommitted/aborted work invisible).
+	// leader's WAL would produce.
 	if err := leaderBack.Close(); err != nil {
 		t.Fatalf("Close leader wal: %v", err)
 	}
@@ -113,8 +113,8 @@ func TestFollowerBuffersUncommitted(t *testing.T) {
 	if got := tableRows(t, f.DB(), "kv"); len(got) != 0 {
 		t.Fatalf("uncommitted rows visible on follower: %v", got)
 	}
-	// Follower restarts mid-transaction: the buffer must survive via its
-	// own WAL.
+	// Follower restarts mid-transaction: the open transaction has shipped
+	// nothing, so its own WAL holds nothing of it either.
 	if err := fw.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -126,7 +126,7 @@ func TestFollowerBuffersUncommitted(t *testing.T) {
 	if got := tableRows(t, f.DB(), "kv"); len(got) != 0 {
 		t.Fatalf("uncommitted rows visible after restart: %v", got)
 	}
-	// The commit record arrives after the restart.
+	// The commit record — the whole transaction — arrives after the restart.
 	if err := txn.Commit(); err != nil {
 		t.Fatalf("Commit: %v", err)
 	}
@@ -187,9 +187,9 @@ func TestFollowerPromote(t *testing.T) {
 }
 
 // TestFollowerDatabaseIsReadOnly: the database a follower hands out refuses
-// DDL, Begin and every DML statement — leaving its tables, transaction
-// counter and log position untouched — serves reads, and takes writes once
-// Promote has handed it over.
+// DDL, Begin and every DML statement — leaving its version and log
+// position untouched — serves reads, and takes writes once Promote has
+// handed it over.
 func TestFollowerDatabaseIsReadOnly(t *testing.T) {
 	db := openDurable(t, faultinject.NewMemFS())
 	mustExec(t, db, "CREATE TABLE kv (k TEXT, v INT)")
@@ -206,14 +206,12 @@ func TestFollowerDatabaseIsReadOnly(t *testing.T) {
 	shipAll(t, leaderBack, fw, f)
 
 	replica := f.DB()
-	position := func() (seq, lsn int64) {
-		replica.mu.Lock()
-		defer replica.mu.Unlock()
+	position := func() (version, lsn int64) {
 		replica.log.mu.Lock()
 		defer replica.log.mu.Unlock()
-		return replica.txnSeq, replica.log.nextLSN
+		return replica.versions.Load().lsn, replica.log.nextLSN
 	}
-	seq, lsn := position()
+	version, lsn := position()
 	for _, src := range []string{
 		"INSERT INTO kv VALUES ('x', 9)",
 		"UPDATE kv SET v = 9",
@@ -236,8 +234,8 @@ func TestFollowerDatabaseIsReadOnly(t *testing.T) {
 	if got := tableRows(t, replica, "kv"); got["a"] != 1 || len(got) != 1 {
 		t.Errorf("follower rows after refused writes = %v", got)
 	}
-	if s2, l2 := position(); s2 != seq || l2 != lsn {
-		t.Errorf("refused writes moved the follower: txnSeq %d -> %d, log %d -> %d", seq, s2, lsn, l2)
+	if v2, l2 := position(); v2 != version || l2 != lsn {
+		t.Errorf("refused writes moved the follower: version %d -> %d, log %d -> %d", version, v2, lsn, l2)
 	}
 
 	promoted, err := f.Promote()

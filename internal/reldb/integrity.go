@@ -13,9 +13,11 @@ import (
 // well as security constraints are satisfied."
 //
 // A CheckConstraint is a predicate every row of a table must satisfy; it
-// is enforced on INSERT and UPDATE, inside and outside transactions (the
-// check runs before the write, so a violating statement fails atomically).
-// NOT NULL is a declarative special case.
+// is enforced on INSERT and UPDATE, inside and outside transactions (every
+// row a statement would write is checked before it writes any, so a
+// violating statement fails atomically). NOT NULL is a declarative special
+// case. Each constraint is bound to its table's schema once, when it is
+// added — a table's schema never changes.
 
 // CheckConstraint is one named table predicate.
 type CheckConstraint struct {
@@ -24,21 +26,42 @@ type CheckConstraint struct {
 	Check Expr
 }
 
-// constraintSet holds a database's constraints; attached lazily.
+// constraintSet holds a database's constraints by table.
 type constraintSet struct {
-	mu     sync.RWMutex
-	checks []*CheckConstraint
-	// notNull: table -> column names that must not be NULL.
-	notNull map[string]map[string]bool
+	mu sync.RWMutex
+	// byTable maps a table to the checks every row written into it must
+	// pass, in the order they were added.
+	byTable map[string][]rowCheck // seclint:guardedby mu
 }
 
-func (db *Database) constraints() *constraintSet {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.cons == nil {
-		db.cons = &constraintSet{notNull: make(map[string]map[string]bool)}
+// rowCheck is one constraint bound to its table's schema: the predicate a
+// row must satisfy, and the error a row that does not gets.
+type rowCheck struct {
+	holds     matcher
+	violation error
+}
+
+// add installs a bound check for table, after validating the table's
+// current rows against it.
+func (cs *constraintSet) add(t *Table, c rowCheck) error {
+	var violation error
+	t.Scan(func(id int64, r Row) bool {
+		if !c.holds(r) {
+			violation = fmt.Errorf("%w (existing row %d)", c.violation, id)
+			return false
+		}
+		return true
+	})
+	if violation != nil {
+		return violation
 	}
-	return db.cons
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	if cs.byTable == nil {
+		cs.byTable = make(map[string][]rowCheck)
+	}
+	cs.byTable[t.Name] = append(cs.byTable[t.Name], c)
+	return nil
 }
 
 // AddCheck installs a CHECK constraint. Existing rows are validated first:
@@ -57,22 +80,7 @@ func (db *Database) AddCheck(c *CheckConstraint) error {
 	if err != nil {
 		return err
 	}
-	var violation error
-	t.Scan(func(id int64, r Row) bool {
-		if !holds(r) {
-			violation = fmt.Errorf("reldb: existing row %d violates constraint %s", id, c.Name)
-			return false
-		}
-		return true
-	})
-	if violation != nil {
-		return violation
-	}
-	cs := db.constraints()
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	cs.checks = append(cs.checks, c)
-	return nil
+	return db.cons.add(t, rowCheck{holds, fmt.Errorf("reldb: constraint %s violated", c.Name)})
 }
 
 // AddNotNull marks a column NOT NULL. Existing NULLs are rejected.
@@ -87,55 +95,23 @@ func (db *Database) AddNotNull(table, column string) error {
 	if ci < 0 {
 		return fmt.Errorf("reldb: table %s has no column %s", table, column)
 	}
-	var violation error
-	t.Scan(func(id int64, r Row) bool {
-		if r[ci].IsNull() {
-			violation = fmt.Errorf("reldb: existing row %d has NULL in %s.%s", id, table, column)
-			return false
-		}
-		return true
+	return db.cons.add(t, rowCheck{
+		holds:     func(r Row) bool { return !r[ci].IsNull() },
+		violation: fmt.Errorf("reldb: column %s.%s is NOT NULL", table, column),
 	})
-	if violation != nil {
-		return violation
-	}
-	cs := db.constraints()
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	m := cs.notNull[table]
-	if m == nil {
-		m = make(map[string]bool)
-		cs.notNull[table] = m
-	}
-	m[column] = true
-	return nil
 }
 
-// validateRow enforces the table's constraints on a prospective row.
-func (db *Database) validateRow(table string, schema *Schema, r Row) error {
-	db.mu.Lock()
-	cs := db.cons
-	db.mu.Unlock()
-	if cs == nil {
-		return nil
+// validateRow checks a row a statement is about to write into tbl against
+// the table's schema and constraints.
+func (db *Database) validateRow(tbl *Table, r Row) error {
+	if err := tbl.Schema.CheckRow(r); err != nil {
+		return err
 	}
-	cs.mu.RLock()
-	defer cs.mu.RUnlock()
-	for col := range cs.notNull[table] {
-		ci := schema.ColIndex(col)
-		if ci >= 0 && r[ci].IsNull() {
-			return fmt.Errorf("reldb: column %s.%s is NOT NULL", table, col)
-		}
-	}
-	for _, c := range cs.checks {
-		if c.Table != table {
-			continue
-		}
-		ok, err := c.Check.Eval(schema, r)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return fmt.Errorf("reldb: constraint %s violated", c.Name)
+	db.cons.mu.RLock()
+	defer db.cons.mu.RUnlock()
+	for _, c := range db.cons.byTable[tbl.Name] {
+		if !c.holds(r) {
+			return c.violation
 		}
 	}
 	return nil

@@ -10,31 +10,42 @@ import (
 // LogOp is the kind of a log record.
 type LogOp int
 
-// Log operations.
+// Log operations. The values are the on-disk encoding; 2 and 4–7 belong to
+// the retired per-operation format (retiredOps).
 const (
-	OpCreateTable LogOp = iota
-	OpCreateIndex
-	OpBegin
-	OpCommit
-	OpAbort
-	OpInsert
-	OpUpdate
-	OpDelete
+	OpCreateTable LogOp = 0
+	OpCreateIndex LogOp = 1
+	OpCommit      LogOp = 3
 )
 
-// LogRecord is one entry of the write-ahead log. DML records carry enough
-// state to redo the change: the row's ID and, for an insert or update, the
-// row After it.
+// retiredOps names the record kinds of the per-operation format, in which a
+// transaction was a Begin record, one record per row written, and a Commit
+// or Abort. Begin and Abort carry no state, so redo skips them, and that
+// format's Commit decodes as an empty one (its rows were in the row
+// records); a row record cannot be redone without the rest of its
+// transaction, so a log holding one is refused rather than partly replayed.
+var retiredOps = map[LogOp]string{2: "Begin", 4: "Abort", 5: "Insert", 6: "Update", 7: "Delete"}
+
+// LogRecord is one entry of the write-ahead log: one complete mutation.
+// DDL records name the table (and the schema or indexed column); a Commit
+// record carries every row its transaction wrote, so a transaction is
+// exactly one record and a record is never part of one.
 type LogRecord struct {
 	LSN     int64
-	Txn     int64
 	Op      LogOp
-	Table   string
-	Column  string
-	Ordered bool
-	Schema  *Schema
-	RowID   int64
-	After   Row
+	Table   string   `json:",omitempty"`
+	Column  string   `json:",omitempty"`
+	Ordered bool     `json:",omitempty"`
+	Schema  *Schema  `json:",omitempty"`
+	Changes []Change `json:",omitempty"`
+}
+
+// Change is one row a committed transaction wrote: the row stored under
+// RowID afterwards, or nil when the transaction deleted it.
+type Change struct {
+	Table string
+	RowID int64
+	Row   Row
 }
 
 // Log is the database's side of the write-ahead log ("the paper's recovery
@@ -52,30 +63,6 @@ type Log struct {
 	// Txn.Commit refuses to report durability it cannot provide.
 	w   *wal.WAL // seclint:guardedby mu
 	err error    // seclint:guardedby mu
-}
-
-// Append adds a record, assigning its LSN, and encodes it into the durable
-// backend when one is attached. It returns as soon as the record is
-// enqueued into the backend's commit pipeline — Append does NOT wait for
-// the disk verdict. Callers that acknowledge durability (Txn.Commit)
-// use AppendWait, whose verdict covers every earlier enqueued record of
-// the transaction because the backend writes frames in LSN order.
-//
-// seclint:exempt log substrate below the access-control gate; SecureDB authorizes before the engine logs
-func (l *Log) Append(rec LogRecord) int64 {
-	lsn, _ := l.appendAsync(rec)
-	return lsn
-}
-
-// AppendWait adds a record like Append, then blocks until the durable
-// backend's group-commit verdict for it is known. A nil error from a log
-// with a backend means the record — and, by LSN ordering, every record
-// enqueued before it — is on disk per the backend's sync policy.
-//
-// seclint:exempt log substrate below the access-control gate; SecureDB authorizes before the engine logs
-func (l *Log) AppendWait(rec LogRecord) (int64, error) {
-	lsn, ack := l.appendAsync(rec)
-	return lsn, l.waitAck(ack)
 }
 
 // appendAsync assigns the record's LSN, encodes it into the backend's
@@ -130,12 +117,11 @@ func (l *Log) Err() error {
 }
 
 // checkpointAt forwards the snapshot to the backend, truncating the log at
-// trunc (every record with LSN <= trunc is covered by the snapshot or
-// belongs to a transaction whose records the backend keeps; durable.go
-// computes the fence). Appends continue concurrently throughout — l.mu is
-// NOT held across the backend I/O — which is what makes the database-level
-// Checkpoint fuzzy; the backend serializes concurrent checkpoints itself.
-func (l *Log) checkpointAt(snapshot []byte, trunc int64) error {
+// upTo: the snapshot holds exactly the records with LSN <= upTo. Appends
+// continue concurrently throughout — l.mu is NOT held across the backend
+// I/O — which is what makes the database-level Checkpoint fuzzy; the
+// backend serializes concurrent checkpoints itself.
+func (l *Log) checkpointAt(snapshot []byte, upTo int64) error {
 	l.mu.Lock()
 	w, err := l.w, l.err
 	l.mu.Unlock()
@@ -145,7 +131,7 @@ func (l *Log) checkpointAt(snapshot []byte, trunc int64) error {
 	if err != nil {
 		return err
 	}
-	if err := w.CheckpointAt(snapshot, uint64(trunc)); err != nil {
+	if err := w.CheckpointAt(snapshot, uint64(upTo)); err != nil {
 		l.mu.Lock()
 		if l.err == nil {
 			l.err = err
@@ -196,40 +182,56 @@ func (st *tableStage) frozen() map[string]*Table {
 	return st.work
 }
 
-// applyRecords redoes recs — DDL, or the DML of one committed transaction —
+// redo applies one record — DDL, or a committed transaction's changes —
 // onto the stage. It is the one redo engine, reached only through
-// Follower.consume, which decides what is committed and above the fence.
-func applyRecords(st *tableStage, recs []LogRecord) error {
-	for _, r := range recs {
-		if r.Op == OpCreateTable {
-			if r.Schema == nil {
-				return fmt.Errorf("reldb: recover: CreateTable without schema")
-			}
-			st.put(NewTable(r.Table, *r.Schema))
-			continue
+// Follower.consume. A record the live engine could not have written (a
+// second CREATE TABLE of a name, a row the schema refuses, a row id out of
+// sequence) is an error, never a panic or a silently different state.
+func redo(st *tableStage, r *LogRecord) error {
+	switch r.Op {
+	case OpCreateTable:
+		if r.Schema == nil {
+			return fmt.Errorf("reldb: recover: CreateTable without schema")
 		}
+		if _, exists := st.mutable(r.Table); exists {
+			return fmt.Errorf("reldb: recover: record %d creates table %s, which exists", r.LSN, r.Table)
+		}
+		st.put(NewTable(r.Table, *r.Schema))
+		return nil
+	case OpCreateIndex:
 		t, ok := st.mutable(r.Table)
 		if !ok {
 			return fmt.Errorf("reldb: recover: record %d for unknown table %s", r.LSN, r.Table)
 		}
 		var err error
-		switch r.Op {
-		case OpCreateIndex:
-			if r.Ordered {
-				err = t.CreateOrderedIndex(r.Column)
-			} else {
-				err = t.CreateHashIndex(r.Column)
-			}
-		case OpInsert:
-			t.insertAt(r.RowID, r.After)
-		case OpUpdate:
-			_, err = t.Update(r.RowID, r.After)
-		case OpDelete:
-			_, err = t.Delete(r.RowID)
+		if r.Ordered {
+			err = t.CreateOrderedIndex(r.Column)
+		} else {
+			err = t.CreateHashIndex(r.Column)
 		}
 		if err != nil {
 			return fmt.Errorf("reldb: recover: %w", err)
 		}
+		return nil
+	case OpCommit:
+		for _, c := range r.Changes {
+			t, ok := st.mutable(c.Table)
+			if !ok {
+				return fmt.Errorf("reldb: recover: record %d for unknown table %s", r.LSN, c.Table)
+			}
+			if err := t.redo(c); err != nil {
+				return fmt.Errorf("reldb: recover: record %d: %w", r.LSN, err)
+			}
+		}
+		return nil
 	}
-	return nil
+	switch kind := retiredOps[r.Op]; kind {
+	case "":
+		return fmt.Errorf("reldb: recover: record %d has unknown kind %d", r.LSN, r.Op)
+	case "Begin", "Abort":
+		return nil
+	default:
+		return fmt.Errorf("reldb: recover: record %d (%s) belongs to the retired per-operation log format, "+
+			"which cannot be redone without the rest of its transaction", r.LSN, kind)
+	}
 }

@@ -471,7 +471,7 @@ func TestRowStoreModel(t *testing.T) {
 				cur.ref[id], cur.used[id] = r.Clone(), true
 				r[0] = Int(-1) // the table must have stored its own copy
 			case op < 50:
-				// The redo path: an id of the log's choosing, possibly chunks ahead.
+				// The checkpoint-restore path: an id of the snapshot's choosing, possibly chunks ahead.
 				id := cur.t.nextID + 1 + rng.Int63n(3*chunkSize)
 				r := newRow()
 				cur.t.insertAt(id, r)

@@ -221,7 +221,27 @@ func (t *Table) Insert(r Row) (int64, error) {
 	return id, nil
 }
 
-// insertAt restores a row under a specific id (recovery/replica path).
+// redo applies one logged change to a private working copy — the
+// recovery and replica counterpart of Insert, Update and Delete. It refuses
+// what the live path cannot have logged: a row the schema rejects, a delete
+// or update of a row that is not there, and a new row under any id but the
+// next one (rowIDs are dense and never reused).
+func (t *Table) redo(c Change) error {
+	switch {
+	case c.Row == nil:
+		_, err := t.Delete(c.RowID)
+		return err
+	case t.rows.get(c.RowID) != nil:
+		_, err := t.Update(c.RowID, c.Row)
+		return err
+	case c.RowID != t.nextID+1:
+		return fmt.Errorf("reldb: table %s: new row id %d, want %d", t.Name, c.RowID, t.nextID+1)
+	}
+	_, err := t.Insert(c.Row)
+	return err
+}
+
+// insertAt restores a row under a specific id (checkpoint restore).
 func (t *Table) insertAt(id int64, r Row) {
 	t.mutable()
 	t.rows.put(id, r.Clone())

@@ -3,6 +3,7 @@ package reldb
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -21,6 +22,9 @@ type lockManager struct {
 	// Timeout bounds lock waits; a transaction that cannot acquire within
 	// it aborts with ErrLockTimeout (deadlock victim).
 	Timeout time.Duration
+	// owners numbers lock owners: transactions and index builds. The
+	// numbers live in memory only — no log record names an owner.
+	owners atomic.Int64
 }
 
 type lockState struct {
@@ -36,6 +40,10 @@ func newLockManager() *lockManager {
 	lm.cond = sync.NewCond(&lm.mu)
 	return lm
 }
+
+// newOwner returns a lock-owner id no other transaction or index build of
+// this process holds.
+func (lm *lockManager) newOwner() int64 { return lm.owners.Add(1) }
 
 func (lm *lockManager) state(table string) *lockState {
 	st := lm.locks[table]
@@ -103,10 +111,12 @@ func (lm *lockManager) releaseAll(txn int64) {
 // Txn is an explicit transaction: reads run against the MVCC snapshot
 // pinned at Begin (plus the transaction's own writes), writes go to
 // private working copies of each touched table under strict two-phase
-// exclusive locks, and Commit freezes the copies and installs them as the
-// next version. Abort simply discards the copies — there is no undo,
-// because nothing was ever shared.
+// exclusive locks, and Commit freezes the copies, installs them as the
+// next version and logs them as one record. Abort simply discards the
+// copies — there is no undo, because nothing was ever shared, and nothing
+// to log, because nothing was logged before Commit.
 type Txn struct {
+	// id owns the transaction's table locks.
 	id   int64
 	db   *Database
 	snap *Snapshot
@@ -114,34 +124,26 @@ type Txn struct {
 	// has written (clone-on-first-write from the then-current version,
 	// taken while holding the table's exclusive lock).
 	work map[string]*Table
-	done bool
+	// changes lists every row the transaction's successful statements
+	// wrote, in order: what its Commit record carries.
+	changes []Change
+	done    bool
 	// refused is why the transaction never started (Begin on a read-only
 	// replica); such a transaction is born done.
 	refused error
 }
 
-// Begin starts a transaction. The Begin record's LSN is assigned in the
-// same critical section that registers the transaction as active, so the
-// checkpoint fence (durable.go) can prove every record of an in-flight
-// transaction lies above its WAL truncation point.
+// Begin starts a transaction. It takes no writer lock and logs nothing:
+// the transaction reaches the log, whole, only when it commits.
 //
-// On a follower's read-only database nothing is registered or logged: the
-// returned transaction refuses every statement and Commit with errReadOnly.
+// On a follower's read-only database the returned transaction refuses
+// every statement and Commit with errReadOnly.
 func (db *Database) Begin() *Txn {
 	if db.readOnly.Load() {
 		return &Txn{db: db, done: true, refused: errReadOnly}
 	}
-	db.mu.Lock()
-	db.txnSeq++
-	id := db.txnSeq
-	beginLSN, _ := db.log.appendAsync(LogRecord{Txn: id, Op: OpBegin})
-	db.activeTxns[id] = beginLSN
-	db.mu.Unlock()
-	return &Txn{id: id, db: db, snap: db.Snapshot(), work: make(map[string]*Table)}
+	return &Txn{id: db.lockMgr.newOwner(), db: db, snap: db.Snapshot(), work: make(map[string]*Table)}
 }
-
-// ID returns the transaction id.
-func (t *Txn) ID() int64 { return t.id }
 
 // writeTable returns the transaction's private copy of the table, taking
 // the exclusive lock and cloning from the current committed version on
@@ -188,7 +190,10 @@ func (t *Txn) Exec(src string) (*Result, error) {
 }
 
 // ExecStmt executes a parsed statement inside the transaction. DDL is not
-// transactional and is rejected here.
+// transactional and is rejected here. A write statement is all or nothing:
+// every row it would write is checked against the schema and the table's
+// constraints before the first one is written, and only a statement that
+// succeeds adds its rows to what Commit logs.
 //
 // seclint:exempt storage engine below the access-control gate; SecureDB authorizes before transactional work
 // seclint:sink
@@ -210,14 +215,15 @@ func (t *Txn) ExecStmt(st Stmt) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := t.db.validateRow(s.Table, &tbl.Schema, Row(s.Values)); err != nil {
+		row := Row(s.Values)
+		if err := t.db.validateRow(tbl, row); err != nil {
 			return nil, err
 		}
-		id, err := tbl.Insert(Row(s.Values))
+		id, err := tbl.Insert(row)
 		if err != nil {
 			return nil, err
 		}
-		t.db.log.Append(LogRecord{Txn: t.id, Op: OpInsert, Table: s.Table, RowID: id, After: Row(s.Values)})
+		t.changes = append(t.changes, Change{Table: s.Table, RowID: id, Row: row})
 		return &Result{Affected: 1}, nil
 
 	case *UpdateStmt:
@@ -241,30 +247,32 @@ func (t *Txn) ExecStmt(st Stmt) (*Result, error) {
 			}
 			sets = append(sets, setCol{ci, v})
 		}
-		// Collect the targets first: the scan must not run over a heap the
-		// updates below are writing.
-		var ids []int64
-		var rows []Row
+		// Build and check every new row first: the scan must not run over a
+		// heap the updates below are writing, and a row that fails its
+		// checks must fail the statement before any row is written.
+		var changes []Change
+		var failed error
 		plan.run(func(id int64, r Row) {
-			ids = append(ids, id)
-			rows = append(rows, r)
-		})
-		n := 0
-		for i, id := range ids {
-			newRow := rows[i].Clone()
+			if failed != nil {
+				return
+			}
+			newRow := r.Clone()
 			for _, sc := range sets {
 				newRow[sc.idx] = sc.val
 			}
-			if err := t.db.validateRow(s.Table, &tbl.Schema, newRow); err != nil {
-				return nil, err
-			}
-			if _, err := tbl.Update(id, newRow); err != nil {
-				return nil, err
-			}
-			t.db.log.Append(LogRecord{Txn: t.id, Op: OpUpdate, Table: s.Table, RowID: id, After: newRow})
-			n++
+			failed = t.db.validateRow(tbl, newRow)
+			changes = append(changes, Change{Table: s.Table, RowID: id, Row: newRow})
+		})
+		if failed != nil {
+			return nil, failed
 		}
-		return &Result{Affected: n}, nil
+		for _, c := range changes {
+			if _, err := tbl.Update(c.RowID, c.Row); err != nil {
+				return nil, err
+			}
+		}
+		t.changes = append(t.changes, changes...)
+		return &Result{Affected: len(changes)}, nil
 
 	case *DeleteStmt:
 		tbl, err := t.writeTable(s.Table)
@@ -275,17 +283,15 @@ func (t *Txn) ExecStmt(st Stmt) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		var ids []int64
-		plan.run(func(id int64, _ Row) { ids = append(ids, id) })
-		n := 0
-		for _, id := range ids {
-			if _, err := tbl.Delete(id); err != nil {
+		var changes []Change
+		plan.run(func(id int64, _ Row) { changes = append(changes, Change{Table: s.Table, RowID: id}) })
+		for _, c := range changes {
+			if _, err := tbl.Delete(c.RowID); err != nil {
 				return nil, err
 			}
-			t.db.log.Append(LogRecord{Txn: t.id, Op: OpDelete, Table: s.Table, RowID: id})
-			n++
 		}
-		return &Result{Affected: n}, nil
+		t.changes = append(t.changes, changes...)
+		return &Result{Affected: len(changes)}, nil
 	}
 	return nil, fmt.Errorf("reldb: statement not allowed in a transaction")
 }
@@ -293,64 +299,63 @@ func (t *Txn) ExecStmt(st Stmt) (*Result, error) {
 // Commit makes the transaction's changes durable and releases its locks.
 // With a durable log under SyncAlways, a nil return means the commit
 // record is on disk: the transaction survives any crash. If the backend
-// failed to persist any record of the transaction, Commit reports it — the
-// in-memory state stays applied, but a caller that needs durability must
-// treat the transaction as lost.
+// failed to persist it, Commit reports it — the in-memory state stays
+// applied, but a caller that needs durability must treat the transaction
+// as lost.
 //
-// The commit record's LSN is assigned and the new version installed in one
-// db.mu critical section, so version install order is WAL order: readers
-// can never observe commit B without commit A when A's record precedes
-// B's. The durability verdict is awaited OUTSIDE db.mu (other committers
-// keep installing into the same batched fsync), but the table locks are
-// held until the verdict arrives: releasing them earlier would let a
-// second transaction read this one's writes and be acknowledged before
-// (or without) them ever reaching disk. Concurrent committers therefore
-// block inside the same batched fsync, which is exactly the window group
-// commit amortizes.
+// A transaction that wrote — took a table's write lock — appends exactly
+// one record, its Commit with every row it wrote (none, for statements
+// that matched no row: such a commit still waits for the log like any
+// other); one that only read appends nothing. The record's LSN is assigned
+// and the new version installed in one db.mu critical section, so version
+// install order is WAL order: readers can never observe commit B without
+// commit A when A's record precedes B's. The durability verdict is awaited
+// OUTSIDE db.mu (other committers keep installing into the same batched
+// fsync), but the table locks are held until the verdict arrives:
+// releasing them earlier would let a second transaction read this one's
+// writes and be acknowledged before (or without) them ever reaching disk.
+// Concurrent committers therefore block inside the same batched fsync,
+// which is exactly the window group commit amortizes.
 func (t *Txn) Commit() error {
 	_, err := t.commit()
 	return err
 }
 
-// commit is Commit, also returning the Commit record's LSN.
+// commit is Commit, also returning the Commit record's LSN (0 when the
+// transaction wrote nothing and so logged nothing).
 func (t *Txn) commit() (int64, error) {
 	if t.done {
 		return 0, t.finished()
 	}
-	t.done = true
-	db := t.db
-	db.mu.Lock()
-	lsn, ack := db.log.appendAsync(LogRecord{Txn: t.id, Op: OpCommit})
-	if len(t.work) > 0 {
-		frozen := make(map[string]*Table, len(t.work))
-		for name, w := range t.work {
-			frozen[name] = w.freeze()
-		}
-		db.installLocked(lsn, frozen)
+	defer t.finish()
+	if len(t.work) == 0 {
+		return 0, nil
 	}
-	delete(db.activeTxns, t.id)
+	db := t.db
+	frozen := make(map[string]*Table, len(t.work))
+	for name, w := range t.work {
+		frozen[name] = w.freeze()
+	}
+	db.mu.Lock()
+	lsn, ack := db.log.appendAsync(LogRecord{Op: OpCommit, Changes: t.changes})
+	db.installLocked(lsn, frozen)
 	db.mu.Unlock()
-	err := db.log.waitAck(ack)
-	db.lockMgr.releaseAll(t.id)
-	t.snap.Release()
-	t.work = nil
-	return lsn, err
+	return lsn, db.log.waitAck(ack)
 }
 
 // Abort discards the transaction: its working copies are dropped
 // unpublished (no shared state was ever touched, so there is nothing to
-// undo), an Abort record marks the log, and the locks are released.
+// undo, and nothing was logged) and the locks are released.
 func (t *Txn) Abort() {
-	if t.done {
-		return
+	if !t.done {
+		t.finish()
 	}
+}
+
+// finish ends the transaction: locks released, snapshot unpinned.
+func (t *Txn) finish() {
 	t.done = true
-	db := t.db
-	db.mu.Lock()
-	db.log.appendAsync(LogRecord{Txn: t.id, Op: OpAbort})
-	delete(db.activeTxns, t.id)
-	db.mu.Unlock()
-	db.lockMgr.releaseAll(t.id)
+	t.db.lockMgr.releaseAll(t.id)
 	t.snap.Release()
-	t.work = nil
+	t.work, t.changes = nil, nil
 }

@@ -1,6 +1,7 @@
 package reldb
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -318,6 +319,39 @@ func TestRecoverReplaysOnlyCommitted(t *testing.T) {
 	}
 }
 
+// TestFailedStatementInTxnLeavesNoEffect: a statement that fails inside an
+// explicit transaction changes nothing — not the rows it reached before the
+// row that failed — so committing the transaction afterwards commits only
+// what its successful statements did, live and after recovery.
+func TestFailedStatementInTxnLeavesNoEffect(t *testing.T) {
+	fs := faultinject.NewMemFS()
+	db := openDurable(t, fs)
+	mustExec(t, db, "CREATE TABLE t (k TEXT, v INT)")
+	mustExec(t, db, "INSERT INTO t VALUES ('a', 1)")
+	mustExec(t, db, "INSERT INTO t VALUES ('b', 5)")
+	pred := MustParse("SELECT * FROM t WHERE k != 'x' OR v < 3").(*SelectStmt).Where
+	if err := db.AddCheck(&CheckConstraint{Name: "mix", Table: "t", Check: pred}); err != nil {
+		t.Fatal(err)
+	}
+	txn := db.Begin()
+	if _, err := txn.Exec("UPDATE t SET k = 'x' WHERE v >= 0"); err == nil || err.Error() != "reldb: constraint mix violated" {
+		t.Fatalf("UPDATE violating mix on its second row: %v", err)
+	}
+	if _, err := txn.Exec("INSERT INTO t VALUES ('c', 7)"); err != nil {
+		t.Fatal(err)
+	}
+	if err := txn.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	want := "[[a 1] [b 5] [c 7]]"
+	if got := fmt.Sprint(mustExec(t, db, "SELECT * FROM t").Rows); got != want {
+		t.Fatalf("after commit the table reads %s, want %s", got, want)
+	}
+	if got := fmt.Sprint(mustExec(t, openDurable(t, fs.AfterCrash(true)), "SELECT * FROM t").Rows); got != want {
+		t.Fatalf("after recovery the table reads %s, want %s", got, want)
+	}
+}
+
 func TestAuctionOpenBidModel(t *testing.T) {
 	db := NewDatabase()
 	a, err := NewAuctionHouse(db)
@@ -369,6 +403,42 @@ func TestAuctionNoBids(t *testing.T) {
 	}
 	if winner != "" || price != 0 {
 		t.Errorf("winner=%q price=%d", winner, price)
+	}
+}
+
+// TestAuctionHostileNames: item, seller and bidder names are values, never
+// statement text — a quote in a name is stored as written, and a name
+// shaped like a predicate matches only the item it names.
+func TestAuctionHostileNames(t *testing.T) {
+	db := NewDatabase()
+	a, err := NewAuctionHouse(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, item := range []string{"o'brien", "plain"} {
+		if err := a.Open(item, "o'seller"); err != nil {
+			t.Fatalf("Open(%q): %v", item, err)
+		}
+	}
+	if err := a.PlaceBid("o'brien", "d'arcy', 1000) --", 7); err != nil {
+		t.Fatal(err)
+	}
+	if err := NewLockingAuctionHouse(a, 0).PlaceBid("o'brien", "x'y", 5); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := a.Bids("o'brien"); err != nil || n != 2 {
+		t.Fatalf("Bids(o'brien) = %d, %v; want 2", n, err)
+	}
+	if _, _, err := a.Close("z' OR item != '"); err == nil {
+		t.Fatal("closing an item nobody opened succeeded")
+	}
+	winner, price, err := a.Close("o'brien")
+	if err != nil || winner != "d'arcy', 1000) --" || price != 7 {
+		t.Fatalf("Close(o'brien) = %q, %d, %v", winner, price, err)
+	}
+	got := fmt.Sprint(mustExec(t, db, "SELECT item, seller, status, winner FROM auction_items ORDER BY item").Rows)
+	if want := "[[o'brien o'seller sold d'arcy', 1000) --] [plain o'seller open ]]"; got != want {
+		t.Fatalf("items = %s, want %s", got, want)
 	}
 }
 

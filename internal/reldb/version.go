@@ -10,7 +10,7 @@ import (
 //
 // The committed state of a Database is an immutable dbVersion: a map from
 // table name to frozen *Table, stamped with the WAL LSN of the record that
-// installed it (the committing transaction's Commit record, or a DDL
+// installed it (the committing transaction's one Commit record, or a DDL
 // record). Writers build new frozen tables privately and install a new
 // version under db.mu; readers Load the current version pointer and run
 // entirely lock-free — a query never takes a mutex, and a version, once
@@ -29,8 +29,6 @@ type dbVersion struct {
 	// lsn is the WAL LSN of the record that installed this version: the
 	// highest commit/DDL LSN whose effects the version contains.
 	lsn int64
-	// txnSeq is the transaction-id high-water mark at install time.
-	txnSeq int64
 	// tables maps table name to its frozen state. The map and every table
 	// in it are immutable.
 	tables map[string]*Table
@@ -121,5 +119,5 @@ func (db *Database) installLocked(lsn int64, work map[string]*Table) {
 	if lsn < cur.lsn {
 		lsn = cur.lsn
 	}
-	db.versions.Install(dbVersion{lsn: lsn, txnSeq: db.txnSeq, tables: tables})
+	db.versions.Install(dbVersion{lsn: lsn, tables: tables})
 }

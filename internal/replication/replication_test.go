@@ -3,7 +3,6 @@ package replication_test
 import (
 	"context"
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
@@ -316,9 +315,9 @@ func TestDivergentFollowerTruncates(t *testing.T) {
 	c.stop(victim)
 	m := c.members[victim]
 	w := reopenWAL(t, m)
-	// A well-formed reldb record (an OpBegin for a transaction that never
-	// commits) so the victim's own recovery replays past it cleanly.
-	if _, err := w.Append([]byte(`{"Txn":999,"Op":2}`)); err != nil {
+	// A well-formed reldb record (an empty commit) so the victim's own
+	// recovery replays past it cleanly.
+	if _, err := w.Append([]byte(`{"Op":3}`)); err != nil {
 		t.Fatalf("forge orphan: %v", err)
 	}
 	forged := w.LastLSN()
@@ -378,7 +377,7 @@ func TestStaleTailCandidateLosesElection(t *testing.T) {
 	vm := c.members[victim]
 	vw := reopenWAL(t, vm)
 	for i := 0; i < 30; i++ {
-		if _, err := vw.Append([]byte(fmt.Sprintf(`{"Txn":%d,"Op":2}`, 9000+i))); err != nil {
+		if _, err := vw.Append([]byte(`{"Op":3}`)); err != nil {
 			t.Fatalf("forge orphan %d: %v", i, err)
 		}
 	}

@@ -775,10 +775,10 @@ func (w *WAL) Sync() error {
 // record with LSN <= upTo, WITHOUT quiescing the commit pipeline: appends,
 // batches and fsyncs keep running while the snapshot streams out. The store
 // above pins a consistent in-memory version, keeps committing, and fences
-// the log here at a point the version provably covers (reldb additionally
-// holds upTo below the oldest in-flight transaction's first record so redo
-// never loses a record it needs); a store that checkpoints under its own
-// write lock, as the log's only appender, passes LastLSN.
+// the log here at the version's own LSN — every record is one complete
+// mutation, so nothing above upTo needs a record below it; a store that
+// checkpoints under its own write lock, as the log's only appender, passes
+// LastLSN.
 //
 // The protocol is crash-safe at every step: the snapshot is written to a
 // temporary file, fsynced, and renamed into place (the atomic commit
