@@ -94,8 +94,10 @@ crashshort:
 
 # fuzzshort gives every fuzz target a short budget on each check run: the
 # decoders that parse attacker-controlled bytes (WAL records, auth
-# tokens, wsa envelopes, SQL text, replicated reldb log records) must never
-# panic, whatever the input — the envelope decoder must keep accepting, with
+# tokens, XML documents, wsa envelopes, SQL text, replicated reldb log
+# records) must never panic, whatever the input — the XML reader must accept
+# what its encoding/xml reference accepts, bar the divergences it declares,
+# and build the same tree, the envelope decoder must keep accepting, with
 # an identical body, whatever its print-and-parse reference accepts, any
 # SELECT the SQL parser accepts must execute without panicking, and a log
 # record a follower applies either leaves it untouched or stores only rows
@@ -104,6 +106,7 @@ crashshort:
 fuzzshort:
 	$(GO) test -run '^$$' -fuzz FuzzTokenDecode -fuzztime 5s ./internal/authtoken/
 	$(GO) test -run '^$$' -fuzz FuzzWALDecode -fuzztime 5s ./internal/wal/
+	$(GO) test -run '^$$' -fuzz FuzzParseDocument -fuzztime 5s ./internal/xmldoc/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEnvelope -fuzztime 5s ./internal/wsa/
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 5s ./internal/reldb/
 	$(GO) test -run '^$$' -fuzz FuzzApplyCommit -fuzztime 5s ./internal/reldb/

@@ -3,6 +3,8 @@ package wsa
 import (
 	"context"
 	"encoding/hex"
+	"encoding/xml"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -24,7 +26,99 @@ import (
 // codec this package had before it wrote bytes directly and detached
 // subtrees in place, kept verbatim: build a tree, print it, splice strings,
 // parse the result again. The wire format is defined as what they produce
-// and accept; the tests below hold the one-pass codec to it.
+// and accept; the tests below hold the one-pass codec to it. The decoder
+// parses with refParse, the encoding/xml reader xmldoc had before its own.
+
+// refParse is xmldoc's former encoding/xml reader (xmldoc's tests keep the
+// same reference).
+func refParse(docName string, r io.Reader) (*xmldoc.Document, error) {
+	dec := xml.NewDecoder(r)
+	var b *xmldoc.Builder
+	depth := 0
+	for {
+		tok, err := dec.Token()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			return nil, fmt.Errorf("xmldoc: parse %s: %w", docName, err)
+		}
+		switch t := tok.(type) {
+		case xml.StartElement:
+			if b == nil {
+				b = xmldoc.NewBuilder(docName, t.Name.Local)
+			} else {
+				b.Begin(t.Name.Local)
+			}
+			for _, a := range t.Attr {
+				if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
+					continue
+				}
+				b.Attrib(a.Name.Local, a.Value)
+			}
+			depth++
+		case xml.EndElement:
+			depth--
+			if depth > 0 {
+				b.End()
+			}
+		case xml.CharData:
+			if b == nil || depth == 0 {
+				continue
+			}
+			s := string(t)
+			if strings.TrimSpace(s) == "" {
+				continue
+			}
+			b.Text(s)
+		}
+	}
+	if b == nil {
+		return nil, fmt.Errorf("xmldoc: parse %s: no root element", docName)
+	}
+	return b.Freeze(), nil
+}
+
+// refDivergent reports whether encoding/xml reads in wire what xmldoc
+// refuses on purpose: a <! declaration, a second root element, an
+// attribute name repeated once prefixes are dropped, a kept name whose part
+// after the prefix is not a name, or nesting deeper than xmldoc.MaxDepth.
+func refDivergent(wire string) bool {
+	isName := func(s string) bool {
+		_, err := xml.NewDecoder(strings.NewReader("<" + s + "/>")).Token()
+		return err == nil
+	}
+	dec := xml.NewDecoder(strings.NewReader(wire))
+	depth, roots := 0, 0
+	for {
+		tok, err := dec.Token()
+		if err != nil {
+			return false
+		}
+		switch t := tok.(type) {
+		case xml.Directive:
+			return true
+		case xml.StartElement:
+			if depth == 0 {
+				roots++
+			}
+			if depth++; roots > 1 || depth > xmldoc.MaxDepth || !isName(t.Name.Local) {
+				return true
+			}
+			seen := map[string]bool{}
+			for _, a := range t.Attr {
+				if a.Name.Space != "xmlns" && a.Name.Local != "xmlns" {
+					if seen[a.Name.Local] || !isName(a.Name.Local) {
+						return true
+					}
+					seen[a.Name.Local] = true
+				}
+			}
+		case xml.EndElement:
+			depth--
+		}
+	}
+}
 
 func refEncodeEnvelope(e *Envelope) string {
 	b := xmldoc.NewBuilder("envelope", "envelope")
@@ -81,7 +175,7 @@ func refEncodeAuthenticated(res *uddi.AuthenticatedResult) *xmldoc.Document {
 }
 
 func refDecodeEnvelope(r io.Reader) (*Envelope, error) {
-	d, err := xmldoc.Parse("envelope", r)
+	d, err := refParse("envelope", r)
 	if err != nil {
 		return nil, fmt.Errorf("wsa: %w", err)
 	}
@@ -110,7 +204,7 @@ func refDecodeEnvelope(r io.Reader) (*Envelope, error) {
 			if c.Name == "fault" {
 				continue
 			}
-			sub, err := xmldoc.ParseString("body", xmldoc.CanonicalSubtree(c))
+			sub, err := refParse("body", strings.NewReader(xmldoc.CanonicalSubtree(c)))
 			if err != nil {
 				return nil, fmt.Errorf("wsa: body payload: %w", err)
 			}
@@ -388,7 +482,8 @@ func TestBusinessDetailIsIndexed(t *testing.T) {
 
 // FuzzDecodeEnvelope: DecodeEnvelope never panics, and whatever the
 // print-and-parse decoder accepted it accepts, with the same header and a
-// body that serialises identically.
+// body that serialises identically — unless the input is one xmldoc
+// refuses on purpose.
 func FuzzDecodeEnvelope(f *testing.F) {
 	r := rand.New(rand.NewSource(1))
 	f.Add((&Envelope{Operation: "find_business", Sender: "s", Roles: []string{"a", "b"}, Body: genDoc(r, "b")}).Encode())
@@ -397,10 +492,12 @@ func FuzzDecodeEnvelope(f *testing.F) {
 	f.Add(`<envelope><header><operation>op</operation></header><body>t<x a="&#13;">a<![CDATA[ b ]]><!-- c -->&#13;&#10;d<y/> </x><z/></body></envelope>`)
 	f.Add(`<envelope xmlns:n="u"><header><operation>o</operation></header><body><fault>f</fault><n:p n:id="1" id="2" idref="1 2"/></body></envelope>`)
 	f.Add(`<a/><envelope/>`)
+	f.Add(`<envelope><header><operation>o</operation></header></envelope><envelope/>`)
+	f.Add(`<!DOCTYPE envelope><envelope><header><operation>o</operation></header><body><p a="1" n:a="2"/></body></envelope>`)
 	f.Fuzz(func(t *testing.T, wire string) {
 		got, err := DecodeEnvelope(strings.NewReader(wire))
 		want, refErr := refDecodeEnvelope(strings.NewReader(wire))
-		if refErr != nil {
+		if refErr != nil || err != nil && refDivergent(wire) {
 			return
 		}
 		if err != nil {
@@ -422,14 +519,16 @@ func FuzzDecodeEnvelope(f *testing.F) {
 // --- Complexity guards -------------------------------------------------
 
 // TestInquiryAllocations pins the inquiry path's allocation counts — a
-// second parse or a tree built to be printed shows up here as hundreds,
-// whatever the machine. The tree codec read 464 / 972 / 50.
+// second parse, a tree built to be printed or a token-stream parser shows
+// up here as tens or hundreds, whatever the machine. The tree codec read
+// 464 / 972 / 50; over encoding/xml the two decodes read 418 and 83.
 func TestInquiryAllocations(t *testing.T) {
 	agency, dir := demoAgency(t, 5)
 	res, err := agency.Query(&policy.Subject{ID: "visitor"}, demoKey(3))
 	if err != nil {
 		t.Fatal(err)
 	}
+	request := inquiry("visitor", nil, demoKey(3))
 	reply := string(authenticatedReply("query_authenticated", res))
 	decoded := clientDecode(t, reply)
 	if err := decoded.Verify(dir); err != nil {
@@ -440,8 +539,13 @@ func TestInquiryAllocations(t *testing.T) {
 		max  float64
 		f    func()
 	}{
+		{"server decode", 18, func() {
+			if _, err := DecodeEnvelope(strings.NewReader(request)); err != nil {
+				t.Fatal(err)
+			}
+		}},
 		{"encode an authenticated reply", 60, func() { authenticatedReply("query_authenticated", res) }},
-		{"requestor decode", 500, func() { clientDecode(t, reply) }},
+		{"requestor decode", 32, func() { clientDecode(t, reply) }},
 		{"verify a remembered signature", 15, func() {
 			if err := decoded.Verify(dir); err != nil {
 				t.Fatal(err)

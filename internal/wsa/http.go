@@ -25,7 +25,10 @@ import (
 )
 
 // MaxRequestBody caps an envelope POST. A malformed or hostile client
-// must not be able to balloon the server's memory.
+// must not be able to balloon the server's memory: a larger body is
+// answered 413. Within the cap, an envelope nested deeper than
+// xmldoc.MaxDepth (256 elements; a reply envelope holds about a dozen) is
+// refused by the reader and answered 400.
 const MaxRequestBody = 10 << 20 // 10 MiB
 
 // internalError marks dispatch failures that are the server's fault; the
@@ -360,13 +363,14 @@ func DecodeAuthenticated(body *xmldoc.Document) (*uddi.AuthenticatedResult, erro
 		res.Summary = merkle.SummarySignature{Sig: wsig.Signature{Signer: signer, Value: raw}}
 	}
 	if p := body.Root.Child("proof"); p != nil {
-		for _, el := range p.ElementChildren() {
-			if el.Name != "element" {
+		res.Proof.Elems = make([]merkle.ElementProof, 0, len(p.Children))
+		for _, el := range p.Children {
+			if el.Kind != xmldoc.KindElement || el.Name != "element" {
 				continue
 			}
 			ep := merkle.ElementProof{}
-			for _, m := range el.ElementChildren() {
-				if m.Name != "missing" {
+			for _, m := range el.Children {
+				if m.Kind != xmldoc.KindElement || m.Name != "missing" {
 					continue
 				}
 				posStr, _ := m.Attr("pos")

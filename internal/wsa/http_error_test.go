@@ -73,12 +73,17 @@ func TestSaveBusinessRejectsMalformedEntity(t *testing.T) {
 
 func TestBadEnvelopeIsBadRequest(t *testing.T) {
 	ts, _ := newServer(t)
-	resp, err := http.Post(ts.URL, "application/xml", strings.NewReader("this is not xml"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("status = %d, want 400", resp.StatusCode)
+	// Two envelopes back to back used to decode as the first, with the
+	// second nested inside it.
+	env := (&Envelope{Operation: "find_business", Sender: "x"}).Encode()
+	for _, body := range []string{"this is not xml", env + env} {
+		resp, err := http.Post(ts.URL, "application/xml", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%.40q: status = %d, want 400", body, resp.StatusCode)
+		}
 	}
 }

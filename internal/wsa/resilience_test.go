@@ -68,14 +68,43 @@ func TestPanicInDispatchRecovered(t *testing.T) {
 // 413 instead of being slurped into memory.
 func TestOversizedBodyRejected(t *testing.T) {
 	ts, _ := newServer(t)
-	huge := strings.NewReader(strings.Repeat("a", MaxRequestBody+1))
-	resp, err := http.Post(ts.URL, "application/xml", huge)
+	huge := strings.Repeat("a", MaxRequestBody+1)
+	// A declared length is refused up front; a chunked body when reading
+	// it crosses the cap.
+	for _, body := range []io.Reader{strings.NewReader(huge), io.MultiReader(strings.NewReader(huge))} {
+		resp, err := http.Post(ts.URL, "application/xml", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%T: status = %d, want 413", body, resp.StatusCode)
+		}
+	}
+}
+
+// TestDeeplyNestedBodyRejected: a body under MaxRequestBody nested past
+// xmldoc.MaxDepth is refused with 400, and the server goes on answering.
+func TestDeeplyNestedBodyRejected(t *testing.T) {
+	agency, dir := demoAgency(t, 5)
+	ts := httptest.NewServer(&RegistryServer{Registry: uddi.NewRegistry(nil), Agency: agency})
+	defer ts.Close()
+	const depth = 1_000_000
+	deep := strings.Repeat("<a>", depth) + strings.Repeat("</a>", depth)
+	if len(deep) >= MaxRequestBody {
+		t.Fatalf("%d-byte body is not under the cap", len(deep))
+	}
+	resp, err := http.Post(ts.URL, "application/xml", strings.NewReader(deep))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Errorf("status = %d, want 413", resp.StatusCode)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400", resp.StatusCode)
+	}
+	c := &Client{Endpoint: ts.URL, Sender: "visitor"}
+	if _, err := c.QueryAuthenticated(context.Background(), demoKey(3), dir); err != nil {
+		t.Fatalf("inquiry after the refusal: %v", err)
 	}
 }
 

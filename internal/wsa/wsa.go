@@ -79,7 +79,9 @@ func appendElement(dst []byte, name, text string) []byte {
 	return append(dst, '>')
 }
 
-// DecodeEnvelope parses the wire form back into an Envelope.
+// DecodeEnvelope parses the wire form back into an Envelope. It reads r to
+// the end once (a read error, such as the server's body cap, is returned
+// wrapped) and parses the bytes in one pass.
 // seclint:source
 func DecodeEnvelope(r io.Reader) (*Envelope, error) {
 	d, err := xmldoc.Parse("envelope", r)
@@ -97,8 +99,8 @@ func DecodeEnvelope(r io.Reader) (*Envelope, error) {
 		if sd := h.Child("sender"); sd != nil {
 			e.Sender = sd.Text()
 		}
-		for _, c := range h.ElementChildren() {
-			if c.Name == "role" {
+		for _, c := range h.Children {
+			if c.Kind == xmldoc.KindElement && c.Name == "role" {
 				e.Roles = append(e.Roles, c.Text())
 			}
 		}
@@ -107,8 +109,8 @@ func DecodeEnvelope(r io.Reader) (*Envelope, error) {
 		if f := body.Child("fault"); f != nil {
 			e.Fault = f.Text()
 		}
-		for _, c := range body.ElementChildren() {
-			if c.Name == "fault" {
+		for _, c := range body.Children {
+			if c.Kind != xmldoc.KindElement || c.Name == "fault" {
 				continue
 			}
 			// The first payload element becomes the body document; the

@@ -99,6 +99,9 @@ func (n *Node) Text() string {
 	if n.Kind == KindText {
 		return n.Value
 	}
+	if len(n.Children) == 1 && n.Children[0].Kind == KindText {
+		return n.Children[0].Value
+	}
 	var b strings.Builder
 	var walk func(*Node)
 	walk = func(m *Node) {
@@ -276,9 +279,16 @@ func (b *Builder) End() *Builder {
 	return b
 }
 
-// Attrib adds an attribute to the current element.
+// Attrib sets an attribute of the current element. An element has one
+// attribute per name, so setting a name again replaces its value.
 func (b *Builder) Attrib(name, value string) *Builder {
 	b.mustOpen()
+	for _, a := range b.cur.Attrs {
+		if a.Name == name {
+			a.Value = value
+			return b
+		}
+	}
 	a := &Node{Kind: KindAttr, Name: name, Value: value, Parent: b.cur, doc: b.doc}
 	b.cur.Attrs = append(b.cur.Attrs, a)
 	return b
@@ -345,18 +355,17 @@ func (d *Document) index() {
 	}
 	// Resolve IDREF links in a second pass, now that byXMLID is complete.
 	for _, n := range d.nodes {
-		if n.Kind != KindElement {
-			continue
+		if n.Kind == KindAttr && (n.Name == "idref" || n.Name == "idrefs") {
+			d.link(n)
 		}
-		for _, a := range n.Attrs {
-			if a.Name != "idref" && a.Name != "idrefs" {
-				continue
-			}
-			for _, ref := range strings.Fields(a.Value) {
-				if to, ok := d.byXMLID[ref]; ok {
-					d.Links = append(d.Links, Link{From: n, Attr: a.Name, To: to})
-				}
-			}
+	}
+}
+
+// link adds the IDREF edges of the idref or idrefs attribute a.
+func (d *Document) link(a *Node) {
+	for _, ref := range strings.Fields(a.Value) {
+		if to, ok := d.byXMLID[ref]; ok {
+			d.Links = append(d.Links, Link{From: a.Parent, Attr: a.Name, To: to})
 		}
 	}
 }
@@ -374,15 +383,16 @@ func (d *Document) index() {
 // taken from other documents' roots; those donors are consumed likewise.
 func Detach(docName string, n *Node) *Document {
 	n.Parent = nil
-	normalize(n)
 	d := &Document{Name: docName, Root: n}
+	d.nodes = make([]*Node, 0, normalize(n))
 	d.index()
 	return d
 }
 
 // normalize reshapes the subtree under element n as a parse of its
-// canonical form would.
-func normalize(n *Node) {
+// canonical form would, and returns the number of nodes it keeps.
+func normalize(n *Node) int {
+	count := 1 + len(n.Attrs)
 	for _, a := range n.Attrs {
 		a.Parent = n
 		a.Value = parsedNewlines(a.Value)
@@ -392,7 +402,7 @@ func normalize(n *Node) {
 		c := n.Children[i]
 		c.Parent = n
 		if c.Kind == KindElement {
-			normalize(c)
+			count += normalize(c)
 			kept = append(kept, c)
 			continue
 		}
@@ -412,15 +422,17 @@ func normalize(n *Node) {
 		c.Value = parsedNewlines(c.Value)
 		if strings.TrimSpace(c.Value) != "" {
 			kept = append(kept, c)
+			count++
 		}
 	}
 	clear(n.Children[len(kept):])
 	n.Children = kept
+	return count
 }
 
-// parsedNewlines maps \r\n and a lone \r to \n, as encoding/xml does to
-// raw input. Canonical writes a carriage return raw, so one that reached a
-// tree through a character reference does not survive print-and-parse.
+// parsedNewlines maps \r\n and a lone \r to \n, as Parse reads raw input.
+// Canonical writes a carriage return raw, so one that reached a tree
+// through a character reference does not survive print-and-parse.
 func parsedNewlines(s string) string {
 	if !strings.Contains(s, "\r") {
 		return s
