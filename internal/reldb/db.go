@@ -322,40 +322,51 @@ func project(rows []Row, names []string, idx []int) *Result {
 	return &Result{Columns: names, Rows: out, Affected: len(out)}
 }
 
-// scanPlan is a predicate bound to a table: the matcher, and the access
-// path that feeds it.
+// scanPlan is a predicate bound to a table: the matcher, the key tests
+// that narrow a full scan, and the access path that feeds them.
 type scanPlan struct {
 	t     *Table
 	where Expr
 	match matcher
+	keys  keyFilter
 }
 
 // planScan binds the predicate (nil matches every row) to the table. It
 // reads no row, so an unknown column or operator is reported whatever the
 // table holds.
 func planScan(t *Table, where Expr) (scanPlan, error) {
-	match := matcher(matchAll)
+	p := scanPlan{t: t, where: where, match: matchAll}
 	if where != nil {
 		var err error
-		if match, err = where.bind(&t.Schema); err != nil {
+		if p.match, err = where.bind(&t.Schema); err != nil {
 			return scanPlan{}, err
 		}
+		bindKeys(where, &t.Schema, &p.keys)
 	}
-	return scanPlan{t: t, where: where, match: match}, nil
+	return p, nil
 }
 
 // run calls emit, in rowID order, for every row the predicate accepts. An
 // equality on a hash-indexed column or a comparison on an ordered-indexed
-// column is served from the index, everything else by a full scan; the
-// full predicate is always re-applied to the candidates. Emitted rows are
-// the stored ones — shared, never to be modified.
-func (p scanPlan) run(emit func(id int64, r Row)) {
+// column is served from the index; otherwise a predicate with key tests
+// scans the slots of each chunk that pass them, and one without scans
+// every row. The full predicate is always re-applied to the candidates.
+// Emitted rows are the stored ones — shared, never to be modified.
+func (p *scanPlan) run(emit func(id int64, r Row)) {
 	if cmp, ids := indexCandidates(p.t, p.where); cmp != nil {
 		for _, id := range ids {
 			if r := p.t.rows.get(id); r != nil && p.match(r) {
 				emit(id, r)
 			}
 		}
+		return
+	}
+	if p.keys.n > 0 {
+		p.t.rows.scanNarrowed(len(p.t.Schema.Columns), &p.keys, func(id int64, r Row) {
+			if p.match(r) {
+				emit(id, r)
+			}
+		})
 		return
 	}
 	p.t.rows.scan(func(id int64, r Row) bool {

@@ -80,10 +80,15 @@ func (t *Table) snapshot() tableSnap {
 	return snap
 }
 
-// restore rebuilds the (unfrozen, private) table a snapshot describes.
+// restore rebuilds the (unfrozen, private) table a snapshot describes. A
+// row its schema refuses fails it, as it would fail Insert: scans rely on
+// every stored row having the schema's arity and kinds.
 func (s *tableSnap) restore() (*Table, error) {
 	t := NewTable(s.Name, s.Schema)
 	for _, r := range s.Rows {
+		if err := s.Schema.CheckRow(r.Row); err != nil {
+			return nil, fmt.Errorf("reldb: restore %s row %d: %w", s.Name, r.ID, err)
+		}
 		t.insertAt(r.ID, r.Row)
 	}
 	// insertAt raised nextID to the highest live rowID; the snapshot's

@@ -1,6 +1,9 @@
 package reldb
 
 import (
+	"fmt"
+	"slices"
+	"sort"
 	"testing"
 
 	"webdbsec/internal/policy"
@@ -11,7 +14,9 @@ import (
 // any SELECT it accepts, aggregate or not, must execute against a small
 // fixed table without panicking: directly, under Explain, and through a
 // SecureDB whose subject has a row policy and hidden columns (the fold and
-// the projection read those as NULL). Errors are fine; panics are not.
+// the projection read those as NULL). Errors are fine; panics are not. A
+// row SELECT without LIMIT must also return what a brute-force scan with
+// its bound matcher does (checkRowSelect).
 func FuzzParse(f *testing.F) {
 	for _, src := range []string{
 		// The statements this package's tests run, one of each shape.
@@ -24,6 +29,7 @@ func FuzzParse(f *testing.F) {
 		"SELECT * FROM t",
 		"SELECT k, g FROM t WHERE g = 'a' AND k != 2 ORDER BY k DESC, g ASC LIMIT 3",
 		"SELECT g FROM t WHERE b = FALSE OR x = NULL",
+		"SELECT * FROM t WHERE k >= 2 AND k < 4 AND g = 'a'",
 		"SELECT COUNT(*), SUM(k), AVG(x), MIN(g), MAX(b) FROM t",
 		"SELECT COUNT(k) FROM t WHERE k <= 5 GROUP BY g",
 		"select count(*) from t group by k",
@@ -46,9 +52,16 @@ func FuzzParse(f *testing.F) {
 	if err := sdb.CreateTable(owner, "CREATE TABLE t (g TEXT, k INT, x FLOAT, b BOOL)"); err != nil {
 		f.Fatal(err)
 	}
+	// u is t without its indexes: every comparison t's indexes serve is a
+	// (key-narrowed) scan over u.
+	if err := sdb.CreateTable(owner, "CREATE TABLE u (g TEXT, k INT, x FLOAT, b BOOL)"); err != nil {
+		f.Fatal(err)
+	}
 	for _, row := range []string{"('a', 1, 1.5, TRUE)", "('a', 2, NULL, FALSE)", "('b', NULL, 3, NULL)", "(NULL, 4, 0.25, TRUE)"} {
-		if _, err := sdb.DB().Exec("INSERT INTO t VALUES " + row); err != nil {
-			f.Fatal(err)
+		for _, table := range []string{"t", "u"} {
+			if _, err := sdb.DB().Exec("INSERT INTO " + table + " VALUES " + row); err != nil {
+				f.Fatal(err)
+			}
 		}
 	}
 	for _, ddl := range []string{"CREATE HASH INDEX ON t (g)", "CREATE ORDERED INDEX ON t (k)"} {
@@ -90,7 +103,73 @@ func FuzzParse(f *testing.F) {
 		if errPlain == nil && len(sel.Aggs) == 0 && len(view.Rows) > len(plain.Rows) {
 			t.Fatalf("%q: view has %d rows, table query %d", src, len(view.Rows), len(plain.Rows))
 		}
+		if errPlain == nil && sel.Table == "t" {
+			bare := *sel
+			bare.Table = "u"
+			res, err := sdb.DB().ExecStmt(&bare)
+			if err != nil || fmt.Sprintf("%#v", res.Rows) != fmt.Sprintf("%#v", plain.Rows) {
+				t.Fatalf("%q: indexed table %v; unindexed copy %v, %v", src, plain.Rows, res, err)
+			}
+		}
+		if errPlain == nil && len(sel.Aggs) == 0 && sel.Limit < 0 {
+			checkRowSelect(t, sdb.DB(), src, sel, plain)
+		}
 	})
+}
+
+// checkRowSelect holds the result of a row SELECT without LIMIT to brute
+// force: as a multiset, its rows are the projection of the table rows the
+// bound matcher accepts, scanned one by one; and the same statement over
+// every column returns them in ORDER BY order, projecting to the result
+// row for row.
+func checkRowSelect(t *testing.T, db *Database, src string, sel *SelectStmt, got *Result) {
+	tbl, _ := db.Table(sel.Table)
+	match := matcher(matchAll)
+	if sel.Where != nil {
+		var err error
+		if match, err = sel.Where.bind(&tbl.Schema); err != nil {
+			t.Fatalf("%q executed, but its predicate does not bind: %v", src, err)
+		}
+	}
+	_, cols, err := bindColumns(&tbl.Schema, sel.Columns, nil)
+	if err != nil {
+		t.Fatalf("%q executed, but its select list does not bind: %v", src, err)
+	}
+	var matched []Row
+	tbl.Scan(func(_ int64, r Row) bool {
+		if match(r) {
+			matched = append(matched, r)
+		}
+		return true
+	})
+	multiset := func(rows []Row) []string {
+		out := make([]string, len(rows))
+		for i, r := range rows {
+			out[i] = fmt.Sprintf("%#v", r)
+		}
+		sort.Strings(out)
+		return out
+	}
+	if g, w := multiset(got.Rows), multiset(project(matched, nil, cols).Rows); !slices.Equal(g, w) {
+		t.Fatalf("%q returned %v, brute force %v", src, g, w)
+	}
+
+	star := *sel
+	star.Columns = nil
+	all, err := db.ExecStmt(&star)
+	if err != nil {
+		t.Fatalf("%q over every column: %v", src, err)
+	}
+	if order, _ := bindOrder(&tbl.Schema, sel.OrderBy); order != nil {
+		for i := 1; i < len(all.Rows); i++ {
+			if order(all.Rows[i-1], all.Rows[i]) > 0 {
+				t.Fatalf("%q: row %d %v sorts before row %d %v", src, i-1, all.Rows[i-1], i, all.Rows[i])
+			}
+		}
+	}
+	if g, w := fmt.Sprintf("%#v", got.Rows), fmt.Sprintf("%#v", project(all.Rows, nil, cols).Rows); g != w {
+		t.Fatalf("%q returned\n%s\nits every-column form projects to\n%s", src, g, w)
+	}
 }
 
 // FuzzApplyCommit feeds arbitrary bytes to a follower as its next log

@@ -81,7 +81,7 @@ func (v Value) String() string {
 	return "?"
 }
 
-// asFloat coerces numeric values for cross-kind comparison.
+// asFloat coerces numeric values to float64 (SUM and AVG fold in it).
 func (v Value) asFloat() (float64, bool) {
 	switch v.Kind {
 	case KindInt:
@@ -92,10 +92,46 @@ func (v Value) asFloat() (float64, bool) {
 	return 0, false
 }
 
-// Compare orders two values: -1, 0 or +1. NULL sorts first; two INTs
-// compare as integers (exactly, as the hash index keys them), an INT and a
-// FLOAT as float64; mismatched non-numeric kinds compare by kind. The
-// boolean false sorts before true.
+// Every int64 lies in [-2⁶³, 2⁶³), and both bounds are exact float64s.
+const (
+	minInt64Float = -(1 << 63)
+	maxInt64Float = 1 << 63 // the first float64 above every int64
+)
+
+// intOf reports the int64 a float64 equals, if it equals one.
+func intOf(f float64) (int64, bool) {
+	if f >= minInt64Float && f < maxInt64Float && f == float64(int64(f)) {
+		return int64(f), true
+	}
+	return 0, false
+}
+
+// compareIntFloat orders an INT against a FLOAT exactly. float64(i) would
+// round every INT above 2⁵³ onto a neighbour, calling 2⁶² + 1 equal to
+// 2⁶².0 while the hash index keys them apart. NaN compares equal to
+// everything, as it did through float64.
+func compareIntFloat(i int64, f float64) int {
+	switch {
+	case f != f:
+		return 0
+	case f < minInt64Float:
+		return 1
+	case f >= maxInt64Float:
+		return -1
+	}
+	// f is in int64 range: truncate it, compare the integer parts, and let
+	// the fraction (exact: f - trunc(f) loses no bits) break a tie.
+	t := int64(f)
+	if c := cmp.Compare(i, t); c != 0 {
+		return c
+	}
+	return -cmp.Compare(f-float64(t), 0)
+}
+
+// Compare orders two values: -1, 0 or +1. NULL sorts first; INTs and FLOATs
+// compare by their exact numeric values (as the hash index keys them),
+// never by rounding an INT to float64; mismatched non-numeric kinds compare
+// by kind. The boolean false sorts before true.
 func Compare(a, b Value) int { return compareTo(&a, &b) }
 
 // compareTo is Compare without copying its operands — the form the
@@ -111,20 +147,21 @@ func compareTo(a, b *Value) int {
 			return 1
 		}
 	}
-	if a.Kind == KindInt && b.Kind == KindInt {
+	switch {
+	case a.Kind == KindInt && b.Kind == KindInt:
 		return cmp.Compare(a.I, b.I)
-	}
-	if af, ok := a.asFloat(); ok {
-		if bf, ok2 := b.asFloat(); ok2 {
-			switch {
-			case af < bf:
-				return -1
-			case af > bf:
-				return 1
-			default:
-				return 0
-			}
+	case a.Kind == KindInt && b.Kind == KindFloat:
+		return compareIntFloat(a.I, b.F)
+	case a.Kind == KindFloat && b.Kind == KindInt:
+		return -compareIntFloat(b.I, a.F)
+	case a.Kind == KindFloat && b.Kind == KindFloat:
+		switch {
+		case a.F < b.F:
+			return -1
+		case a.F > b.F:
+			return 1
 		}
+		return 0
 	}
 	if a.Kind != b.Kind {
 		if a.Kind < b.Kind {
@@ -165,10 +202,10 @@ func (v Value) Key() string {
 	case KindInt:
 		return "i" + strconv.FormatInt(v.I, 10)
 	case KindFloat:
-		// Normalize integral floats onto the int keyspace so 1 and 1.0
-		// hash together, matching Compare.
-		if v.F == float64(int64(v.F)) {
-			return "i" + strconv.FormatInt(int64(v.F), 10)
+		// Normalize floats equal to an int64 onto the int keyspace so 1 and
+		// 1.0 hash together, matching Compare.
+		if i, ok := intOf(v.F); ok {
+			return "i" + strconv.FormatInt(i, 10)
 		}
 		return "f" + strconv.FormatFloat(v.F, 'g', -1, 64)
 	case KindString:
