@@ -99,8 +99,8 @@ crashshort:
 # what its encoding/xml reference accepts, bar the divergences it declares,
 # and build the same tree, the envelope decoder must keep accepting, with
 # an identical body, whatever its print-and-parse reference accepts, any
-# SELECT the SQL parser accepts must execute without panicking and answer
-# as it does over an unindexed copy of its table (a key-narrowed scan),
+# SELECT the SQL parser accepts must execute without panicking, and Explain
+# (the executor's planner) must not refuse it if it executes,
 # a row SELECT without LIMIT must return, as a multiset, exactly the rows
 # its bound matcher accepts over a brute-force scan, in ORDER BY order
 # (keys non-decreasing), and a log

@@ -1,7 +1,7 @@
 // Ablation benchmarks: measure the design choices DESIGN.md calls out by
-// removing them.
+// removing them. (A1, index-backed scans vs full scans, was retired with
+// the indexes: DESIGN.md records its final numbers.)
 //
-//	A1: index-backed scans vs full scans in the relational engine
 //	A2: Merkle proofs vs the alternative "re-sign every view" design
 //	A3: policy-configuration (broadcast) encryption vs per-subscriber
 //	    view encryption
@@ -19,46 +19,11 @@ import (
 	"webdbsec/internal/merkle"
 	"webdbsec/internal/policy"
 	"webdbsec/internal/privacy"
-	"webdbsec/internal/reldb"
 	"webdbsec/internal/synth"
 	"webdbsec/internal/wenc"
 	"webdbsec/internal/wsig"
 	"webdbsec/internal/xmldoc"
 )
-
-// --- A1: index ablation ---
-
-func BenchmarkA1IndexAblation(b *testing.B) {
-	mk := func(indexed bool) *reldb.Database {
-		db := reldb.NewDatabase()
-		db.Exec("CREATE TABLE emp (id INT, dept TEXT, salary INT)")
-		if indexed {
-			db.Exec("CREATE HASH INDEX ON emp (dept)")
-			db.Exec("CREATE ORDERED INDEX ON emp (salary)")
-		}
-		for i := 0; i < 10000; i++ {
-			db.Exec(fmt.Sprintf("INSERT INTO emp VALUES (%d, 'd%d', %d)", i, i%50, i))
-		}
-		return db
-	}
-	queries := map[string]string{
-		"point": "SELECT id FROM emp WHERE dept = 'd7'",
-		"range": "SELECT id FROM emp WHERE salary >= 9900",
-	}
-	for _, indexed := range []bool{true, false} {
-		db := mk(indexed)
-		for name, q := range queries {
-			label := fmt.Sprintf("%s/indexed=%v", name, indexed)
-			b.Run(label, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := db.Exec(q); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
 
 // --- A2: Merkle proofs vs re-signing every view ---
 

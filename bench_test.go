@@ -388,7 +388,6 @@ func BenchmarkE10QueryRewrite(b *testing.B) {
 		sdb := reldb.NewSecureDB(reldb.NewDatabase(), nil)
 		dba := &policy.Subject{ID: "dba"}
 		sdb.CreateTable(dba, "CREATE TABLE emp (id INT, dept TEXT, salary INT)")
-		sdb.DB().Exec("CREATE HASH INDEX ON emp (dept)")
 		for i := 0; i < 5000; i++ {
 			sdb.DB().Exec(fmt.Sprintf("INSERT INTO emp VALUES (%d, 'd%d', %d)", i, i%20, i%200*1000))
 		}

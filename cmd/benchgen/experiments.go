@@ -399,7 +399,6 @@ func runE10(quick bool) {
 		sdb := reldb.NewSecureDB(reldb.NewDatabase(), nil)
 		dba := &policy.Subject{ID: "dba"}
 		sdb.CreateTable(dba, "CREATE TABLE emp (id INT, dept TEXT, salary INT)")
-		sdb.DB().Exec("CREATE HASH INDEX ON emp (dept)")
 		for i := 0; i < rows; i++ {
 			sdb.DB().Exec(fmt.Sprintf("INSERT INTO emp VALUES (%d, 'd%d', %d)", i, i%20, i%200*1000))
 		}

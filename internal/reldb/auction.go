@@ -24,9 +24,7 @@ type AuctionHouse struct {
 func NewAuctionHouse(db *Database) (*AuctionHouse, error) {
 	stmts := []string{
 		"CREATE TABLE auction_items (item TEXT, seller TEXT, status TEXT, winner TEXT, price INT)",
-		"CREATE HASH INDEX ON auction_items (item)",
 		"CREATE TABLE auction_bids (item TEXT, bidder TEXT, amount INT)",
-		"CREATE HASH INDEX ON auction_bids (item)",
 	}
 	for _, s := range stmts {
 		if _, err := db.Exec(s); err != nil {

@@ -66,19 +66,11 @@ func BenchmarkSelectScan(b *testing.B) {
 
 // BenchmarkCommitOneRow is the storage cost of a single-row commit: clone
 // the committed table, update one row by id, freeze. (The SQL UPDATE adds a
-// scan to find the row; this is what the commit itself costs.) The indexed
-// variant records what clone still copies whole: the index structures.
+// scan to find the row; this is what the commit itself costs.)
 func BenchmarkCommitOneRow(b *testing.B) {
-	run := func(name string, n int, index bool) {
-		b.Run(name, func(b *testing.B) {
+	for _, n := range benchSizes {
+		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
 			t := patientsTable(b, n)
-			if index {
-				w := t.clone()
-				if err := w.CreateHashIndex("name"); err != nil {
-					b.Fatal(err)
-				}
-				t = w.freeze()
-			}
 			row := patientRow(n / 2)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -92,10 +84,6 @@ func BenchmarkCommitOneRow(b *testing.B) {
 			}
 		})
 	}
-	for _, n := range benchSizes {
-		run(fmt.Sprintf("rows=%d", n), n, false)
-	}
-	run("rows=5000/hashidx", 5000, true)
 }
 
 // BenchmarkLoadRows is the demo load: n autocommit INSERT statements, each

@@ -119,8 +119,8 @@ func (db *Database) Exec(src string) (*Result, error) {
 // seclint:sink
 func (db *Database) ExecStmt(st Stmt) (*Result, error) {
 	switch s := st.(type) {
-	case *CreateTableStmt, *CreateIndexStmt:
-		return db.execDDL(st)
+	case *CreateTableStmt:
+		return db.execDDL(s)
 	case *SelectStmt:
 		return db.execSelect(s)
 	default:
@@ -137,58 +137,22 @@ func (db *Database) ExecStmt(st Stmt) (*Result, error) {
 	}
 }
 
-func (db *Database) execDDL(st Stmt) (*Result, error) {
+// execDDL creates a table: the one DDL statement.
+func (db *Database) execDDL(s *CreateTableStmt) (*Result, error) {
 	if db.readOnly.Load() {
 		return nil, errReadOnly
 	}
-	switch s := st.(type) {
-	case *CreateTableStmt:
-		if len(s.Schema.Columns) == 0 {
-			return nil, fmt.Errorf("reldb: table %s needs at least one column", s.Table)
-		}
-		db.mu.Lock()
-		defer db.mu.Unlock()
-		if _, exists := db.versions.Load().table(s.Table); exists {
-			return nil, fmt.Errorf("reldb: table %s already exists", s.Table)
-		}
-		lsn, _ := db.log.appendAsync(LogRecord{Op: OpCreateTable, Table: s.Table, Schema: &s.Schema})
-		db.installLocked(lsn, map[string]*Table{s.Table: NewTable(s.Table, s.Schema).freeze()})
-		return &Result{LSN: lsn}, nil
-
-	case *CreateIndexStmt:
-		// Serialize against transactional writers through the lock manager:
-		// a writer holding the table lock has a private working copy this
-		// index build must not race (its commit would otherwise install a
-		// table version without the index). The lock is taken BEFORE db.mu —
-		// the writer may be blocked in Commit waiting for db.mu, and taking
-		// the table lock second would stall every commit behind the wait.
-		owner := db.lockMgr.newOwner()
-		if err := db.lockMgr.acquireExclusive(owner, s.Table); err != nil {
-			return nil, err
-		}
-		defer db.lockMgr.releaseAll(owner)
-
-		db.mu.Lock()
-		defer db.mu.Unlock()
-		cur, ok := db.versions.Load().table(s.Table)
-		if !ok {
-			return nil, fmt.Errorf("reldb: unknown table %s", s.Table)
-		}
-		work := cur.clone()
-		var err error
-		if s.Ordered {
-			err = work.CreateOrderedIndex(s.Column)
-		} else {
-			err = work.CreateHashIndex(s.Column)
-		}
-		if err != nil {
-			return nil, err
-		}
-		lsn, _ := db.log.appendAsync(LogRecord{Op: OpCreateIndex, Table: s.Table, Column: s.Column, Ordered: s.Ordered})
-		db.installLocked(lsn, map[string]*Table{s.Table: work.freeze()})
-		return &Result{LSN: lsn}, nil
+	if err := s.Schema.check(s.Table); err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("reldb: not DDL")
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if _, exists := db.versions.Load().table(s.Table); exists {
+		return nil, fmt.Errorf("reldb: table %s already exists", s.Table)
+	}
+	lsn, _ := db.log.appendAsync(LogRecord{Op: OpCreateTable, Table: s.Table, Schema: &s.Schema})
+	db.installLocked(lsn, map[string]*Table{s.Table: NewTable(s.Table, s.Schema).freeze()})
+	return &Result{LSN: lsn}, nil
 }
 
 // execSelect plans and runs a read-only query against the current
@@ -322,11 +286,10 @@ func project(rows []Row, names []string, idx []int) *Result {
 	return &Result{Columns: names, Rows: out, Affected: len(out)}
 }
 
-// scanPlan is a predicate bound to a table: the matcher, the key tests
-// that narrow a full scan, and the access path that feeds them.
+// scanPlan is a predicate bound to a table: the matcher, and the key tests
+// that narrow the scan feeding it.
 type scanPlan struct {
 	t     *Table
-	where Expr
 	match matcher
 	keys  keyFilter
 }
@@ -335,7 +298,7 @@ type scanPlan struct {
 // reads no row, so an unknown column or operator is reported whatever the
 // table holds.
 func planScan(t *Table, where Expr) (scanPlan, error) {
-	p := scanPlan{t: t, where: where, match: matchAll}
+	p := scanPlan{t: t, match: matchAll}
 	if where != nil {
 		var err error
 		if p.match, err = where.bind(&t.Schema); err != nil {
@@ -346,21 +309,11 @@ func planScan(t *Table, where Expr) (scanPlan, error) {
 	return p, nil
 }
 
-// run calls emit, in rowID order, for every row the predicate accepts. An
-// equality on a hash-indexed column or a comparison on an ordered-indexed
-// column is served from the index; otherwise a predicate with key tests
-// scans the slots of each chunk that pass them, and one without scans
-// every row. The full predicate is always re-applied to the candidates.
+// run calls emit, in rowID order, for every row the predicate accepts. A
+// predicate with key tests scans the slots of each chunk that pass them,
+// and one without scans every row; the matcher decides every candidate.
 // Emitted rows are the stored ones — shared, never to be modified.
 func (p *scanPlan) run(emit func(id int64, r Row)) {
-	if cmp, ids := indexCandidates(p.t, p.where); cmp != nil {
-		for _, id := range ids {
-			if r := p.t.rows.get(id); r != nil && p.match(r) {
-				emit(id, r)
-			}
-		}
-		return
-	}
 	if p.keys.n > 0 {
 		p.t.rows.scanNarrowed(len(p.t.Schema.Columns), &p.keys, func(id int64, r Row) {
 			if p.match(r) {
@@ -375,44 +328,4 @@ func (p *scanPlan) run(emit func(id int64, r Row)) {
 		}
 		return true
 	})
-}
-
-// indexCandidates returns the comparison of the predicate an index serves
-// and the rowIDs, ascending, the index offers for it; cmp is nil when no
-// index applies.
-func indexCandidates(t *Table, where Expr) (cmp *CmpExpr, ids []int64) {
-	if cmp = indexableCmp(t, where); cmp == nil {
-		return nil, nil
-	}
-	switch cmp.Op {
-	case "=":
-		ids, _ = t.LookupEq(cmp.Col, cmp.Val)
-	case "<", "<=":
-		ids, _ = t.LookupRange(cmp.Col, nil, &cmp.Val)
-	default: // ">", ">=": indexableCmp admits nothing else from a bound predicate
-		ids, _ = t.LookupRange(cmp.Col, &cmp.Val, nil)
-	}
-	return cmp, ids
-}
-
-// indexableCmp digs a comparison usable as an access path out of the
-// predicate: the expression itself, or a conjunct of a top-level AND
-// chain, whose column carries a suitable index. Strict operators <, <=,
-// >, >= need an ordered index; = needs a hash index.
-func indexableCmp(t *Table, where Expr) *CmpExpr {
-	switch e := where.(type) {
-	case *CmpExpr:
-		if e.Op == "=" && t.HasHashIndex(e.Col) {
-			return e
-		}
-		if e.Op != "=" && e.Op != "!=" && t.HasOrderedIndex(e.Col) {
-			return e
-		}
-	case *AndExpr:
-		if c := indexableCmp(t, e.L); c != nil {
-			return c
-		}
-		return indexableCmp(t, e.R)
-	}
-	return nil
 }

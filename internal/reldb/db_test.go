@@ -1,9 +1,6 @@
 package reldb
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 func empDB(t *testing.T) *Database { return loadEmp(t, NewDatabase()) }
 
@@ -84,31 +81,15 @@ func TestUpdateAndDelete(t *testing.T) {
 	}
 }
 
-func TestIndexesGiveSameAnswers(t *testing.T) {
-	plain := empDB(t)
-	indexed := empDB(t)
-	mustExec(t, indexed, "CREATE HASH INDEX ON emp (dept)")
-	mustExec(t, indexed, "CREATE ORDERED INDEX ON emp (salary)")
-
-	queries := []string{
-		"SELECT name FROM emp WHERE dept = 'eng' ORDER BY name",
-		"SELECT name FROM emp WHERE salary >= 85 ORDER BY name",
-		"SELECT name FROM emp WHERE salary < 85 ORDER BY name",
-		"SELECT name FROM emp WHERE dept = 'hr' AND salary > 82 ORDER BY name",
-		"SELECT name FROM emp WHERE dept = 'nope'",
-	}
-	for _, q := range queries {
-		a := mustExec(t, plain, q)
-		b := mustExec(t, indexed, q)
-		if fmt.Sprint(a.Rows) != fmt.Sprint(b.Rows) {
-			t.Errorf("%s:\n plain  %v\n indexed %v", q, a.Rows, b.Rows)
-		}
-	}
-}
-
+// TestIndexMaintainedAcrossDML: the chunk keys a predicate scan narrows
+// with follow the rows. Keys built by a scan before a write are carried
+// into the writer's copy of the chunk and updated there, so the scans after
+// UPDATE and DELETE see the new values and not the old ones.
 func TestIndexMaintainedAcrossDML(t *testing.T) {
 	db := empDB(t)
-	mustExec(t, db, "CREATE HASH INDEX ON emp (dept)")
+	if res := mustExec(t, db, "SELECT name FROM emp WHERE dept = 'hr'"); len(res.Rows) != 2 {
+		t.Fatalf("hr rows before the update = %v", res.Rows)
+	}
 	mustExec(t, db, "UPDATE emp SET dept = 'ops' WHERE name = 'Cyd'")
 	res := mustExec(t, db, "SELECT name FROM emp WHERE dept = 'ops' ORDER BY name")
 	if len(res.Rows) != 2 {
@@ -121,7 +102,7 @@ func TestIndexMaintainedAcrossDML(t *testing.T) {
 	mustExec(t, db, "DELETE FROM emp WHERE dept = 'ops'")
 	res = mustExec(t, db, "SELECT name FROM emp WHERE dept = 'ops'")
 	if len(res.Rows) != 0 {
-		t.Errorf("stale index rows = %v", res.Rows)
+		t.Errorf("deleted rows still match = %v", res.Rows)
 	}
 }
 
@@ -137,8 +118,8 @@ func TestErrors(t *testing.T) {
 		"INSERT INTO emp VALUES (1, 'x')",           // arity
 		"INSERT INTO emp VALUES ('x', 1, 'y', 'z')", // kinds
 		"UPDATE emp SET ghost = 1",                  // unknown set col
-		"CREATE HASH INDEX ON ghost (x)",            // unknown table
-		"CREATE HASH INDEX ON emp (ghost)",          // unknown column
+		"CREATE TABLE dup (a INT, a TEXT)",          // column named twice
+		"UPDATE emp SET salary = 1, salary = 2",     // column assigned twice
 		// Names are resolved before any row is read, so the verdict cannot
 		// depend on what the table holds: not on its being empty, and not on
 		// whether some row gets past the left arm of an OR.
@@ -167,25 +148,38 @@ func TestTablesListing(t *testing.T) {
 	}
 }
 
-func TestRangeScanViaOrderedIndex(t *testing.T) {
-	db := empDB(t)
-	mustExec(t, db, "CREATE ORDERED INDEX ON emp (salary)")
-	res := mustExec(t, db, "SELECT name FROM emp WHERE salary >= 80 AND salary <= 90 ORDER BY salary")
-	if len(res.Rows) != 3 {
-		t.Fatalf("rows = %v", res.Rows)
-	}
-	if res.Rows[0][0] != Str("Cyd") || res.Rows[2][0] != Str("Bob") {
-		t.Errorf("order = %v", res.Rows)
-	}
-}
-
+// TestFloatIntHashEquality: an INT stored in a FLOAT column equals the
+// FLOAT literal of its value, whether the literal is the FLOAT or the INT.
 func TestFloatIntHashEquality(t *testing.T) {
 	db := NewDatabase()
 	mustExec(t, db, "CREATE TABLE m (v FLOAT)")
-	mustExec(t, db, "CREATE HASH INDEX ON m (v)")
 	mustExec(t, db, "INSERT INTO m VALUES (1)") // int into float column
-	res := mustExec(t, db, "SELECT * FROM m WHERE v = 1.0")
-	if len(res.Rows) != 1 {
-		t.Errorf("int/float hash equality broken: %v", res.Rows)
+	for _, q := range []string{"SELECT * FROM m WHERE v = 1.0", "SELECT * FROM m WHERE v = 1"} {
+		if res := mustExec(t, db, q); len(res.Rows) != 1 {
+			t.Errorf("%s: int/float equality broken: %v", q, res.Rows)
+		}
+	}
+}
+
+// TestDuplicateColumnsRefused: a schema naming a column twice would leave
+// every column after the first of that name unreadable, since names resolve
+// to the first. CREATE TABLE refuses it and creates nothing, and redo
+// refuses a CreateTable record carrying it, as it does an empty schema.
+func TestDuplicateColumnsRefused(t *testing.T) {
+	db := NewDatabase()
+	if _, err := db.Exec("CREATE TABLE t (a INT, b TEXT, a TEXT)"); err == nil {
+		t.Fatal("CREATE TABLE accepted a column named twice")
+	}
+	if tables := db.Tables(); len(tables) != 0 {
+		t.Fatalf("refused CREATE TABLE left tables %v", tables)
+	}
+	for _, schema := range []Schema{
+		{Columns: []Column{{"a", KindInt}, {"a", KindString}}},
+		{},
+	} {
+		rec := &LogRecord{LSN: 1, Op: OpCreateTable, Table: "t", Schema: &schema}
+		if err := redo(newTableStage(nil), rec); err == nil {
+			t.Errorf("redo accepted CreateTable with columns %v", schema.Columns)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package reldb
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"webdbsec/internal/mvcc"
 	"webdbsec/internal/wal"
@@ -32,15 +31,14 @@ func decodeLogRecord(payload []byte) (LogRecord, error) {
 }
 
 // tableSnap is one table inside a checkpoint snapshot: schema, rows with
-// their stable rowIDs, the rowID high-water mark, and which indexes to
-// rebuild.
+// their stable rowIDs, and the rowID high-water mark. Snapshots written
+// while tables could carry indexes also list the indexed columns; decoding
+// ignores them, as an index held nothing the rows do not.
 type tableSnap struct {
-	Name    string
-	Schema  Schema
-	NextID  int64
-	Rows    []rowSnap
-	HashIdx []string
-	OrdIdx  []string
+	Name   string
+	Schema Schema
+	NextID int64
+	Rows   []rowSnap
 }
 
 type rowSnap struct {
@@ -58,20 +56,12 @@ type dbSnap struct {
 }
 
 // snapshot captures the table — no lock needed: checkpoint snapshots are
-// taken from frozen version tables. Rows go out in rowID order and index
-// names sorted, so one state always encodes to the same bytes and a
-// checkpoint image can be compared with, or replayed against, another. The
-// rows are shared with the table, not copied: the snapshot is only encoded.
+// taken from frozen version tables. Rows go out in rowID order, so one
+// state always encodes to the same bytes and a checkpoint image can be
+// compared with, or replayed against, another. The rows are shared with
+// the table, not copied: the snapshot is only encoded.
 func (t *Table) snapshot() tableSnap {
 	snap := tableSnap{Name: t.Name, Schema: t.Schema, NextID: t.nextID}
-	for col := range t.hashIdx {
-		snap.HashIdx = append(snap.HashIdx, col)
-	}
-	sort.Strings(snap.HashIdx)
-	for col := range t.ordIdx {
-		snap.OrdIdx = append(snap.OrdIdx, col)
-	}
-	sort.Strings(snap.OrdIdx)
 	snap.Rows = make([]rowSnap, 0, t.Len())
 	t.Scan(func(id int64, r Row) bool {
 		snap.Rows = append(snap.Rows, rowSnap{ID: id, Row: r})
@@ -96,16 +86,6 @@ func (s *tableSnap) restore() (*Table, error) {
 	// reincarnated under a reused id).
 	if s.NextID > t.nextID {
 		t.nextID = s.NextID
-	}
-	for _, col := range s.HashIdx {
-		if err := t.CreateHashIndex(col); err != nil {
-			return nil, fmt.Errorf("reldb: restore %s: %w", s.Name, err)
-		}
-	}
-	for _, col := range s.OrdIdx {
-		if err := t.CreateOrderedIndex(col); err != nil {
-			return nil, fmt.Errorf("reldb: restore %s: %w", s.Name, err)
-		}
 	}
 	return t, nil
 }
@@ -164,8 +144,7 @@ func (db *Database) Checkpoint() error {
 }
 
 // encodeSnap serializes the version as a checkpoint payload. The encoding
-// is a function of the state alone: tables by name, rows by rowID, index
-// names sorted.
+// is a function of the state alone: tables by name, rows by rowID.
 func (v *dbVersion) encodeSnap() ([]byte, error) {
 	var snap dbSnap
 	for _, name := range v.tableNames() {

@@ -51,7 +51,7 @@ func tableRows(t *testing.T, db *Database, name string) map[string]int64 {
 }
 
 // assertDBEqual compares two databases structurally: table set, schemas,
-// rows with their stable rowIDs, rowID high-water marks and index sets.
+// rows with their stable rowIDs and rowID high-water marks.
 func assertDBEqual(t *testing.T, a, b *Database, desc string) {
 	t.Helper()
 	if !reflect.DeepEqual(a.Tables(), b.Tables()) {
@@ -63,10 +63,6 @@ func assertDBEqual(t *testing.T, a, b *Database, desc string) {
 		sa, sb := ta.snapshot(), tb.snapshot()
 		sort.Slice(sa.Rows, func(i, j int) bool { return sa.Rows[i].ID < sa.Rows[j].ID })
 		sort.Slice(sb.Rows, func(i, j int) bool { return sb.Rows[i].ID < sb.Rows[j].ID })
-		sort.Strings(sa.HashIdx)
-		sort.Strings(sb.HashIdx)
-		sort.Strings(sa.OrdIdx)
-		sort.Strings(sb.OrdIdx)
 		if !reflect.DeepEqual(sa, sb) {
 			t.Fatalf("%s: table %s differs:\n%+v\nvs\n%+v", desc, name, sa, sb)
 		}
@@ -77,7 +73,6 @@ func TestOpenCheckpointReopen(t *testing.T) {
 	fs := faultinject.NewMemFS()
 	db := openDurable(t, fs)
 	mustExec(t, db, "CREATE TABLE t (k TEXT, v INT)")
-	mustExec(t, db, "CREATE HASH INDEX ON t (k)")
 	for i := 0; i < 5; i++ {
 		mustExec(t, db, fmt.Sprintf("INSERT INTO t VALUES ('k%d', %d)", i, i))
 	}
@@ -99,24 +94,19 @@ func TestOpenCheckpointReopen(t *testing.T) {
 	if rows["k5"] != 5 {
 		t.Fatalf("post-checkpoint insert lost: %v", rows)
 	}
-	tbl, _ := db2.Table("t")
-	if !tbl.HasHashIndex("k") {
-		t.Fatal("index not recovered")
-	}
 }
 
 // TestCheckpointImageReproducible: one committed state encodes to one
-// checkpoint payload, byte for byte — rows in rowID order, index names
-// sorted — so a crash-matrix failure can be replayed from its image.
+// checkpoint payload, byte for byte — tables by name, rows in rowID
+// order — so a crash-matrix failure can be replayed from its image.
 func TestCheckpointImageReproducible(t *testing.T) {
 	fs := faultinject.NewMemFS()
 	db := openDurable(t, fs)
-	mustExec(t, db, "CREATE TABLE t (k TEXT, v INT, a INT, b INT)")
-	for _, ddl := range []string{
-		"CREATE HASH INDEX ON t (k)", "CREATE HASH INDEX ON t (a)", "CREATE HASH INDEX ON t (b)",
-		"CREATE ORDERED INDEX ON t (v)", "CREATE ORDERED INDEX ON t (a)", "CREATE ORDERED INDEX ON t (b)",
+	for _, src := range []string{
+		"CREATE TABLE t (k TEXT, v INT, a INT, b INT)", "CREATE TABLE u (a INT)", "CREATE TABLE s (k TEXT)",
+		"INSERT INTO u VALUES (1)", "INSERT INTO s VALUES ('x')",
 	} {
-		mustExec(t, db, ddl)
+		mustExec(t, db, src)
 	}
 	for i := 0; i < 600; i++ {
 		mustExec(t, db, fmt.Sprintf("INSERT INTO t VALUES ('k%d', %d, %d, %d)", i, i%7, i%5, i%3))
@@ -173,12 +163,6 @@ func TestRestoreUnorderedSnapshot(t *testing.T) {
 	}
 	if tbl.nextID != 700 || tbl.Len() != 3 {
 		t.Fatalf("nextID %d, len %d", tbl.nextID, tbl.Len())
-	}
-	if !tbl.HasHashIndex("k") || !tbl.HasHashIndex("v") || !tbl.HasOrderedIndex("v") {
-		t.Fatal("indexes not rebuilt")
-	}
-	if ids, _ := tbl.LookupEq("k", Str("b")); !reflect.DeepEqual(ids, []int64{300}) {
-		t.Fatalf("LookupEq = %v", ids)
 	}
 }
 
@@ -333,10 +317,11 @@ func TestCommitReportsLostDurability(t *testing.T) {
 }
 
 // crashWorkload is the scripted workload the crash matrix kills at every
-// point: DDL, five committing insert transactions, one aborting one, and a
-// final transaction updating k0 and deleting k1. It returns the set of
-// durably acknowledged facts — "kN" for each insert transaction whose
-// Commit returned nil, "mod" for the update/delete transaction. Under
+// point: two CREATE TABLEs, five committing insert transactions, one
+// aborting one, and a final transaction updating k0, deleting k1 and
+// inserting into the second table. It returns the set of durably
+// acknowledged facts — "kN" for each insert transaction whose Commit
+// returned nil, "mod" for the final transaction. Under
 // SyncAlways an acknowledgement means the commit record was fsynced, so
 // every acknowledged fact must survive any crash.
 func crashWorkload(fs *faultinject.MemFS) map[string]bool {
@@ -350,7 +335,7 @@ func crashWorkload(fs *faultinject.MemFS) map[string]bool {
 		return acked
 	}
 	db.Exec("CREATE TABLE t (k TEXT, v INT)")
-	db.Exec("CREATE HASH INDEX ON t (k)")
+	db.Exec("CREATE TABLE u (k TEXT, v INT)")
 	for i := 0; i < 6; i++ {
 		txn := db.Begin()
 		txn.Exec(fmt.Sprintf("INSERT INTO t VALUES ('k%d', %d)", i, i))
@@ -365,6 +350,7 @@ func crashWorkload(fs *faultinject.MemFS) map[string]bool {
 	txn := db.Begin()
 	txn.Exec("UPDATE t SET v = 100 WHERE k = 'k0'")
 	txn.Exec("DELETE FROM t WHERE k = 'k1'")
+	txn.Exec("INSERT INTO u VALUES ('mod', 1)")
 	if txn.Commit() == nil {
 		acked["mod"] = true
 	}
@@ -377,8 +363,8 @@ func crashWorkload(fs *faultinject.MemFS) map[string]bool {
 //
 //   - every acknowledged transaction's effects are present;
 //   - the aborted transaction's row is absent;
-//   - the update/delete transaction applied atomically (both effects or
-//     neither);
+//   - the final transaction applied atomically (all three effects, across
+//     both tables, or none);
 //   - recovering the same image twice yields identical databases.
 func checkCrashInvariants(t *testing.T, img *faultinject.MemFS, acked map[string]bool, desc string) {
 	t.Helper()
@@ -417,6 +403,9 @@ func checkCrashInvariants(t *testing.T, img *faultinject.MemFS, acked map[string
 	// or not at all.
 	if _, k1Present := rows["k1"]; modApplied && k1Present {
 		t.Fatalf("%s: update applied but delete lost: rows = %v", desc, rows)
+	}
+	if _, uPresent := tableRows(t, db, "u")["mod"]; uPresent != modApplied {
+		t.Fatalf("%s: update of k0 applied %v, insert into u applied %v", desc, modApplied, uPresent)
 	}
 	// No phantom rows.
 	for k, v := range rows {
@@ -529,6 +518,36 @@ func TestCrashMatrixMidFsync(t *testing.T) {
 	t.Logf("crash matrix: %d mid-fsync points × 2 images", syncs)
 }
 
+// writeLog writes a log by hand: the frames, then, unless snapshot is empty,
+// a checkpoint of snapshot at the last of them, then the frames of more.
+func writeLog(t *testing.T, frames []string, snapshot string, more []string) *faultinject.MemFS {
+	t.Helper()
+	fs := faultinject.NewMemFS()
+	w, err := wal.Open(wal.Options{FS: fs, Policy: wal.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range frames {
+		if _, err := w.Append([]byte(f)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if snapshot != "" {
+		if err := w.CheckpointAt([]byte(snapshot), w.LastLSN()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, f := range more {
+		if _, err := w.Append([]byte(f)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return fs
+}
+
 // TestRetiredLogFormat pins what a log of the per-operation format opens
 // to: a transaction was a Begin record, one record per row it wrote (which
 // also carried a "Before" key redo never read), and a Commit or Abort, and
@@ -567,35 +586,7 @@ func TestRetiredLogFormat(t *testing.T) {
 	}
 	snapshot := `{"TxnSeq":2,"FenceLSN":9,"Tables":[{"Name":"t","Schema":{"Columns":[{"Name":"k","Kind":3},{"Name":"v","Kind":1}]},` +
 		`"NextID":2,"Rows":[{"ID":1,"Row":` + row("a", 10) + `}],"HashIdx":null,"OrdIdx":null}]}`
-	write := func(frames []string, checkpoint bool, more []string) *faultinject.MemFS {
-		t.Helper()
-		fs := faultinject.NewMemFS()
-		w, err := wal.Open(wal.Options{FS: fs, Policy: wal.SyncAlways})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range frames {
-			if _, err := w.Append([]byte(f)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if checkpoint {
-			if err := w.CheckpointAt([]byte(snapshot), w.LastLSN()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, f := range more {
-			if _, err := w.Append([]byte(f)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return fs
-	}
-
-	clean := write(history, true, rowless)
+	clean := writeLog(t, history, snapshot, rowless)
 	for name, open := range recoveries {
 		db := open(t, clean.AfterCrash(false))
 		if got, want := tableRows(t, db, "t"), map[string]int64{"a": 10}; !reflect.DeepEqual(got, want) {
@@ -615,8 +606,8 @@ func TestRetiredLogFormat(t *testing.T) {
 	// and a transaction that wrote a row and aborted after the last one.
 	unfinished := []string{rec(10, 3, begin, "", 0, "null", "null"), rec(11, 3, insert, "t", 2, "null", row("c", 3)), rec(12, 3, abort, "", 0, "null", "null")}
 	for desc, fs := range map[string]*faultinject.MemFS{
-		"no checkpoint":            write(history, false, nil),
-		"row record above the end": write(history, true, unfinished),
+		"no checkpoint":            writeLog(t, history, "", nil),
+		"row record above the end": writeLog(t, history, snapshot, unfinished),
 	} {
 		w, err := wal.Open(wal.Options{FS: fs, Policy: wal.SyncAlways})
 		if err != nil {
@@ -624,6 +615,62 @@ func TestRetiredLogFormat(t *testing.T) {
 		}
 		if _, err := OpenDatabase(w); err == nil || !strings.Contains(err.Error(), "(Insert) belongs to the retired per-operation log format") {
 			t.Fatalf("%s: OpenDatabase = %v, want a refusal naming the Insert record", desc, err)
+		}
+	}
+}
+
+// TestRetiredIndexRecords pins what data written while reldb had hash and
+// ordered indexes opens to: a log holding CreateIndex records ({"Op":1,…},
+// naming the column and whether the index was ordered) and a checkpoint
+// listing the indexed columns of a table. An index held nothing the rows
+// did not, so both open to the same rows, rowIDs and answers as the same
+// history with every index declaration left out, and keep writing.
+func TestRetiredIndexRecords(t *testing.T) {
+	const (
+		ddl    = `{"LSN":1,"Op":0,"Table":"t","Schema":{"Columns":[{"Name":"k","Kind":3},{"Name":"v","Kind":1}]}}`
+		hash   = `{"LSN":2,"Op":1,"Table":"t","Column":"k"}`
+		order  = `{"LSN":3,"Op":1,"Table":"t","Column":"v","Ordered":true}`
+		a1, b2 = `[{"Kind":3,"S":"a"},{"Kind":1,"I":1}]`, `[{"Kind":3,"S":"b"},{"Kind":1,"I":2}]`
+		c3, d4 = `[{"Kind":3,"S":"c"},{"Kind":1,"I":3}]`, `[{"Kind":3,"S":"d"},{"Kind":1,"I":4}]`
+		b20    = `[{"Kind":3,"S":"b"},{"Kind":1,"I":20}]`
+		load   = `{"Op":3,"Changes":[{"Table":"t","RowID":1,"Row":` + a1 + `},{"Table":"t","RowID":2,"Row":` + b2 + `},{"Table":"t","RowID":3,"Row":` + c3 + `}]}`
+		change = `{"Op":3,"Changes":[{"Table":"t","RowID":2,"Row":` + b20 + `},{"Table":"t","RowID":3,"Row":null},{"Table":"t","RowID":4,"Row":` + d4 + `}]}`
+		table  = `{"Name":"t","Schema":{"Columns":[{"Name":"k","Kind":3},{"Name":"v","Kind":1}]},"NextID":3,` +
+			`"Rows":[{"ID":1,"Row":` + a1 + `},{"ID":2,"Row":` + b2 + `},{"ID":3,"Row":` + c3 + `}]`
+	)
+	cases := []struct {
+		desc          string
+		indexed, bare *faultinject.MemFS
+	}{
+		{"log", writeLog(t, []string{ddl, hash, order, load, change}, "", nil),
+			writeLog(t, []string{ddl, load, change}, "", nil)},
+		{"checkpoint", writeLog(t, []string{ddl, hash, order, load}, `{"Tables":[`+table+`,"HashIdx":["k"],"OrdIdx":["v"]}]}`, []string{order, change}),
+			writeLog(t, []string{ddl, load}, `{"Tables":[`+table+`}]}`, []string{change})},
+	}
+	queries := []string{
+		"SELECT * FROM t",
+		"SELECT k FROM t WHERE k = 'b'",
+		"SELECT k, v FROM t WHERE v >= 2 ORDER BY v DESC",
+		"SELECT COUNT(*), MAX(v) FROM t WHERE v < 10",
+	}
+	for _, c := range cases {
+		for name, open := range recoveries {
+			desc := c.desc + " via " + name
+			indexed, bare := open(t, c.indexed.AfterCrash(false)), open(t, c.bare.AfterCrash(false))
+			assertDBEqual(t, indexed, bare, desc)
+			if got, want := tableRows(t, indexed, "t"), map[string]int64{"a": 1, "b": 20, "d": 4}; !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: rows %v, want %v", desc, got, want)
+			}
+			for _, q := range queries {
+				if got, want := fmt.Sprint(mustExec(t, indexed, q).Rows), fmt.Sprint(mustExec(t, bare, q).Rows); got != want {
+					t.Fatalf("%s: %s answers %s, without the index declarations %s", desc, q, got, want)
+				}
+			}
+		}
+		db := openDurable(t, c.indexed)
+		mustExec(t, db, "INSERT INTO t VALUES ('e', 5)")
+		if got := tableRows(t, openDurable(t, c.indexed.AfterCrash(true)), "t"); got["e"] != 5 || len(got) != 4 {
+			t.Fatalf("%s: after one more insert, recovered %v", c.desc, got)
 		}
 	}
 }

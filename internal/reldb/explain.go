@@ -17,11 +17,11 @@ import (
 // Plan describes how a SELECT would execute.
 type Plan struct {
 	Table string
-	// Access is "index-eq", "index-range" or "full-scan".
+	// Access is "key-scan" when the predicate has key tests that narrow the
+	// scan chunk by chunk, and "full-scan" when the matcher reads every row.
 	Access string
-	// IndexColumn names the index column when an index is used.
-	IndexColumn string
-	// EstRows is the estimated candidate rows the access path yields.
+	// EstRows is the estimated candidate rows: the table's row count, which
+	// a key-narrowed scan still bounds.
 	EstRows int
 	// EstCost is the cost-model estimate: candidates examined plus a
 	// per-result predicate charge.
@@ -29,16 +29,13 @@ type Plan struct {
 }
 
 func (p Plan) String() string {
-	switch p.Access {
-	case "full-scan":
-		return fmt.Sprintf("FULL SCAN %s (est %d rows, cost %d)", p.Table, p.EstRows, p.EstCost)
-	default:
-		return fmt.Sprintf("%s %s(%s) (est %d rows, cost %d)",
-			strings.ToUpper(p.Access), p.Table, p.IndexColumn, p.EstRows, p.EstCost)
-	}
+	return fmt.Sprintf("%s %s (est %d rows, cost %d)",
+		strings.ToUpper(strings.ReplaceAll(p.Access, "-", " ")), p.Table, p.EstRows, p.EstCost)
 }
 
-// Explain plans a SELECT without executing it.
+// Explain plans a SELECT without executing it, through the planner the
+// executor runs: a statement whose predicate does not bind is refused here
+// as it would be there.
 func (db *Database) Explain(src string) (*Plan, error) {
 	st, err := Parse(src)
 	if err != nil {
@@ -52,14 +49,13 @@ func (db *Database) Explain(src string) (*Plan, error) {
 	if !okT {
 		return nil, fmt.Errorf("reldb: unknown table %s", sel.Table)
 	}
+	scan, err := planScan(t, sel.Where)
+	if err != nil {
+		return nil, err
+	}
 	plan := &Plan{Table: sel.Table, Access: "full-scan", EstRows: t.Len()}
-	if cmp, ids := indexCandidates(t, sel.Where); cmp != nil {
-		plan.Access = "index-range"
-		if cmp.Op == "=" {
-			plan.Access = "index-eq"
-		}
-		plan.IndexColumn = cmp.Col
-		plan.EstRows = len(ids)
+	if scan.keys.n > 0 {
+		plan.Access = "key-scan"
 	}
 	// Cost model: one unit per candidate row plus one per predicate node
 	// evaluated over it.
@@ -89,8 +85,6 @@ type TableInfo struct {
 	Name    string
 	Columns []Column
 	Rows    int
-	Hash    []string // hash-indexed columns
-	Ordered []string // ordered-indexed columns
 }
 
 // Describe returns the catalog entry of a table.
@@ -99,16 +93,7 @@ func (db *Database) Describe(table string) (*TableInfo, error) {
 	if !ok {
 		return nil, fmt.Errorf("reldb: unknown table %s", table)
 	}
-	info := &TableInfo{Name: table, Columns: t.Schema.Columns, Rows: t.Len()}
-	for _, c := range t.Schema.Columns {
-		if t.HasHashIndex(c.Name) {
-			info.Hash = append(info.Hash, c.Name)
-		}
-		if t.HasOrderedIndex(c.Name) {
-			info.Ordered = append(info.Ordered, c.Name)
-		}
-	}
-	return info, nil
+	return &TableInfo{Name: table, Columns: t.Schema.Columns, Rows: t.Len()}, nil
 }
 
 // SecurityMetadata summarizes the security content of the catalog — "the

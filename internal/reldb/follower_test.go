@@ -47,7 +47,7 @@ func TestFollowerTracksLeader(t *testing.T) {
 	lfs := faultinject.NewMemFS()
 	db := openDurable(t, lfs)
 	mustExec(t, db, "CREATE TABLE kv (k TEXT, v INT)")
-	mustExec(t, db, "CREATE HASH INDEX ON kv (k)")
+	mustExec(t, db, "CREATE TABLE other (k TEXT)")
 	txn := db.Begin()
 	if _, err := txn.Exec("INSERT INTO kv VALUES ('a', 1)"); err != nil {
 		t.Fatalf("INSERT: %v", err)
@@ -217,7 +217,7 @@ func TestFollowerDatabaseIsReadOnly(t *testing.T) {
 		"UPDATE kv SET v = 9",
 		"DELETE FROM kv",
 		"CREATE TABLE other (k TEXT)",
-		"CREATE HASH INDEX ON kv (k)",
+		"CREATE TABLE kv (k TEXT, v INT)",
 	} {
 		if _, err := replica.Exec(src); !errors.Is(err, errReadOnly) {
 			t.Errorf("%q on a follower's database: %v, want errReadOnly", src, err)

@@ -10,32 +10,31 @@ import (
 // LogOp is the kind of a log record.
 type LogOp int
 
-// Log operations. The values are the on-disk encoding; 2 and 4–7 belong to
-// the retired per-operation format (retiredOps).
+// Log operations. The values are the on-disk encoding; 1, 2 and 4–7 are
+// retired kinds (retiredOps).
 const (
 	OpCreateTable LogOp = 0
-	OpCreateIndex LogOp = 1
 	OpCommit      LogOp = 3
 )
 
-// retiredOps names the record kinds of the per-operation format, in which a
-// transaction was a Begin record, one record per row written, and a Commit
-// or Abort. Begin and Abort carry no state, so redo skips them, and that
-// format's Commit decodes as an empty one (its rows were in the row
-// records); a row record cannot be redone without the rest of its
-// transaction, so a log holding one is refused rather than partly replayed.
-var retiredOps = map[LogOp]string{2: "Begin", 4: "Abort", 5: "Insert", 6: "Update", 7: "Delete"}
+// retiredOps names the record kinds older logs hold. CreateIndex declared
+// a hash or ordered index, which held no state beyond the rows. In the
+// per-operation format a transaction was a Begin record, one record per
+// row written, and a Commit or Abort. CreateIndex, Begin and Abort carry no
+// logical state, so redo skips them, and that format's Commit decodes as
+// an empty one (its rows were in the row records); a row record cannot be
+// redone without the rest of its transaction, so a log holding one is
+// refused rather than partly replayed.
+var retiredOps = map[LogOp]string{1: "CreateIndex", 2: "Begin", 4: "Abort", 5: "Insert", 6: "Update", 7: "Delete"}
 
 // LogRecord is one entry of the write-ahead log: one complete mutation.
-// DDL records name the table (and the schema or indexed column); a Commit
-// record carries every row its transaction wrote, so a transaction is
-// exactly one record and a record is never part of one.
+// A CreateTable record names the table and its schema; a Commit record
+// carries every row its transaction wrote, so a transaction is exactly one
+// record and a record is never part of one.
 type LogRecord struct {
 	LSN     int64
 	Op      LogOp
 	Table   string   `json:",omitempty"`
-	Column  string   `json:",omitempty"`
-	Ordered bool     `json:",omitempty"`
 	Schema  *Schema  `json:",omitempty"`
 	Changes []Change `json:",omitempty"`
 }
@@ -193,25 +192,13 @@ func redo(st *tableStage, r *LogRecord) error {
 		if r.Schema == nil {
 			return fmt.Errorf("reldb: recover: CreateTable without schema")
 		}
+		if err := r.Schema.check(r.Table); err != nil {
+			return fmt.Errorf("reldb: recover: record %d: %w", r.LSN, err)
+		}
 		if _, exists := st.mutable(r.Table); exists {
 			return fmt.Errorf("reldb: recover: record %d creates table %s, which exists", r.LSN, r.Table)
 		}
 		st.put(NewTable(r.Table, *r.Schema))
-		return nil
-	case OpCreateIndex:
-		t, ok := st.mutable(r.Table)
-		if !ok {
-			return fmt.Errorf("reldb: recover: record %d for unknown table %s", r.LSN, r.Table)
-		}
-		var err error
-		if r.Ordered {
-			err = t.CreateOrderedIndex(r.Column)
-		} else {
-			err = t.CreateHashIndex(r.Column)
-		}
-		if err != nil {
-			return fmt.Errorf("reldb: recover: %w", err)
-		}
 		return nil
 	case OpCommit:
 		for _, c := range r.Changes {
@@ -228,7 +215,7 @@ func redo(st *tableStage, r *LogRecord) error {
 	switch kind := retiredOps[r.Op]; kind {
 	case "":
 		return fmt.Errorf("reldb: recover: record %d has unknown kind %d", r.LSN, r.Op)
-	case "Begin", "Abort":
+	case "CreateIndex", "Begin", "Abort":
 		return nil
 	default:
 		return fmt.Errorf("reldb: recover: record %d (%s) belongs to the retired per-operation log format, "+

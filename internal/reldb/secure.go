@@ -203,8 +203,9 @@ func (s *SecureDB) Exec(subject *policy.Subject, src string) (*Result, error) {
 // row policies conjoined onto WHERE and, for a SELECT, its hidden columns —
 // installed on a copy of the statement, then the engine. This is the
 // paper's "query processing [taking] into consideration the access control
-// policies": the rewrite happens before planning, so the engine's index
-// selection still applies, and an aggregate is computed over the view.
+// policies": the rewrite happens before planning, so the policy's
+// conjuncts narrow the scan on chunk keys as the query's own do, and an
+// aggregate is computed over the view.
 func (s *SecureDB) ExecStmt(subject *policy.Subject, st Stmt) (*Result, error) {
 	var (
 		priv  sysr.Privilege

@@ -9,13 +9,12 @@ import (
 // The SQL subset:
 //
 //	CREATE TABLE t (col TYPE, ...)            TYPE ∈ INT | FLOAT | TEXT | BOOL
-//	CREATE HASH INDEX ON t (col)
-//	CREATE ORDERED INDEX ON t (col)
 //	INSERT INTO t VALUES (v, ...)
 //	SELECT * | col, ... FROM t [WHERE expr] [ORDER BY col [DESC]] [LIMIT n]
 //	SELECT agg, ... FROM t [WHERE expr] [GROUP BY col]
 //	                                          agg ∈ COUNT(*) | COUNT|SUM|AVG|MIN|MAX(col)
 //	UPDATE t SET col = value, ... [WHERE expr]
+//	                                          each col at most once
 //	DELETE FROM t [WHERE expr]
 //
 // Expressions: column refs, literals (42, 3.5, 'text', TRUE, FALSE, NULL),
@@ -28,13 +27,6 @@ type Stmt interface{ stmt() }
 type CreateTableStmt struct {
 	Table  string
 	Schema Schema
-}
-
-// CreateIndexStmt creates an index.
-type CreateIndexStmt struct {
-	Table   string
-	Column  string
-	Ordered bool
 }
 
 // InsertStmt inserts one row.
@@ -103,7 +95,6 @@ type DeleteStmt struct {
 }
 
 func (*CreateTableStmt) stmt() {}
-func (*CreateIndexStmt) stmt() {}
 func (*InsertStmt) stmt()      {}
 func (*SelectStmt) stmt()      {}
 func (*UpdateStmt) stmt()      {}
@@ -385,77 +376,50 @@ func (p *parser) parseStmt() (Stmt, error) {
 
 func (p *parser) parseCreate() (Stmt, error) {
 	p.next() // CREATE
-	switch {
-	case p.atKeyword("TABLE"):
-		p.next()
-		name, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct("("); err != nil {
-			return nil, err
-		}
-		var schema Schema
-		for {
-			col, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			typ, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			var k Kind
-			switch strings.ToUpper(typ) {
-			case "INT":
-				k = KindInt
-			case "FLOAT":
-				k = KindFloat
-			case "TEXT":
-				k = KindString
-			case "BOOL":
-				k = KindBool
-			default:
-				return nil, fmt.Errorf("reldb: unknown type %s", typ)
-			}
-			schema.Columns = append(schema.Columns, Column{Name: col, Kind: k})
-			if p.atPunct(",") {
-				p.next()
-				continue
-			}
-			break
-		}
-		if err := p.expectPunct(")"); err != nil {
-			return nil, err
-		}
-		return &CreateTableStmt{Table: name, Schema: schema}, nil
-
-	case p.atKeyword("HASH"), p.atKeyword("ORDERED"):
-		ordered := p.atKeyword("ORDERED")
-		p.next()
-		if err := p.expectKeyword("INDEX"); err != nil {
-			return nil, err
-		}
-		if err := p.expectKeyword("ON"); err != nil {
-			return nil, err
-		}
-		table, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct("("); err != nil {
-			return nil, err
-		}
+	if err := p.expectKeyword("TABLE"); err != nil {
+		return nil, err
+	}
+	name, err := p.ident()
+	if err != nil {
+		return nil, err
+	}
+	if err := p.expectPunct("("); err != nil {
+		return nil, err
+	}
+	var schema Schema
+	for {
 		col, err := p.ident()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expectPunct(")"); err != nil {
+		typ, err := p.ident()
+		if err != nil {
 			return nil, err
 		}
-		return &CreateIndexStmt{Table: table, Column: col, Ordered: ordered}, nil
+		var k Kind
+		switch strings.ToUpper(typ) {
+		case "INT":
+			k = KindInt
+		case "FLOAT":
+			k = KindFloat
+		case "TEXT":
+			k = KindString
+		case "BOOL":
+			k = KindBool
+		default:
+			return nil, fmt.Errorf("reldb: unknown type %s", typ)
+		}
+		schema.Columns = append(schema.Columns, Column{Name: col, Kind: k})
+		if p.atPunct(",") {
+			p.next()
+			continue
+		}
+		break
 	}
-	return nil, fmt.Errorf("reldb: CREATE must be followed by TABLE, HASH INDEX or ORDERED INDEX")
+	if err := p.expectPunct(")"); err != nil {
+		return nil, err
+	}
+	return &CreateTableStmt{Table: name, Schema: schema}, nil
 }
 
 func (p *parser) parseInsert() (Stmt, error) {
@@ -639,6 +603,9 @@ func (p *parser) parseUpdate() (Stmt, error) {
 		v, err := p.literal()
 		if err != nil {
 			return nil, err
+		}
+		if _, dup := set[col]; dup {
+			return nil, fmt.Errorf("reldb: SET assigns %s twice in %q", col, p.src)
 		}
 		set[col] = v
 		if p.atPunct(",") {

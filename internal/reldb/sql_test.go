@@ -18,16 +18,19 @@ func TestParseCreateTable(t *testing.T) {
 	}
 }
 
+// TestParseCreateIndex: reldb has no indexes — every predicate is served by
+// one key-narrowed scan — so CREATE is followed by TABLE or is refused.
 func TestParseCreateIndex(t *testing.T) {
-	st := MustParse("CREATE HASH INDEX ON emp (id)")
-	ci := st.(*CreateIndexStmt)
-	if ci.Table != "emp" || ci.Column != "id" || ci.Ordered {
-		t.Errorf("parsed %+v", ci)
-	}
-	st = MustParse("CREATE ORDERED INDEX ON emp (salary)")
-	ci = st.(*CreateIndexStmt)
-	if !ci.Ordered || ci.Column != "salary" {
-		t.Errorf("parsed %+v", ci)
+	for _, src := range []string{
+		"CREATE HASH INDEX ON emp (id)",
+		"CREATE ORDERED INDEX ON emp (salary)",
+		"CREATE INDEX ON emp (id)",
+		"CREATE VIEW v",
+		"CREATE",
+	} {
+		if st, err := Parse(src); err == nil {
+			t.Errorf("Parse(%q) = %#v, want an error", src, st)
+		}
 	}
 }
 
@@ -148,7 +151,6 @@ func TestParseErrors(t *testing.T) {
 		"CREATE TABLE",
 		"CREATE TABLE t ()",
 		"CREATE TABLE t (x BLOB)",
-		"CREATE INDEX ON t (x)",
 		"INSERT emp VALUES (1)",
 		"INSERT INTO emp VALUES 1",
 		"SELECT FROM emp",
@@ -160,6 +162,8 @@ func TestParseErrors(t *testing.T) {
 		"SELECT * FROM emp LIMIT -1",
 		"UPDATE emp SET",
 		"UPDATE emp SET x 1",
+		"UPDATE u SET a = 5, a = 6",
+		"UPDATE u SET a = 5, b = 1, a = 5 WHERE b = 2",
 		"SELECT * FROM emp WHERE x = 'unterminated",
 		"SELECT * FROM emp extra garbage",
 		"SELECT * FROM emp WHERE x ! 1",

@@ -1,14 +1,9 @@
 package reldb
 
-import (
-	"fmt"
-	"slices"
-	"sort"
-)
+import "fmt"
 
-// Table is a heap of rows with optional hash and ordered indexes. Rows are
-// addressed by a stable rowID (never reused), which the transaction layer
-// uses for write sets and locks.
+// Table is a heap of rows. Rows are addressed by a stable rowID (never
+// reused), which the transaction layer uses for write sets and locks.
 //
 // A table is the MVCC unit of versioning: one reachable from a published
 // dbVersion is frozen — immutable forever — and all reads on it are
@@ -25,8 +20,7 @@ import (
 // chunk, whatever the table's size. The record of which chunks a copy has
 // made its own lives in the copy and ends when it is frozen: chunks outlive
 // the copies that made them, inside every later version that still shares
-// them, so nothing stored in a chunk can say who may write it. The index
-// structures are still copied whole by clone.
+// them, so nothing stored in a chunk can say who may write it.
 type Table struct {
 	Name   string
 	Schema Schema
@@ -38,38 +32,11 @@ type Table struct {
 
 	rows   rowHeap
 	nextID int64
-
-	hashIdx map[string]*hashIndex
-	ordIdx  map[string]*orderedIndex
-}
-
-// hashIndex maps a column value key to the rowIDs holding it.
-type hashIndex struct {
-	col  int
-	rows map[string]map[int64]bool
-}
-
-// orderedIndex keeps (value, rowID) pairs sorted for range scans — the
-// B-tree stand-in (same asymptotics for lookup via binary search; inserts
-// are O(n) moves, acceptable for the in-memory scale this engine targets).
-type orderedIndex struct {
-	col     int
-	entries []ordEntry
-}
-
-type ordEntry struct {
-	v  Value
-	id int64
 }
 
 // NewTable creates an empty, unfrozen table.
 func NewTable(name string, schema Schema) *Table {
-	return &Table{
-		Name:    name,
-		Schema:  schema,
-		hashIdx: make(map[string]*hashIndex),
-		ordIdx:  make(map[string]*orderedIndex),
-	}
+	return &Table{Name: name, Schema: schema}
 }
 
 // freeze marks the table immutable and returns it. Its claim on the chunks
@@ -83,37 +50,16 @@ func (t *Table) freeze() *Table {
 // clone returns a private, unfrozen copy of a frozen table that the caller
 // may mutate. Rows are shared with the original chunk by chunk — safe,
 // because a stored row is never mutated in place (Insert/Update store
-// fresh clones) and a shared chunk is copied before its first write —
-// while both index structures are deep-copied. Cloning a table that is
-// still being written would leave two writers trusting the same chunks, so
-// it panics like any other breach of the ownership discipline.
+// fresh clones) and a shared chunk is copied before its first write — so a
+// clone costs the chunk-pointer slice whatever the table's size. Cloning a
+// table that is still being written would leave two writers trusting the
+// same chunks, so it panics like any other breach of the ownership
+// discipline.
 func (t *Table) clone() *Table {
 	if !t.frozen {
 		panic("reldb: clone of unfrozen table " + t.Name + " (freeze it first)")
 	}
-	c := &Table{
-		Name:    t.Name,
-		Schema:  t.Schema,
-		rows:    t.rows.clone(),
-		nextID:  t.nextID,
-		hashIdx: make(map[string]*hashIndex, len(t.hashIdx)),
-		ordIdx:  make(map[string]*orderedIndex, len(t.ordIdx)),
-	}
-	for col, idx := range t.hashIdx {
-		ci := &hashIndex{col: idx.col, rows: make(map[string]map[int64]bool, len(idx.rows))}
-		for k, ids := range idx.rows {
-			m := make(map[int64]bool, len(ids))
-			for id := range ids {
-				m[id] = true
-			}
-			ci.rows[k] = m
-		}
-		c.hashIdx[col] = ci
-	}
-	for col, idx := range t.ordIdx {
-		c.ordIdx[col] = &orderedIndex{col: idx.col, entries: append([]ordEntry(nil), idx.entries...)}
-	}
-	return c
+	return &Table{Name: t.Name, Schema: t.Schema, rows: t.rows.clone(), nextID: t.nextID}
 }
 
 // mutable panics when the table is frozen — the copy-on-write discipline
@@ -121,82 +67,6 @@ func (t *Table) clone() *Table {
 func (t *Table) mutable() {
 	if t.frozen {
 		panic("reldb: write to frozen table " + t.Name + " (mutate a working copy instead)")
-	}
-}
-
-// CreateHashIndex builds a hash index on the column, indexing existing
-// rows. Only legal on a private working copy.
-func (t *Table) CreateHashIndex(col string) error {
-	t.mutable()
-	ci := t.Schema.ColIndex(col)
-	if ci < 0 {
-		return fmt.Errorf("reldb: table %s has no column %s", t.Name, col)
-	}
-	idx := &hashIndex{col: ci, rows: make(map[string]map[int64]bool)}
-	t.rows.scan(func(id int64, r Row) bool {
-		idx.add(r[ci], id)
-		return true
-	})
-	t.hashIdx[col] = idx
-	return nil
-}
-
-// CreateOrderedIndex builds an ordered index on the column. Only legal on
-// a private working copy.
-func (t *Table) CreateOrderedIndex(col string) error {
-	t.mutable()
-	ci := t.Schema.ColIndex(col)
-	if ci < 0 {
-		return fmt.Errorf("reldb: table %s has no column %s", t.Name, col)
-	}
-	idx := &orderedIndex{col: ci, entries: make([]ordEntry, 0, t.rows.n)}
-	t.rows.scan(func(id int64, r Row) bool {
-		idx.entries = append(idx.entries, ordEntry{r[ci], id})
-		return true
-	})
-	sort.Slice(idx.entries, func(i, j int) bool { return less(idx.entries[i], idx.entries[j]) })
-	t.ordIdx[col] = idx
-	return nil
-}
-
-func less(a, b ordEntry) bool {
-	if c := Compare(a.v, b.v); c != 0 {
-		return c < 0
-	}
-	return a.id < b.id
-}
-
-func (h *hashIndex) add(v Value, id int64) {
-	k := v.Key()
-	m := h.rows[k]
-	if m == nil {
-		m = make(map[int64]bool)
-		h.rows[k] = m
-	}
-	m[id] = true
-}
-
-func (h *hashIndex) remove(v Value, id int64) {
-	k := v.Key()
-	delete(h.rows[k], id)
-	if len(h.rows[k]) == 0 {
-		delete(h.rows, k)
-	}
-}
-
-func (o *orderedIndex) add(v Value, id int64) {
-	e := ordEntry{v, id}
-	i := sort.Search(len(o.entries), func(i int) bool { return !less(o.entries[i], e) })
-	o.entries = append(o.entries, ordEntry{})
-	copy(o.entries[i+1:], o.entries[i:])
-	o.entries[i] = e
-}
-
-func (o *orderedIndex) remove(v Value, id int64) {
-	e := ordEntry{v, id}
-	i := sort.Search(len(o.entries), func(i int) bool { return !less(o.entries[i], e) })
-	if i < len(o.entries) && o.entries[i].id == id {
-		o.entries = append(o.entries[:i], o.entries[i+1:]...)
 	}
 }
 
@@ -212,12 +82,6 @@ func (t *Table) Insert(r Row) (int64, error) {
 	t.nextID++
 	id := t.nextID
 	t.rows.put(id, r.Clone())
-	for _, idx := range t.hashIdx {
-		idx.add(r[idx.col], id)
-	}
-	for _, idx := range t.ordIdx {
-		idx.add(r[idx.col], id)
-	}
 	return id, nil
 }
 
@@ -248,12 +112,6 @@ func (t *Table) insertAt(id int64, r Row) {
 	if id > t.nextID {
 		t.nextID = id
 	}
-	for _, idx := range t.hashIdx {
-		idx.add(r[idx.col], id)
-	}
-	for _, idx := range t.ordIdx {
-		idx.add(r[idx.col], id)
-	}
 }
 
 // Get returns a copy of the row with the given id. Lock-free.
@@ -280,14 +138,6 @@ func (t *Table) Update(id int64, r Row) (Row, error) {
 	if old == nil {
 		return nil, fmt.Errorf("reldb: table %s has no row %d", t.Name, id)
 	}
-	for _, idx := range t.hashIdx {
-		idx.remove(old[idx.col], id)
-		idx.add(r[idx.col], id)
-	}
-	for _, idx := range t.ordIdx {
-		idx.remove(old[idx.col], id)
-		idx.add(r[idx.col], id)
-	}
 	t.rows.put(id, r.Clone())
 	return old, nil
 }
@@ -301,12 +151,6 @@ func (t *Table) Delete(id int64) (Row, error) {
 	old := t.rows.get(id)
 	if old == nil {
 		return nil, fmt.Errorf("reldb: table %s has no row %d", t.Name, id)
-	}
-	for _, idx := range t.hashIdx {
-		idx.remove(old[idx.col], id)
-	}
-	for _, idx := range t.ordIdx {
-		idx.remove(old[idx.col], id)
 	}
 	t.rows.remove(id)
 	return old, nil
@@ -326,54 +170,4 @@ func (t *Table) Len() int {
 // seclint:exempt physical row storage; grants and row policies are enforced by SecureDB above the engine
 func (t *Table) Scan(fn func(id int64, r Row) bool) {
 	t.rows.scan(fn)
-}
-
-// LookupEq uses a hash index (if present) to find rowIDs whose column
-// equals v; ok is false when no usable index exists. Lock-free.
-func (t *Table) LookupEq(col string, v Value) (ids []int64, ok bool) {
-	idx, exists := t.hashIdx[col]
-	if !exists {
-		return nil, false
-	}
-	for id := range idx.rows[v.Key()] {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	return ids, true
-}
-
-// LookupRange uses an ordered index to find rowIDs with lo <= col <= hi;
-// nil bounds are open. ok is false when no ordered index exists. Lock-free.
-func (t *Table) LookupRange(col string, lo, hi *Value) (ids []int64, ok bool) {
-	idx, exists := t.ordIdx[col]
-	if !exists {
-		return nil, false
-	}
-	start := 0
-	if lo != nil {
-		start = sort.Search(len(idx.entries), func(i int) bool {
-			return Compare(idx.entries[i].v, *lo) >= 0
-		})
-	}
-	for i := start; i < len(idx.entries); i++ {
-		if hi != nil && Compare(idx.entries[i].v, *hi) > 0 {
-			break
-		}
-		ids = append(ids, idx.entries[i].id)
-	}
-	slices.Sort(ids)
-	return ids, true
-}
-
-// HasHashIndex reports whether the column has a hash index. Lock-free.
-func (t *Table) HasHashIndex(col string) bool {
-	_, ok := t.hashIdx[col]
-	return ok
-}
-
-// HasOrderedIndex reports whether the column has an ordered index.
-// Lock-free.
-func (t *Table) HasOrderedIndex(col string) bool {
-	_, ok := t.ordIdx[col]
-	return ok
 }

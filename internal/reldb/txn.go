@@ -22,8 +22,8 @@ type lockManager struct {
 	// Timeout bounds lock waits; a transaction that cannot acquire within
 	// it aborts with ErrLockTimeout (deadlock victim).
 	Timeout time.Duration
-	// owners numbers lock owners: transactions and index builds. The
-	// numbers live in memory only — no log record names an owner.
+	// owners numbers lock owners, one per transaction. The numbers live in
+	// memory only — no log record names an owner.
 	owners atomic.Int64
 }
 
@@ -41,8 +41,8 @@ func newLockManager() *lockManager {
 	return lm
 }
 
-// newOwner returns a lock-owner id no other transaction or index build of
-// this process holds.
+// newOwner returns a lock-owner id no other transaction of this process
+// holds.
 func (lm *lockManager) newOwner() int64 { return lm.owners.Add(1) }
 
 func (lm *lockManager) state(table string) *lockState {

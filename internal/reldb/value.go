@@ -1,6 +1,6 @@
 // Package reldb is the relational substrate: an in-memory web database
-// engine with a SQL subset, transactions, indexes, a recovery log, a
-// metadata catalog, and — the reason it exists in this repository —
+// engine with a SQL subset, transactions, key-narrowed scans, a recovery
+// log, a metadata catalog, and — the reason it exists in this repository —
 // security hooks in every function the paper says needs them (§2.1, §3.1):
 // query processing that "take[s] into consideration the access control
 // policies", transaction management that ensures "integrity as well as
@@ -108,7 +108,7 @@ func intOf(f float64) (int64, bool) {
 
 // compareIntFloat orders an INT against a FLOAT exactly. float64(i) would
 // round every INT above 2⁵³ onto a neighbour, calling 2⁶² + 1 equal to
-// 2⁶².0 while the hash index keys them apart. NaN compares equal to
+// 2⁶².0 while Key (and so GROUP BY) keeps them apart. NaN compares equal to
 // everything, as it did through float64.
 func compareIntFloat(i int64, f float64) int {
 	switch {
@@ -129,7 +129,7 @@ func compareIntFloat(i int64, f float64) int {
 }
 
 // Compare orders two values: -1, 0 or +1. NULL sorts first; INTs and FLOATs
-// compare by their exact numeric values (as the hash index keys them),
+// compare by their exact numeric values (as Key keys them),
 // never by rounding an INT to float64; mismatched non-numeric kinds compare
 // by kind. The boolean false sorts before true.
 func Compare(a, b Value) int { return compareTo(&a, &b) }
@@ -248,6 +248,20 @@ func (s *Schema) ColIndex(name string) int {
 		}
 	}
 	return -1
+}
+
+// check refuses a schema no table may have: one without columns, or one
+// naming a column twice (ColIndex would only ever find the first).
+func (s *Schema) check(table string) error {
+	if len(s.Columns) == 0 {
+		return fmt.Errorf("reldb: table %s needs at least one column", table)
+	}
+	for i, c := range s.Columns {
+		if s.ColIndex(c.Name) != i {
+			return fmt.Errorf("reldb: table %s names column %s twice", table, c.Name)
+		}
+	}
+	return nil
 }
 
 // CheckRow validates a row's arity and kinds (NULL is accepted anywhere;

@@ -43,7 +43,7 @@ func TestEqualNullSemantics(t *testing.T) {
 }
 
 func TestKeyConsistentWithCompare(t *testing.T) {
-	// Values that Compare as equal must share a key (hash index
+	// Values that Compare as equal must share a key (GROUP BY
 	// correctness); int/float integral overlap in particular.
 	pairs := [][2]Value{
 		{Int(1), Float(1.0)},
