@@ -34,8 +34,9 @@ import (
 //     would hand the slow path PR 9's memoized-verification satellite
 //     and erase the cost being measured.
 //   - token: each client runs the explicit mint once, then rides the
-//     fast path, presenting the rolling successor on every hop — one
-//     Ed25519 verification plus a successor signature per request.
+//     fast path, presenting the rolling successor on every hop — the
+//     next step of a hash chain, with one Ed25519 signature per
+//     authtoken.ChainLen requests.
 //   - memoized wallet: one shared wallet re-presented every request,
 //     reported separately — the satellite's best case, sitting between
 //     the two.

@@ -80,9 +80,11 @@ func TestMintThenQueryFastPath(t *testing.T) {
 		}
 		tok = next
 	}
+	// One signature: the explicit mint anchors a chain, and the three
+	// successors are its next steps.
 	st := svc.Gate.Stats()
-	if st.FastPath != 3 || st.Mint.Minted != 4 { // 1 explicit + 3 successors
-		t.Fatalf("stats = %+v, want 3 fast / 4 minted", st)
+	if st.FastPath != 3 || st.Advanced != 3 || st.Mint.Minted != 1 {
+		t.Fatalf("stats = %+v, want 3 fast / 3 advanced / 1 minted", st)
 	}
 }
 

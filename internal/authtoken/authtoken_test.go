@@ -166,7 +166,7 @@ func TestWrongKeyEpochAfterRotation(t *testing.T) {
 	if fresh.Epoch != 3 {
 		t.Fatalf("fresh epoch = %d, want 3", fresh.Epoch)
 	}
-	// Re-present the epoch-1 token (its nonce was consumed above, but the
+	// Re-present the epoch-1 token (its step was consumed above, but the
 	// epoch check fires first, which is what we assert).
 	_, err = g.Verifier.VerifyBound(tok.Encode(), s, now)
 	if !errors.Is(err, authtoken.ErrUnknownEpoch) {
@@ -194,8 +194,8 @@ func TestTruncatedAndBitFlipped(t *testing.T) {
 	}
 
 	// Flip one bit in every region of the layout: each must fail, none may
-	// panic, and none may consume the real nonce.
-	for _, off := range []int{1, 4, 14, 22, 40, 70} {
+	// panic, and none may consume the real step.
+	for _, off := range []int{1, 4, 14, 22, 40, 70, 133, 140, authtoken.TokenLen - 1} {
 		flipped := append([]byte{}, raw...)
 		flipped[off] ^= 0x80
 		if _, err := g.Verifier.Verify(flipped, now); err == nil {
@@ -337,8 +337,10 @@ func TestGateFastPathRollsSuccessor(t *testing.T) {
 	}
 	raw := first.Encode()
 	// Chain several hops: each Authenticate consumes the presented token
-	// and hands back a distinct successor.
-	seen := map[uint64]bool{first.Nonce: true}
+	// and hands back its successor. A directly minted token is not this
+	// gate's chain, so the first successor anchors a new one; the rest
+	// are its next steps, with no signature.
+	var chain uint64
 	for hop := 0; hop < 5; hop++ {
 		res, err := g.Authenticate(s, raw, now.Add(time.Duration(hop)*time.Second))
 		if err != nil {
@@ -347,15 +349,24 @@ func TestGateFastPathRollsSuccessor(t *testing.T) {
 		if res.Path != authtoken.PathToken {
 			t.Fatalf("hop %d: path = %s, want token", hop, res.Path)
 		}
-		if res.Token == nil || seen[res.Token.Nonce] {
-			t.Fatalf("hop %d: successor missing or nonce reused", hop)
+		if hop == 0 {
+			chain = res.Token.Nonce
 		}
-		seen[res.Token.Nonce] = true
+		if res.Token == nil || res.Token.Nonce != chain || res.Token.Step != uint8(hop+1) {
+			t.Fatalf("hop %d: successor %+v, want step %d of one new chain", hop, res.Token, hop+1)
+		}
+		if want := time.Unix(res.Token.IssuedAt, 0).Add(time.Minute); !res.ExpiresAt.Equal(want) {
+			t.Fatalf("hop %d: ExpiresAt = %v, want the anchor's %v", hop, res.ExpiresAt, want)
+		}
+		// The spent token stays spent.
+		if _, err := g.Authenticate(s, raw, now); !errors.Is(err, authtoken.ErrReplay) {
+			t.Fatalf("hop %d: spent token re-presented: err = %v, want ErrReplay", hop, err)
+		}
 		raw = res.Token.Encode()
 	}
 	st := g.Stats()
-	if st.FastPath != 5 || st.SlowPath != 0 {
-		t.Fatalf("stats = %+v, want 5 fast / 0 slow", st)
+	if st.FastPath != 5 || st.SlowPath != 0 || st.Advanced != 4 || st.Mint.Minted != 2 {
+		t.Fatalf("stats = %+v, want 5 fast / 0 slow / 4 advanced / 2 signatures", st)
 	}
 	if st.FastPathHitRate != 1.0 {
 		t.Fatalf("hit rate = %v, want 1.0", st.FastPathHitRate)

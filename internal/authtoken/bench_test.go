@@ -12,10 +12,11 @@ var benchAuth *authtoken.AuthResult
 
 // BenchmarkAuthenticateRolling is one request's worth of Gate.Authenticate
 // on the token fast path. recognised is a rolling client against one gate:
-// every presented token is the successor that gate signed one call
-// earlier. foreign presents tokens a second minter on the same keyring
+// every presented token is the successor that gate handed out one call
+// earlier, its chain's next step, with a fresh signature every ChainLen
+// calls. foreign presents tokens a second minter on the same keyring
 // signed — the any-replica path, where nothing is remembered and every
-// presentation pays ed25519.Verify as well as the successor's signature.
+// presentation pays ed25519.Verify as well as a fresh chain's signature.
 func BenchmarkAuthenticateRolling(b *testing.B) {
 	newGate := func(b *testing.B) (*authtoken.Gate, *authtoken.Minter) {
 		g, ring := newTestGate(b, 2*time.Minute)

@@ -2,6 +2,7 @@ package authtoken_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"math/rand"
 	"testing"
@@ -41,6 +42,9 @@ type differ struct {
 	ref  *authtoken.Verifier
 	subj *policy.Subject
 	now  time.Time
+	// handedOut counts the steps the gate has handed out so far: every
+	// one is presented back exactly once, so each must be recognised.
+	handedOut int
 }
 
 func newDiffer(tb testing.TB) *differ {
@@ -72,44 +76,53 @@ func (d *differ) present(tb testing.TB, raw []byte) string {
 	return class(gerr)
 }
 
-// issue returns a genuine token the gate has signed and remembers: the
-// successor of a freshly minted one, which both sides see consumed.
-func (d *differ) issue(tb testing.TB) []byte {
+// issue returns a genuine token the gate has handed out and remembers:
+// step hops of a chain the gate signed, reached by rolling a freshly
+// minted token hops times, every presentation shown to both sides.
+func (d *differ) issue(tb testing.TB, hops int) []byte {
 	tb.Helper()
 	first, err := d.gate.Minter.Mint(d.subj, d.now)
 	if err != nil {
 		tb.Fatalf("mint: %v", err)
 	}
-	res, err := d.gate.Authenticate(d.subj, first.Encode(), d.now)
-	if err != nil {
-		tb.Fatalf("roll: %v", err)
+	raw := first.Encode()
+	for i := 0; i < hops; i++ {
+		res, err := d.gate.Authenticate(d.subj, raw, d.now)
+		if err != nil {
+			tb.Fatalf("roll %d: %v", i, err)
+		}
+		if _, err := d.ref.VerifyBound(raw, d.subj, d.now); err != nil {
+			tb.Fatalf("reference on rolled token %d: %v", i, err)
+		}
+		raw = res.Token.Encode()
 	}
-	if _, err := d.ref.VerifyBound(first.Encode(), d.subj, d.now); err != nil {
-		tb.Fatalf("reference on the rolled token: %v", err)
-	}
-	return res.Token.Encode()
+	d.handedOut += hops
+	return raw
 }
 
 // fieldBounds are the wire layout's field boundaries (see the package
-// comment): version, epoch, issued-at, nonce, subject, signature.
-var fieldBounds = []int{0, 1, 5, 13, 21, 37, authtoken.TokenLen}
+// comment): version, epoch, issued-at, nonce, subject, tip, signature,
+// step, link.
+var fieldBounds = []int{0, 1, 5, 13, 21, 37, 69, 133, 134, authtoken.TokenLen}
 
 // check drives one input through the harness: input itself as a token,
 // then a remembered genuine token altered in one byte and in one whole
 // field as input dictates — none of which may be accepted by either side
 // — and last the genuine token, which both must accept and the
 // remembering side must have recognised: no miss knocked its entry out.
+// An earlier step of the genuine token's chain, which anyone holding it
+// can compute, must then be refused by both as spent.
 func (d *differ) check(tb testing.TB, input []byte) {
 	tb.Helper()
 	d.present(tb, input)
 
-	genuine := d.issue(tb)
 	at := func(i int) byte {
 		if len(input) == 0 {
 			return 0
 		}
 		return input[i%len(input)]
 	}
+	genuine := d.issue(tb, 1+int(at(4))%3)
 	oneByte := bytes.Clone(genuine)
 	oneByte[int(at(0))%len(oneByte)] ^= at(1) | 1
 	field := int(at(2)) % (len(fieldBounds) - 1)
@@ -135,6 +148,13 @@ func (d *differ) check(tb testing.TB, input []byte) {
 	if got := d.present(tb, genuine); got != authtoken.ErrReplay.Error() {
 		tb.Fatalf("genuine token presented again: %s, want replay", got)
 	}
+	if tok, _ := authtoken.Decode(genuine); tok.Step > 1 {
+		tok.Step--
+		tok.Link = sha256.Sum256(tok.Link[:])
+		if got := d.present(tb, tok.Encode()); got != authtoken.ErrReplay.Error() {
+			tb.Fatalf("earlier step of a spent chain: %s, want replay", got)
+		}
+	}
 }
 
 // FuzzTokenDecode drives arbitrary bytes through the binary token codec
@@ -155,7 +175,7 @@ func FuzzTokenDecode(f *testing.F) {
 
 	f.Add(valid)
 	f.Add(valid[:authtoken.TokenLen-1])
-	f.Add(valid[:37]) // signed prefix only
+	f.Add(valid[:69]) // anchor only
 	f.Add([]byte{})
 	f.Add([]byte{0})
 	f.Add(bytes.Repeat([]byte{0xff}, authtoken.TokenLen))
@@ -190,7 +210,7 @@ func TestRecognisedEqualsVerified(t *testing.T) {
 		rounds = 200
 	}
 	for n := 0; n < rounds; n++ {
-		input := make([]byte, []int{0, 1, 4, 37, authtoken.TokenLen, authtoken.TokenLen + 3}[rng.Intn(6)])
+		input := make([]byte, []int{0, 1, 4, 69, authtoken.TokenLen, authtoken.TokenLen + 3}[rng.Intn(6)])
 		rng.Read(input)
 		if len(input) > 0 && rng.Intn(2) == 0 {
 			input[0] = authtoken.Version // decodes when the length allows
@@ -198,8 +218,8 @@ func TestRecognisedEqualsVerified(t *testing.T) {
 		d.check(t, input)
 	}
 	st := d.gate.Verifier.Stats()
-	if st.Recognised != uint64(rounds) || st.IssuedEntries != 0 {
-		t.Fatalf("recognised %d of %d genuine tokens, %d entries left", st.Recognised, rounds, st.IssuedEntries)
+	if st.Recognised != uint64(d.handedOut) || st.IssuedEntries != 0 {
+		t.Fatalf("recognised %d of %d handed-out steps, %d entries left", st.Recognised, d.handedOut, st.IssuedEntries)
 	}
 	if ref := d.ref.Stats(); ref.Recognised != 0 || ref.IssuedEntries != 0 || ref.Verified != st.Verified {
 		t.Fatalf("verify-only side: %+v, remembering side verified %d", ref, st.Verified)

@@ -10,13 +10,15 @@ import (
 
 // Gate is the request-time authentication gate the serving stack puts in
 // front of its handlers: consult the token verifier first, fall back to
-// the full wallet path. The fast path costs a nonce consume, one Ed25519
-// signature for the successor, and one Ed25519 verification only when the
-// presented token was not signed by this gate (another node's, or one the
-// issued table has since dropped); the slow path is a complete mint —
-// full wallet verification and the MintGate policy decision — whose
-// product is a token, so a wallet-authenticated response upgrades the
-// client to the fast path for free.
+// the full wallet path. The fast path costs a step consume and, for the
+// successor, the chain's next step — a few SHA-256 blocks — when the
+// gate holds the chain's seed, or one Ed25519 signature over a fresh
+// chain once every ChainLen steps; one Ed25519 verification is paid only
+// when the presented step was not handed out by this gate (another
+// node's, or one the issued table has since dropped). The slow path is a
+// complete mint — full wallet verification and the MintGate policy
+// decision — whose product is a token, so a wallet-authenticated
+// response upgrades the client to the fast path for free.
 type Gate struct {
 	Verifier *Verifier
 	// Minter is nil on a read replica: the gate then verifies tokens but
@@ -24,6 +26,7 @@ type Gate struct {
 	Minter *Minter
 
 	fast      atomic.Uint64
+	advanced  atomic.Uint64
 	slow      atomic.Uint64
 	legacy    atomic.Uint64
 	rejected  atomic.Uint64
@@ -70,23 +73,24 @@ type AuthResult struct {
 // it failed — the caller should refuse the request.
 func (g *Gate) Authenticate(s *policy.Subject, rawToken []byte, now time.Time) (*AuthResult, error) {
 	if len(rawToken) > 0 {
-		t, err := g.Verifier.VerifyBound(rawToken, s, now)
+		fp := BindingFingerprint(s)
+		t, ref, err := g.Verifier.verifyBound(rawToken, &fp, now)
 		if err == nil {
 			if g.Minter == nil {
 				// Read replica: the token authenticates, but no successor
 				// can be signed here — the client keeps presenting the
 				// same token (the replica's verifier runs in read-replica
-				// mode, which does not consume nonces).
+				// mode, which does not consume steps).
 				g.fast.Add(1)
-				return &AuthResult{Path: PathToken, ExpiresAt: time.Unix(t.IssuedAt, 0).Add(g.Verifier.TTL())}, nil
+				return &AuthResult{Path: PathToken, ExpiresAt: t.expiresAt(g.Verifier.TTL())}, nil
 			}
-			succ, mintErr := g.sign(t.Subject, now)
+			succ, mintErr := g.successor(t, ref, now)
 			if mintErr != nil {
 				g.rejected.Add(1)
 				return nil, fmt.Errorf("authtoken: roll successor: %w", mintErr)
 			}
 			g.fast.Add(1)
-			return &AuthResult{Path: PathToken, Token: succ, ExpiresAt: now.Add(g.Minter.TTL())}, nil
+			return &AuthResult{Path: PathToken, Token: succ, ExpiresAt: succ.expiresAt(g.Minter.TTL())}, nil
 		}
 		if s.Wallet == nil || g.Minter == nil {
 			g.rejected.Add(1)
@@ -108,7 +112,7 @@ func (g *Gate) Authenticate(s *policy.Subject, rawToken []byte, now time.Time) (
 			return nil, err
 		}
 		g.slow.Add(1)
-		return &AuthResult{Path: PathWallet, Token: t, ExpiresAt: now.Add(g.Minter.TTL())}, nil
+		return &AuthResult{Path: PathWallet, Token: t, ExpiresAt: t.expiresAt(g.Minter.TTL())}, nil
 	}
 	g.legacy.Add(1)
 	return &AuthResult{Path: PathLegacy}, nil
@@ -123,26 +127,47 @@ func (g *Gate) mint(s *policy.Subject, now time.Time) (*Token, error) {
 	return g.sign(BindingFingerprint(s), now)
 }
 
-// sign issues a token for an established fingerprint and has the verifier
-// remember it, so its presentation back at this gate skips the curve
-// check (see Verifier.remember).
+// successor is what a client that just spent t presents next: the next
+// step of t's chain when ref holds its seed, the chain has steps left, its
+// anchor has at least half its TTL to run — so a rolling client never
+// holds a token with less than half a TTL ahead of it — and its key is
+// still the current mint key, so a rotation moves every rolling client to
+// the new epoch on its next request; otherwise the first step of a
+// freshly signed chain.
+func (g *Gate) successor(t *Token, ref *chainRef, now time.Time) (*Token, error) {
+	if ref != nil && t.Step < ChainLen && now.Before(t.expiresAt(g.Minter.TTL()/2)) && t.Epoch == g.Minter.epoch() {
+		if next := t.next(ref.seed); next != nil {
+			g.Verifier.remember(ref.key, next, ref.seed, now)
+			g.advanced.Add(1)
+			return next, nil
+		}
+	}
+	return g.sign(t.Subject, now)
+}
+
+// sign issues the first step of a new chain for an established
+// fingerprint and has the verifier remember it, so its presentation back
+// at this gate skips the curve check and its successor is the chain's
+// next step (see Verifier.remember).
 func (g *Gate) sign(fp [16]byte, now time.Time) (*Token, error) {
-	t, pub, err := g.Minter.mintBound(fp, now)
+	t, seed, pub, err := g.Minter.mintBound(fp, now)
 	if err != nil {
 		return nil, err
 	}
-	g.Verifier.remember(pub, t, now)
+	g.Verifier.remember(pub, t, seed, now)
 	return t, nil
 }
 
 // GateStats aggregates the gate's path counters with the verifier's and
 // minter's — the one struct debugz publishes per serving surface.
 type GateStats struct {
-	// FastPath counts token-authenticated requests, SlowPath full wallet
-	// evaluations, Legacy requests with no auth material, Rejected
-	// refusals, TokenFallbacks requests whose token failed but whose
-	// wallet then re-qualified them.
+	// FastPath counts token-authenticated requests, Advanced those among
+	// them whose successor was their chain's next step (no signature),
+	// SlowPath full wallet evaluations, Legacy requests with no auth
+	// material, Rejected refusals, TokenFallbacks requests whose token
+	// failed but whose wallet then re-qualified them.
 	FastPath       uint64
+	Advanced       uint64
 	SlowPath       uint64
 	Legacy         uint64
 	Rejected       uint64
@@ -159,6 +184,7 @@ func (g *Gate) Stats() GateStats {
 	fast, slow := g.fast.Load(), g.slow.Load()
 	st := GateStats{
 		FastPath:       fast,
+		Advanced:       g.advanced.Load(),
 		SlowPath:       slow,
 		Legacy:         g.legacy.Load(),
 		Rejected:       g.rejected.Load(),

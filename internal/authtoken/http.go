@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -104,7 +105,7 @@ func (s *Service) Authorize(w http.ResponseWriter, r *http.Request) (*policy.Sub
 	}
 	if res.Token != nil {
 		w.Header().Set(TokenHeader, res.Token.EncodeString())
-		w.Header().Set(ExpiresHeader, fmt.Sprintf("%d", res.ExpiresAt.Unix()))
+		w.Header().Set(ExpiresHeader, strconv.FormatInt(res.ExpiresAt.Unix(), 10))
 	}
 	// The wallet authenticated (or qualified) the request; handlers and
 	// everything below them see the serving identity, same as the fast

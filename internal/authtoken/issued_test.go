@@ -13,11 +13,11 @@ import (
 	"webdbsec/internal/policy"
 )
 
-// The issued table: a gate's verifier skips ed25519.Verify for a token
-// the gate signed itself and has not been shown yet. These tests hold it
-// to the rule that a hit changes the signature step's cost and nothing
-// else, and that everything short of a byte-for-byte hit under the same
-// key is a miss that reaches ed25519.Verify.
+// The issued table: a gate's verifier skips ed25519.Verify and the chain
+// walk for a step the gate handed out itself and has not been shown yet.
+// These tests hold it to the rule that a hit changes the signature step's
+// cost and nothing else, and that everything short of a byte-for-byte hit
+// under the same key is a miss that reaches ed25519.Verify.
 
 // issueRemembered returns a token g signed through Authenticate (the
 // successor of a directly minted one), so g's verifier remembers it.
@@ -62,14 +62,36 @@ func TestEverySigningPathIsRemembered(t *testing.T) {
 		t.Fatalf("after the wallet mint: %d issued entries, want 2", st.IssuedEntries)
 	}
 	// Both come back recognised, and Verified still counts them.
-	if _, err := g.Authenticate(s, res.Token.Encode(), now); err != nil {
+	next, err := g.Authenticate(s, res.Token.Encode(), now)
+	if err != nil {
 		t.Fatalf("successor: %v", err)
 	}
-	if _, err := g.Authenticate(subj("bea"), wres.Token.Encode(), now); err != nil {
+	wnext, err := g.Authenticate(subj("bea"), wres.Token.Encode(), now)
+	if err != nil {
 		t.Fatalf("wallet-minted token: %v", err)
 	}
 	if st := g.Stats().Verifier; st.Recognised != 2 || st.Verified != 3 || st.IssuedEntries != 2 {
 		t.Fatalf("after presenting both: %+v, want 2 recognised, 3 verified, 2 issued (their successors)", st)
+	}
+	// Chain advance: the successors are the next steps, remembered without
+	// a signature.
+	if next.Token.Nonce != res.Token.Nonce || next.Token.Step != 2 || wnext.Token.Nonce != wres.Token.Nonce || wnext.Token.Step != 2 {
+		t.Fatalf("successors are not their chains' second steps")
+	}
+	if st := g.Stats(); st.Advanced != 2 || st.Mint.Minted != 3 {
+		t.Fatalf("stats = %+v, want 2 advanced, 3 signatures (direct, roll, wallet)", st)
+	}
+	for _, tok := range []*authtoken.Token{next.Token, wnext.Token} {
+		who := s
+		if tok == wnext.Token {
+			who = subj("bea")
+		}
+		if _, err := g.Verifier.VerifyBound(tok.Encode(), who, now); err != nil {
+			t.Fatalf("advanced step: %v", err)
+		}
+	}
+	if st := g.Verifier.Stats(); st.Recognised != 4 {
+		t.Fatalf("advanced steps were not recognised: %+v", st)
 	}
 }
 
@@ -79,8 +101,9 @@ func TestSameNonceOtherBytesIsAMiss(t *testing.T) {
 	s := subj("ana")
 	raw := issueRemembered(t, g, s, now).Encode()
 
-	// Same nonce (bytes 13..20 untouched), another signature or prefix.
-	for _, off := range []int{2, 6, 12, 22, 36, 37, 60, authtoken.TokenLen - 1} {
+	// Same nonce (bytes 13..20 untouched), another anchor, signature or
+	// link.
+	for _, off := range []int{2, 6, 12, 22, 36, 37, 60, 100, 140, authtoken.TokenLen - 1} {
 		forged := append([]byte{}, raw...)
 		forged[off] ^= 0x01
 		if _, err := g.Verifier.VerifyBound(forged, s, now); !errors.Is(err, authtoken.ErrBadSignature) && !errors.Is(err, authtoken.ErrUnknownEpoch) {
@@ -124,10 +147,13 @@ func TestRecognisedTokenFailsLaterChecksAsBefore(t *testing.T) {
 	if _, err := g.Verifier.VerifyBound(tok.Encode(), subj("res", "analyst"), now); !errors.Is(err, authtoken.ErrSubjectMismatch) {
 		t.Fatalf("wrong subject: err = %v, want ErrSubjectMismatch", err)
 	}
-	// The nonce was not burned: the rightful holder still gets in (through
-	// ed25519.Verify this time — the failed presentation used the entry up).
+	// Neither the step nor its memory was spent: the rightful holder still
+	// gets in, recognised again.
 	if _, err := g.Verifier.VerifyBound(tok.Encode(), ana, now); err != nil {
 		t.Fatalf("rightful holder after the mismatch: %v", err)
+	}
+	if st := g.Verifier.Stats(); st.Recognised != 2 || st.IssuedEntries != 0 {
+		t.Fatalf("stats = %+v, want the step recognised twice and then consumed", st)
 	}
 
 	old := issueRemembered(t, g, ana, now)
@@ -236,10 +262,11 @@ func TestIssuedTableIsBoundedAndAMissIsNeverAnError(t *testing.T) {
 		}
 	}
 	verifiedBefore := g.Verifier.Stats().Verified
-	// Oldest first: all but the newest per shard were evicted unpresented,
-	// and every one of them still verifies.
-	for i, tok := range toks {
-		if _, err := g.Verifier.VerifyBound(tok.Encode(), s, now); err != nil {
+	// Newest first, so the survivors are shown before the chains consumed
+	// by signature crowd them out: all but the newest per shard were
+	// evicted unpresented, and every one of them still verifies.
+	for i := n - 1; i >= 0; i-- {
+		if _, err := g.Verifier.VerifyBound(toks[i].Encode(), s, now); err != nil {
 			t.Fatalf("token %d after eviction: %v", i, err)
 		}
 	}

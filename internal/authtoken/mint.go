@@ -3,6 +3,7 @@ package authtoken
 import (
 	"crypto/ed25519"
 	"crypto/rand"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -94,7 +95,7 @@ func (m *Minter) Mint(s *policy.Subject, now time.Time) (*Token, error) {
 	if err := m.qualify(s); err != nil {
 		return nil, err
 	}
-	t, _, err := m.mintBound(BindingFingerprint(s), now)
+	t, _, _, err := m.mintBound(BindingFingerprint(s), now)
 	return t, err
 }
 
@@ -141,35 +142,47 @@ func (m *Minter) checkWallet(s *policy.Subject) error {
 	return nil
 }
 
-// mintBound signs a token for an already-established fingerprint and
-// returns it with the public half of the key that signed it (what the
-// Gate's verifier remembers the token under). It is unexported on
-// purpose: inside this package the only callers are Mint and Gate.mint
-// (after the full evaluation above) and the Gate's successor roll (after
-// a successful verification, which chains back to some Mint) — no path
-// reaches a signature without a policy decision at its root.
-func (m *Minter) mintBound(fp [16]byte, now time.Time) (*Token, ed25519.PublicKey, error) {
-	var nb [8]byte
-	if _, err := rand.Read(nb[:]); err != nil {
-		return nil, nil, fmt.Errorf("authtoken: nonce: %w", err)
+// mintBound signs a new chain for an already-established fingerprint and
+// returns its first step, the chain's seed and the public half of the key
+// that signed it (what the Gate's verifier remembers the chain under). It
+// is unexported on purpose: inside this package the only callers are Mint
+// and Gate.mint (after the full evaluation above) and the Gate's successor
+// roll (after a successful verification, which chains back to some Mint)
+// — no path reaches a signature without a policy decision at its root.
+func (m *Minter) mintBound(fp [16]byte, now time.Time) (*Token, *[sha256.Size]byte, ed25519.PublicKey, error) {
+	var rnd [8 + sha256.Size]byte
+	if _, err := rand.Read(rnd[:]); err != nil {
+		return nil, nil, nil, fmt.Errorf("authtoken: nonce and seed: %w", err)
 	}
 	epoch, key := m.keys.SigningKey()
 	if len(key) != ed25519.PrivateKeySize {
-		return nil, nil, fmt.Errorf("authtoken: no usable mint key for epoch %d", epoch)
+		return nil, nil, nil, fmt.Errorf("authtoken: no usable mint key for epoch %d", epoch)
 	}
+	seed := new([sha256.Size]byte)
+	copy(seed[:], rnd[8:])
 	t := &Token{
 		Epoch:    epoch,
 		IssuedAt: now.Unix(),
-		Nonce:    binary.BigEndian.Uint64(nb[:]),
+		Nonce:    binary.BigEndian.Uint64(rnd[:8]),
 		Subject:  fp,
+		Step:     1,
+		Link:     hashN(*seed, ChainLen-1),
 	}
-	copy(t.Sig[:], ed25519.Sign(key, t.signedPrefix()))
+	t.Tip = sha256.Sum256(t.Link[:])
+	copy(t.Sig[:], ed25519.Sign(key, t.Encode()[:anchorLen]))
 	m.minted.Add(1)
-	return t, ed25519.PublicKey(key[ed25519.SeedSize:]), nil
+	return t, seed, ed25519.PublicKey(key[ed25519.SeedSize:]), nil
+}
+
+// epoch is the key epoch new chains are signed under.
+func (m *Minter) epoch() uint32 {
+	epoch, _ := m.keys.SigningKey()
+	return epoch
 }
 
 // MintStats is the counter snapshot debugz publishes.
 type MintStats struct {
+	// Minted counts signatures: each one anchors a chain of ChainLen steps.
 	Minted uint64
 	Denied uint64
 }

@@ -11,42 +11,50 @@ import (
 // request concurrency.
 const replayShards = 16
 
-// replayCache is the sharded bounded nonce set behind single-use tokens.
-// Consuming a nonce is one mutex + map insert on 1/16th of the space;
-// entries die with their token (issued-at + TTL + skew, after which the
-// stateless timestamp check rejects the token anyway, so remembering the
-// nonce buys nothing). Each shard is bounded: when full it evicts its
-// oldest live entry FIFO — that briefly re-opens the replay window for
-// the evicted token, so evictions are counted and surfaced in Stats
-// rather than hidden (size the cache to the token population, not the
-// other way around).
+// replayCache is the sharded bounded chain table behind single-use
+// tokens: one entry per chain, keyed by its nonce. Consuming a step is
+// one mutex + map update on 1/16th of the space; an entry dies with its
+// chain (issued-at + TTL + skew, after which the stateless timestamp
+// check rejects every step anyway, so remembering the chain buys
+// nothing). Each shard is bounded: when full it evicts its oldest live
+// entry FIFO — that briefly re-opens the replay window for the evicted
+// chain's spent steps, so evictions are counted and surfaced in Stats
+// rather than hidden (size the cache to the chain population, not the
+// other way around). A rolling client adds one entry per ChainLen
+// requests, not one per request.
 //
-// The same shards hold the issued table: a digest of every token this
-// node has signed and not yet been shown (see issuedDigest), keyed by the
-// token's nonce so remembering, recognising and consuming one token all
-// land on one shard and one mutex. It shares the shard's bound and the
-// nonce set's expiry rule, and a consumed nonce costs what it always did:
-// an entry leaves the issued table the moment its token is presented.
+// An entry also remembers chains this node signed: their seed, from
+// which the next step is computed, and a digest of the one step handed
+// out and not yet consumed (see issuedDigest), so that remembering,
+// recognising and consuming one token all land on one shard and one
+// mutex.
 type replayCache struct {
 	shards [replayShards]replayShard
 }
 
 type replayShard struct {
 	mu       sync.Mutex
-	capacity int              // seclint:guardedby mu
-	seen     map[uint64]int64 // seclint:guardedby mu
-	order    []replayEntry    // seclint:guardedby mu
-	evicted  uint64           // seclint:guardedby mu
+	capacity int                   // seclint:guardedby mu
+	chains   map[uint64]chainEntry // seclint:guardedby mu
+	order    []replayEntry         // seclint:guardedby mu
+	evicted  uint64                // seclint:guardedby mu
+}
 
-	// issued maps the nonce of an unpresented token signed here to its
-	// digest; issuedOrder is its FIFO, for the bound and for expiry.
-	// Losing an entry early (eviction, a colliding nonce) only sends the
-	// token to ed25519.Verify, so neither structure tracks ownership the
-	// way seen/order must.
-	//
+// chainEntry is what a shard knows about one chain.
+type chainEntry struct {
+	expires int64
+	// used is the highest step consumed here; it and every earlier step
+	// are spent. Zero before the first consume.
+	used uint8
+	// own: this node signed the chain, and seed is its seed. pending:
+	// issued is the digest of the step handed out and not yet consumed.
+	// Losing either (eviction) or meeting another chain under the same
+	// nonce only sends the next presentation to ed25519.Verify and the
+	// next successor to a fresh signature.
+	own, pending bool
 	// seclint:secret
-	issued      map[uint64][sha256.Size]byte // seclint:guardedby mu
-	issuedOrder []replayEntry                // seclint:guardedby mu
+	seed   [sha256.Size]byte
+	issued [sha256.Size]byte
 }
 
 type replayEntry struct {
@@ -54,7 +62,7 @@ type replayEntry struct {
 	expires int64
 }
 
-// newReplayCache bounds the cache to roughly capacity nonces overall.
+// newReplayCache bounds the cache to roughly capacity chains overall.
 func newReplayCache(capacity int) *replayCache {
 	if capacity < replayShards {
 		capacity = replayShards
@@ -65,8 +73,7 @@ func newReplayCache(capacity int) *replayCache {
 		s := &c.shards[i]
 		s.mu.Lock()
 		s.capacity = per
-		s.seen = make(map[uint64]int64, per)
-		s.issued = make(map[uint64][sha256.Size]byte)
+		s.chains = make(map[uint64]chainEntry)
 		s.mu.Unlock()
 	}
 	return c
@@ -79,48 +86,76 @@ func (c *replayCache) shardFor(nonce uint64) *replayShard {
 	return &c.shards[h>>(64-4)]
 }
 
-// consume marks the nonce used until expires. It returns false — replay —
-// when the nonce is already live.
-func (c *replayCache) consume(nonce uint64, expires, now int64) bool {
-	s := c.shardFor(nonce)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Drop entries whose tokens can no longer verify; this also frees
-	// the capacity their nonces were holding. A nonce re-marked after
-	// expiry leaves its stale order entry behind, so dropping one must
-	// only delete the map entry it actually owns.
+// entryLocked returns the live entry for nonce, dropping entries whose
+// chains can no longer verify first; this also frees the capacity they
+// were holding. A missing or dead entry comes back zero with ok false.
+//
+// seclint:locked caller holds s.mu
+func (s *replayShard) entryLocked(nonce uint64, now int64) (chainEntry, bool) {
 	for len(s.order) > 0 && s.order[0].expires <= now {
 		s.dropHeadLocked()
 	}
-	if exp, dup := s.seen[nonce]; dup && exp > now {
-		return false
+	e, ok := s.chains[nonce]
+	if ok && e.expires <= now {
+		return chainEntry{}, false
 	}
-	if len(s.order) >= s.capacity {
-		s.dropHeadLocked()
-		s.evicted++
-	}
-	s.seen[nonce] = expires
-	s.order = append(s.order, replayEntry{nonce: nonce, expires: expires})
-	return true
+	return e, ok
 }
 
-// dropHeadLocked removes the oldest order entry, deleting its map entry
-// only when it still owns it (a re-marked nonce's map entry belongs to a
-// newer order slot).
+// putLocked stores e under nonce, giving a new entry a FIFO slot and
+// evicting the oldest one when the shard is full. A chain re-entered
+// after its entry died leaves the stale order slot behind, so dropping
+// one must only delete the map entry it actually owns.
 //
+// seclint:locked caller holds s.mu
+func (s *replayShard) putLocked(nonce uint64, e chainEntry, existed bool) {
+	if !existed {
+		if len(s.order) >= s.capacity {
+			s.dropHeadLocked()
+			s.evicted++
+		}
+		s.order = append(s.order, replayEntry{nonce: nonce, expires: e.expires})
+	}
+	s.chains[nonce] = e
+}
+
 // seclint:locked caller holds s.mu
 func (s *replayShard) dropHeadLocked() {
 	e := s.order[0]
 	s.order = s.order[1:]
-	if exp, ok := s.seen[e.nonce]; ok && exp == e.expires {
-		delete(s.seen, e.nonce)
+	if cur, ok := s.chains[e.nonce]; ok && cur.expires == e.expires {
+		delete(s.chains, e.nonce)
 	}
 }
 
-// issuedDigest names one signed token under one key: SHA-256 over the
-// public-key bytes followed by the token's wire form (signed prefix, then
-// signature) — the shape of wsig.KeyDirectory's verified-triple memo. The
-// key is fixed-size, so the concatenation is unambiguous.
+// consume spends step of the chain nonce, live until expires. It returns
+// false — replay — when that step is already spent, and otherwise the
+// chain's seed when this node signed it, so the caller can hand out the
+// next step without a signature.
+func (c *replayCache) consume(nonce uint64, step uint8, expires, now int64) (ok bool, seed *[sha256.Size]byte) {
+	s := c.shardFor(nonce)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, existed := s.entryLocked(nonce, now)
+	if existed && step <= e.used {
+		return false, nil
+	}
+	if !existed {
+		e = chainEntry{expires: expires}
+	}
+	e.used, e.pending = step, false
+	s.putLocked(nonce, e, existed)
+	if e.own {
+		seed = new([sha256.Size]byte)
+		*seed = e.seed
+	}
+	return true, seed
+}
+
+// issuedDigest names one handed-out step under one key: SHA-256 over the
+// public-key bytes followed by the token's wire form (anchor, signature,
+// step, link) — the shape of wsig.KeyDirectory's verified-triple memo.
+// The key is fixed-size, so the concatenation is unambiguous.
 func issuedDigest(pub ed25519.PublicKey, raw []byte) [sha256.Size]byte {
 	var buf [ed25519.PublicKeySize + TokenLen]byte
 	copy(buf[:], pub)
@@ -128,41 +163,27 @@ func issuedDigest(pub ed25519.PublicKey, raw []byte) [sha256.Size]byte {
 	return sha256.Sum256(buf[:])
 }
 
-// remember records that raw (nonce, expiring at expires) was produced by
-// ed25519.Sign under the private half of pub.
-func (c *replayCache) remember(nonce uint64, pub ed25519.PublicKey, raw []byte, expires, now int64) {
+// remember records that raw, a step of the chain nonce grown from seed,
+// was handed out by this node, its anchor produced by ed25519.Sign under
+// the private half of pub.
+func (c *replayCache) remember(nonce uint64, seed *[sha256.Size]byte, pub ed25519.PublicKey, raw []byte, expires, now int64) {
 	digest := issuedDigest(pub, raw)
 	s := c.shardFor(nonce)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Trim the head while it is expired or already presented: a rolling
-	// client presents in issue order, so the FIFO stays as short as the
-	// set of tokens actually outstanding.
-	for len(s.issuedOrder) > 0 {
-		head := s.issuedOrder[0]
-		if _, live := s.issued[head.nonce]; live && head.expires > now {
-			break
-		}
-		s.dropIssuedHeadLocked()
+	e, existed := s.entryLocked(nonce, now)
+	if !existed {
+		e = chainEntry{expires: expires}
 	}
-	if len(s.issuedOrder) >= s.capacity {
-		s.dropIssuedHeadLocked()
-	}
-	s.issued[nonce] = digest
-	s.issuedOrder = append(s.issuedOrder, replayEntry{nonce: nonce, expires: expires})
+	e.own, e.pending = true, true
+	e.seed, e.issued = *seed, digest
+	s.putLocked(nonce, e, existed)
 }
 
-// seclint:locked caller holds s.mu
-func (s *replayShard) dropIssuedHeadLocked() {
-	delete(s.issued, s.issuedOrder[0].nonce)
-	s.issuedOrder = s.issuedOrder[1:]
-}
-
-// recognise reports whether raw is byte-for-byte a token remembered as
-// signed under pub, and forgets it: ed25519.Verify(pub, prefix, sig) would
-// return true, so the caller may skip it. Anything else — unknown nonce,
-// another key, one altered byte — is a miss that leaves the table as it
-// was.
+// recognise reports whether raw is byte-for-byte the step remembered as
+// handed out under pub and not yet consumed: ed25519.Verify(pub, anchor,
+// sig) would return true and the link hashes to the tip, so the caller
+// may skip both. It changes nothing; consume ends the memory.
 func (c *replayCache) recognise(nonce uint64, pub ed25519.PublicKey, raw []byte) bool {
 	if len(pub) != ed25519.PublicKeySize {
 		return false
@@ -170,22 +191,22 @@ func (c *replayCache) recognise(nonce uint64, pub ed25519.PublicKey, raw []byte)
 	s := c.shardFor(nonce)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	digest, ok := s.issued[nonce]
-	if !ok || digest != issuedDigest(pub, raw) {
-		return false
-	}
-	delete(s.issued, nonce)
-	return true
+	e, ok := s.chains[nonce]
+	return ok && e.pending && e.issued == issuedDigest(pub, raw)
 }
 
-// stats sums live nonces, unpresented issued tokens and evictions across
-// shards.
+// stats sums live chains, handed-out-but-unshown steps and evictions
+// across shards.
 func (c *replayCache) stats() (entries, issued int, evictions uint64) {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		entries += len(s.seen)
-		issued += len(s.issued)
+		entries += len(s.chains)
+		for _, e := range s.chains {
+			if e.pending {
+				issued++
+			}
+		}
 		evictions += s.evicted
 		s.mu.Unlock()
 	}

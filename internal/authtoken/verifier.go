@@ -2,6 +2,7 @@ package authtoken
 
 import (
 	"crypto/ed25519"
+	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -21,15 +22,16 @@ var (
 	// ErrFutureSkew: issued-at is further in the future than the
 	// configured clock-skew tolerance — no honest clock pair produces it.
 	ErrFutureSkew = errors.New("authtoken: token issued in the future beyond skew tolerance")
-	// ErrReplay: the nonce was already consumed. Tokens are single-use;
-	// the legitimate holder received a successor with the response that
-	// consumed this one.
+	// ErrReplay: the step was already consumed, or a later step of its
+	// chain was. Tokens are single-use; the legitimate holder received a
+	// successor with the response that consumed this one.
 	ErrReplay = errors.New("authtoken: nonce already used (replay)")
 	// ErrUnknownEpoch: no public key for the token's key epoch — minted
 	// before the retention window, or by a leadership this replica has
 	// not heard from yet.
 	ErrUnknownEpoch = errors.New("authtoken: unknown key epoch")
-	// ErrBadSignature: structurally fine, cryptographically not.
+	// ErrBadSignature: structurally fine, cryptographically not — the
+	// anchor's signature fails, or the link does not hash to the tip.
 	ErrBadSignature = errors.New("authtoken: bad signature")
 	// ErrSubjectMismatch: the token is valid but bound to a different
 	// subject fingerprint than the one presenting it.
@@ -44,12 +46,13 @@ type VerifyKeys interface {
 }
 
 // Verifier checks tokens statelessly: one signature verification against
-// the epoch key set — skipped for a token it was told this process signed
-// under that same key (remember) — a timestamp window, and a
-// nonce-consume in the bounded replay cache. It holds no credential store
-// and consults no policy base — which is exactly why seclint's gatecheck
-// only lets calls to it count as an access gate because the *mint* side
-// is provably behind a real policy decision.
+// the epoch key set and one hash chain walk — both skipped for the step
+// it was told this process handed out under that same key (remember) — a
+// timestamp window, and a step-consume in the bounded replay cache. It
+// holds no credential store and consults no policy base — which is
+// exactly why seclint's gatecheck only lets calls to it count as an
+// access gate because the *mint* side is provably behind a real policy
+// decision.
 type Verifier struct {
 	keys   VerifyKeys
 	ttl    time.Duration
@@ -74,8 +77,8 @@ const DefaultSkew = 30 * time.Second
 
 // NewVerifier builds a verifier over the key set. ttl bounds token
 // lifetime from issued-at; skew <= 0 selects DefaultSkew; replayCapacity
-// bounds the nonce cache (0 selects 65536). A NEGATIVE replayCapacity
-// disables nonce consumption entirely — read-replica mode: a replica
+// bounds the chain table (0 selects 65536). A NEGATIVE replayCapacity
+// disables step consumption entirely — read-replica mode: a replica
 // cannot sign successors, so tokens must stay presentable there across
 // their TTL; single-use enforcement lives where minting does (the
 // leader), and the TTL plus the signature bound a replica's exposure.
@@ -95,93 +98,117 @@ func NewVerifier(keys VerifyKeys, ttl, skew time.Duration, replayCapacity int) *
 // TTL returns the configured token lifetime.
 func (v *Verifier) TTL() time.Duration { return v.ttl }
 
-// Verify checks raw at instant now and consumes its nonce. On success
+// Verify checks raw at instant now and consumes its step. On success
 // the decoded token returns; the caller owes the client a successor
 // (tokens are single-use). The error classifies the failure — see the
 // package errors — and is counted in Stats either way.
 //
-// Check order is deliberate: structure, epoch key, signature, time
-// window, then replay. The nonce is consumed last, so a presentation
+// Check order is deliberate: structure, epoch key, signature and chain,
+// time window, then replay. The step is consumed last, so a presentation
 // that fails for any other reason does not burn the legitimate holder's
 // token.
 // seclint:sanitizer
 func (v *Verifier) Verify(raw []byte, now time.Time) (*Token, error) {
-	return v.verifyBound(raw, nil, now)
+	t, _, err := v.verifyBound(raw, nil, now)
+	return t, err
 }
 
 // VerifyBound is Verify plus identity binding: the token must be bound
 // to exactly the serving fingerprint of subject s (ID + roles). A valid
 // token presented under the wrong identity fails ErrSubjectMismatch
-// without consuming the nonce.
+// without consuming the step.
 // seclint:sanitizer
 func (v *Verifier) VerifyBound(raw []byte, s *policy.Subject, now time.Time) (*Token, error) {
 	fp := BindingFingerprint(s)
-	return v.verifyBound(raw, &fp, now)
+	t, _, err := v.verifyBound(raw, &fp, now)
+	return t, err
 }
 
-func (v *Verifier) verifyBound(raw []byte, bind *[16]byte, now time.Time) (*Token, error) {
+// chainRef is what a verified presentation lets the gate do without a
+// signature: advance the chain, when this verifier holds its seed, and
+// remember the next step under the key that checked the anchor.
+type chainRef struct {
+	key  ed25519.PublicKey
+	seed *[sha256.Size]byte
+}
+
+// verifyBound is VerifyBound over an optional binding. The chainRef is
+// nil unless the token verified and its chain's seed is held here.
+func (v *Verifier) verifyBound(raw []byte, bind *[16]byte, now time.Time) (*Token, *chainRef, error) {
 	t, err := Decode(raw)
 	if err != nil {
 		v.malformed.Add(1)
-		return nil, err
+		return nil, nil, err
 	}
 	key, ok := v.keys.VerifyKey(t.Epoch)
 	if !ok {
 		v.unknownEpoch.Add(1)
-		return nil, fmt.Errorf("%w: epoch %d", ErrUnknownEpoch, t.Epoch)
+		return nil, nil, fmt.Errorf("%w: epoch %d", ErrUnknownEpoch, t.Epoch)
 	}
-	// Decode accepts exactly the canonical encoding, so raw is the signed
-	// prefix followed by the signature. A token in the issued table was
-	// signed here under this very key and needs no curve check.
+	// Decode accepts exactly the canonical encoding, so raw is the anchor,
+	// its signature, the step and the link. A step in the issued table was
+	// handed out here, its anchor signed under this very key and its link
+	// computed from the seed, and needs neither check.
 	if v.replay != nil && v.replay.recognise(t.Nonce, key, raw) {
 		v.recognised.Add(1)
-	} else if !ed25519.Verify(key, raw[:signedLen], raw[signedLen:]) {
+	} else if !ed25519.Verify(key, raw[:anchorLen], raw[anchorLen:stepOff]) {
 		v.badSig.Add(1)
-		return nil, ErrBadSignature
+		return nil, nil, ErrBadSignature
+	} else if !t.linked() {
+		v.badSig.Add(1)
+		return nil, nil, fmt.Errorf("%w: link does not hash to the chain tip", ErrBadSignature)
 	}
 	issued := time.Unix(t.IssuedAt, 0)
 	if now.After(issued.Add(v.ttl)) {
 		v.expired.Add(1)
-		return nil, fmt.Errorf("%w: issued %s, ttl %s", ErrExpired, issued.UTC().Format(time.RFC3339), v.ttl)
+		return nil, nil, fmt.Errorf("%w: issued %s, ttl %s", ErrExpired, issued.UTC().Format(time.RFC3339), v.ttl)
 	}
 	if issued.After(now.Add(v.skew)) {
 		v.futureSkew.Add(1)
-		return nil, fmt.Errorf("%w: issued %s", ErrFutureSkew, issued.UTC().Format(time.RFC3339))
+		return nil, nil, fmt.Errorf("%w: issued %s", ErrFutureSkew, issued.UTC().Format(time.RFC3339))
 	}
 	if bind != nil && t.Subject != *bind {
 		v.subjectMismatch.Add(1)
-		return nil, ErrSubjectMismatch
+		return nil, nil, ErrSubjectMismatch
 	}
+	var ref *chainRef
 	if v.replay != nil {
-		if !v.replay.consume(t.Nonce, v.forgetAt(t), now.Unix()) {
+		ok, seed := v.replay.consume(t.Nonce, t.Step, v.forgetAt(t), now.Unix())
+		if !ok {
 			v.replayed.Add(1)
-			return nil, ErrReplay
+			return nil, nil, ErrReplay
+		}
+		if seed != nil {
+			ref = &chainRef{key: key, seed: seed}
 		}
 	}
 	v.verified.Add(1)
-	return t, nil
+	return t, ref, nil
 }
 
 // forgetAt is the instant, unix seconds, from which the time window
-// rejects t on its own, so nothing about it is worth remembering.
+// rejects every step of t's chain on its own, so nothing about it is
+// worth remembering.
 func (v *Verifier) forgetAt(t *Token) int64 {
 	return t.IssuedAt + int64(v.ttl/time.Second) + int64(v.skew/time.Second) + 1
 }
 
-// remember records t as signed by this process under the private half of
-// pub, so that presenting it back here skips ed25519.Verify. A verifier
-// without a replay cache (read-replica mode) remembers nothing.
-func (v *Verifier) remember(pub ed25519.PublicKey, t *Token, now time.Time) {
+// remember records t, grown from seed, as handed out by this process, its
+// anchor signed under the private half of pub, so that presenting it back
+// here skips ed25519.Verify and the chain walk, and its successor can be
+// the chain's next step. A verifier without a replay cache (read-replica
+// mode) remembers nothing.
+func (v *Verifier) remember(pub ed25519.PublicKey, t *Token, seed *[sha256.Size]byte, now time.Time) {
 	if v.replay != nil {
-		v.replay.remember(t.Nonce, pub, t.Encode(), v.forgetAt(t), now.Unix())
+		v.replay.remember(t.Nonce, seed, pub, t.Encode(), v.forgetAt(t), now.Unix())
 	}
 }
 
 // VerifierStats is the counter snapshot debugz publishes.
 type VerifierStats struct {
 	// Verified counts every accepted token; Recognised counts the
-	// signature checks among all presentations that were answered from
-	// the issued table instead of ed25519.Verify.
+	// presentations whose signature and chain checks were answered from
+	// the issued table instead of ed25519.Verify and the hash walk.
 	Verified        uint64
 	Recognised      uint64
 	Expired         uint64
@@ -191,14 +218,14 @@ type VerifierStats struct {
 	UnknownEpoch    uint64
 	Malformed       uint64
 	SubjectMismatch uint64
-	// ReplayEntries is the live nonce count; ReplayEvictions counts
-	// capacity evictions of live nonces (each one briefly re-opened a
+	// ReplayEntries is the live chain count; ReplayEvictions counts
+	// capacity evictions of live chains (each one briefly re-opened a
 	// replay window — a sustained nonzero rate means the cache is
-	// undersized for the token population).
+	// undersized for the chain population).
 	ReplayEntries   int
 	ReplayEvictions uint64
-	// IssuedEntries is the number of tokens signed here and not yet
-	// presented (or expired, or evicted).
+	// IssuedEntries is the number of steps handed out here and not yet
+	// consumed (or expired, or evicted).
 	IssuedEntries int
 }
 
