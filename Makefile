@@ -48,8 +48,8 @@ race:
 	$(GO) test -race ./...
 
 # bench compiles and runs every benchmark exactly once (-run '^$$' skips
-# the unit tests, which race/test already cover). For real numbers, use
-# cmd/benchgen or raise -benchtime.
+# the unit tests, which race/test already cover). For real numbers, raise
+# -benchtime; end-to-end numbers come from bash bench/run.sh.
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
@@ -125,15 +125,19 @@ failovershort:
 
 # size prints the numbers ROADMAP tracks and CHANGES.md reports before ->
 # after: non-test Go lines per package under internal/ and cmd/ (testdata
-# fixtures excluded), then the totals — non-test lines, test lines,
-# packages, and exported top-level func/type declarations (methods count).
+# fixtures excluded), then the totals — non-test lines, test lines (every
+# _test.go outside bench/: the root package's, internal/, cmd/ and
+# examples/), packages, exported top-level func/type declarations (methods
+# count) — and the Go lines of examples/, which are counted in none of the
+# totals above.
 size:
 	@src=$$(find internal cmd -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | sort); \
-	tests=$$(find internal cmd -name '*_test.go' ! -path '*/testdata/*'); \
+	tests=$$(find . -path ./bench -prune -o -name '*_test.go' ! -path '*/testdata/*' -print); \
 	for d in $$(dirname $$src | sort -u); do \
 		printf '%7d  %s\n' $$(echo "$$src" | grep "^$$d/[^/]*$$" | xargs cat | wc -l) $$d; \
 	done; \
 	printf '%7d  non-test lines\n' $$(cat $$src | wc -l); \
 	printf '%7d  test lines\n' $$(cat $$tests | wc -l); \
 	printf '%7d  packages\n' $$(dirname $$src | sort -u | wc -l); \
-	printf '%7d  exported func/type declarations\n' $$(cat $$src | grep -cE '^(type|func( \([^)]*\))?) [A-Z]')
+	printf '%7d  exported func/type declarations\n' $$(cat $$src | grep -cE '^(type|func( \([^)]*\))?) [A-Z]'); \
+	printf '%7d  examples\n' $$(find examples -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)

@@ -279,9 +279,10 @@ func (g grantMintGate) AllowMint(s *policy.Subject) bool {
 }
 
 // newAuthService builds the mint-capable token service a leading node
-// runs: verifier and minter over ring, gated on the live grant catalog.
-func newAuthService(ring *keymgmt.MintKeyring, ttl time.Duration, current func() *core.SecureWebDB) (*authtoken.Service, error) {
-	minter, err := authtoken.NewMinter(ring, credential.NewVerifier(), grantMintGate{current: current}, ttl)
+// runs: verifier and minter over ring, wallets checked by creds, gated on
+// the live grant catalog.
+func newAuthService(ring *keymgmt.MintKeyring, creds *credential.Verifier, ttl time.Duration, current func() *core.SecureWebDB) (*authtoken.Service, error) {
+	minter, err := authtoken.NewMinter(ring, creds, grantMintGate{current: current}, ttl)
 	if err != nil {
 		return nil, err
 	}

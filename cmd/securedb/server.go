@@ -11,6 +11,7 @@ import (
 	"webdbsec/internal/audit"
 	"webdbsec/internal/authtoken"
 	"webdbsec/internal/core"
+	"webdbsec/internal/credential"
 	"webdbsec/internal/debugz"
 	"webdbsec/internal/keymgmt"
 	"webdbsec/internal/reldb"
@@ -53,6 +54,7 @@ type server struct {
 	// gate (no replay cache: it cannot sign successors, so it must not
 	// consume nonces either); the gate is selected per request by role.
 	ring         *keymgmt.MintKeyring
+	creds        *credential.Verifier // wallet signatures; trusts no issuer here
 	keyset       *keymgmt.PublicKeySet
 	leaderAuth   *authtoken.Service
 	followerAuth *authtoken.Service
@@ -82,7 +84,8 @@ func newServer(c config) (*server, error) {
 		if s.ring, err = keymgmt.NewMintKeyring(2); err != nil {
 			return nil, fmt.Errorf("token auth: %w", err)
 		}
-		if s.leaderAuth, err = newAuthService(s.ring, c.tokenTTL, s.serving.Load); err != nil {
+		s.creds = credential.NewVerifier()
+		if s.leaderAuth, err = newAuthService(s.ring, s.creds, c.tokenTTL, s.serving.Load); err != nil {
 			return nil, fmt.Errorf("token auth: %w", err)
 		}
 	}

@@ -5,11 +5,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"webdbsec/internal/authtoken"
+	"webdbsec/internal/credential"
 )
 
 // End-to-end over the real HTTP surface: mint at /token (gated on the
@@ -121,5 +123,84 @@ func TestLegacyFormStillServed(t *testing.T) {
 	}
 	if st := svc.Gate.Stats(); st.Legacy != 1 {
 		t.Fatalf("stats = %+v, want 1 legacy", st)
+	}
+}
+
+// TestTokenPathShape is E22's shape as counts over the real handler: every
+// request with a distinct wallet is one full evaluation (a slow-path
+// request and a credential memo miss); a token request adds none, and the
+// rolling chain signs once per authtoken.ChainLen requests; every spent
+// token presented again is refused.
+func TestTokenPathShape(t *testing.T) {
+	s, err := newServer(config{people: 25, tokenTTL: time.Minute})
+	if err != nil {
+		t.Fatalf("newServer: %v", err)
+	}
+	t.Cleanup(s.close)
+	ca, err := credential.NewAuthority("test-ca")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.creds.TrustAuthority(ca)
+	ts := httptest.NewServer(s.mux(false))
+	t.Cleanup(ts.Close)
+	gate := s.leaderAuth.Gate
+
+	const n = 100
+	for i := 0; i < n; i++ {
+		w := credential.NewWallet("ana")
+		if err := w.Add(ca.Issue("analyst", "ana", map[string]string{"serial": strconv.Itoa(i)})); err != nil {
+			t.Fatal(err)
+		}
+		enc, err := authtoken.EncodeWallet(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		form := url.Values{"subject": {"ana"}, "roles": {"analyst"}, "wallet": {enc}, "sql": {"SELECT age FROM patients"}}
+		resp, err := http.PostForm(ts.URL+"/query", form)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("wallet query %d: status %d", i, resp.StatusCode)
+		}
+	}
+	if st := gate.Stats(); st.SlowPath != n || st.FastPath != 0 {
+		t.Fatalf("after %d wallet requests: %d slow / %d fast, want %d / 0", n, st.SlowPath, st.FastPath, n)
+	}
+	if hits, misses := s.creds.MemoStats(); hits != 0 || misses != n {
+		t.Fatalf("credential memo: %d hits / %d misses, want 0 / %d", hits, misses, n)
+	}
+
+	mintedBefore := gate.Stats().Mint.Minted
+	tok, status := mintToken(t, ts, "ana", "analyst")
+	if status != http.StatusOK {
+		t.Fatalf("mint: status %d", status)
+	}
+	spent := make([]string, 0, n)
+	for i := 0; i < n; i++ {
+		resp, next := queryWithToken(t, ts, "ana", "analyst", tok)
+		if resp.StatusCode != http.StatusOK || next == "" {
+			t.Fatalf("token query %d: status %d, successor %q", i, resp.StatusCode, next)
+		}
+		spent, tok = append(spent, tok), next
+	}
+	st := gate.Stats()
+	if st.SlowPath != n || st.FastPath != n {
+		t.Fatalf("after %d token requests: %d slow / %d fast, want %d / %d", n, st.SlowPath, st.FastPath, n, n)
+	}
+	if minted, most := st.Mint.Minted-mintedBefore, uint64((n+authtoken.ChainLen-1)/authtoken.ChainLen+1); minted > most {
+		t.Fatalf("%d token requests signed %d chains, want at most %d", n, minted, most)
+	}
+
+	replayedBefore := st.Verifier.Replayed
+	for i, old := range spent {
+		if resp, _ := queryWithToken(t, ts, "ana", "analyst", old); resp.StatusCode != http.StatusUnauthorized {
+			t.Fatalf("spent token %d presented again: status %d, want 401", i, resp.StatusCode)
+		}
+	}
+	if replayed := gate.Stats().Verifier.Replayed - replayedBefore; replayed != n {
+		t.Fatalf("replay counter rose by %d, want %d", replayed, n)
 	}
 }

@@ -2,6 +2,7 @@ package inference
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"webdbsec/internal/policy"
@@ -165,5 +166,55 @@ func TestCaseInsensitiveAttributes(t *testing.T) {
 	s := &policy.Subject{ID: "s"}
 	if d := ic.Check(s, []string{"Name", "ZIP"}); d.Allowed {
 		t.Error("case variation bypassed the controller")
+	}
+}
+
+// TestPlantedChannelsExactlyBlocked is E8's count half: 200 subjects send
+// three queries each, interleaved in a seeded random order, under the
+// re-identification rule name ∧ zip → identity, 100 unrelated rules and
+// {identity, disease} private. The 100 odd subjects build the channel
+// (name, zip), (age), (disease); the even ones ask (age), (zip), (income).
+// Exactly the 100 planted final (disease) queries are refused: every
+// channel is caught and none of the 500 other queries is.
+func TestPlantedChannelsExactlyBlocked(t *testing.T) {
+	pc := privacy.NewController()
+	if err := pc.Add(&privacy.Constraint{Name: "c", Attrs: []string{"identity", "disease"}, Class: privacy.Private}); err != nil {
+		t.Fatal(err)
+	}
+	ic := NewController(pc)
+	rules := []*Rule{{Name: "reid", Body: []string{"name", "zip"}, Head: "identity"}}
+	for i := 0; i < 100; i++ {
+		rules = append(rules, &Rule{Name: fmt.Sprintf("r%d", i), Body: []string{fmt.Sprintf("a%d", i), fmt.Sprintf("a%d", i+1)}, Head: fmt.Sprintf("d%d", i)})
+	}
+	for _, r := range rules {
+		if err := ic.AddRule(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const subjects = 200
+	var stream []int // subject IDs; a subject's k-th entry is its k-th query
+	for s := 0; s < subjects; s++ {
+		stream = append(stream, s, s, s)
+	}
+	rand.New(rand.NewSource(8)).Shuffle(len(stream), func(i, j int) { stream[i], stream[j] = stream[j], stream[i] })
+	sent := make([]int, subjects)
+	blocked := 0
+	for _, s := range stream {
+		queries := [][]string{{"age"}, {"zip"}, {"income"}}
+		if s%2 == 1 {
+			queries = [][]string{{"name", "zip"}, {"age"}, {"disease"}}
+		}
+		q := queries[sent[s]]
+		sent[s]++
+		allowed := ic.Check(&policy.Subject{ID: fmt.Sprintf("subj%d", s)}, q).Allowed
+		if !allowed {
+			blocked++
+		}
+		if planted := s%2 == 1 && sent[s] == 3; allowed == planted {
+			t.Errorf("subject %d query %d %v: allowed=%v", s, sent[s], q, allowed)
+		}
+	}
+	if len(stream) != 600 || blocked != 100 {
+		t.Fatalf("%d queries, %d blocked; want 600 and 100", len(stream), blocked)
 	}
 }

@@ -350,119 +350,3 @@ func TestFailedStatementInTxnLeavesNoEffect(t *testing.T) {
 		t.Fatalf("after recovery the table reads %s, want %s", got, want)
 	}
 }
-
-func TestAuctionOpenBidModel(t *testing.T) {
-	db := NewDatabase()
-	a, err := NewAuctionHouse(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Open("painting", "seller1"); err != nil {
-		t.Fatal(err)
-	}
-	// Concurrent bidders do not block each other (no item lock held).
-	var wg sync.WaitGroup
-	for i := 0; i < 10; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			a.PlaceBid("painting", "bidder", int64(100+i))
-		}(i)
-	}
-	wg.Wait()
-	if n, _ := a.Bids("painting"); n != 10 {
-		t.Fatalf("bids = %d", n)
-	}
-	winner, price, err := a.Close("painting")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if winner != "bidder" || price != 109 {
-		t.Errorf("winner=%s price=%d", winner, price)
-	}
-	// Closed auction rejects bids and re-close.
-	if err := a.PlaceBid("painting", "late", 999); err == nil {
-		t.Error("bid on closed auction accepted")
-	}
-	if _, _, err := a.Close("painting"); err == nil {
-		t.Error("double close accepted")
-	}
-	if err := a.PlaceBid("ghost", "x", 1); err == nil {
-		t.Error("bid on unknown item accepted")
-	}
-}
-
-func TestAuctionNoBids(t *testing.T) {
-	db := NewDatabase()
-	a, _ := NewAuctionHouse(db)
-	a.Open("dud", "seller")
-	winner, price, err := a.Close("dud")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if winner != "" || price != 0 {
-		t.Errorf("winner=%q price=%d", winner, price)
-	}
-}
-
-// TestAuctionHostileNames: item, seller and bidder names are values, never
-// statement text — a quote in a name is stored as written, and a name
-// shaped like a predicate matches only the item it names.
-func TestAuctionHostileNames(t *testing.T) {
-	db := NewDatabase()
-	a, err := NewAuctionHouse(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, item := range []string{"o'brien", "plain"} {
-		if err := a.Open(item, "o'seller"); err != nil {
-			t.Fatalf("Open(%q): %v", item, err)
-		}
-	}
-	if err := a.PlaceBid("o'brien", "d'arcy', 1000) --", 7); err != nil {
-		t.Fatal(err)
-	}
-	if err := NewLockingAuctionHouse(a, 0).PlaceBid("o'brien", "x'y", 5); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := a.Bids("o'brien"); err != nil || n != 2 {
-		t.Fatalf("Bids(o'brien) = %d, %v; want 2", n, err)
-	}
-	if _, _, err := a.Close("z' OR item != '"); err == nil {
-		t.Fatal("closing an item nobody opened succeeded")
-	}
-	winner, price, err := a.Close("o'brien")
-	if err != nil || winner != "d'arcy', 1000) --" || price != 7 {
-		t.Fatalf("Close(o'brien) = %q, %d, %v", winner, price, err)
-	}
-	got := fmt.Sprint(mustExec(t, db, "SELECT item, seller, status, winner FROM auction_items ORDER BY item").Rows)
-	if want := "[[o'brien o'seller sold d'arcy', 1000) --] [plain o'seller open ]]"; got != want {
-		t.Fatalf("items = %s, want %s", got, want)
-	}
-}
-
-func TestLockingAuctionSerializesBidders(t *testing.T) {
-	db := NewDatabase()
-	a, _ := NewAuctionHouse(db)
-	a.Open("vase", "seller")
-	locking := NewLockingAuctionHouse(a, 30*time.Millisecond)
-
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			locking.PlaceBid("vase", "b", int64(i))
-		}(i)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	// 4 bidders × 30ms think time, fully serialized ≈ 120ms minimum.
-	if elapsed < 100*time.Millisecond {
-		t.Errorf("locking bids not serialized: %v", elapsed)
-	}
-	if n, _ := a.Bids("vase"); n != 4 {
-		t.Errorf("bids = %d", n)
-	}
-}

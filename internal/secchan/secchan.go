@@ -369,46 +369,3 @@ func (c *Channel) Close() error {
 	}
 	return c.conn.Close()
 }
-
-// PlainChannel is the no-security baseline used by experiment E11: the
-// same length-prefixed framing with no confidentiality or integrity.
-type PlainChannel struct {
-	conn net.Conn
-}
-
-// NewPlainChannel wraps a connection without any protection.
-func NewPlainChannel(conn net.Conn) *PlainChannel { return &PlainChannel{conn: conn} }
-
-// Send writes one frame.
-//
-// seclint:exempt experiment-only baseline mirroring Channel.Send's conn-level contract
-func (c *PlainChannel) Send(payload []byte) error {
-	var lenBuf [4]byte
-	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(payload)))
-	if _, err := c.conn.Write(lenBuf[:]); err != nil {
-		return err
-	}
-	_, err := c.conn.Write(payload)
-	return err
-}
-
-// Receive reads one frame.
-//
-// seclint:exempt experiment-only baseline mirroring Channel.Receive's conn-level contract
-// seclint:source
-func (c *PlainChannel) Receive() ([]byte, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(c.conn, lenBuf[:]); err != nil {
-		return nil, err
-	}
-	buf := make([]byte, binary.BigEndian.Uint32(lenBuf[:]))
-	if _, err := io.ReadFull(c.conn, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// Close closes the underlying connection.
-//
-// seclint:exempt connection teardown does not block on the peer
-func (c *PlainChannel) Close() error { return c.conn.Close() }

@@ -220,21 +220,6 @@ func TestOversizedRecordRejected(t *testing.T) {
 	}
 }
 
-func TestPlainChannelRoundTrip(t *testing.T) {
-	a, b := net.Pipe()
-	pa, pb := NewPlainChannel(a), NewPlainChannel(b)
-	defer pa.Close()
-	defer pb.Close()
-	go pa.Send([]byte("clear"))
-	got, err := pb.Receive()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "clear" {
-		t.Errorf("got %q", got)
-	}
-}
-
 func TestLargePayload(t *testing.T) {
 	client, server := pair(t)
 	payload := bytes.Repeat([]byte("x"), 1<<16)

@@ -3,6 +3,7 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // ErrCompacted is returned by OpenCursor and Cursor.Next when the
@@ -30,8 +31,8 @@ type Cursor struct {
 	// next is the LSN the cursor will surface next.
 	next uint64
 	// seg/off remember the decode position: segs[segIdx] consumed through
-	// byte off. segs is the cursor's snapshot of the segment list; it is
-	// refreshed whenever the position goes stale.
+	// byte off. segs is the cursor's copy of the segment list; it is
+	// refreshed whenever the log's list differs from it.
 	segs   []string
 	segIdx int
 	off    int
@@ -70,10 +71,8 @@ func (w *WAL) OpenCursor(after uint64) (*Cursor, error) {
 func (c *Cursor) Next() (rec Record, ok bool, err error) {
 	w := c.w
 	w.mu.Lock()
-	durable, snap, rewinds := w.durableLSN, w.snapLSN, w.rewinds
-	segs := append([]string(nil), w.segments...)
-	w.mu.Unlock()
-	if rewinds != c.rewinds {
+	durable, snap := w.durableLSN, w.snapLSN
+	if w.rewinds != c.rewinds {
 		// History was truncated or replaced since the last call: the cached
 		// byte position may point into rewritten bytes, and records already
 		// surfaced may have been cut. Restart from the snapshot boundary and
@@ -81,10 +80,22 @@ func (c *Cursor) Next() (rec Record, ok bool, err error) {
 		// is exactly the history-rewrite signal. Rewinds only happen during
 		// join-time divergence repair, so the redundancy is never on a hot
 		// path.
-		c.rewinds = rewinds
+		c.rewinds = w.rewinds
 		c.segs, c.segIdx, c.off, c.data = nil, 0, 0, nil
 		c.next = snap + 1
 	}
+	if !slices.Equal(c.segs, w.segments) {
+		// The list changed since the last call; copy it only then, so a
+		// streaming cursor allocates nothing but the payload per record.
+		if !sameSegPrefix(c.segs, w.segments, c.segIdx) {
+			// Segments rotated, truncated or checkpointed under us: rescan
+			// from the start of the surviving list. The LSN filter keeps the
+			// output exactly-once.
+			c.segIdx, c.off, c.data = 0, 0, nil
+		}
+		c.segs = slices.Clone(w.segments)
+	}
+	w.mu.Unlock()
 	if c.next > durable {
 		c.data = nil
 		return Record{}, false, nil
@@ -92,13 +103,6 @@ func (c *Cursor) Next() (rec Record, ok bool, err error) {
 	if c.next <= snap {
 		return Record{}, false, fmt.Errorf("%w: cursor at %d, snapshot covers %d", ErrCompacted, c.next-1, snap)
 	}
-	if !sameSegPrefix(c.segs, segs, c.segIdx) {
-		// Segments rotated, truncated or checkpointed under us: rescan from
-		// the start of the surviving list. The LSN filter keeps the output
-		// exactly-once.
-		c.segIdx, c.off, c.data = 0, 0, nil
-	}
-	c.segs = segs
 	for c.segIdx < len(c.segs) {
 		if c.off >= len(c.data) {
 			// Cache empty or consumed: (re-)read the segment. This is the

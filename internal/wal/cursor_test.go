@@ -101,6 +101,34 @@ func TestCursorAnchoredMidStream(t *testing.T) {
 	}
 }
 
+// TestCursorNextAllocatesOnlyThePayload: once a cursor holds its segment's
+// bytes, surfacing a record costs one allocation, the payload copy — the
+// segment list is not copied again while it is unchanged.
+func TestCursorNextAllocatesOnlyThePayload(t *testing.T) {
+	fs := faultinject.NewMemFS()
+	w := openTestWAL(t, fs, wal.Options{})
+	defer w.Close()
+	const runs = 100
+	for i := 0; i < runs+2; i++ {
+		mustAppend(t, w, fmt.Sprintf("rec-%03d", i))
+	}
+	c, err := w.OpenCursor(0)
+	if err != nil {
+		t.Fatalf("OpenCursor: %v", err)
+	}
+	if _, ok, err := c.Next(); !ok || err != nil {
+		t.Fatalf("warm-up Next = (%v, %v)", ok, err)
+	}
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, ok, err := c.Next(); !ok || err != nil {
+			t.Fatalf("Next = (%v, %v)", ok, err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("Next allocates %v times per record, want 1", allocs)
+	}
+}
+
 func TestCursorAcrossRotation(t *testing.T) {
 	fs := faultinject.NewMemFS()
 	w := openTestWAL(t, fs, wal.Options{SegmentBytes: 64})
