@@ -422,6 +422,34 @@ func serveExplain(rw http.ResponseWriter, r *http.Request, w *core.SecureWebDB, 
 	fmt.Fprintln(rw, plan)
 }
 
+// demoInsertRows is how many people one INSERT of the demo load carries.
+// Each statement is one transaction: one privilege check, one Commit
+// record and, under -walsync always, one fsync.
+const demoInsertRows = 1000
+
+// demoInserts renders the demo's people as multi-row INSERTs of at most
+// demoInsertRows tuples each, in the order a row-by-row load would insert
+// them, so the rows get the same ids.
+func demoInserts(people int) []string {
+	var stmts []string
+	all := synth.People(1, people)
+	for len(all) > 0 {
+		batch := all[:min(len(all), demoInsertRows)]
+		all = all[len(batch):]
+		var b strings.Builder
+		b.WriteString("INSERT INTO patients VALUES ")
+		for i, p := range batch {
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			fmt.Fprintf(&b, "(%s, %s, %d, %s)",
+				reldb.QuoteString(p.Name), reldb.QuoteString(p.Zip), p.Age, reldb.QuoteString(p.Disease))
+		}
+		stmts = append(stmts, b.String())
+	}
+	return stmts
+}
+
 // setupDemo loads the demo schema: a patients table, analyst grants, a
 // row policy, privacy constraints ({name, disease} private; {zip, disease}
 // semi-private for researchers) and the re-identification inference rule.
@@ -434,9 +462,7 @@ func setupDemo(w *core.SecureWebDB, people int, fresh bool) error {
 		if err := w.DB().CreateTable(dba, "CREATE TABLE patients (name TEXT, zip TEXT, age INT, disease TEXT)"); err != nil {
 			return err
 		}
-		for _, p := range synth.People(1, people) {
-			stmt := fmt.Sprintf("INSERT INTO patients VALUES (%s, %s, %d, %s)",
-				reldb.QuoteString(p.Name), reldb.QuoteString(p.Zip), p.Age, reldb.QuoteString(p.Disease))
+		for _, stmt := range demoInserts(people) {
 			if _, err := w.DB().Exec(dba, stmt); err != nil {
 				return err
 			}

@@ -217,6 +217,30 @@ func TestCheckpointFuzzyWithActiveTxns(t *testing.T) {
 // many rows and tables that is; an aborted or read-only transaction, and a
 // statement that failed, add none; a statement that matched no row commits
 // one empty record.
+// recordsSince decodes every record w holds above lsn.
+func recordsSince(t *testing.T, w *wal.WAL, lsn uint64) []LogRecord {
+	t.Helper()
+	c, err := w.OpenCursor(lsn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []LogRecord
+	for {
+		f, ok, err := c.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return recs
+		}
+		rec, err := decodeLogRecord(f.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, rec)
+	}
+}
+
 func TestTransactionIsOneLogRecord(t *testing.T) {
 	fs := faultinject.NewMemFS()
 	db := openDurable(t, fs)
@@ -224,28 +248,7 @@ func TestTransactionIsOneLogRecord(t *testing.T) {
 	mustExec(t, db, "CREATE TABLE u (k TEXT, v INT)")
 	mustExec(t, db, "INSERT INTO t VALUES ('old', 0)")
 	w := db.log.w
-	framesSince := func(lsn uint64) []LogRecord {
-		t.Helper()
-		c, err := w.OpenCursor(lsn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var recs []LogRecord
-		for {
-			f, ok, err := c.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				return recs
-			}
-			rec, err := decodeLogRecord(f.Payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			recs = append(recs, rec)
-		}
-	}
+	framesSince := func(lsn uint64) []LogRecord { return recordsSince(t, w, lsn) }
 
 	last := w.LastLSN()
 	txn := db.Begin()

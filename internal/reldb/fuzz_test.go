@@ -25,6 +25,12 @@ func FuzzParse(f *testing.F) {
 		"CREATE TABLE d (a INT, a TEXT)",
 		"SELECT g FROM t WHERE k > 9007199254740992 AND x <= 4611686018427387904.0 ORDER BY x",
 		"INSERT INTO t VALUES ('it''s', -3, 2.5, TRUE)",
+		"INSERT INTO t VALUES ('a', 1, 1.5, TRUE), (NULL, -2, NULL, FALSE),('z',3,0.5,NULL)",
+		"INSERT INTO t VALUES ('a', 1, 1.5, TRUE), ('b', 'two', 2.5, FALSE)",
+		"INSERT INTO t VALUES ('a', 1, 1.5, TRUE), ('b')",
+		"INSERT INTO t VALUES ('a', 1, 1.5, TRUE),",
+		"INSERT INTO t VALUES ('a', 1, 1.5, TRUE), ()",
+		"INSERT INTO ghost VALUES (1), (2)",
 		"UPDATE t SET k = 10, g = NULL WHERE g = 'a'",
 		"DELETE FROM t WHERE NOT (k < 3 OR x >= 1.5)",
 		"SELECT * FROM t",
@@ -71,6 +77,10 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			return
 		}
+		if ins, ok := st.(*InsertStmt); ok {
+			checkInsert(t, sdb.DB(), src, ins)
+			return
+		}
 		sel, ok := st.(*SelectStmt)
 		if !ok {
 			return
@@ -100,6 +110,40 @@ func FuzzParse(f *testing.F) {
 			checkRowSelect(t, sdb.DB(), src, sel, plain)
 		}
 	})
+}
+
+// checkInsert runs a parsed INSERT in a transaction it then aborts: every
+// tuple is non-empty, and the statement either writes all of its tuples,
+// under consecutive new row ids, or none of them.
+func checkInsert(t *testing.T, db *Database, src string, ins *InsertStmt) {
+	for _, vals := range ins.Rows {
+		if len(vals) == 0 {
+			t.Fatalf("%q parsed to an empty tuple", src)
+		}
+	}
+	txn := db.Begin()
+	defer txn.Abort()
+	res, err := txn.ExecStmt(ins)
+	if err != nil {
+		if len(txn.changes) != 0 {
+			t.Fatalf("%q failed (%v) but left %d changes for Commit", src, err, len(txn.changes))
+		}
+		if w, ok := txn.work[ins.Table]; ok {
+			if before, _ := db.Table(ins.Table); w.Len() != before.Len() {
+				t.Fatalf("%q failed (%v) but wrote %d rows", src, err, w.Len()-before.Len())
+			}
+		}
+		return
+	}
+	before, _ := db.Table(ins.Table)
+	if res.Affected != len(ins.Rows) || len(txn.changes) != len(ins.Rows) {
+		t.Fatalf("%q: %d tuples, Affected %d, %d changes", src, len(ins.Rows), res.Affected, len(txn.changes))
+	}
+	for i, c := range txn.changes {
+		if c.RowID != before.nextID+int64(i)+1 {
+			t.Fatalf("%q: tuple %d got row id %d, want %d", src, i, c.RowID, before.nextID+int64(i)+1)
+		}
+	}
 }
 
 // checkRowSelect holds the result of a row SELECT without LIMIT to brute
@@ -170,6 +214,9 @@ func FuzzApplyCommit(f *testing.F) {
 		`{"Op":3,"Changes":[{"Table":"t","RowID":3,"Row":` + b + `}]}`,
 		`{"Op":3,"Changes":[{"Table":"t","RowID":1,"Row":` + a + `},{"Table":"t","RowID":2,"Row":null},{"Table":"t","RowID":3,"Row":` + b + `},{"Table":"t","RowID":3}]}`,
 		`{"Op":3}`,
+		`{"Op":3,"Changes":[{"Table":"t","RowID":3,"Row":` + a + `},{"Table":"t","RowID":4,"Row":` + b + `},{"Table":"t","RowID":5,"Row":` + a + `}]}`,
+		`{"Op":3,"Changes":[{"Table":"t","RowID":3,"Row":` + a + `},{"Table":"t","RowID":5,"Row":` + b + `}]}`,
+		`{"Op":3,"Changes":[{"Table":"t","RowID":3,"Row":` + a + `},{"Table":"t","RowID":4,"Row":[{"Kind":1,"I":4},{"Kind":3,"S":"d"}]}]}`,
 		`{"Op":3,"Changes":[{"Table":"t","RowID":-1,"Row":` + b + `}]}`,
 		`{"Op":3,"Changes":[{"Table":"t","RowID":0,"Row":` + b + `}]}`,
 		`{"Op":3,"Changes":[{"Table":"t","RowID":4611686018427387904,"Row":` + b + `}]}`,

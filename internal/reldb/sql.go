@@ -9,7 +9,7 @@ import (
 // The SQL subset:
 //
 //	CREATE TABLE t (col TYPE, ...)            TYPE ∈ INT | FLOAT | TEXT | BOOL
-//	INSERT INTO t VALUES (v, ...)
+//	INSERT INTO t VALUES (v, ...), ...        one or more tuples
 //	SELECT * | col, ... FROM t [WHERE expr] [ORDER BY col [DESC]] [LIMIT n]
 //	SELECT agg, ... FROM t [WHERE expr] [GROUP BY col]
 //	                                          agg ∈ COUNT(*) | COUNT|SUM|AVG|MIN|MAX(col)
@@ -29,10 +29,11 @@ type CreateTableStmt struct {
 	Schema Schema
 }
 
-// InsertStmt inserts one row.
+// InsertStmt inserts one or more rows, in order, as one statement: every
+// tuple is checked before any is written, and they commit together.
 type InsertStmt struct {
-	Table  string
-	Values []Value
+	Table string
+	Rows  [][]Value
 }
 
 // OrderKey is one ORDER BY term.
@@ -195,7 +196,8 @@ type lexer struct {
 }
 
 func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
+	// Statements average about four bytes of source per token.
+	l := &lexer{src: src, toks: make([]token, 0, len(src)/4+1)}
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
 		switch {
@@ -210,8 +212,14 @@ func lex(src string) ([]token, error) {
 			l.toks = append(l.toks, token{"num", l.src[start:l.pos]})
 		case c == '\'':
 			// SQL-standard literal: '' inside the quotes is an escaped
-			// single quote.
+			// single quote. A literal without one is a slice of the source.
 			l.pos++
+			if end := strings.IndexByte(l.src[l.pos:], '\''); end >= 0 &&
+				(l.pos+end+1 == len(l.src) || l.src[l.pos+end+1] != '\'') {
+				l.toks = append(l.toks, token{"str", l.src[l.pos : l.pos+end]})
+				l.pos += end + 1
+				break
+			}
 			var b strings.Builder
 			for {
 				if l.pos >= len(l.src) {
@@ -434,26 +442,40 @@ func (p *parser) parseInsert() (Stmt, error) {
 	if err := p.expectKeyword("VALUES"); err != nil {
 		return nil, err
 	}
+	st := &InsertStmt{Table: table}
+	for width := 0; ; {
+		vals, err := p.tuple(width)
+		if err != nil {
+			return nil, err
+		}
+		st.Rows = append(st.Rows, vals)
+		if !p.atPunct(",") {
+			return st, nil
+		}
+		p.next()
+		width = len(vals)
+	}
+}
+
+// tuple parses one parenthesised, non-empty list of literals; width is the
+// length it most likely has.
+func (p *parser) tuple(width int) ([]Value, error) {
 	if err := p.expectPunct("("); err != nil {
 		return nil, err
 	}
-	var vals []Value
+	vals := make([]Value, 0, width)
 	for {
 		v, err := p.literal()
 		if err != nil {
 			return nil, err
 		}
 		vals = append(vals, v)
-		if p.atPunct(",") {
-			p.next()
-			continue
+		if !p.atPunct(",") {
+			break
 		}
-		break
+		p.next()
 	}
-	if err := p.expectPunct(")"); err != nil {
-		return nil, err
-	}
-	return &InsertStmt{Table: table, Values: vals}, nil
+	return vals, p.expectPunct(")")
 }
 
 // parseSelect is the one SELECT grammar: a select list is *, columns, or

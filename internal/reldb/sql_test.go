@@ -1,6 +1,9 @@
 package reldb
 
 import (
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -37,17 +40,89 @@ func TestParseCreateIndex(t *testing.T) {
 func TestParseInsert(t *testing.T) {
 	st := MustParse("INSERT INTO emp VALUES (1, 'Ada', 95.5, TRUE)")
 	ins := st.(*InsertStmt)
-	if ins.Table != "emp" || len(ins.Values) != 4 {
+	if ins.Table != "emp" || len(ins.Rows) != 1 || len(ins.Rows[0]) != 4 {
 		t.Fatalf("parsed %+v", ins)
 	}
-	if ins.Values[0] != Int(1) || ins.Values[1] != Str("Ada") ||
-		ins.Values[2] != Float(95.5) || ins.Values[3] != Bool(true) {
-		t.Errorf("values = %v", ins.Values)
+	if vals := ins.Rows[0]; vals[0] != Int(1) || vals[1] != Str("Ada") ||
+		vals[2] != Float(95.5) || vals[3] != Bool(true) {
+		t.Errorf("values = %v", vals)
 	}
 	st = MustParse("INSERT INTO emp VALUES (NULL, 'x', -3, FALSE)")
 	ins = st.(*InsertStmt)
-	if !ins.Values[0].IsNull() || ins.Values[2] != Int(-3) {
-		t.Errorf("values = %v", ins.Values)
+	if vals := ins.Rows[0]; !vals[0].IsNull() || vals[2] != Int(-3) {
+		t.Errorf("values = %v", vals)
+	}
+}
+
+// insertText renders an INSERT of rows in this dialect's literal syntax.
+func insertText(table string, rows [][]Value) string {
+	var b strings.Builder
+	b.WriteString("INSERT INTO " + table + " VALUES ")
+	for i, r := range rows {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		b.WriteString("(")
+		for j, v := range r {
+			if j > 0 {
+				b.WriteString(", ")
+			}
+			switch v.Kind {
+			case KindString:
+				b.WriteString(QuoteString(v.S))
+			case KindFloat:
+				f := strconv.FormatFloat(v.F, 'f', -1, 64)
+				if !strings.Contains(f, ".") {
+					f += ".0" // the lexer reads a number without a point as INT
+				}
+				b.WriteString(f)
+			default:
+				b.WriteString(v.String())
+			}
+		}
+		b.WriteString(")")
+	}
+	return b.String()
+}
+
+// TestParseMultiRowInsert: an INSERT takes one or more tuples, each of one
+// or more literals, in order; rendering the parsed rows and parsing again
+// gives the same statement.
+func TestParseMultiRowInsert(t *testing.T) {
+	src := "INSERT INTO emp VALUES (1, 'Ada', 95.5, TRUE), (2, 'O''Brien', NULL, FALSE),(-3,'',0.25,NULL)"
+	ins := MustParse(src).(*InsertStmt)
+	want := [][]Value{
+		{Int(1), Str("Ada"), Float(95.5), Bool(true)},
+		{Int(2), Str("O'Brien"), Null(), Bool(false)},
+		{Int(-3), Str(""), Float(0.25), Null()},
+	}
+	if ins.Table != "emp" || !reflect.DeepEqual(ins.Rows, want) {
+		t.Fatalf("parsed %+v, want rows %v", ins, want)
+	}
+	again := MustParse(insertText(ins.Table, ins.Rows)).(*InsertStmt)
+	if !reflect.DeepEqual(again, ins) {
+		t.Fatalf("%q re-parsed to %+v, want %+v", insertText(ins.Table, ins.Rows), again, ins)
+	}
+	// Tuples need not agree in arity or kinds at parse time: the schema
+	// decides at execution.
+	if ins := MustParse("INSERT INTO t VALUES (1), ('a', 2)").(*InsertStmt); len(ins.Rows) != 2 || len(ins.Rows[1]) != 2 {
+		t.Fatalf("parsed %+v", ins)
+	}
+	for _, bad := range []string{
+		"INSERT INTO emp VALUES (1, 'a'),",
+		"INSERT INTO emp VALUES (1, 'a'), ",
+		"INSERT INTO emp VALUES (1, 'a'), ()",
+		"INSERT INTO emp VALUES ()",
+		"INSERT INTO emp VALUES",
+		"INSERT INTO emp VALUES (1, 'a') (2, 'b')",
+		"INSERT INTO emp VALUES (1, 'a'),, (2, 'b')",
+		"INSERT INTO emp VALUES (1, 'a'), 2",
+		"INSERT INTO emp VALUES (1, 'a'), (2, 'b'",
+		"INSERT INTO emp VALUES (1,), (2)",
+	} {
+		if st, err := Parse(bad); err == nil {
+			t.Errorf("Parse(%q) = %+v, want an error", bad, st)
+		}
 	}
 }
 
@@ -246,8 +321,8 @@ func TestExprStrings(t *testing.T) {
 func TestStringLiteralEscape(t *testing.T) {
 	st := MustParse("INSERT INTO emp VALUES (1, 'O''Brien', 1.0, TRUE)")
 	ins := st.(*InsertStmt)
-	if ins.Values[1] != Str("O'Brien") {
-		t.Errorf("values = %v, want O'Brien", ins.Values)
+	if ins.Rows[0][1] != Str("O'Brien") {
+		t.Errorf("values = %v, want O'Brien", ins.Rows[0])
 	}
 	if _, err := Parse("SELECT name FROM emp WHERE name = 'O'Brien'"); err == nil {
 		t.Error("unescaped interior quote parsed; it should be a syntax error")
@@ -258,7 +333,7 @@ func TestStringLiteralEscape(t *testing.T) {
 		if err != nil {
 			t.Fatalf("QuoteString(%q): %v", s, err)
 		}
-		if got := st.(*InsertStmt).Values[1]; got != Str(s) {
+		if got := st.(*InsertStmt).Rows[0][1]; got != Str(s) {
 			t.Errorf("QuoteString(%q) round-tripped to %v", s, got)
 		}
 	}
@@ -267,7 +342,7 @@ func TestStringLiteralEscape(t *testing.T) {
 	hostile := "x', 'y', 2, 'z"
 	src := "INSERT INTO emp VALUES (1, " + QuoteString(hostile) + ", 1.0, TRUE)"
 	ins = MustParse(src).(*InsertStmt)
-	if len(ins.Values) != 4 || ins.Values[1] != Str(hostile) {
+	if len(ins.Rows) != 1 || len(ins.Rows[0]) != 4 || ins.Rows[0][1] != Str(hostile) {
 		t.Errorf("hostile value changed statement shape: %+v", ins)
 	}
 }

@@ -215,16 +215,19 @@ func (t *Txn) ExecStmt(st Stmt) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		row := Row(s.Values)
-		if err := t.db.validateRow(tbl, row); err != nil {
-			return nil, err
+		for _, vals := range s.Rows {
+			if err := t.db.validateRow(tbl, vals); err != nil {
+				return nil, err
+			}
 		}
-		id, err := tbl.Insert(row)
-		if err != nil {
-			return nil, err
+		for _, vals := range s.Rows {
+			id, err := tbl.Insert(vals)
+			if err != nil {
+				return nil, err
+			}
+			t.changes = append(t.changes, Change{Table: s.Table, RowID: id, Row: vals})
 		}
-		t.changes = append(t.changes, Change{Table: s.Table, RowID: id, Row: row})
-		return &Result{Affected: 1}, nil
+		return &Result{Affected: len(s.Rows)}, nil
 
 	case *UpdateStmt:
 		tbl, err := t.writeTable(s.Table)
