@@ -83,14 +83,13 @@ benchsmoke:
 # detector.
 crashmatrix:
 	$(GO) test -race -run 'Crash|KillLeader' -v ./internal/wal/ ./internal/reldb/ \
-		./internal/audit/ ./internal/policy/ ./internal/resilience/... \
-		./internal/replication/
+		./internal/audit/ ./internal/resilience/... ./internal/replication/
 
 # crashshort is the bounded crash matrix wired into check: the same tests
 # with -short, which widens the byte strides so tier-1 stays fast.
 crashshort:
 	$(GO) test -race -short -run 'Crash' ./internal/wal/ ./internal/reldb/ \
-		./internal/audit/ ./internal/policy/ ./internal/resilience/...
+		./internal/audit/ ./internal/resilience/...
 
 # fuzzshort gives every fuzz target a short budget on each check run: the
 # decoders that parse attacker-controlled bytes (WAL records, auth

@@ -7,7 +7,6 @@
 //
 //	POST /query    form fields: subject, roles (comma-separated), sql: a
 //	               SELECT, aggregate or not, through the whole pipeline
-//	POST /agg      the same handler as /query, under its old name
 //	POST /exec     same fields; INSERT/UPDATE/DELETE; leader only
 //	POST /token    subject, roles: mint an auth token (X-Auth-Token)
 //	GET  /explain  sql: the access plan (unauthenticated)
@@ -373,8 +372,8 @@ func writeReply(rw http.ResponseWriter, res *reldb.Result, masked, derived []str
 	rw.Write(appendReply(b, res, masked, derived)) // a failed Write is the client gone; there is no one to tell
 }
 
-// serveQuery runs a SELECT, aggregate or not, through the whole pipeline;
-// it is /query and /agg.
+// serveQuery is /query: it runs a SELECT, aggregate or not, through the
+// whole pipeline.
 func serveQuery(rw http.ResponseWriter, r *http.Request, w *core.SecureWebDB, auth *authtoken.Service) {
 	subject, sql, ok := statement(rw, r, auth)
 	if !ok {

@@ -22,9 +22,8 @@ func tableState(t *testing.T, s *server) string {
 // what runs. Every route × statement kind × subject cell answers the status
 // the kind and the grant call for, changes the database only when a
 // permitted write arrives on /exec, and leaves exactly one audit record —
-// on a single node and on the leader of a group. At the parent of PR 24 the
-// /agg cells left no record, /exec answered a SELECT with a row count and
-// /query executed DML.
+// on a single node and on the leader of a group. /agg, the old name of
+// /query, is gone: it answers 404 and leaves no record.
 func TestRouteKindMatrix(t *testing.T) {
 	statements := []struct {
 		kind, sql   string
@@ -46,7 +45,7 @@ func TestRouteKindMatrix(t *testing.T) {
 	_, leader := startGroup(t, "n1", "n2", "n3")
 	for name, s := range map[string]*server{"single": startSingle(t), "leader": leader} {
 		h := s.mux(false)
-		for _, route := range []string{"/query", "/agg", "/exec"} {
+		for _, route := range []string{"/query", "/exec"} {
 			for _, st := range statements {
 				for _, sub := range subjects {
 					cell := fmt.Sprintf("%s: %s %s as %s", name, route, st.kind, sub.id)
@@ -71,6 +70,13 @@ func TestRouteKindMatrix(t *testing.T) {
 					}
 				}
 			}
+		}
+		records := s.auditLog.Len()
+		if r := do(h, "POST", "/agg", sqlForm("dba", "analyst", "SELECT COUNT(*) FROM patients"), ""); r.status != http.StatusNotFound {
+			t.Errorf("%s: POST /agg = %d %q, want 404", name, r.status, r.body)
+		}
+		if grew := s.auditLog.Len() - records; grew != 0 {
+			t.Errorf("%s: POST /agg grew the audit log by %d records, want 0", name, grew)
 		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 	"webdbsec/internal/reldb"
 )
 
-// fmtReply is the rendering /query and /agg replies had when every line
+// fmtReply is the rendering /query replies had when every line
 // was its own fmt call on the ResponseWriter, kept verbatim as the
 // reference writeReply is held to.
 func fmtReply(rw http.ResponseWriter, res *reldb.Result, masked, derived []string) {

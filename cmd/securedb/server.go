@@ -274,7 +274,6 @@ func (s *server) mux(debug bool) *http.ServeMux {
 	mux.HandleFunc("/exec", s.serve(true, func(rw http.ResponseWriter, r *http.Request, w *core.SecureWebDB, a *authtoken.Service) {
 		serveExec(rw, r, w, a, s.committed)
 	}))
-	mux.HandleFunc("/agg", s.serve(false, serveQuery))
 	mux.HandleFunc("/explain", s.serve(false, serveExplain))
 	mux.HandleFunc("/audit", func(rw http.ResponseWriter, r *http.Request) {
 		for _, rec := range s.auditLog.Records() {

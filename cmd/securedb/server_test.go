@@ -158,11 +158,11 @@ func script(t *testing.T, s *server) []string {
 	step(do(h, "POST", "/exec", sqlForm("dba", "analyst", "UPDATE patients SET zip = '00000' WHERE name = 'person-0003'"), ""))
 	step(do(h, "POST", "/exec", sqlForm("ana", "analyst", "UPDATE patients SET zip = '1' WHERE name = 'person-0003'"), ""))
 	step(do(h, "POST", "/query", sqlForm("ana", "analyst", "SELECT zip FROM patients WHERE name = 'person-0003'"), ""))
-	step(do(h, "POST", "/agg", sqlForm("ana", "analyst", "SELECT COUNT(*) FROM patients"), ""))
-	step(do(h, "POST", "/agg", sqlForm("mallory", "analyst", "SELECT COUNT(*) FROM patients"), ""))
+	step(do(h, "POST", "/query", sqlForm("ana", "analyst", "SELECT COUNT(*) FROM patients"), ""))
+	step(do(h, "POST", "/query", sqlForm("mallory", "analyst", "SELECT COUNT(*) FROM patients"), ""))
 	// {name, disease} is private: the aggregate's disease column comes back
 	// withheld (or the request refused), never the values.
-	byName := step(do(h, "POST", "/agg", sqlForm("ana", "analyst", "SELECT MIN(disease) FROM patients GROUP BY name"), ""))
+	byName := step(do(h, "POST", "/query", sqlForm("ana", "analyst", "SELECT MIN(disease) FROM patients GROUP BY name"), ""))
 	if byName.status == 200 {
 		lines := strings.Split(strings.TrimSpace(byName.body), "\n")
 		if len(lines) != 27 || lines[26] != "# masked by privacy constraints: MIN(disease)" {
@@ -193,8 +193,8 @@ func varKeys(s *server) []string {
 	return keys
 }
 
-// TestModeEquivalence: the same scripted /token, /query, /exec, /agg,
-// /explain, /audit sequence yields identical status codes and bodies from a
+// TestModeEquivalence: the same scripted /token, /query, /exec, /explain,
+// /audit sequence yields identical status codes and bodies from a
 // single node and from the leader of a 3-node group, and both publish the
 // same /debug/vars keys in the same shapes (the group adds securedb.cluster).
 func TestModeEquivalence(t *testing.T) {
@@ -272,12 +272,10 @@ func TestFollowerServesReadsRefusesWrites(t *testing.T) {
 				t.Errorf("%s: %s on a replica = %d %q, want 503 naming the leader", id, path, r.status, r.body)
 			}
 		}
-		// The read routes refuse a write by its kind, and the replica's
+		// The read route refuses a write by its kind, and the replica's
 		// database refuses it whatever route might reach it.
-		for _, path := range []string{"/query", "/agg"} {
-			if r := do(h, "POST", path, update, ""); r.status != http.StatusForbidden || !strings.Contains(r.body, "not a SELECT") {
-				t.Errorf("%s: UPDATE on %s of a replica = %d %q, want 403", id, path, r.status, r.body)
-			}
+		if r := do(h, "POST", "/query", update, ""); r.status != http.StatusForbidden || !strings.Contains(r.body, "not a SELECT") {
+			t.Errorf("%s: UPDATE on /query of a replica = %d %q, want 403", id, r.status, r.body)
 		}
 		if _, err := s.serving.Load().DB().Exec(&policy.Subject{ID: "dba", Roles: []string{"analyst"}}, update.Get("sql")); err == nil || !strings.Contains(err.Error(), "read-only replica") {
 			t.Errorf("%s: UPDATE straight into a replica's database: %v, want the read-only refusal", id, err)

@@ -92,11 +92,14 @@ func TestExperimentsNameTheirTests(t *testing.T) {
 }
 
 // TestDocsNameNoDeletedHarness: the experiment harness and its JSON
-// records are gone, so no document a reader follows to build, run or
-// verify the repository may point at them. The names are assembled so
-// this file does not mention them either.
+// records are gone, and so are the XML-store and policy-base journals and
+// the tests that drove them, so no document a reader follows to build,
+// run or verify the repository may point at them. The names are assembled
+// so this file does not mention them either.
 func TestDocsNameNoDeletedHarness(t *testing.T) {
-	stale := []string{"cmd/" + "bench" + "gen", "BENCH" + "_PR"}
+	stale := []string{"cmd/" + "bench" + "gen", "BENCH" + "_PR",
+		"Open" + "Store", "Open" + "Base", "TestBase" + "CrashRecovery",
+		"TestCachedEqualsUncached" + "AcrossRestart"}
 	for _, path := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "Makefile", ".claude/skills/verify/SKILL.md"} {
 		src, err := os.ReadFile(path)
 		if os.IsNotExist(err) {

@@ -7,11 +7,9 @@ import (
 	"context"
 
 	"webdbsec/internal/audit"
-	"webdbsec/internal/policy"
 	"webdbsec/internal/reldb"
 	"webdbsec/internal/replication"
 	"webdbsec/internal/wal"
-	"webdbsec/internal/xmldoc"
 )
 
 func bareCall(w *wal.WAL, p []byte) {
@@ -67,14 +65,6 @@ func checkpointAtDrop(w *wal.WAL, snap []byte) {
 	w.CheckpointAt(snap, w.LastLSN()) // want `durability verdict of \(\*wal\.WAL\)\.CheckpointAt is discarded \(bare call statement\)`
 }
 
-func checkpointBaseBlank(b *policy.Base) {
-	_ = b.Checkpoint() // want `durability verdict of \(\*policy\.Base\)\.Checkpoint is assigned to _`
-}
-
-func checkpointStoreDeferred(s *xmldoc.Store) {
-	defer s.Checkpoint() // want `durability verdict of \(\*xmldoc\.Store\)\.Checkpoint is unobservable \(deferred call\)`
-}
-
 // --- replication verdicts (PR 6) ---
 
 func ackWithoutQuorum(n *replication.Node, w *wal.WAL) {
@@ -87,14 +77,6 @@ func applyDrop(f *reldb.Follower, p []byte) {
 
 func restoreBlank(f *reldb.Follower, snap []byte) {
 	_ = f.Restore(1, snap) // want `durability verdict of \(\*reldb\.Follower\)\.Restore is assigned to _`
-}
-
-func xmlApplyDrop(s *xmldoc.Store, p []byte) {
-	s.ApplyReplicated(1, p) // want `durability verdict of \(\*xmldoc\.Store\)\.ApplyReplicated is discarded \(bare call statement\)`
-}
-
-func xmlRestoreDrop(s *xmldoc.Store, snap []byte) {
-	s.RestoreReplicated(1, snap) // want `durability verdict of \(\*xmldoc\.Store\)\.RestoreReplicated is discarded \(bare call statement\)`
 }
 
 func truncateDrop(w *wal.WAL) {

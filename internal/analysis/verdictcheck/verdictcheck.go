@@ -2,8 +2,7 @@
 // group-commit pipeline (PR 4) moves the moment of truth from "the call
 // returned" to "the shared fsync's verdict arrived": wal.Ack.Wait,
 // wal.WAL.Append/Sync/CheckpointAt, reldb.Txn.Commit,
-// the stores' Checkpoint methods (reldb.Database, policy.Base, xmldoc.Store)
-// and audit.Log.AppendChecked all return the only evidence that a record —
+// reldb.Database.Checkpoint and audit.Log.AppendChecked all return the only evidence that a record —
 // or a snapshot — actually reached disk. Dropping that value
 // — a bare call statement, `go`/`defer`, or assigning it to `_` — lets a
 // store acknowledge progress it cannot prove, exactly the silent decay
@@ -22,7 +21,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "verdictcheck",
 	Doc: "the durability verdicts of wal.Ack.Wait, wal.WAL.Append/Sync/CheckpointAt/TruncateTo/InstallSnapshot, " +
-		"reldb.Txn.Commit, reldb.Database/policy.Base/xmldoc.Store.Checkpoint, audit.Log.AppendChecked, " +
+		"reldb.Txn.Commit, reldb.Database.Checkpoint, audit.Log.AppendChecked, " +
 		"replication.Node.WaitCommitted and the replica apply/restore verdicts must not be discarded",
 	Run: run,
 }
@@ -36,8 +35,6 @@ var verdictFuncs = map[string]bool{
 	"(*webdbsec/internal/wal.WAL).CheckpointAt":      true,
 	"(*webdbsec/internal/reldb.Txn).Commit":          true,
 	"(*webdbsec/internal/reldb.Database).Checkpoint": true,
-	"(*webdbsec/internal/policy.Base).Checkpoint":    true,
-	"(*webdbsec/internal/xmldoc.Store).Checkpoint":   true,
 	"(*webdbsec/internal/audit.Log).AppendChecked":   true,
 
 	// Replication verdicts (PR 6). WaitCommitted is the cluster-durability
@@ -50,8 +47,6 @@ var verdictFuncs = map[string]bool{
 	"(*webdbsec/internal/replication.Node).WaitCommitted": true,
 	"(*webdbsec/internal/reldb.Follower).Apply":           true,
 	"(*webdbsec/internal/reldb.Follower).Restore":         true,
-	"(*webdbsec/internal/xmldoc.Store).ApplyReplicated":   true,
-	"(*webdbsec/internal/xmldoc.Store).RestoreReplicated": true,
 	"(*webdbsec/internal/wal.WAL).TruncateTo":             true,
 	"(*webdbsec/internal/wal.WAL).InstallSnapshot":        true,
 }

@@ -22,7 +22,6 @@ import (
 	"sync"
 
 	"webdbsec/internal/credential"
-	"webdbsec/internal/wal"
 	"webdbsec/internal/xmldoc"
 )
 
@@ -288,10 +287,6 @@ type Base struct {
 	byDoc map[objKey][]*Policy
 	bySet map[objKey][]*Policy
 	wild  map[Privilege][]*Policy
-	// w, when set, receives a journal entry for every mutation (see
-	// persist.go); err is the sticky journal failure.
-	w   *wal.WAL
-	err error
 }
 
 // NewBase returns an empty policy base. verifier may be nil to skip
@@ -343,30 +338,6 @@ func (b *Base) removeFromIndex(p *Policy) {
 	}
 }
 
-// installLocked places a validated policy into the list and index without
-// advancing the generation or journaling. Write lock held (or exclusive
-// ownership during recovery).
-func (b *Base) installLocked(p *Policy) {
-	b.policies = append(b.policies, p)
-	b.seqOf[p] = b.nextSeq
-	b.nextSeq++
-	b.addToIndex(p)
-}
-
-// uninstallLocked removes the named policy without advancing the
-// generation or journaling; it reports whether the policy existed.
-func (b *Base) uninstallLocked(name string) bool {
-	for i, p := range b.policies {
-		if p.Name == name {
-			b.policies = append(b.policies[:i], b.policies[i+1:]...)
-			b.removeFromIndex(p)
-			delete(b.seqOf, p)
-			return true
-		}
-	}
-	return false
-}
-
 // Add validates and installs a policy. The generation counter advances, so
 // decisions cached against the previous state can no longer be served.
 func (b *Base) Add(p *Policy) error {
@@ -375,9 +346,11 @@ func (b *Base) Add(p *Policy) error {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.installLocked(p)
+	b.policies = append(b.policies, p)
+	b.seqOf[p] = b.nextSeq
+	b.nextSeq++
+	b.addToIndex(p)
 	b.gen++
-	b.journalLocked(&baseJournal{Op: "add", Gen: b.gen, Policy: persistPolicy(p)})
 	return nil
 }
 
@@ -393,12 +366,16 @@ func (b *Base) MustAdd(p *Policy) {
 func (b *Base) Remove(name string) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if !b.uninstallLocked(name) {
-		return false
+	for i, p := range b.policies {
+		if p.Name == name {
+			b.policies = append(b.policies[:i], b.policies[i+1:]...)
+			b.removeFromIndex(p)
+			delete(b.seqOf, p)
+			b.gen++
+			return true
+		}
 	}
-	b.gen++
-	b.journalLocked(&baseJournal{Op: "remove", Gen: b.gen, Name: name})
-	return true
+	return false
 }
 
 // Len returns the number of installed policies.

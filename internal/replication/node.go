@@ -71,8 +71,7 @@ var ErrNotLeader = errors.New("replication: not leader")
 var ErrStopped = errors.New("replication: node stopped")
 
 // Applier consumes committed records on a follower, materializing the
-// replica's readable state. reldb.Follower and the xmldoc replica methods
-// satisfy it (via ApplierFuncs for the latter).
+// replica's readable state. reldb.Follower satisfies it.
 type Applier interface {
 	// Apply consumes one record at its LSN; records arrive in strict LSN
 	// order and only once the cluster commit watermark covers them.
@@ -80,20 +79,6 @@ type Applier interface {
 	// Restore replaces all state from a leader checkpoint snapshot
 	// (full resync).
 	Restore(lsn uint64, snapshot []byte) error
-}
-
-// ApplierFuncs adapts two functions to the Applier interface.
-type ApplierFuncs struct {
-	ApplyFn   func(lsn uint64, payload []byte) error
-	RestoreFn func(lsn uint64, snapshot []byte) error
-}
-
-// Apply forwards to ApplyFn.
-func (a ApplierFuncs) Apply(lsn uint64, payload []byte) error { return a.ApplyFn(lsn, payload) }
-
-// Restore forwards to RestoreFn.
-func (a ApplierFuncs) Restore(lsn uint64, snapshot []byte) error {
-	return a.RestoreFn(lsn, snapshot)
 }
 
 // Config describes one cluster member.
@@ -256,8 +241,7 @@ type Node struct {
 	// applierGen counts SetApplier swaps: the apply loop releases mu
 	// around Applier.Apply, and a swap in that window (demotion) makes
 	// the old applier's position meaningless. Appliers themselves need
-	// not be comparable (ApplierFuncs is not), so the generation is the
-	// identity.
+	// not be comparable, so the generation is the identity.
 	applierGen uint64 // seclint:guardedby mu
 	// votedEpoch and tailEpoch mirror durableMeta; saveMetaLocked must
 	// succeed before either is acted on. epochStart is the leader's

@@ -1,13 +1,13 @@
-// Package wal is the disk-backed write-ahead log under every durable store
-// in this repository: reldb's transaction log, the audit chain, the policy
-// base and the XML document store. The paper demands that "recovery
-// techniques have to be developed for the transaction models" (§2.1) and
-// that data be protected "from malicious corruption" (§1); this package is
-// the common substrate for both — an append-only, segmented, CRC32C-framed
-// log with a configurable fsync policy, torn-tail detection on open, a
-// checkpoint protocol (snapshot + log truncation) that bounds recovery
-// time and disk growth, and a group-commit pipeline that coalesces
-// concurrent appends into shared writes and fsyncs.
+// Package wal is the disk-backed write-ahead log under both durable stores
+// in this repository: reldb's transaction log and the audit chain. The
+// paper demands that "recovery techniques have to be developed for the
+// transaction models" (§2.1) and that data be protected "from malicious
+// corruption" (§1); this package is the common substrate for both — an
+// append-only, segmented, CRC32C-framed log with a configurable fsync
+// policy, torn-tail detection on open, a checkpoint protocol (snapshot +
+// log truncation) that bounds recovery time and disk growth, and a
+// group-commit pipeline that coalesces concurrent appends into shared
+// writes and fsyncs.
 //
 // Crash model. The log assumes that after a crash a file retains some
 // prefix of the bytes written to it (fsynced bytes are always retained;

@@ -20,7 +20,6 @@ import (
 	"sync"
 
 	"webdbsec/internal/mvcc"
-	"webdbsec/internal/wal"
 )
 
 // NodeKind discriminates the node variants of a document.
@@ -506,32 +505,21 @@ func (d *Document) Prune(keep func(*Node) bool) *Document {
 // storeVersion published through an mvcc.Cell (the same cell
 // reldb.Database publishes through). Readers load it and never take a
 // lock; writers build a copy-on-write successor under mu and
-// publish it stamped with the WAL LSN of its journal entry, so version
-// order and replication order coincide. Snapshot pins a version when a
-// caller needs several reads to observe one consistent state.
+// publish it. Snapshot pins a version when a caller needs several reads
+// to observe one consistent state.
 type Store struct {
-	// mu serializes writers (Put, Remove, AddToSet, the replication apply
-	// path) and version installation; readers never take it.
+	// mu serializes writers (Put, Remove, AddToSet) and version
+	// installation; readers never take it.
 	mu sync.Mutex
 	// versions publishes the latest version: installed under mu, loaded
 	// and pinned anywhere.
 	versions mvcc.Cell[storeVersion]
-	// w, when set, receives a journal entry for every mutation (see
-	// persist.go); err is the sticky journal failure.
-	w   *wal.WAL // seclint:guardedby mu
-	err error    // seclint:guardedby mu
 }
 
 // storeVersion is one immutable state of the store. A writer builds it
 // privately — cloning the outer maps and any inner set map it touches —
 // and nothing mutates it after publication.
 type storeVersion struct {
-	// lsn is the WAL LSN of the journal entry that produced this version
-	// (0 for genesis and for stores without a durable backend). Every
-	// journal entry describes one complete mutation, so a snapshot of the
-	// version at LSN n holds exactly the mutations journaled at or below n
-	// — the fence and the truncation point of a fuzzy checkpoint coincide.
-	lsn  int64
 	gen  uint64
 	docs map[string]*Document
 	// sets maps a set name to the document names it contains.
@@ -556,7 +544,6 @@ func newStoreVersion() *storeVersion {
 // unlinkDoc do.
 func (v *storeVersion) clone() *storeVersion {
 	nv := &storeVersion{
-		lsn:      v.lsn,
 		gen:      v.gen,
 		docs:     make(map[string]*Document, len(v.docs)+1),
 		sets:     make(map[string]map[string]bool, len(v.sets)+1),
@@ -587,24 +574,6 @@ func (v *storeVersion) link(set, doc string) {
 	r := copySet(v.memberOf[doc])
 	r[set] = true
 	v.memberOf[doc] = r
-}
-
-// linkOwned wires doc into set in place. Only for versions whose inner
-// maps are all private (staging during recovery or restore), never for
-// clones of a published version.
-func (v *storeVersion) linkOwned(set, doc string) {
-	m := v.sets[set]
-	if m == nil {
-		m = make(map[string]bool)
-		v.sets[set] = m
-	}
-	m[doc] = true
-	r := v.memberOf[doc]
-	if r == nil {
-		r = make(map[string]bool)
-		v.memberOf[doc] = r
-	}
-	r[set] = true
 }
 
 // unlinkDoc drops doc from every set, copying the touched inner maps.
@@ -659,28 +628,10 @@ func (v *storeVersion) setMembers(set string) []string {
 }
 
 // NewStore returns an empty document store.
-func NewStore() *Store { return newStoreAt(newStoreVersion()) }
-
-// newStoreAt returns an in-memory store whose state is v; v's maps belong
-// to the store from here on.
-func newStoreAt(v *storeVersion) *Store {
+func NewStore() *Store {
 	s := &Store{}
-	s.versions.Init(&s.mu, *v)
+	s.versions.Init(&s.mu, *newStoreVersion())
 	return s
-}
-
-// installLocked publishes v as the current version, stamped with the WAL
-// LSN of the journal entry that produced it. A zero lsn (no durable
-// backend, or a journal failure already recorded in s.err) keeps the
-// predecessor's stamp so version LSNs stay monotone. Caller holds s.mu.
-//
-// seclint:locked caller holds s.mu
-func (s *Store) installLocked(lsn int64, v *storeVersion) {
-	if cur := s.versions.Load().lsn; lsn < cur {
-		lsn = cur
-	}
-	v.lsn = lsn
-	s.versions.Install(*v)
 }
 
 // VersionStats reports version lifecycle counters — test and operational
@@ -697,11 +648,7 @@ func (s *Store) Put(d *Document) {
 	v.docs[d.Name] = d
 	v.docGens[d.Name]++
 	v.gen++
-	lsn := s.journalLocked(&storeJournal{
-		Op: "put", Doc: d.Name, XML: d.Canonical(),
-		Gen: v.gen, DocGen: v.docGens[d.Name],
-	})
-	s.installLocked(lsn, v)
+	s.versions.Install(*v)
 }
 
 // Get returns the named document.
@@ -725,10 +672,7 @@ func (s *Store) Remove(name string) {
 	v.unlinkDoc(name)
 	v.docGens[name]++
 	v.gen++
-	lsn := s.journalLocked(&storeJournal{
-		Op: "remove", Doc: name, Gen: v.gen, DocGen: v.docGens[name],
-	})
-	s.installLocked(lsn, v)
+	s.versions.Install(*v)
 }
 
 // Len returns the number of documents in the store.
@@ -769,10 +713,7 @@ func (s *Store) AddToSet(set, doc string) {
 	v.link(set, doc)
 	v.docGens[doc]++
 	v.gen++
-	lsn := s.journalLocked(&storeJournal{
-		Op: "addset", Doc: doc, Set: set, Gen: v.gen, DocGen: v.docGens[doc],
-	})
-	s.installLocked(lsn, v)
+	s.versions.Install(*v)
 }
 
 // SetContains reports whether the named set contains the document.
@@ -810,10 +751,6 @@ func (s *Store) Snapshot() *StoreSnapshot {
 
 // Release unpins the snapshot. Safe to call more than once.
 func (sn *StoreSnapshot) Release() { sn.pin.Release() }
-
-// LSN returns the WAL LSN of the journal entry that produced the pinned
-// version (0 for genesis or an in-memory store).
-func (sn *StoreSnapshot) LSN() int64 { return sn.pin.Value().lsn }
 
 // Get returns the named document as of the snapshot.
 //
