@@ -94,7 +94,7 @@ crashshort:
 # fuzzshort gives every fuzz target a short budget on each check run: the
 # decoders that parse attacker-controlled bytes (WAL records, auth
 # tokens, XML documents, wsa envelopes, SQL text, replicated reldb log
-# records) must never panic, whatever the input — the XML reader must accept
+# records, audit records) must never panic, whatever the input — the XML reader must accept
 # what its encoding/xml reference accepts, bar the divergences it declares,
 # and build the same tree, the envelope decoder must keep accepting, with
 # an identical body, whatever its print-and-parse reference accepts, any
@@ -104,7 +104,9 @@ crashshort:
 # its bound matcher accepts over a brute-force scan, in ORDER BY order
 # (keys non-decreasing), and a log
 # record a follower applies either leaves it untouched or stores only rows
-# its schema accepts. The corpus accumulated under
+# its schema accepts, and an audit record payload decodes and verifies
+# without panicking while two v2 chain-hash preimages are equal only for
+# equal field tuples. The corpus accumulated under
 # testdata/ replays first, so past crashers stay fixed.
 fuzzshort:
 	$(GO) test -run '^$$' -fuzz FuzzTokenDecode -fuzztime 5s ./internal/authtoken/
@@ -113,6 +115,7 @@ fuzzshort:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEnvelope -fuzztime 5s ./internal/wsa/
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 5s ./internal/reldb/
 	$(GO) test -run '^$$' -fuzz FuzzApplyCommit -fuzztime 5s ./internal/reldb/
+	$(GO) test -run '^$$' -fuzz FuzzAuditRecord -fuzztime 5s ./internal/audit/
 
 # failovershort is the replication gate wired into check: a 3-node
 # cluster elects, replicates, survives kill-the-leader at sampled byte

@@ -14,6 +14,7 @@
 //
 // The statement, not the route, decides what runs: a write sent to /query,
 // or a SELECT sent to /exec, is refused (403) and audited, touching no table.
+// A decision the audit log cannot record is answered 503 with no result.
 //
 // Example:
 //
@@ -381,10 +382,20 @@ func serveQuery(rw http.ResponseWriter, r *http.Request, w *core.SecureWebDB, au
 	}
 	out, err := w.Query(subject, sql)
 	if err != nil {
-		http.Error(rw, err.Error(), http.StatusForbidden)
+		refuse(rw, err)
 		return
 	}
 	writeReply(rw, out.Result, out.MaskedColumns, out.Derived)
+}
+
+// refuse answers a pipeline error: 503 when the audit log did not take the
+// decision's record, which withholds the answer, 403 for a refusal.
+func refuse(rw http.ResponseWriter, err error) {
+	if errors.Is(err, core.ErrAuditUnavailable) {
+		http.Error(rw, "audit trail unavailable; answer withheld", http.StatusServiceUnavailable)
+		return
+	}
+	http.Error(rw, err.Error(), http.StatusForbidden)
 }
 
 // serveExec runs INSERT/UPDATE/DELETE. committed, when set, holds the
@@ -399,7 +410,7 @@ func serveExec(rw http.ResponseWriter, r *http.Request, w *core.SecureWebDB, aut
 	}
 	res, err := w.Execute(subject, sql)
 	if err != nil {
-		http.Error(rw, err.Error(), http.StatusForbidden)
+		refuse(rw, err)
 		return
 	}
 	if committed != nil {

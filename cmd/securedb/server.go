@@ -275,11 +275,7 @@ func (s *server) mux(debug bool) *http.ServeMux {
 		serveExec(rw, r, w, a, s.committed)
 	}))
 	mux.HandleFunc("/explain", s.serve(false, serveExplain))
-	mux.HandleFunc("/audit", func(rw http.ResponseWriter, r *http.Request) {
-		for _, rec := range s.auditLog.Records() {
-			fmt.Fprintf(rw, "%4d %-10s %-8s %-60s %s\n", rec.Seq, rec.Actor, rec.Action, rec.Object, rec.Outcome)
-		}
-	})
+	mux.HandleFunc("/audit", s.serveAudit)
 	if s.leaderAuth != nil {
 		// Minting is leader-only: the mint keyring's private half never
 		// leaves the node that signs with it, and followers hold only the
@@ -307,6 +303,26 @@ func (s *server) mux(debug bool) *http.ServeMux {
 		log.Print("securedb: debug endpoints enabled at /debug/pprof and /debug/vars")
 	}
 	return mux
+}
+
+// serveAudit streams the trail one record at a time, as the log reads it
+// back. A read failure before the first byte answers 503; after it, the
+// response is aborted, so a client never takes a shorter trail for the
+// whole one.
+func (s *server) serveAudit(rw http.ResponseWriter, _ *http.Request) {
+	wrote := false
+	err := s.auditLog.Scan(func(rec audit.Record) error {
+		wrote = true
+		_, err := fmt.Fprintf(rw, "%4d %-10s %-8s %-60s %s\n", rec.Seq, rec.Actor, rec.Action, rec.Object, rec.Outcome)
+		return err
+	})
+	switch {
+	case err == nil:
+	case !wrote:
+		http.Error(rw, "audit trail unreadable", http.StatusServiceUnavailable)
+	default:
+		panic(http.ErrAbortHandler)
+	}
 }
 
 // vars is the node's /debug/vars vocabulary: the same keys and shapes

@@ -18,33 +18,35 @@ import (
 
 func encodeRecord(r *Record) ([]byte, error) { return json.Marshal(r) }
 
+func decodeRecord(payload []byte) (Record, error) {
+	var r Record
+	err := json.Unmarshal(payload, &r)
+	return r, err
+}
+
 // ErrChainBroken is wrapped by OpenLog when the persisted chain fails
 // verification.
 var ErrChainBroken = fmt.Errorf("audit: persisted hash chain broken")
 
-// OpenLog recovers the audit log from w, verifying the hash chain, and
-// wires the log to keep appending to it. The caller owns w's lifecycle but
+// OpenLog recovers the audit log from w, verifying the hash chain as it
+// streams through it one record at a time, and wires the log to keep
+// appending to it. The log keeps no records, only the chain's tail. A
+// chain of v1 records continues as v2. The caller owns w's lifecycle but
 // must not use it directly afterwards. The audit log never checkpoints:
 // truncating history is exactly what a tamper-evident log must not do, so
 // growth is bounded only by segment rotation on disk.
 //
 // seclint:locked l is not yet published; no other goroutine can hold a reference during recovery
 func OpenLog(w *wal.WAL) (*Log, error) {
-	l := NewLog()
-	err := w.Replay(func(lsn uint64, payload []byte) error {
-		var r Record
-		if err := json.Unmarshal(payload, &r); err != nil {
-			return fmt.Errorf("audit: decode record at lsn %d: %w", lsn, err)
+	l := &Log{w: w}
+	err := l.Scan(func(r Record) error {
+		if !l.tail.extend(&r) {
+			return fmt.Errorf("%w: first bad record at seq %d", ErrChainBroken, l.tail.n)
 		}
-		l.records = append(l.records, r)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	if bad := l.Verify(); bad >= 0 {
-		return nil, fmt.Errorf("%w: first bad record at seq %d", ErrChainBroken, bad)
-	}
-	l.w = w
 	return l, nil
 }

@@ -2,8 +2,14 @@ package audit
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
+	"sync"
 	"testing"
 
 	"webdbsec/internal/resilience/faultinject"
@@ -52,6 +58,42 @@ func TestReopenPreservesChain(t *testing.T) {
 	}
 }
 
+// rewriteFrame replaces old with new in the payload of the frame at lsn,
+// recomputing its CRC, so the wal layer accepts the bytes and detection is
+// left entirely to the hash chain: an attacker with storage access.
+func rewriteFrame(t *testing.T, fs wal.FS, lsn uint64, old, new string) {
+	t.Helper()
+	names, err := fs.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		data, err := fs.ReadFile(name)
+		if err != nil || !strings.HasPrefix(name, "wal-") {
+			continue
+		}
+		var reframed []byte
+		for rest := data; len(rest) > 0; {
+			at, payload, next, err := wal.DecodeFrame(rest)
+			if err != nil {
+				t.Fatalf("decode %s: %v", name, err)
+			}
+			if at == lsn {
+				payload = bytes.Replace(payload, []byte(old), []byte(new), 1)
+			}
+			reframed = wal.EncodeFrame(reframed, at, payload)
+			rest = next
+		}
+		if !bytes.Equal(reframed, data) {
+			if err := fs.WriteTrunc(name, reframed); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+	}
+	t.Fatalf("no frame at lsn %d holds %s", lsn, old)
+}
+
 // TestBrokenChainRefusesToOpen tampers with the on-disk bytes of a middle
 // record — the frame CRC is recomputed so the wal layer accepts it, leaving
 // detection entirely to the hash chain — and asserts OpenLog refuses.
@@ -61,34 +103,7 @@ func TestBrokenChainRefusesToOpen(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		l.Append("ana", "exec", fmt.Sprintf("obj-%d", i), "permit")
 	}
-	names, err := fs.List()
-	if err != nil || len(names) == 0 {
-		t.Fatalf("no segments: %v", err)
-	}
-	data, err := fs.ReadFile(names[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Re-frame the segment, rewriting record 2's payload with valid CRC.
-	var reframed []byte
-	rest := data
-	for len(rest) > 0 {
-		lsn, payload, next, err := wal.DecodeFrame(rest)
-		if err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		if lsn == 3 { // third frame = record seq 2
-			payload = bytes.Replace(payload, []byte(`"permit"`), []byte(`"deny"`), 1)
-		}
-		reframed = wal.EncodeFrame(reframed, lsn, payload)
-		rest = next
-	}
-	if bytes.Equal(reframed, data) {
-		t.Fatal("tamper was a no-op")
-	}
-	if err := fs.WriteTrunc(names[0], reframed); err != nil {
-		t.Fatal(err)
-	}
+	rewriteFrame(t, fs, 3, `"permit"`, `"deny"`) // third frame = record seq 2
 	w, err := wal.Open(wal.Options{FS: fs, Policy: wal.SyncAlways})
 	if err != nil {
 		t.Fatalf("wal.Open must accept CRC-valid frames: %v", err)
@@ -186,5 +201,225 @@ func TestOpenLogRefusesUnreadableSegment(t *testing.T) {
 		if l2, err := OpenLog(w2); err == nil {
 			t.Fatalf("%s unreadable: OpenLog returned a chain of %d of 20 records (Verify = %d)", seg, l2.Len(), l2.Verify())
 		}
+	}
+}
+
+// legacyHash is the chain hash every record had before versioning, copied
+// verbatim, so the tests below write v1 logs independently of hashV1.
+func legacyHash(r Record) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "%d|%s|%s|%s|%s|%s", r.Seq, r.Actor, r.Action, r.Object, r.Outcome, r.PrevHash)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// appendV1 writes a v1 record straight to w, as an older binary did.
+func appendV1(t *testing.T, w *wal.WAL, seq int, prev, object string) string {
+	t.Helper()
+	r := Record{Seq: seq, Actor: "ana", Action: "query", Object: object, Outcome: "permit", PrevHash: prev}
+	r.Hash = legacyHash(r)
+	payload, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(payload, []byte(`"V"`)) {
+		t.Fatalf("a v1 frame carries a version: %s", payload)
+	}
+	if _, err := w.Append(payload); err != nil {
+		t.Fatal(err)
+	}
+	return r.Hash
+}
+
+// TestV1LogContinuesAsV2: a -data directory written before versioning
+// opens, its chain continues with v2 records, and the mixed chain opens
+// again.
+func TestV1LogContinuesAsV2(t *testing.T) {
+	fs := faultinject.NewMemFS()
+	w, err := wal.Open(wal.Options{FS: fs, Policy: wal.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := ""
+	for i := 0; i < 5; i++ {
+		prev = appendV1(t, w, i, prev, fmt.Sprintf("SELECT a|b FROM t%d", i))
+	}
+	l := openAudit(t, fs)
+	if l.Len() != 5 || l.Verify() != -1 {
+		t.Fatalf("v1 log: len=%d verify=%d", l.Len(), l.Verify())
+	}
+	r, err := l.AppendChecked("res", "execute", "DELETE FROM t", "deny")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.V != 2 || r.Seq != 5 || r.PrevHash != prev {
+		t.Fatalf("continuation record %+v, want v2 seq 5 after %s", r, prev)
+	}
+	l2 := openAudit(t, fs)
+	recs := l2.Records()
+	if len(recs) != 6 || l2.Verify() != -1 || recs[4].V != 0 || recs[5] != r {
+		t.Fatalf("reopened mixed chain: %d records, verify=%d, %+v", len(recs), l2.Verify(), recs)
+	}
+}
+
+// TestDowngradeRefused: a v1 record after a v2 record breaks the chain even
+// when its v1 hash is right, so the ambiguous preimage cannot come back.
+func TestDowngradeRefused(t *testing.T) {
+	fs := faultinject.NewMemFS()
+	w, err := wal.Open(wal.Options{FS: fs, Policy: wal.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := OpenLog(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := l.AppendChecked("ana", "query", "SELECT age FROM patients", "permit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendV1(t, w, 1, r.Hash, "SELECT zip FROM patients")
+	if bad := l.Verify(); bad != 1 {
+		t.Fatalf("live Verify = %d, want 1", bad)
+	}
+	w2, err := wal.Open(wal.Options{FS: fs, Policy: wal.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenLog(w2); !errors.Is(err, ErrChainBroken) {
+		t.Fatalf("OpenLog over a downgraded chain: err = %v, want ErrChainBroken", err)
+	}
+}
+
+// TestDurableLogHeapFlat: a durable log keeps its records on disk only, so
+// appending does not grow the heap.
+func TestDurableLogHeapFlat(t *testing.T) {
+	w, err := wal.Open(wal.Options{FS: wal.DirFS(t.TempDir()), Policy: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	l, err := OpenLog(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sql := "SELECT name, zip FROM patients WHERE age > 70 ORDER BY zip LIMIT 25"
+	if _, err := l.AppendChecked("ana", "query", sql, "permit"); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	const n = 20000
+	for i := 0; i < n; i++ {
+		if _, err := l.AppendChecked("ana", "query", sql, "permit"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew >= 1<<20 {
+		t.Fatalf("%d appends grew the heap by %d bytes", n, grew)
+	}
+	if l.Len() != n+1 {
+		t.Fatalf("Len = %d, want %d", l.Len(), n+1)
+	}
+}
+
+// TestVerifyReadsDisk: a record rewritten at rest under a running process
+// is caught by the live Verify, not only by the next OpenLog.
+func TestVerifyReadsDisk(t *testing.T) {
+	fs := faultinject.NewMemFS()
+	l := openAudit(t, fs)
+	for i := 0; i < 5; i++ {
+		if _, err := l.AppendChecked("ana", "exec", fmt.Sprintf("obj-%d", i), "permit"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rewriteFrame(t, fs, 3, `"permit"`, `"deny"`) // record seq 2
+	if bad := l.Verify(); bad != 2 {
+		t.Fatalf("Verify after tampering at rest = %d, want 2", bad)
+	}
+}
+
+// TestVerifyRefusesUnreadableSegment: whichever segment turns unreadable,
+// Verify reports a record it could not verify and Records reads nothing;
+// neither passes off the readable records as the whole trail.
+func TestVerifyRefusesUnreadableSegment(t *testing.T) {
+	fs := faultinject.NewMemFS()
+	w, err := wal.Open(wal.Options{FS: fs, Policy: wal.SyncAlways, SegmentBytes: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := OpenLog(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if _, err := l.AppendChecked("ana", "query", fmt.Sprintf("obj-%d", i), "permit"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	segs, err := fs.List()
+	if err != nil || len(segs) < 3 {
+		t.Fatalf("want at least 3 segments, have %v (%v)", segs, err)
+	}
+	for _, seg := range segs {
+		fs.FailReads(seg)
+		if bad := l.Verify(); bad < 0 || bad >= 20 {
+			t.Errorf("%s unreadable: Verify = %d, want the first record it could not read", seg, bad)
+		}
+		if recs := l.Records(); recs != nil {
+			t.Errorf("%s unreadable: Records returned %d of 20 records", seg, len(recs))
+		}
+	}
+	fs.FailReads("")
+	if bad := l.Verify(); bad != -1 {
+		t.Fatalf("readable again: Verify = %d", bad)
+	}
+}
+
+// TestScanUnderConcurrentAppends: a reader streaming the durable trail
+// while auditors append sees a chain in which every record verifies
+// against its predecessor, and never fewer records than a scan before.
+func TestScanUnderConcurrentAppends(t *testing.T) {
+	l := openAudit(t, faultinject.NewMemFS())
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				if _, err := l.AppendChecked(fmt.Sprintf("w%d", g), "query", fmt.Sprintf("obj-%d", i), "permit"); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	seen := 0
+	for scanning := true; scanning; {
+		select {
+		case <-done:
+			scanning = false
+		default:
+		}
+		var c chain
+		if err := l.Scan(func(r Record) error {
+			if !c.extend(&r) {
+				return fmt.Errorf("record %d does not extend the chain of %d", r.Seq, c.n)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if c.n < seen {
+			t.Fatalf("scan read %d records after an earlier scan read %d", c.n, seen)
+		}
+		seen = c.n
+	}
+	if seen != 400 || l.Verify() != -1 {
+		t.Fatalf("final scan read %d of 400 records; Verify = %d", seen, l.Verify())
 	}
 }

@@ -5,6 +5,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -27,7 +28,9 @@ import (
 //  3. (reads) the inference controller (inference.Controller) — the
 //     released attribute set, combined with the requestor's history, must
 //     not let it derive anything the constraints protect;
-//  4. the audit log records the decision either way.
+//  4. the audit log records the decision either way. A decision whose
+//     record the log cannot take is not released: the entry fails with
+//     ErrAuditUnavailable instead.
 //
 // An aggregate is a read: F(col) releases col, COUNT(*) no attribute.
 type SecureWebDB struct {
@@ -75,6 +78,21 @@ func (w *SecureWebDB) Inference() *inference.Controller { return w.infer }
 // Audit exposes the audit log.
 func (w *SecureWebDB) Audit() *audit.Log { return w.log }
 
+// ErrAuditUnavailable is wrapped by Query and Execute when the audit log
+// did not take the decision's record: the pipeline fails closed, so no
+// answer leaves without its record. Execute's transaction has committed by
+// then.
+var ErrAuditUnavailable = errors.New("core: audit trail unavailable")
+
+// record appends the decision's audit record and returns result, the
+// decision's own error, or the audit failure that withholds it.
+func (w *SecureWebDB) record(s *policy.Subject, action, sql, outcome string, result error) error {
+	if _, err := w.log.AppendChecked(s.ID, action, sql, outcome); err != nil {
+		return fmt.Errorf("%w: %v", ErrAuditUnavailable, err)
+	}
+	return result
+}
+
 // QueryOutcome is the result of a gated query.
 type QueryOutcome struct {
 	Result *reldb.Result
@@ -107,15 +125,13 @@ func (w *SecureWebDB) access(s *policy.Subject, sql string, read bool) (reldb.St
 func (w *SecureWebDB) Query(s *policy.Subject, sql string) (*QueryOutcome, error) {
 	st, res, err := w.access(s, sql, true)
 	if err != nil {
-		w.log.Append(s.ID, "query", sql, "deny:access")
-		return nil, err
+		return nil, w.record(s, "query", sql, "deny:access", err)
 	}
 	masked := w.priv.FilterResult(s, res)
 	// A masked cell is NULLed after the fold, which is too late for the
 	// GROUP BY column: its rows would stand one per hidden value.
 	if by := st.(*reldb.SelectStmt).GroupBy; by != "" && slices.Contains(masked, by) {
-		w.log.Append(s.ID, "query", sql, "deny:privacy:"+by)
-		return nil, fmt.Errorf("core: query refused: grouping by %s, which privacy constraints withhold from %s, would release one row per hidden value", by, s.ID)
+		return nil, w.record(s, "query", sql, "deny:privacy:"+by, fmt.Errorf("core: query refused: grouping by %s, which privacy constraints withhold from %s, would release one row per hidden value", by, s.ID))
 	}
 	// Only attributes that actually flow to the subject count for inference.
 	var released []string
@@ -126,11 +142,13 @@ func (w *SecureWebDB) Query(s *policy.Subject, sql string) (*QueryOutcome, error
 	}
 	dec := w.infer.Check(s, released)
 	if !dec.Allowed {
-		w.log.Append(s.ID, "query", sql, "deny:inference:"+dec.Violation)
-		return nil, fmt.Errorf("core: query refused: releasing %v would let %s infer protected information (constraint %s)",
-			released, s.ID, dec.Violation)
+		return nil, w.record(s, "query", sql, "deny:inference:"+dec.Violation, fmt.Errorf(
+			"core: query refused: releasing %v would let %s infer protected information (constraint %s)",
+			released, s.ID, dec.Violation))
 	}
-	w.log.Append(s.ID, "query", sql, "permit")
+	if err := w.record(s, "query", sql, "permit", nil); err != nil {
+		return nil, err
+	}
 	return &QueryOutcome{Result: res, MaskedColumns: masked, Derived: dec.Derived}, nil
 }
 
@@ -139,9 +157,10 @@ func (w *SecureWebDB) Query(s *policy.Subject, sql string) (*QueryOutcome, error
 func (w *SecureWebDB) Execute(s *policy.Subject, sql string) (*reldb.Result, error) {
 	_, res, err := w.access(s, sql, false)
 	if err != nil {
-		w.log.Append(s.ID, "execute", sql, "deny")
+		return nil, w.record(s, "execute", sql, "deny", err)
+	}
+	if err := w.record(s, "execute", sql, "permit", nil); err != nil {
 		return nil, err
 	}
-	w.log.Append(s.ID, "execute", sql, "permit")
 	return res, nil
 }
