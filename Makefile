@@ -106,11 +106,14 @@ crashshort:
 # record a follower applies either leaves it untouched or stores only rows
 # its schema accepts, and an audit record payload decodes and verifies
 # without panicking while two v2 chain-hash preimages are equal only for
-# equal field tuples. The corpus accumulated under
+# equal field tuples, and a WAL segment's frames followed by any run of
+# zeros (the unwritten tail of an extended segment) scan back to exactly
+# those frames and end cleanly. The corpus accumulated under
 # testdata/ replays first, so past crashers stay fixed.
 fuzzshort:
 	$(GO) test -run '^$$' -fuzz FuzzTokenDecode -fuzztime 5s ./internal/authtoken/
 	$(GO) test -run '^$$' -fuzz FuzzWALDecode -fuzztime 5s ./internal/wal/
+	$(GO) test -run '^$$' -fuzz FuzzScanSegment -fuzztime 5s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz FuzzParseDocument -fuzztime 5s ./internal/xmldoc/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEnvelope -fuzztime 5s ./internal/wsa/
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 5s ./internal/reldb/

@@ -73,19 +73,19 @@ func rewriteFrame(t *testing.T, fs wal.FS, lsn uint64, old, new string) {
 			continue
 		}
 		var reframed []byte
-		for rest := data; len(rest) > 0; {
-			at, payload, next, err := wal.DecodeFrame(rest)
-			if err != nil {
-				t.Fatalf("decode %s: %v", name, err)
-			}
+		good := 0
+		if err := wal.ScanSegment(data, func(at uint64, payload []byte, end int) bool {
 			if at == lsn {
 				payload = bytes.Replace(payload, []byte(old), []byte(new), 1)
 			}
-			reframed = wal.EncodeFrame(reframed, at, payload)
-			rest = next
+			reframed, good = wal.EncodeFrame(reframed, at, payload), end
+			return true
+		}); err != nil {
+			t.Fatalf("decode %s: %v", name, err)
 		}
-		if !bytes.Equal(reframed, data) {
-			if err := fs.WriteTrunc(name, reframed); err != nil {
+		if !bytes.Equal(reframed, data[:good]) {
+			// Keep the segment's unwritten tail: only the frame changes.
+			if err := fs.WriteTrunc(name, append(reframed, data[good:]...)); err != nil {
 				t.Fatal(err)
 			}
 			return

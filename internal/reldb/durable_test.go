@@ -458,15 +458,13 @@ func TestCrashMatrixRecordBoundaries(t *testing.T) {
 	names, _ := fs0.List()
 	for _, name := range names {
 		data, _ := fs0.ReadFile(name)
-		rest := data
-		for len(rest) > 0 {
-			_, _, next, err := wal.DecodeFrame(rest)
-			if err != nil {
-				t.Fatalf("dry-run segment %s has bad frame: %v", name, err)
-			}
-			off += int64(len(rest) - len(next))
+		base := off
+		if err := wal.ScanSegment(data, func(_ uint64, _ []byte, end int) bool {
+			off = base + int64(end)
 			boundaries = append(boundaries, off)
-			rest = next
+			return true
+		}); err != nil {
+			t.Fatalf("dry-run segment %s has bad frame: %v", name, err)
 		}
 	}
 	// One frame per DDL statement and per committed transaction; the

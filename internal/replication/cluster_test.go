@@ -148,7 +148,14 @@ func (c *cluster) dialer(from string) func(addr string, timeout time.Duration) (
 		if err != nil {
 			return nil, err
 		}
+		// A partition that landed during the dial has already closed every
+		// registered connection of the pair; this one must not outlive it.
 		c.mu.Lock()
+		if c.blocked[from][to] || c.blocked[to][from] {
+			c.mu.Unlock()
+			conn.Close()
+			return nil, fmt.Errorf("partition: %s cannot reach %s", from, to)
+		}
 		c.conns = append(c.conns, pairConn{a: from, b: to, conn: conn})
 		c.mu.Unlock()
 		return conn, nil

@@ -9,13 +9,18 @@ package faultinject
 //
 // The durability model mirrors a POSIX file over a page cache:
 //
-//   - Write appends to the file's buffer; the bytes are *accepted* but not
+//   - Write puts bytes at the handle's offset; they are *accepted* but not
 //     yet durable.
-//   - Sync marks everything buffered so far durable (fsync returning).
-//   - A crash keeps all durable bytes. Accepted-but-unsynced bytes either
-//     survive (the kernel happened to flush them — AfterCrash(false)) or
-//     are lost (AfterCrash(true)). Both outcomes are legal on real
-//     hardware, so crash tests assert their invariants under both.
+//   - Truncate changes the file's size; growing it adds a hole that reads
+//     as zeros. The new size is not durable either.
+//   - Sync marks the file's bytes and size durable (fsync returning).
+//   - A crash keeps all durable bytes and the durable size.
+//     Accepted-but-unsynced changes either survive (the kernel happened to
+//     flush them — AfterCrash(false)) or are lost (AfterCrash(true)). Both
+//     outcomes are legal on real hardware, so crash tests assert their
+//     invariants under both: a file extended and killed before its first
+//     fsync is found full length, zeros past whatever was written, or
+//     empty.
 //
 // Two independent kill switches arm the crash: LimitWriteBytes kills the
 // process at an exact byte offset of the global write stream (the write
@@ -58,9 +63,14 @@ type MemFS struct {
 	unreadable string
 }
 
+// memFile is one file. data holds the bytes up to the highest offset ever
+// written; size is the apparent size, never below len(data), and the bytes
+// past data are a hole that reads as zeros. synced and syncedSize are what
+// the last Sync made durable of each.
 type memFile struct {
-	data   []byte
-	synced int
+	data               []byte
+	size               int
+	synced, syncedSize int
 }
 
 // NewMemFS returns an empty, unarmed filesystem.
@@ -133,22 +143,23 @@ func (m *MemFS) AfterCrash(dropUnsynced bool) *MemFS {
 	defer m.mu.Unlock()
 	out := NewMemFS()
 	for name, f := range m.files {
-		keep := len(f.data)
+		keep, size := len(f.data), f.size
 		if dropUnsynced {
-			keep = f.synced
+			keep, size = f.synced, f.syncedSize
 		}
 		out.files[name] = &memFile{
-			data:   append([]byte(nil), f.data[:keep]...),
-			synced: keep,
+			data: append([]byte(nil), f.data[:keep]...),
+			size: size, synced: keep, syncedSize: size,
 		}
 	}
 	return out
 }
 
-// memHandle is an open writable file.
+// memHandle is an open writable file; off is its write offset.
 type memHandle struct {
 	fs     *MemFS
 	f      *memFile
+	off    int
 	closed bool
 }
 
@@ -174,17 +185,52 @@ func (h *memHandle) Write(p []byte) (int, error) {
 	n := len(p)
 	if m.writeLimit >= 0 && int64(n) > m.writeLimit {
 		n = int(m.writeLimit)
-		h.f.data = append(h.f.data, p[:n]...)
+		h.writeAt(p[:n])
 		m.written += int64(n)
 		m.crashed = true
 		return n, ErrCrashed
 	}
-	h.f.data = append(h.f.data, p...)
+	h.writeAt(p)
 	m.written += int64(n)
 	if m.writeLimit >= 0 {
 		m.writeLimit -= int64(n)
 	}
 	return n, nil
+}
+
+// writeAt puts p at the handle's offset, over the hole if the file was
+// extended, and advances the offset. Caller holds the MemFS lock.
+func (h *memHandle) writeAt(p []byte) {
+	f := h.f
+	end := h.off + len(p)
+	if end > len(f.data) {
+		f.data = append(f.data, make([]byte, end-len(f.data))...)
+	}
+	copy(f.data[h.off:], p)
+	h.off = end
+	f.size = max(f.size, end)
+}
+
+// Truncate implements wal.File: growing the file adds a hole, shrinking it
+// drops the bytes past size. Neither moves the write offset, and neither
+// counts as written bytes — the LimitWriteBytes coordinates are writes only.
+// The log only ever grows a file; a shrink is taken as durable at once.
+func (h *memHandle) Truncate(size int64) error {
+	m := h.fs
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.crashed || h.closed {
+		return ErrCrashed
+	}
+	f := h.f
+	n := int(size)
+	if n < len(f.data) {
+		f.data = f.data[:n]
+		f.synced = min(f.synced, n)
+		f.syncedSize = min(f.syncedSize, n)
+	}
+	f.size = n
+	return nil
 }
 
 func (h *memHandle) Sync() error {
@@ -202,7 +248,7 @@ func (h *memHandle) Sync() error {
 	if m.syncLimit > 0 {
 		m.syncLimit--
 	}
-	h.f.synced = len(h.f.data)
+	h.f.synced, h.f.syncedSize = len(h.f.data), h.f.size
 	m.syncs++
 	return nil
 }
@@ -230,7 +276,9 @@ func (m *MemFS) ReadFile(name string) ([]byte, error) {
 	if name == m.unreadable {
 		return nil, fmt.Errorf("faultinject: %s: injected read failure", name)
 	}
-	return append([]byte(nil), f.data...), nil
+	out := make([]byte, f.size)
+	copy(out, f.data)
+	return out, nil
 }
 
 // WriteTrunc implements wal.FS: an atomic full-content replacement, fully
@@ -251,7 +299,8 @@ func (m *MemFS) WriteTrunc(name string, data []byte) error {
 		m.writeLimit -= int64(len(data))
 	}
 	m.written += int64(len(data))
-	m.files[name] = &memFile{data: append([]byte(nil), data...), synced: len(data)}
+	n := len(data)
+	m.files[name] = &memFile{data: append([]byte(nil), data...), size: n, synced: n, syncedSize: n}
 	return nil
 }
 

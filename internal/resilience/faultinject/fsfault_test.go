@@ -56,6 +56,45 @@ func TestSyncLimitCrashesWithoutDurability(t *testing.T) {
 	}
 }
 
+// TestTruncateExtendsWithHole models a segment extended at creation: the
+// extend adds zeros that are not writes, later writes land over them at the
+// handle's offset, and the size is durable only from the next Sync — before
+// it a crash finds the file empty or full length, after it full length with
+// only the synced bytes.
+func TestTruncateExtendsWithHole(t *testing.T) {
+	fs := NewMemFS()
+	f, _ := fs.Create("seg")
+	if err := f.Truncate(8); err != nil {
+		t.Fatal(err)
+	}
+	if fs.BytesWritten() != 0 {
+		t.Fatalf("extend counted %d written bytes", fs.BytesWritten())
+	}
+	if data, _ := fs.ReadFile("seg"); string(data) != "\x00\x00\x00\x00\x00\x00\x00\x00" {
+		t.Fatalf("extended file reads %q, want 8 zeros", data)
+	}
+	f.Write([]byte("ab"))
+	for drop, want := range map[bool]string{true: "", false: "ab\x00\x00\x00\x00\x00\x00"} {
+		if data, _ := fs.AfterCrash(drop).ReadFile("seg"); string(data) != want {
+			t.Fatalf("crash before the first sync, drop=%v: %q, want %q", drop, data, want)
+		}
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	f.Write([]byte("cd"))
+	for drop, want := range map[bool]string{true: "ab\x00\x00\x00\x00\x00\x00", false: "abcd\x00\x00\x00\x00"} {
+		if data, _ := fs.AfterCrash(drop).ReadFile("seg"); string(data) != want {
+			t.Fatalf("crash after a sync, drop=%v: %q, want %q", drop, data, want)
+		}
+	}
+	// A write past the extended size grows the file.
+	f.Write([]byte("efghijk"))
+	if data, _ := fs.ReadFile("seg"); string(data) != "abcdefghijk" {
+		t.Fatalf("write past the end: %q", data)
+	}
+}
+
 func TestOperationsAfterCrashFail(t *testing.T) {
 	fs := NewMemFS()
 	f, _ := fs.Create("seg")

@@ -43,6 +43,9 @@ type Cursor struct {
 	// invalidated, so a re-grown or rewritten file is always re-read before
 	// the next decode.
 	data []byte
+	// seen is the durable watermark when data was read: frames up to it
+	// were complete in data, frames above it may have been unwritten.
+	seen uint64
 	// rewinds is the WAL rewind generation the cached position belongs to;
 	// a TruncateTo/InstallSnapshot since invalidates it.
 	rewinds uint64
@@ -104,10 +107,10 @@ func (c *Cursor) Next() (rec Record, ok bool, err error) {
 		return Record{}, false, fmt.Errorf("%w: cursor at %d, snapshot covers %d", ErrCompacted, c.next-1, snap)
 	}
 	for c.segIdx < len(c.segs) {
-		if c.off >= len(c.data) {
-			// Cache empty or consumed: (re-)read the segment. This is the
-			// only FS read on the streaming path — while cached bytes last,
-			// decoding is O(1) per record.
+		if c.data == nil {
+			// Cache empty: (re-)read the segment. This is the only FS read
+			// on the streaming path — while cached bytes last, decoding is
+			// O(1) per record.
 			data, err := w.fs.ReadFile(c.segs[c.segIdx])
 			if err != nil {
 				// The segment vanished (checkpoint or truncation won the
@@ -120,37 +123,38 @@ func (c *Cursor) Next() (rec Record, ok bool, err error) {
 				// rejoin); rescan it.
 				c.off = 0
 			}
-			c.data = data
+			c.data, c.seen = data, durable
 		}
-		data := c.data
-		rest := data[c.off:]
-		for len(rest) > 0 {
-			lsn, payload, next, err := DecodeFrame(rest)
-			if err == ErrTorn {
-				// A frame still being written when the cache was read.
-				// Durable frames are complete on disk, so the target record
-				// is further along — drop the cache and wait for the writer.
-				c.data = nil
-				return Record{}, false, nil
-			}
-			if err != nil {
-				return Record{}, false, fmt.Errorf("wal: cursor read %s: %w", c.segs[c.segIdx], err)
-			}
-			c.off = len(data) - len(next)
-			rest = next
+		var rec Record // LSN 0 until a frame at or past c.next turns up
+		base := c.off
+		err := ScanSegment(c.data[base:], func(lsn uint64, payload []byte, end int) bool {
+			c.off = base + end
 			if lsn < c.next {
-				continue
+				return true
 			}
-			if lsn != c.next {
-				return Record{}, false, fmt.Errorf("wal: cursor expected LSN %d, found %d in %s", c.next, lsn, c.segs[c.segIdx])
+			rec = Record{LSN: lsn, Payload: payload}
+			return false
+		})
+		if rec.LSN != 0 {
+			if rec.LSN != c.next {
+				return Record{}, false, fmt.Errorf("wal: cursor expected LSN %d, found %d in %s", c.next, rec.LSN, c.segs[c.segIdx])
 			}
-			c.next = lsn + 1
-			return Record{LSN: lsn, Payload: append([]byte(nil), payload...)}, true, nil
+			c.next++
+			return Record{LSN: rec.LSN, Payload: append([]byte(nil), rec.Payload...)}, true, nil
 		}
-		// Segment exhausted. Move on only if a later segment exists — the
-		// record must then live there; otherwise the record is still being
-		// appended to this (active) segment: drop the cache so the next call
-		// re-reads the grown file.
+		if c.next > c.seen {
+			// The cache was read before the record was durable: the frame
+			// may have been unwritten then — cut short, or still the zeros
+			// of the segment's tail, which also reads as a bad checksum or
+			// a clean end. It is durable now, so read the segment again.
+			c.data = nil
+			continue
+		}
+		if err != nil {
+			return Record{}, false, fmt.Errorf("wal: cursor read %s: %w", c.segs[c.segIdx], err)
+		}
+		// Clean end of a segment read after the record was durable: the
+		// record lives in a later segment.
 		if c.segIdx+1 >= len(c.segs) {
 			c.data = nil
 			return Record{}, false, nil

@@ -53,9 +53,9 @@ func EncodeFrame(dst []byte, lsn uint64, payload []byte) []byte {
 }
 
 // DecodeFrame reads the frame at the start of b. It returns the frame's
-// LSN and payload (aliasing b) and the remaining bytes. An empty b returns
-// ErrTorn with a zero-length tail — callers distinguish "clean end" by
-// checking len(b) == 0 first.
+// LSN and payload (aliasing b) and the remaining bytes. It knows nothing of
+// where a segment ends — an empty b returns ErrTorn, an all-zero header
+// ErrCorrupt — so segments are read through ScanSegment, which does.
 func DecodeFrame(b []byte) (lsn uint64, payload, rest []byte, err error) {
 	if len(b) < frameHeaderSize {
 		return 0, nil, nil, ErrTorn
@@ -75,6 +75,43 @@ func DecodeFrame(b []byte) (lsn uint64, payload, rest []byte, err error) {
 		return 0, nil, nil, ErrCorrupt
 	}
 	return lsn, b[frameHeaderSize:end], b[end:], nil
+}
+
+// ScanSegment is the one reader of a segment's bytes: it decodes the frames
+// of data in order and calls fn with each good frame's LSN, its payload
+// (aliasing data) and the offset just past it; fn returns false to stop
+// there. It returns nil when fn stopped it or at the segment's clean end:
+// the end of data, or an all-zero header — the unwritten tail of a segment
+// the log extended to its full length when it created it. No frame has a
+// zero header, because LSNs start at 1. A torn or corrupt frame returns
+// ErrTorn or ErrCorrupt; the good prefix ends at the last offset fn saw (0
+// if none).
+func ScanSegment(data []byte, fn func(lsn uint64, payload []byte, end int) bool) error {
+	for off := 0; off < len(data) && !zeroHeader(data[off:]); {
+		lsn, payload, next, err := DecodeFrame(data[off:])
+		if err != nil {
+			return err
+		}
+		off = len(data) - len(next)
+		if !fn(lsn, payload, off) {
+			return nil
+		}
+	}
+	return nil
+}
+
+// zeroHeader reports whether the frame header at the start of b, or as much
+// of it as b holds, is all zero.
+func zeroHeader(b []byte) bool {
+	if len(b) > frameHeaderSize {
+		b = b[:frameHeaderSize]
+	}
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // frameSize returns the on-disk size of a frame with an n-byte payload.

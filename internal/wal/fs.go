@@ -7,13 +7,18 @@ import (
 )
 
 // File is the writable handle the log needs from its storage: sequential
-// writes, an explicit durability barrier, and close. It is deliberately
-// smaller than *os.File so a fault-injecting implementation (see
-// internal/resilience/faultinject) can stand in for the disk and kill the
-// process at any byte.
+// writes, a size change, an explicit durability barrier, and close. It is
+// deliberately smaller than *os.File so a fault-injecting implementation
+// (see internal/resilience/faultinject) can stand in for the disk and kill
+// the process at any byte.
 type File interface {
+	// Write writes p at the handle's offset, which starts at 0 and
+	// advances by what was written — a size change never moves it.
 	Write(p []byte) (int, error)
-	// Sync makes everything written so far durable (fsync).
+	// Truncate sets the file's size (ftruncate): growing it appends zeros
+	// without writing them, so a segment extended at creation is sparse.
+	Truncate(size int64) error
+	// Sync makes everything written so far, and the size, durable (fsync).
 	Sync() error
 	Close() error
 }
@@ -24,7 +29,8 @@ type File interface {
 // a mixture. That is the only atomicity the log's checkpoint protocol
 // relies on.
 type FS interface {
-	// Create opens name for writing, truncating any existing content.
+	// Create opens name for writing at offset 0, truncating any existing
+	// content.
 	Create(name string) (File, error)
 	// ReadFile returns the full content of name.
 	ReadFile(name string) ([]byte, error)

@@ -20,6 +20,16 @@
 // the tail of the log for throughput but never atomicity — recovery still
 // yields an exact prefix of the append history.
 //
+// Segment layout. A new segment is extended to Options.SegmentBytes before
+// its first write (a sparse file: nothing is written), so no commit's fsync
+// has a new file size to commit — only data. The unwritten rest reads as
+// zeros, and every reader (ScanSegment) takes the first all-zero frame
+// header as the segment's clean end: no frame has one, because LSNs start
+// at 1. A clean end is not a torn tail — nothing is truncated and no later
+// segment dropped — so sealed segments keep their zero tails for good. A
+// segment that ends cleanly before its first frame (created, then a crash
+// before anything reached it: empty or all zeros) is removed on open.
+//
 // Group commit. Appenders do not write to the file themselves: they
 // enqueue an encoded frame into a commit queue and wait for a verdict. The
 // first waiter becomes the batch leader, claims the file, coalesces every
@@ -95,8 +105,9 @@ type Options struct {
 	// (default 100ms).
 	Interval time.Duration
 	// SegmentBytes rotates the active segment when it would exceed this
-	// size (default 4 MiB). A single frame or batch larger than the limit
-	// still goes out whole in its own segment.
+	// size (default 4 MiB); every segment is created at this length. A
+	// single frame or batch larger than the limit still goes out whole in
+	// its own segment, which grows past it.
 	SegmentBytes int
 	// MaxBatchBytes caps how many queued frame bytes one group-commit
 	// batch coalesces into a single write + fsync (default 1 MiB). A
@@ -120,7 +131,8 @@ type Stats struct {
 	Fsyncs       uint64
 	Rotations    uint64
 	Checkpoints  uint64
-	// TornTails counts segments truncated at a bad frame during Open.
+	// TornTails counts segments truncated at a bad frame during Open; a
+	// segment's zero tail is its clean end and is not counted.
 	TornTails uint64
 	// Segments is the number of live segment files.
 	Segments int
@@ -397,28 +409,24 @@ func (w *WAL) recover() error {
 		if err != nil {
 			return fmt.Errorf("wal: read segment %s: %w", name, err)
 		}
-		good := 0
-		rest := data
-		for len(rest) > 0 {
-			lsn, _, next, err := DecodeFrame(rest)
-			if err != nil {
-				truncated = true
-				w.stats.TornTails++
-				break
+		good, last := 0, w.lastLSN
+		if err := ScanSegment(data, func(lsn uint64, _ []byte, end int) bool {
+			good, last = end, max(last, lsn)
+			return true
+		}); err != nil {
+			truncated = true
+			w.stats.TornTails++
+		}
+		w.lastLSN = last
+		if good == 0 {
+			// No good frame: torn at its first, or ended cleanly before it —
+			// created and extended, never written.
+			if err := w.fs.Remove(name); err != nil {
+				return fmt.Errorf("wal: drop empty segment %s: %w", name, err)
 			}
-			good = len(data) - len(next)
-			rest = next
-			if lsn > w.lastLSN {
-				w.lastLSN = lsn
-			}
+			continue
 		}
 		if truncated {
-			if good == 0 {
-				if err := w.fs.Remove(name); err != nil {
-					return fmt.Errorf("wal: drop torn segment %s: %w", name, err)
-				}
-				continue
-			}
 			if err := w.fs.WriteTrunc(name, data[:good]); err != nil {
 				return fmt.Errorf("wal: truncate torn segment %s: %w", name, err)
 			}
@@ -697,6 +705,14 @@ func (w *WAL) writeBatch(buf []byte, sync bool, d *ioDelta) error {
 			if err != nil {
 				return fmt.Errorf("wal: create segment %s: %w", name, err)
 			}
+			// Extend the segment to its full length before the first write,
+			// so no later fsync has a new file size to commit — only data.
+			// The zeros are a hole, not written; ScanSegment reads the first
+			// all-zero header as the segment's end.
+			if err := f.Truncate(int64(w.opts.SegmentBytes)); err != nil {
+				f.Close()
+				return fmt.Errorf("wal: extend segment %s: %w", name, err)
+			}
 			w.active, w.activeSize, d.newSeg = f, 0, name
 		}
 		if _, err := w.active.Write(buf); err != nil {
@@ -894,12 +910,12 @@ func (w *WAL) checkpointIO(snapshot []byte, upTo uint64, sealed []string) (writt
 		if err != nil {
 			return written, removed, fmt.Errorf("wal: checkpoint read segment %s: %w", name, err)
 		}
-		for rest := data; len(rest) > 0; {
-			lsn, _, next, derr := DecodeFrame(rest)
-			if derr != nil || lsn > upTo {
-				return written, removed, nil
-			}
-			rest = next
+		above := false
+		if err := ScanSegment(data, func(lsn uint64, _ []byte, _ int) bool {
+			above = lsn > upTo
+			return !above
+		}); err != nil || above {
+			return written, removed, nil
 		}
 		if err := w.fs.Remove(name); err != nil {
 			return written, removed, fmt.Errorf("wal: checkpoint drop segment %s: %w", name, err)
@@ -1032,15 +1048,15 @@ func (w *WAL) truncateIO(lsn uint64, segs []string) ([]string, error) {
 			return nil, fmt.Errorf("wal: truncate read %s: %w", name, err)
 		}
 		good := 0
-		rest := data
-		for len(rest) > 0 {
-			frameLSN, _, next, err := DecodeFrame(rest)
-			if err != nil || frameLSN > lsn {
+		if err := ScanSegment(data, func(frameLSN uint64, _ []byte, end int) bool {
+			if frameLSN > lsn {
 				cut = true
-				break
+				return false
 			}
-			good = len(data) - len(next)
-			rest = next
+			good = end
+			return true
+		}); err != nil {
+			cut = true
 		}
 		switch {
 		case !cut:
