@@ -44,8 +44,19 @@ build:
 test:
 	$(GO) test ./...
 
+# testlog runs go test with the arguments $(2), keeping its full output in
+# .testlogs/$(1).log (git-ignored), and prints the package results. When the
+# run fails it also prints each failing test's name and the last lines of
+# its output (scripts/failsummary.awk), so a flaky test names itself, and
+# exits with go test's status.
+testlog = mkdir -p .testlogs; \
+	$(GO) test $(2) > .testlogs/$(1).log 2>&1; status=$$?; \
+	grep -E '^(ok|FAIL)' .testlogs/$(1).log; \
+	if [ $$status -ne 0 ]; then awk -f scripts/failsummary.awk .testlogs/$(1).log; fi; \
+	exit $$status
+
 race:
-	$(GO) test -race ./...
+	@$(call testlog,race,-race ./...)
 
 # bench compiles and runs every benchmark exactly once (-run '^$$' skips
 # the unit tests, which race/test already cover). For real numbers, raise
@@ -82,8 +93,8 @@ benchsmoke:
 # mid-shared-fsync) and asserts the recovery invariants, under the race
 # detector.
 crashmatrix:
-	$(GO) test -race -run 'Crash|KillLeader' -v ./internal/wal/ ./internal/reldb/ \
-		./internal/audit/ ./internal/resilience/... ./internal/replication/
+	@$(call testlog,crashmatrix,-race -run 'Crash|KillLeader' -v ./internal/wal/ ./internal/reldb/ \
+		./internal/audit/ ./internal/resilience/... ./internal/replication/)
 
 # crashshort is the bounded crash matrix wired into check: the same tests
 # with -short, which widens the byte strides so tier-1 stays fast.
@@ -107,8 +118,9 @@ crashshort:
 # its schema accepts, and an audit record payload decodes and verifies
 # without panicking while two v2 chain-hash preimages are equal only for
 # equal field tuples, and a WAL segment's frames followed by any run of
-# zeros (the unwritten tail of an extended segment) scan back to exactly
-# those frames and end cleanly. The corpus accumulated under
+# zeros (the unwritten tail of an extended segment) open, under any
+# SegmentBytes and so any scan chunk size, to exactly those frames and end
+# cleanly. The corpus accumulated under
 # testdata/ replays first, so past crashers stay fixed.
 fuzzshort:
 	$(GO) test -run '^$$' -fuzz FuzzTokenDecode -fuzztime 5s ./internal/authtoken/

@@ -14,6 +14,8 @@ package faultinject
 //   - Truncate changes the file's size; growing it adds a hole that reads
 //     as zeros. The new size is not durable either.
 //   - Sync marks the file's bytes and size durable (fsync returning).
+//   - Create, WriteTrunc, Rename and Remove are durable on return, as
+//     wal.FS requires: a crash never undoes a directory change.
 //   - A crash keeps all durable bytes and the durable size.
 //     Accepted-but-unsynced changes either survive (the kernel happened to
 //     flush them — AfterCrash(false)) or are lost (AfterCrash(true)). Both
@@ -33,6 +35,7 @@ package faultinject
 import (
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"sync"
 
@@ -59,7 +62,7 @@ type MemFS struct {
 	written int64
 	syncs   int64
 
-	// unreadable names the file whose ReadFile fails (FailReads).
+	// unreadable names the file whose reads fail (FailReads).
 	unreadable string
 }
 
@@ -95,8 +98,8 @@ func (m *MemFS) LimitSyncs(n int64) {
 	m.syncLimit = n
 }
 
-// FailReads makes every later ReadFile of name fail: a file that turns
-// unreadable under a running process, as opposed to one a crash tore.
+// FailReads makes every later ReadAt and ReadFile of name fail: a file that
+// turns unreadable under a running process, as opposed to one a crash tore.
 func (m *MemFS) FailReads(name string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -264,17 +267,48 @@ func (h *memHandle) Close() error {
 	return nil
 }
 
-// ReadFile implements wal.FS. Reads are allowed even after a crash so
-// tests can inspect the corpse, but recovery should go through AfterCrash.
-func (m *MemFS) ReadFile(name string) ([]byte, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+// readable returns the file to read. Reads are allowed even after a crash
+// so tests can inspect the corpse, but recovery should go through
+// AfterCrash. Caller holds the MemFS lock.
+func (m *MemFS) readable(name string) (*memFile, error) {
 	f, ok := m.files[name]
 	if !ok {
 		return nil, fmt.Errorf("faultinject: %s: file does not exist", name)
 	}
 	if name == m.unreadable {
 		return nil, fmt.Errorf("faultinject: %s: injected read failure", name)
+	}
+	return f, nil
+}
+
+// ReadAt implements wal.FS: it copies from the written extent and zero-fills
+// only the part of the hole inside the requested range.
+func (m *MemFS) ReadAt(name string, p []byte, off int64) (int, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	f, err := m.readable(name)
+	if err != nil {
+		return 0, err
+	}
+	if off >= int64(f.size) {
+		return 0, io.EOF
+	}
+	n := min(len(p), f.size-int(off))
+	written := copy(p[:n], f.data[min(int(off), len(f.data)):])
+	clear(p[written:n]) // the hole reads as zeros
+	if n < len(p) {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
+// ReadFile implements wal.FS.
+func (m *MemFS) ReadFile(name string) ([]byte, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	f, err := m.readable(name)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]byte, f.size)
 	copy(out, f.data)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"io"
 	"sync"
 )
 
@@ -55,7 +56,7 @@ func EncodeFrame(dst []byte, lsn uint64, payload []byte) []byte {
 // DecodeFrame reads the frame at the start of b. It returns the frame's
 // LSN and payload (aliasing b) and the remaining bytes. It knows nothing of
 // where a segment ends — an empty b returns ErrTorn, an all-zero header
-// ErrCorrupt — so segments are read through ScanSegment, which does.
+// ErrCorrupt — so Open finds a segment's end with segScanner.
 func DecodeFrame(b []byte) (lsn uint64, payload, rest []byte, err error) {
 	if len(b) < frameHeaderSize {
 		return 0, nil, nil, ErrTorn
@@ -77,35 +78,59 @@ func DecodeFrame(b []byte) (lsn uint64, payload, rest []byte, err error) {
 	return lsn, b[frameHeaderSize:end], b[end:], nil
 }
 
-// ScanSegment is the one reader of a segment's bytes: it decodes the frames
-// of data in order and calls fn with each good frame's LSN, its payload
-// (aliasing data) and the offset just past it; fn returns false to stop
-// there. It returns nil when fn stopped it or at the segment's clean end:
-// the end of data, or an all-zero header — the unwritten tail of a segment
-// the log extended to its full length when it created it. No frame has a
-// zero header, because LSNs start at 1. A torn or corrupt frame returns
-// ErrTorn or ErrCorrupt; the good prefix ends at the last offset fn saw (0
-// if none).
-func ScanSegment(data []byte, fn func(lsn uint64, payload []byte, end int) bool) error {
-	for off := 0; off < len(data) && !zeroHeader(data[off:]); {
-		lsn, payload, next, err := DecodeFrame(data[off:])
-		if err != nil {
-			return err
-		}
-		off = len(data) - len(next)
-		if !fn(lsn, payload, off) {
-			return nil
-		}
-	}
-	return nil
+// maxScanChunk caps the bytes segScanner reads at a time.
+const maxScanChunk = 64 << 10
+
+// segScanner finds out what a segment holds, for Open: every other reader
+// reads only the frames the segment index lists. It reads a chunk at a
+// time, into one buffer reused across the segments of an Open.
+type segScanner struct {
+	fs  FS
+	buf []byte
 }
 
-// zeroHeader reports whether the frame header at the start of b, or as much
-// of it as b holds, is all zero.
-func zeroHeader(b []byte) bool {
-	if len(b) > frameHeaderSize {
-		b = b[:frameHeaderSize]
+// scan decodes name's frames from byte 0 and returns its index entry. It
+// stops at the segment's clean end — an all-zero frame header (the
+// unwritten tail of an extended segment: no frame has one, because LSNs
+// start at 1), or a zero remainder at the file's end — or at a frame that
+// does not decode, reporting torn. A shorter zero remainder inside the
+// file is no end: a chunk can stop after a real header's leading zero
+// bytes. So it reads the frames plus at most one chunk.
+func (sc *segScanner) scan(name string) (s segment, torn bool, err error) {
+	s.name = name
+	var have []byte // the file's bytes from s.end on, as far as read
+	eof := false
+	for {
+		if len(have) >= frameHeaderSize && allZero(have[:frameHeaderSize]) || eof && allZero(have) {
+			return s, false, nil
+		}
+		lsn, _, rest, err := DecodeFrame(have)
+		if err == nil {
+			if s.end == 0 {
+				s.first = lsn
+			}
+			s.last, s.end, have = lsn, s.end+len(have)-len(rest), rest
+			continue
+		}
+		if err != ErrTorn || eof {
+			return s, true, nil
+		}
+		// Read on behind what is left, doubling the buffer when one frame
+		// fills it: the file's end bounds the growth.
+		kept := copy(sc.buf, have)
+		if kept == len(sc.buf) {
+			sc.buf = append(sc.buf, make([]byte, len(sc.buf))...)
+		}
+		n, err := sc.fs.ReadAt(name, sc.buf[kept:], int64(s.end+kept))
+		if err != nil && err != io.EOF {
+			return s, false, err
+		}
+		eof, have = err == io.EOF, sc.buf[:kept+n]
 	}
+}
+
+// allZero reports whether every byte of b is zero.
+func allZero(b []byte) bool {
 	for _, c := range b {
 		if c != 0 {
 			return false

@@ -27,12 +27,20 @@ type File interface {
 // flat (no separators); Rename must be atomic with respect to crashes —
 // after a crash the target holds either its old or its new content, never
 // a mixture. That is the only atomicity the log's checkpoint protocol
-// relies on.
+// relies on. Create, WriteTrunc, Rename and Remove are durable when they
+// return: the directory entry they add, replace or drop survives a crash
+// (a file's own fsync does not make its entry durable, so the production
+// FS fsyncs the directory after each).
 type FS interface {
 	// Create opens name for writing at offset 0, truncating any existing
 	// content.
 	Create(name string) (File, error)
-	// ReadFile returns the full content of name.
+	// ReadAt reads len(p) bytes of name from offset off, with
+	// io.ReaderAt's contract: fewer bytes only with an error, io.EOF at
+	// the file's end. Segments are read only through it.
+	ReadAt(name string, p []byte, off int64) (int, error)
+	// ReadFile returns the full content of name: the small whole files
+	// only (the checkpoint snapshot, replication's vote state).
 	ReadFile(name string) ([]byte, error)
 	// WriteTrunc atomically-enough replaces name's content with data:
 	// implementations write a temporary file, sync it, and rename it over
@@ -53,11 +61,42 @@ func DirFS(dir string) FS { return &dirFS{dir: dir} }
 
 func (d *dirFS) path(name string) string { return filepath.Join(d.dir, name) }
 
+// syncDir fsyncs the directory after a change to it that returned err,
+// making the entry it created, renamed or removed durable.
+func (d *dirFS) syncDir(err error) error {
+	if err != nil {
+		return err
+	}
+	f, err := os.Open(d.dir)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	return f.Sync()
+}
+
 func (d *dirFS) Create(name string) (File, error) {
 	if err := os.MkdirAll(d.dir, 0o755); err != nil {
 		return nil, err
 	}
-	return os.Create(d.path(name))
+	f, err := os.Create(d.path(name))
+	if err != nil {
+		return nil, err
+	}
+	if err := d.syncDir(nil); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return f, nil
+}
+
+func (d *dirFS) ReadAt(name string, p []byte, off int64) (int, error) {
+	f, err := os.Open(d.path(name))
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	return f.ReadAt(p, off)
 }
 
 func (d *dirFS) ReadFile(name string) ([]byte, error) {
@@ -84,14 +123,14 @@ func (d *dirFS) WriteTrunc(name string, data []byte) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp, d.path(name))
+	return d.Rename(name+".trunc", name)
 }
 
 func (d *dirFS) Rename(oldname, newname string) error {
-	return os.Rename(d.path(oldname), d.path(newname))
+	return d.syncDir(os.Rename(d.path(oldname), d.path(newname)))
 }
 
-func (d *dirFS) Remove(name string) error { return os.Remove(d.path(name)) }
+func (d *dirFS) Remove(name string) error { return d.syncDir(os.Remove(d.path(name))) }
 
 func (d *dirFS) List() ([]string, error) {
 	ents, err := os.ReadDir(d.dir)

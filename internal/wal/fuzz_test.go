@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"webdbsec/internal/resilience/faultinject"
 	"webdbsec/internal/wal"
 )
 
@@ -44,55 +45,64 @@ func FuzzWALDecode(f *testing.F) {
 	})
 }
 
-// FuzzScanSegment checks the segment scanner against the extended layout.
-// Frames followed by any run of zeros — the unwritten tail of a segment
-// extended when it was created — scan back to exactly those frames' records
-// and end cleanly at the first zero. Any bytes at all, followed by zeros,
-// scan without panicking, and every frame the scan yields re-encodes to
-// exactly the bytes it consumed.
+// FuzzScanSegment checks Open's chunked segment scan against the extended
+// layout. Frames followed by any run of zeros — the unwritten tail of a
+// segment extended when it was created — open, under any SegmentBytes and so
+// any chunk size, to exactly those frames' records and end cleanly: no torn
+// tail, nothing rewritten. A chunk may end inside a frame header whose first
+// bytes are zero (a payload length that is a multiple of 256), which must
+// not pass for the clean end. Any bytes at all, followed by zeros, open
+// without an error.
 func FuzzScanSegment(f *testing.F) {
-	f.Add([]byte("hello"), uint16(0))
-	f.Add([]byte("a\xffb\xff\xffc"), uint16(16))
-	f.Add([]byte{}, uint16(4096))
-	f.Add(make([]byte, 40), uint16(7))
-	f.Add(wal.EncodeFrame(nil, 3, []byte("frame-shaped")), uint16(15))
+	f.Add([]byte("hello"), uint16(0), uint16(4095))
+	f.Add([]byte("a\xffb\xff\xffc"), uint16(16), uint16(40))
+	f.Add([]byte{}, uint16(4096), uint16(1))
+	f.Add(make([]byte, 40), uint16(7), uint16(17))
+	f.Add(wal.EncodeFrame(nil, 3, []byte("frame-shaped")), uint16(15), uint16(64))
+	f.Add(append(append(bytes.Repeat([]byte("a"), 256), 0xff), bytes.Repeat([]byte("b"), 512)...), uint16(40), uint16(272))
 
-	f.Fuzz(func(t *testing.T, data []byte, zeros uint16) {
+	const name = "wal-00000001.log"
+	f.Fuzz(func(t *testing.T, data []byte, zeros, segBytes uint16) {
+		opts := wal.Options{SegmentBytes: 1 + int(segBytes)}
 		payloads := bytes.Split(data, []byte{0xff})
 		var seg []byte
 		for i, p := range payloads {
 			seg = wal.EncodeFrame(seg, uint64(i+1), p)
 		}
-		written := len(seg)
-		seg = append(seg, make([]byte, zeros)...)
-		var got [][]byte
-		last := 0
-		if err := wal.ScanSegment(seg, func(lsn uint64, p []byte, end int) bool {
-			if lsn != uint64(len(got)+1) {
-				t.Fatalf("frame %d carries LSN %d", len(got)+1, lsn)
+		fs := faultinject.NewMemFS()
+		if err := fs.WriteTrunc(name, append(seg, make([]byte, zeros)...)); err != nil {
+			t.Fatal(err)
+		}
+		written := fs.BytesWritten()
+		opts.FS = fs
+		w, err := wal.Open(opts)
+		if err != nil {
+			t.Fatalf("%d frames then %d zeros: Open: %v", len(payloads), zeros, err)
+		}
+		if st := w.Stats(); st.TornTails != 0 || st.LastLSN != uint64(len(payloads)) || fs.BytesWritten() != written {
+			t.Fatalf("%d frames then %d zeros, SegmentBytes %d: TornTails %d, LastLSN %d, %d bytes rewritten",
+				len(payloads), zeros, opts.SegmentBytes, st.TornTails, st.LastLSN, fs.BytesWritten()-written)
+		}
+		got := replayAll(t, w)
+		if len(got) != len(payloads) {
+			t.Fatalf("replayed %d records, wrote %d frames", len(got), len(payloads))
+		}
+		for i, r := range got {
+			if r.LSN != uint64(i+1) || !bytes.Equal(r.Payload, payloads[i]) {
+				t.Fatalf("record %d = (%d, %x), wrote %x", i+1, r.LSN, r.Payload, payloads[i])
 			}
-			got, last = append(got, p), end
-			return true
-		}); err != nil {
-			t.Fatalf("%d frames then %d zeros: %v", len(payloads), zeros, err)
 		}
-		if len(got) != len(payloads) || last != written {
-			t.Fatalf("scan yielded %d frames ending at %d, wrote %d frames over %d bytes", len(got), last, len(payloads), written)
-		}
-		for i := range got {
-			if !bytes.Equal(got[i], payloads[i]) {
-				t.Fatalf("frame %d payload %x, wrote %x", i+1, got[i], payloads[i])
-			}
-		}
+		w.Close()
 
-		raw := append(append([]byte(nil), data...), make([]byte, zeros)...)
-		prev := 0
-		_ = wal.ScanSegment(raw, func(lsn uint64, p []byte, end int) bool {
-			if re := wal.EncodeFrame(nil, lsn, p); !bytes.Equal(re, raw[prev:end]) {
-				t.Fatalf("accepted frame does not round-trip:\nconsumed %x\nreencode %x", raw[prev:end], re)
-			}
-			prev = end
-			return true
-		})
+		raw := faultinject.NewMemFS()
+		if err := raw.WriteTrunc(name, append(append([]byte(nil), data...), make([]byte, zeros)...)); err != nil {
+			t.Fatal(err)
+		}
+		opts.FS = raw
+		w, err = wal.Open(opts)
+		if err != nil {
+			t.Fatalf("Open over arbitrary bytes: %v", err)
+		}
+		w.Close()
 	})
 }

@@ -15,7 +15,7 @@ import (
 
 // Segments start at their full length: the log extends each new segment to
 // Options.SegmentBytes before its first write, so a commit's fsync never
-// changes the file size, and every reader takes the first all-zero frame
+// changes the file size, and Open's scan takes the first all-zero frame
 // header as the segment's clean end. These tests run on real files.
 
 // dirSegments lists the segment files in dir with their sizes.
@@ -401,7 +401,7 @@ func TestCrashZeroTail(t *testing.T) {
 	if n := workload(dry); n != first+second {
 		t.Fatalf("dry run acknowledged %d appends", n)
 	}
-	var starts, frameEnds []int64
+	var starts, ends []int64
 	var off int64
 	for _, name := range segmentNames(t, dry) {
 		data, err := dry.ReadFile(name)
@@ -410,18 +410,15 @@ func TestCrashZeroTail(t *testing.T) {
 		}
 		base := off
 		starts = append(starts, off)
-		if err := wal.ScanSegment(data, func(_ uint64, _ []byte, end int) bool {
-			frameEnds = append(frameEnds, base+int64(end))
+		for _, end := range frameEnds(t, data) {
 			off = base + int64(end)
-			return true
-		}); err != nil {
-			t.Fatal(err)
+			ends = append(ends, off)
 		}
 	}
-	if len(frameEnds) != first+second || off != dry.BytesWritten() {
-		t.Fatalf("dry run: %d frames over %d bytes, write stream %d bytes", len(frameEnds), off, dry.BytesWritten())
+	if len(ends) != first+second || off != dry.BytesWritten() {
+		t.Fatalf("dry run: %d frames over %d bytes, write stream %d bytes", len(ends), off, dry.BytesWritten())
 	}
-	reopenAt := frameEnds[first-1]
+	reopenAt := ends[first-1]
 
 	stride := int64(1)
 	if testing.Short() {

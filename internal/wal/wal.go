@@ -11,24 +11,33 @@
 //
 // Crash model. The log assumes that after a crash a file retains some
 // prefix of the bytes written to it (fsynced bytes are always retained;
-// unsynced bytes may be partially retained or lost), and that FS.Rename is
-// atomic. Under that model Open always recovers a clean record prefix:
-// scanning stops at the first torn or corrupt frame, the tail beyond it is
-// physically truncated, and later segments are discarded. Which records
-// are guaranteed to survive depends on the sync policy: SyncAlways makes
-// every Append durable before it returns; SyncInterval and SyncNever trade
-// the tail of the log for throughput but never atomicity — recovery still
-// yields an exact prefix of the append history.
+// unsynced bytes may be partially retained or lost), that FS.Rename is
+// atomic, and that the directory changes of FS.Create, Rename, Remove and
+// WriteTrunc are durable when they return — DirFS fsyncs the directory, so
+// a new segment, the checkpoint's snapshot rename and a truncation's
+// removals survive a power cut along with the fsynced bytes. Under that
+// model Open always recovers a clean record prefix: scanning stops at the
+// first torn or corrupt frame, the tail beyond it is physically truncated,
+// and later segments are discarded. Which records are guaranteed to
+// survive depends on the sync policy: SyncAlways makes every Append
+// durable before it returns; SyncInterval and SyncNever trade the tail of
+// the log for throughput but never atomicity — recovery still yields an
+// exact prefix of the append history.
 //
 // Segment layout. A new segment is extended to Options.SegmentBytes before
 // its first write (a sparse file: nothing is written), so no commit's fsync
 // has a new file size to commit — only data. The unwritten rest reads as
-// zeros, and every reader (ScanSegment) takes the first all-zero frame
-// header as the segment's clean end: no frame has one, because LSNs start
-// at 1. A clean end is not a torn tail — nothing is truncated and no later
-// segment dropped — so sealed segments keep their zero tails for good. A
-// segment that ends cleanly before its first frame (created, then a crash
-// before anything reached it: empty or all zeros) is removed on open.
+// zeros. The log keeps an index of its segments — name, first and last LSN,
+// and the offset just past the last frame written — and every reader reads
+// only the bytes the index says hold frames: a cursor reads from its
+// position to that offset, a checkpoint and TruncateTo decide from the
+// index, and only Open has to discover what a segment holds. Its scan takes
+// the first all-zero frame header as the segment's clean end: no frame has
+// one, because LSNs start at 1. A clean end is not a torn tail — nothing is
+// truncated and no later segment dropped — so sealed segments keep their
+// zero tails for good. A segment that ends cleanly before its first frame
+// (created, then a crash before anything reached it: empty or all zeros) is
+// removed on open.
 //
 // Group commit. Appenders do not write to the file themselves: they
 // enqueue an encoded frame into a commit queue and wait for a verdict. The
@@ -47,7 +56,9 @@
 package wal
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
@@ -169,6 +180,23 @@ const (
 	defaultBatchBytes = 1 << 20
 )
 
+// segment is one entry of the log's segment index: the file, the first
+// and last LSN of its frames, and end, the offset just past the last frame
+// written. end moves only after the Write that put the frame there has
+// returned, so every byte below it belongs to a complete frame.
+type segment struct {
+	name        string
+	first, last uint64
+	end         int
+}
+
+// segmentOf returns the index of the segment in segs that holds lsn, or of
+// the first one after it: the first whose last LSN is at or above lsn.
+func segmentOf(segs []segment, lsn uint64) int {
+	i, _ := slices.BinarySearchFunc(segs, lsn, func(s segment, lsn uint64) int { return cmp.Compare(s.last, lsn) })
+	return i
+}
+
 func segmentName(n int) string { return fmt.Sprintf("wal-%08d.log", n) }
 
 func parseSegmentName(name string) (int, bool) {
@@ -221,10 +249,10 @@ var ErrClosed = fmt.Errorf("wal: closed")
 //
 // Two ownership domains guard the state. Queue state — LSN counter,
 // commit queue, sticky error, stats, recovered snapshot — is under mu.
-// File state — active segment handle, its size, the segment list, the
-// dirty flag — belongs to whoever holds io ownership (ioBusy, claimed and
-// released under mu), so the batch leader can run write+fsync without
-// holding mu and committers keep enqueuing into the next batch meanwhile.
+// File state — active segment handle, its size, the dirty flag — belongs
+// to whoever holds io ownership (ioBusy, claimed and released under mu),
+// so the batch leader can run write+fsync without holding mu and
+// committers keep enqueuing into the next batch meanwhile.
 type WAL struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -272,14 +300,15 @@ type WAL struct {
 
 	// File state: owned by the io-ownership holder (see above), touched by
 	// writeBatch/truncateIO/installIO without mu — deliberately not
-	// mu-guarded. The segment NAME list, by contrast, lives under mu (io
-	// holders report created/deleted segments back under the lock) so
-	// cursors can snapshot it while the batch leader writes.
+	// mu-guarded. The segment index, by contrast, lives under mu, in LSN
+	// order (io holders report what they created, wrote and deleted back
+	// under the lock), so cursors can look up a position while the batch
+	// leader writes.
 	active     File
 	activeSize int
 	segSeq     int
-	segments   []string // seclint:guardedby mu
-	dirty      bool     // seclint:guardedby mu
+	segments   []segment // seclint:guardedby mu
+	dirty      bool      // seclint:guardedby mu
 
 	err error // seclint:guardedby mu
 
@@ -393,6 +422,7 @@ func (w *WAL) recover() error {
 		}
 	}
 	w.lastLSN = w.snapLSN
+	sc := segScanner{fs: w.fs, buf: make([]byte, min(w.opts.SegmentBytes, maxScanChunk))}
 	truncated := false
 	for _, n := range segNums {
 		name := segmentName(n)
@@ -405,20 +435,15 @@ func (w *WAL) recover() error {
 			continue
 		}
 		w.segSeq = n
-		data, err := w.fs.ReadFile(name)
+		seg, torn, err := sc.scan(name)
 		if err != nil {
 			return fmt.Errorf("wal: read segment %s: %w", name, err)
 		}
-		good, last := 0, w.lastLSN
-		if err := ScanSegment(data, func(lsn uint64, _ []byte, end int) bool {
-			good, last = end, max(last, lsn)
-			return true
-		}); err != nil {
+		if torn {
 			truncated = true
 			w.stats.TornTails++
 		}
-		w.lastLSN = last
-		if good == 0 {
+		if seg.end == 0 {
 			// No good frame: torn at its first, or ended cleanly before it —
 			// created and extended, never written.
 			if err := w.fs.Remove(name); err != nil {
@@ -426,12 +451,17 @@ func (w *WAL) recover() error {
 			}
 			continue
 		}
-		if truncated {
-			if err := w.fs.WriteTrunc(name, data[:good]); err != nil {
+		if torn {
+			good := make([]byte, seg.end)
+			if _, err := w.fs.ReadAt(name, good, 0); err != nil {
+				return fmt.Errorf("wal: read segment %s: %w", name, err)
+			}
+			if err := w.fs.WriteTrunc(name, good); err != nil {
 				return fmt.Errorf("wal: truncate torn segment %s: %w", name, err)
 			}
 		}
-		w.segments = append(w.segments, name)
+		w.lastLSN = max(w.lastLSN, seg.last)
+		w.segments = append(w.segments, seg)
 	}
 	w.writtenLSN = w.lastLSN
 	w.durableLSN = w.lastLSN
@@ -460,10 +490,10 @@ func (w *WAL) Snapshot() ([]byte, uint64, bool) {
 // snapshot — how a store rebuilds its state, at start and (reldb's demoted
 // leader) over a log that has been live since process start. It drains the
 // pipeline first (Sync), so every record appended before the call is
-// delivered; records appended meanwhile may or may not be. A cursor stops
-// without an error when it has caught up, but also at a segment it could
-// not read, so Replay holds it to the durable watermark read at the start:
-// a read that ends below it is an error, never a complete, shorter log.
+// delivered; records appended meanwhile may or may not be. A segment the
+// cursor cannot read is an error; as a backstop Replay also holds the
+// cursor to the durable watermark read at the start: a read that ends
+// below it is an error, never a complete, shorter log.
 func (w *WAL) Replay(fn func(lsn uint64, payload []byte) error) error {
 	if err := w.Sync(); err != nil {
 		return err
@@ -645,6 +675,7 @@ func (w *WAL) failQueueLocked(err error) {
 type ioDelta struct {
 	dirty             bool   // the active segment holds unsynced bytes
 	newSeg            string // the segment created, if any
+	end               int    // the active segment's size after the write
 	fsyncs, rotations uint64
 }
 
@@ -652,8 +683,8 @@ type ioDelta struct {
 // barrier of Sync, Close and the interval flusher (buf empty, sync set)
 // alike. With io ownership claimed it releases w.mu for the file work, then
 // folds the outcome into the guarded state: last is the highest LSN in the
-// file afterwards, and once no unsynced byte is left the durable watermark
-// follows it. A failure poisons the log.
+// file afterwards, the segment index covers the batch, and once no unsynced
+// byte is left the durable watermark follows it. A failure poisons the log.
 //
 // seclint:locked caller holds w.mu and io ownership; w.mu is released around the file work
 func (w *WAL) flushLocked(buf []byte, last uint64, sync bool) error {
@@ -663,7 +694,8 @@ func (w *WAL) flushLocked(buf []byte, last uint64, sync bool) error {
 	w.mu.Lock()
 	w.dirty = d.dirty
 	if d.newSeg != "" {
-		w.segments = append(w.segments, d.newSeg)
+		// A batch never spans segments: a new one starts with it.
+		w.segments = append(w.segments, segment{name: d.newSeg, first: w.writtenLSN + 1, last: w.writtenLSN})
 		w.stats.Segments = len(w.segments)
 	}
 	w.stats.Fsyncs += d.fsyncs
@@ -673,6 +705,10 @@ func (w *WAL) flushLocked(buf []byte, last uint64, sync bool) error {
 			w.err = err
 		}
 		return err
+	}
+	if len(buf) > 0 {
+		s := &w.segments[len(w.segments)-1]
+		s.last, s.end = last, d.end
 	}
 	w.writtenLSN = last
 	if !d.dirty {
@@ -707,7 +743,7 @@ func (w *WAL) writeBatch(buf []byte, sync bool, d *ioDelta) error {
 			}
 			// Extend the segment to its full length before the first write,
 			// so no later fsync has a new file size to commit — only data.
-			// The zeros are a hole, not written; ScanSegment reads the first
+			// The zeros are a hole, not written; Open's scan reads the first
 			// all-zero header as the segment's end.
 			if err := f.Truncate(int64(w.opts.SegmentBytes)); err != nil {
 				f.Close()
@@ -719,7 +755,7 @@ func (w *WAL) writeBatch(buf []byte, sync bool, d *ioDelta) error {
 			return fmt.Errorf("wal: append: %w", err)
 		}
 		w.activeSize += len(buf)
-		d.dirty = true
+		d.dirty, d.end = true, w.activeSize
 	}
 	if sync {
 		return w.syncIO(d)
@@ -833,12 +869,11 @@ func (w *WAL) CheckpointAt(snapshot []byte, upTo uint64) error {
 		return fmt.Errorf("wal: checkpoint at %d beyond last LSN %d", upTo, w.lastLSN)
 	}
 	w.checkpointing = true
-	var sealed []string
-	if len(w.segments) > 1 {
-		sealed = append(sealed, w.segments[:len(w.segments)-1]...)
-	}
+	// The covered segments: the leading sealed ones whose frames all lie at
+	// or below upTo (frames are in LSN order across segments).
+	covered := slices.Clone(w.segments[:min(segmentOf(w.segments, upTo+1), max(len(w.segments)-1, 0))])
 	w.mu.Unlock()
-	written, removed, err := w.checkpointIO(snapshot, upTo, sealed)
+	written, err := w.checkpointIO(snapshot, upTo, covered)
 	w.mu.Lock()
 	w.checkpointing = false
 	w.cond.Broadcast()
@@ -850,10 +885,10 @@ func (w *WAL) CheckpointAt(snapshot []byte, upTo uint64) error {
 	}
 	w.snapLSN = upTo
 	w.snapshot = append([]byte(nil), snapshot...)
-	// The removed segments are a prefix of the list: sealed was one,
-	// rotation only appends, and everything that rewrites the list waits
+	// The removed segments are a prefix of the index: covered was one,
+	// rotation only appends, and everything that rewrites the index waits
 	// for the checkpointing claim.
-	w.segments = w.segments[removed:]
+	w.segments = w.segments[len(covered):]
 	w.advanceDurableLocked(upTo)
 	w.stats.Checkpoints++
 	w.stats.Segments = len(w.segments)
@@ -893,36 +928,22 @@ func (w *WAL) writeSnapshot(snapshot []byte, lsn uint64) (written int, err error
 }
 
 // checkpointIO performs CheckpointAt's file work: the snapshot, then
-// deletion of the leading sealed segments fully covered by upTo, whose count
-// it returns. It runs WITHOUT io ownership — concurrent batch leaders write
-// the active segment while this streams — touching only the snapshot files
-// and sealed segments. Deletion stops at the first segment with a frame
-// above upTo (frames are in LSN order across segments, so later ones are
-// above it too).
-func (w *WAL) checkpointIO(snapshot []byte, upTo uint64, sealed []string) (written, removed int, err error) {
-	if written, err = w.writeSnapshot(snapshot, upTo); err != nil {
-		return 0, 0, err
+// deletion of the covered segments, which it does not read. It runs WITHOUT
+// io ownership — concurrent batch leaders write the active segment while
+// this streams — touching only the snapshot files and sealed segments.
+func (w *WAL) checkpointIO(snapshot []byte, upTo uint64, covered []segment) (int, error) {
+	written, err := w.writeSnapshot(snapshot, upTo)
+	if err != nil {
+		return 0, err
 	}
 	// Committed. Deletions below are cleanup; a failure poisons the log but
 	// cannot lose the checkpoint.
-	for _, name := range sealed {
-		data, err := w.fs.ReadFile(name)
-		if err != nil {
-			return written, removed, fmt.Errorf("wal: checkpoint read segment %s: %w", name, err)
+	for _, s := range covered {
+		if err := w.fs.Remove(s.name); err != nil {
+			return written, fmt.Errorf("wal: checkpoint drop segment %s: %w", s.name, err)
 		}
-		above := false
-		if err := ScanSegment(data, func(lsn uint64, _ []byte, _ int) bool {
-			above = lsn > upTo
-			return !above
-		}); err != nil || above {
-			return written, removed, nil
-		}
-		if err := w.fs.Remove(name); err != nil {
-			return written, removed, fmt.Errorf("wal: checkpoint drop segment %s: %w", name, err)
-		}
-		removed++
 	}
-	return written, removed, nil
+	return written, nil
 }
 
 // advanceDurableLocked raises the durable watermark and pokes the
@@ -999,9 +1020,12 @@ func (w *WAL) TruncateTo(lsn uint64) error {
 	if lsn < w.snapLSN {
 		return fmt.Errorf("wal: truncate to %d below snapshot %d (full resync required)", lsn, w.snapLSN)
 	}
-	segs := append([]string(nil), w.segments...)
+	// The segments holding a record above lsn: the first of them may
+	// straddle it, the rest lie wholly above.
+	i := segmentOf(w.segments, lsn+1)
+	above := slices.Clone(w.segments[i:])
 	w.mu.Unlock()
-	kept, err := w.truncateIO(lsn, segs)
+	cut, err := w.truncateIO(lsn, above)
 	w.mu.Lock()
 	if err != nil {
 		if w.err == nil {
@@ -1009,7 +1033,7 @@ func (w *WAL) TruncateTo(lsn uint64) error {
 		}
 		return w.err
 	}
-	w.segments = kept
+	w.segments = append(w.segments[:i], cut...)
 	w.lastLSN = lsn
 	w.writtenLSN = lsn
 	if w.durableLSN > lsn {
@@ -1023,10 +1047,12 @@ func (w *WAL) TruncateTo(lsn uint64) error {
 	return nil
 }
 
-// truncateIO rewrites the segment files so no frame with LSN > lsn
-// survives, returning the kept segment names. Runs with io ownership,
-// without w.mu.
-func (w *WAL) truncateIO(lsn uint64, segs []string) ([]string, error) {
+// truncateIO rewrites the segment files above — the index entries holding
+// a record above lsn — so none of those records survives: a segment that
+// starts above lsn is removed unread, and the one that straddles lsn is
+// read up to its end and cut after lsn's frame. It returns the straddling
+// segment's new entry, if any. Runs with io ownership, without w.mu.
+func (w *WAL) truncateIO(lsn uint64, above []segment) ([]segment, error) {
 	if w.active != nil {
 		if err := w.active.Close(); err != nil {
 			return nil, fmt.Errorf("wal: truncate close: %w", err)
@@ -1034,45 +1060,35 @@ func (w *WAL) truncateIO(lsn uint64, segs []string) ([]string, error) {
 		w.active = nil
 		w.activeSize = 0
 	}
-	var kept []string
-	cut := false
-	for _, name := range segs {
-		if cut {
-			if err := w.fs.Remove(name); err != nil {
-				return nil, fmt.Errorf("wal: truncate drop %s: %w", name, err)
+	var cut []segment
+	for _, s := range above {
+		if s.first > lsn {
+			if err := w.fs.Remove(s.name); err != nil {
+				return nil, fmt.Errorf("wal: truncate drop %s: %w", s.name, err)
 			}
 			continue
 		}
-		data, err := w.fs.ReadFile(name)
-		if err != nil {
-			return nil, fmt.Errorf("wal: truncate read %s: %w", name, err)
+		data := make([]byte, s.end)
+		if _, err := w.fs.ReadAt(s.name, data, 0); err != nil {
+			return nil, fmt.Errorf("wal: truncate read %s: %w", s.name, err)
 		}
-		good := 0
-		if err := ScanSegment(data, func(frameLSN uint64, _ []byte, end int) bool {
+		kept := segment{name: s.name, first: s.first}
+		for {
+			frameLSN, _, rest, err := DecodeFrame(data[kept.end:])
+			if err != nil {
+				return nil, fmt.Errorf("wal: truncate read %s: %w", s.name, err)
+			}
 			if frameLSN > lsn {
-				cut = true
-				return false
+				break
 			}
-			good = end
-			return true
-		}); err != nil {
-			cut = true
+			kept.last, kept.end = frameLSN, len(data)-len(rest)
 		}
-		switch {
-		case !cut:
-			kept = append(kept, name)
-		case good == 0:
-			if err := w.fs.Remove(name); err != nil {
-				return nil, fmt.Errorf("wal: truncate drop %s: %w", name, err)
-			}
-		default:
-			if err := w.fs.WriteTrunc(name, data[:good]); err != nil {
-				return nil, fmt.Errorf("wal: truncate %s: %w", name, err)
-			}
-			kept = append(kept, name)
+		if err := w.fs.WriteTrunc(s.name, data[:kept.end]); err != nil {
+			return nil, fmt.Errorf("wal: truncate %s: %w", s.name, err)
 		}
+		cut = append(cut, kept)
 	}
-	return kept, nil
+	return cut, nil
 }
 
 // InstallSnapshot replaces the log's entire history with the given
@@ -1094,7 +1110,7 @@ func (w *WAL) InstallSnapshot(snapshot []byte, lsn uint64) error {
 	if w.err != nil {
 		return w.err
 	}
-	segs := append([]string(nil), w.segments...)
+	segs := slices.Clone(w.segments)
 	w.mu.Unlock()
 	written, err := w.installIO(snapshot, lsn, segs)
 	w.mu.Lock()
@@ -1130,7 +1146,7 @@ func (w *WAL) InstallSnapshot(snapshot []byte, lsn uint64) error {
 // active file is closed and every segment dropped. Runs with io ownership,
 // without w.mu (segs is the caller's copy of the mu-guarded list). A failure
 // after the snapshot's rename poisons the log but cannot lose the snapshot.
-func (w *WAL) installIO(snapshot []byte, lsn uint64, segs []string) (int, error) {
+func (w *WAL) installIO(snapshot []byte, lsn uint64, segs []segment) (int, error) {
 	written, err := w.writeSnapshot(snapshot, lsn)
 	if err != nil {
 		return 0, err
@@ -1141,9 +1157,9 @@ func (w *WAL) installIO(snapshot []byte, lsn uint64, segs []string) (int, error)
 		}
 		w.active = nil
 	}
-	for _, name := range segs {
-		if err := w.fs.Remove(name); err != nil {
-			return 0, fmt.Errorf("wal: install drop segment %s: %w", name, err)
+	for _, s := range segs {
+		if err := w.fs.Remove(s.name); err != nil {
+			return 0, fmt.Errorf("wal: install drop segment %s: %w", s.name, err)
 		}
 	}
 	w.activeSize = 0
