@@ -113,7 +113,10 @@ crashshort:
 # (the executor's planner) must not refuse it if it executes,
 # a row SELECT without LIMIT must return, as a multiset, exactly the rows
 # its bound matcher accepts over a brute-force scan, in ORDER BY order
-# (keys non-decreasing), and a log
+# (keys non-decreasing), and with LIMIT k the first k rows of its answer
+# without LIMIT — over the fixed table, and over random tables whose
+# ORDER BY keys tie often (FuzzTopK: the bounded heap and the early-exit
+# scan), and a log
 # record a follower applies either leaves it untouched or stores only rows
 # its schema accepts, and an audit record payload decodes and verifies
 # without panicking while two v2 chain-hash preimages are equal only for
@@ -129,6 +132,7 @@ fuzzshort:
 	$(GO) test -run '^$$' -fuzz FuzzParseDocument -fuzztime 5s ./internal/xmldoc/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEnvelope -fuzztime 5s ./internal/wsa/
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 5s ./internal/reldb/
+	$(GO) test -run '^$$' -fuzz FuzzTopK -fuzztime 5s ./internal/reldb/
 	$(GO) test -run '^$$' -fuzz FuzzApplyCommit -fuzztime 5s ./internal/reldb/
 	$(GO) test -run '^$$' -fuzz FuzzAuditRecord -fuzztime 5s ./internal/audit/
 

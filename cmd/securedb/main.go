@@ -41,6 +41,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -324,15 +325,20 @@ func statement(rw http.ResponseWriter, r *http.Request, auth *authtoken.Service)
 
 // appendReply renders a result as tab-separated lines under a header
 // line, then the privacy and inference note lines the reply carries when
-// there is something to note.
+// there is something to note. The rows come through Result.Each, straight
+// from the table for a bound result.
 func appendReply(b []byte, res *reldb.Result, masked, derived []string) []byte {
 	b = append(appendJoined(b, res.Columns, "\t"), '\n')
-	for _, row := range res.Rows {
-		for i, v := range row {
-			if i > 0 {
+	res.Each(func(row reldb.Row, cols []int) {
+		for j, c := range cols {
+			if j > 0 {
 				b = append(b, '\t')
 			}
-			switch v.Kind {
+			if c < 0 {
+				b = append(b, "NULL"...)
+				continue
+			}
+			switch v := &row[c]; v.Kind {
 			case reldb.KindInt:
 				b = strconv.AppendInt(b, v.I, 10)
 			case reldb.KindString:
@@ -342,7 +348,7 @@ func appendReply(b []byte, res *reldb.Result, masked, derived []string) []byte {
 			}
 		}
 		b = append(b, '\n')
-	}
+	})
 	if len(masked) > 0 {
 		b = append(appendJoined(append(b, "# masked by privacy constraints: "...), masked, ", "), '\n')
 	}
@@ -364,13 +370,26 @@ func appendJoined(b []byte, parts []string, sep string) []byte {
 	return b
 }
 
+// replyBufs recycles writeReply's buffers; each holds a *[]byte, so
+// putting one back boxes nothing.
+var replyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledReply caps the buffers replyBufs keeps: one huge reply must not
+// pin its buffer for the life of the process.
+const maxPooledReply = 1 << 20
+
 // writeReply sends appendReply's rendering in one Write. The content type
 // is what net/http sniffed from the header line when that line was a Write
 // of its own.
 func writeReply(rw http.ResponseWriter, res *reldb.Result, masked, derived []string) {
-	b := make([]byte, 0, 128+8*(len(res.Rows)+1)*len(res.Columns))
+	p := replyBufs.Get().(*[]byte)
+	b := appendReply((*p)[:0], res, masked, derived)
 	rw.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	rw.Write(appendReply(b, res, masked, derived)) // a failed Write is the client gone; there is no one to tell
+	rw.Write(b) // a failed Write is the client gone; there is no one to tell
+	if cap(b) <= maxPooledReply {
+		*p = b
+		replyBufs.Put(p)
+	}
 }
 
 // serveQuery is /query: it runs a SELECT, aggregate or not, through the

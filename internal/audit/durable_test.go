@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -423,5 +424,56 @@ func TestScanUnderConcurrentAppends(t *testing.T) {
 	}
 	if seen != 400 || l.Verify() != -1 {
 		t.Fatalf("final scan read %d of 400 records; Verify = %d", seen, l.Verify())
+	}
+}
+
+// TestCorruptSealedSegmentRefusesOpen: an audit trail whose WAL has a bad
+// frame in a sealed segment does not open — wal.ErrCorrupt — and no
+// segment is removed or rewritten: cutting the trail there would drop
+// every later record and let the chain continue from the cut.
+func TestCorruptSealedSegmentRefusesOpen(t *testing.T) {
+	fs := faultinject.NewMemFS()
+	opts := wal.Options{FS: fs, Policy: wal.SyncAlways, SegmentBytes: 1024}
+	w, err := wal.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := OpenLog(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if _, err := l.AppendChecked("ana", "query", fmt.Sprintf("obj-%d", i), "permit"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Close()
+	names, err := fs.List()
+	if err != nil || len(names) < 2 {
+		t.Fatalf("want a sealed segment, have %v (%v)", names, err)
+	}
+	data, _ := fs.ReadFile(names[0])
+	data[16+1] ^= 0x40 // the first record's payload
+	if err := fs.WriteTrunc(names[0], data); err != nil {
+		t.Fatal(err)
+	}
+	before := map[string][]byte{}
+	for _, name := range names {
+		before[name], _ = fs.ReadFile(name)
+	}
+	if w, err := wal.Open(opts); !errors.Is(err, wal.ErrCorrupt) {
+		if err == nil {
+			_, err = OpenLog(w)
+		}
+		t.Fatalf("opening over a corrupt sealed segment: %v, want wal.ErrCorrupt", err)
+	}
+	after, _ := fs.List()
+	if !slices.Equal(after, names) {
+		t.Fatalf("files after the refused open: %v, want %v", after, names)
+	}
+	for _, name := range names {
+		if data, _ := fs.ReadFile(name); !bytes.Equal(data, before[name]) {
+			t.Fatalf("the refused open rewrote %s", name)
+		}
 	}
 }

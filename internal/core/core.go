@@ -22,7 +22,8 @@ import (
 // audited, before it touches a table — and then passes, in order:
 //
 //  1. System R privilege check and row/column policy rewrite
-//     (reldb.SecureDB) — discretionary access control;
+//     (reldb.SecureDB) — discretionary access control; a read is bound
+//     there, its rows not read;
 //  2. (reads) privacy-constraint filtering of the result columns, by source
 //     attribute (privacy.Controller) — the privacy controller;
 //  3. (reads) the inference controller (inference.Controller) — the
@@ -31,6 +32,9 @@ import (
 //  4. the audit log records the decision either way. A decision whose
 //     record the log cannot take is not released: the entry fails with
 //     ErrAuditUnavailable instead.
+//
+// A read's rows are read last, when the caller reads the outcome: none for
+// a refused query.
 //
 // An aggregate is a read: F(col) releases col, COUNT(*) no attribute.
 type SecureWebDB struct {
@@ -95,6 +99,8 @@ func (w *SecureWebDB) record(s *policy.Subject, action, sql, outcome string, res
 
 // QueryOutcome is the result of a gated query.
 type QueryOutcome struct {
+	// Result is bound, not read: its rows are read by Result.Each, from
+	// the version the query was bound to, with masked columns NULL.
 	Result *reldb.Result
 	// MaskedColumns lists columns blanked by privacy constraints.
 	MaskedColumns []string
@@ -105,7 +111,8 @@ type QueryOutcome struct {
 
 // access is the first stage of both entries: the statement is parsed once,
 // must be of the kind the entry serves, and that parse then passes
-// SecureDB's gate.
+// SecureDB's gate. A write executes there; a read is bound, its rows not
+// yet read.
 func (w *SecureWebDB) access(s *policy.Subject, sql string, read bool) (reldb.Stmt, *reldb.Result, error) {
 	st, err := w.sec.Parse(sql)
 	if err != nil {
@@ -117,11 +124,15 @@ func (w *SecureWebDB) access(s *policy.Subject, sql string, read bool) (reldb.St
 		}
 		return nil, nil, fmt.Errorf("core: execute refused: a SELECT is a query, not a write")
 	}
-	res, err := w.sec.ExecStmt(s, st)
+	res, err := w.sec.ExecBound(s, st)
 	return st, res, err
 }
 
-// Query runs a SELECT, aggregate or not, through the whole pipeline.
+// Query runs a SELECT, aggregate or not, through the whole pipeline. Every
+// decision — access, privacy masking, inference, the audit record — is
+// taken from the bound statement and the policy, before a row is read: a
+// refused query reads none, and a permitted one's rows are read when the
+// caller reads the outcome's Result.
 func (w *SecureWebDB) Query(s *policy.Subject, sql string) (*QueryOutcome, error) {
 	st, res, err := w.access(s, sql, true)
 	if err != nil {

@@ -53,13 +53,29 @@ func setupPipeline(t *testing.T) (*SecureWebDB, *policy.Subject) {
 	return w, analyst
 }
 
+// rowsOf reads a result the way a reply does, through Each: each result
+// column's value, NULL where the column map hides it.
+func rowsOf(res *reldb.Result) []reldb.Row {
+	var out []reldb.Row
+	res.Each(func(r reldb.Row, cols []int) {
+		row := make(reldb.Row, len(cols))
+		for j, c := range cols {
+			if c >= 0 {
+				row[j] = r[c]
+			}
+		}
+		out = append(out, row)
+	})
+	return out
+}
+
 func TestPipelineCleanQuery(t *testing.T) {
 	w, analyst := setupPipeline(t)
 	out, err := w.Query(analyst, "SELECT age, zip FROM patients")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Result.Rows) != 2 || len(out.MaskedColumns) != 0 {
+	if len(rowsOf(out.Result)) != 2 || len(out.MaskedColumns) != 0 {
 		t.Errorf("out = %+v", out)
 	}
 	if w.Audit().Len() == 0 {
@@ -76,9 +92,13 @@ func TestPipelinePrivacyMasking(t *testing.T) {
 	if len(out.MaskedColumns) != 1 || out.MaskedColumns[0] != "disease" {
 		t.Fatalf("masked = %v", out.MaskedColumns)
 	}
-	for _, r := range out.Result.Rows {
-		if !r[1].IsNull() {
-			t.Error("disease leaked")
+	rows := rowsOf(out.Result)
+	if len(rows) != 2 {
+		t.Fatalf("rows = %v", rows)
+	}
+	for _, r := range rows {
+		if !r[1].IsNull() || r[0].IsNull() {
+			t.Errorf("row %v: want the name kept and the disease withheld", r)
 		}
 	}
 }
@@ -169,10 +189,11 @@ func TestAggregateIsAQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.MaskedColumns) != 1 || out.MaskedColumns[0] != "MIN(disease)" || len(out.Result.Rows) != 2 {
-		t.Fatalf("masked = %v, rows = %v", out.MaskedColumns, out.Result.Rows)
+	rows := rowsOf(out.Result)
+	if len(out.MaskedColumns) != 1 || out.MaskedColumns[0] != "MIN(disease)" || len(rows) != 2 {
+		t.Fatalf("masked = %v, rows = %v", out.MaskedColumns, rows)
 	}
-	for _, r := range out.Result.Rows {
+	for _, r := range rows {
 		if !r[2].IsNull() || r[1] != reldb.Int(1) {
 			t.Errorf("row %v: want the disease withheld and the count kept", r)
 		}
@@ -208,7 +229,7 @@ func TestGroupByWithheldAttributeRefused(t *testing.T) {
 	if _, err := w.Query(analyst, "SELECT COUNT(*) FROM patients GROUP BY disease"); err == nil || lastOutcome(w) != "deny:privacy:disease" {
 		t.Errorf("grouping by a withheld attribute: err %v, outcome %q", err, lastOutcome(w))
 	}
-	if out, err := w.Query(analyst, "SELECT COUNT(*), MAX(disease) FROM patients GROUP BY age"); err != nil || !out.Result.Rows[0][2].IsNull() {
+	if out, err := w.Query(analyst, "SELECT COUNT(*), MAX(disease) FROM patients GROUP BY age"); err != nil || !rowsOf(out.Result)[0][2].IsNull() {
 		t.Errorf("aggregating a withheld attribute: %v, %v; want it masked, not refused", out, err)
 	}
 }

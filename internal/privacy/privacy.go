@@ -134,12 +134,13 @@ func (c *Controller) MayRelease(s *policy.Subject, attrs []string) bool {
 // *later* columns of violating combinations so the maximal prefix survives.
 // A column's attribute is its source attribute (res.Attributes): the column
 // itself in a row result, col for an aggregate F(col) — which releases
-// something about col — and none for COUNT(*). It returns the masked column
-// names.
+// something about col — and none for COUNT(*). The decision reads the
+// attributes only, so it is taken before any row is: a masked column is
+// hidden (Result.Hide), on a bound result as a column the subject's column
+// policies hide. It returns the masked column names.
 func (c *Controller) FilterResult(s *policy.Subject, res *reldb.Result) []string {
 	released := []string{}
 	masked := []string{}
-	maskedIdx := []int{}
 	for i, attr := range res.Attributes() {
 		if attr == "" {
 			continue
@@ -150,12 +151,7 @@ func (c *Controller) FilterResult(s *policy.Subject, res *reldb.Result) []string
 			continue
 		}
 		masked = append(masked, res.Columns[i])
-		maskedIdx = append(maskedIdx, i)
-	}
-	for _, ci := range maskedIdx {
-		for _, r := range res.Rows {
-			r[ci] = reldb.Null()
-		}
+		res.Hide(i)
 	}
 	return masked
 }

@@ -55,83 +55,93 @@ func bindAggInput(schema *Schema, s *SelectStmt, col string) (int, Kind, error) 
 	return ci, schema.Columns[ci].Kind, nil
 }
 
-// aggregate folds the rows the plan accepts: one result row per group,
-// sorted by group key, or exactly one without GROUP BY (over zero rows too).
-// NULLs are skipped by SUM/AVG/MIN/MAX and COUNT(col); COUNT(*) counts rows.
-// Each result column carries its source attribute in Result.Attrs, which is
-// what the privacy and inference layers reason about: F(col) releases
-// something about col, COUNT(*) about no column.
-//
-// Everything the statement names is resolved against the schema before a
-// row is read — SUM and AVG want a numeric column — so whether a statement
-// errs never depends on what the table holds.
-func aggregate(plan scanPlan, s *SelectStmt) (*Result, error) {
-	schema := &plan.t.Schema
-	res := &Result{}
-	groupIdx := aggStar // no GROUP BY: one group
-	if s.GroupBy != "" {
-		var err error
-		if groupIdx, _, err = bindAggInput(schema, s, s.GroupBy); err != nil {
-			return nil, err
-		}
-		res.Columns, res.Attrs = append(res.Columns, s.GroupBy), append(res.Attrs, s.GroupBy)
-	}
-	inputs := make([]int, len(s.Aggs))
-	for i, a := range s.Aggs {
-		attr := ""
-		if inputs[i] = aggStar; a.Col != "*" {
-			var kind Kind
-			var err error
-			if inputs[i], kind, err = bindAggInput(schema, s, a.Col); err != nil {
-				return nil, err
-			}
-			if (a.Func == AggSum || a.Func == AggAvg) && kind != KindInt && kind != KindFloat {
-				return nil, fmt.Errorf("reldb: %s over non-numeric column %s", a.Func, a.Col)
-			}
-			attr = a.Col
-		}
-		res.Columns, res.Attrs = append(res.Columns, a.String()), append(res.Attrs, attr)
-	}
+// aggPlan is an aggregate statement bound to its table's schema: the row
+// position of the group key and of each aggregate's input.
+type aggPlan struct {
+	grouped  bool
+	groupIdx int // the group key's position; aggHidden when the view hides it
+	aggs     []AggExpr
+	inputs   []int // aggs[i] folds row position inputs[i]
+}
 
+// bindAggregate resolves an aggregate statement against the schema and
+// returns its plan and its result's columns and their source attributes
+// (Result.Attrs), which is what the privacy and inference layers reason
+// about: F(col) releases something about col, COUNT(*) about no column.
+//
+// Everything the statement names is resolved before a row is read — SUM
+// and AVG want a numeric column — so whether a statement errs never
+// depends on what the table holds.
+func bindAggregate(schema *Schema, s *SelectStmt) (a *aggPlan, names, attrs []string, err error) {
+	a = &aggPlan{grouped: s.GroupBy != "", groupIdx: aggStar, aggs: s.Aggs, inputs: make([]int, len(s.Aggs))}
+	if a.grouped {
+		if a.groupIdx, _, err = bindAggInput(schema, s, s.GroupBy); err != nil {
+			return nil, nil, nil, err
+		}
+		names, attrs = append(names, s.GroupBy), append(attrs, s.GroupBy)
+	}
+	for i, agg := range s.Aggs {
+		attr := ""
+		if a.inputs[i] = aggStar; agg.Col != "*" {
+			var kind Kind
+			if a.inputs[i], kind, err = bindAggInput(schema, s, agg.Col); err != nil {
+				return nil, nil, nil, err
+			}
+			if (agg.Func == AggSum || agg.Func == AggAvg) && kind != KindInt && kind != KindFloat {
+				return nil, nil, nil, fmt.Errorf("reldb: %s over non-numeric column %s", agg.Func, agg.Col)
+			}
+			attr = agg.Col
+		}
+		names, attrs = append(names, agg.String()), append(attrs, attr)
+	}
+	return a, names, attrs, nil
+}
+
+// fold folds the rows the plan accepts: one result row per group, sorted
+// by group key, or exactly one without GROUP BY (over zero rows too).
+// NULLs are skipped by SUM/AVG/MIN/MAX and COUNT(col); COUNT(*) counts
+// rows. The rows are new: the caller owns them.
+func (a *aggPlan) fold(plan *scanPlan) []Row {
 	type group struct {
 		key  Value
 		accs []aggAcc
 	}
 	groups := map[string]*group{}
-	if s.GroupBy == "" {
-		groups[Null().Key()] = &group{accs: make([]aggAcc, len(inputs))}
+	if !a.grouped {
+		groups[Null().Key()] = &group{accs: make([]aggAcc, len(a.inputs))}
 	}
-	plan.run(func(_ int64, r Row) {
+	plan.run(func(_ int64, r Row) bool {
 		var key Value // NULL: no GROUP BY, or a hidden GROUP BY column
-		if groupIdx >= 0 {
-			key = r[groupIdx]
+		if a.groupIdx >= 0 {
+			key = r[a.groupIdx]
 		}
 		k := key.Key()
 		g := groups[k]
 		if g == nil {
-			g = &group{key: key, accs: make([]aggAcc, len(inputs))}
+			g = &group{key: key, accs: make([]aggAcc, len(a.inputs))}
 			groups[k] = g
 		}
-		for i, ci := range inputs {
-			a := &g.accs[i]
+		for i, ci := range a.inputs {
+			acc := &g.accs[i]
 			if ci == aggStar {
-				a.n++
+				acc.n++
 				continue
 			}
 			if ci == aggHidden || r[ci].IsNull() {
 				continue
 			}
 			v := &r[ci]
-			if a.n == 0 || compareTo(v, &a.min) < 0 {
-				a.min = *v
+			if acc.n == 0 || compareTo(v, &acc.min) < 0 {
+				acc.min = *v
 			}
-			if a.n == 0 || compareTo(v, &a.max) > 0 {
-				a.max = *v
+			if acc.n == 0 || compareTo(v, &acc.max) > 0 {
+				acc.max = *v
 			}
 			f, _ := v.asFloat()
-			a.sum += f
-			a.n++
+			acc.sum += f
+			acc.n++
 		}
+		return true
 	})
 
 	keys := make([]string, 0, len(groups))
@@ -139,17 +149,17 @@ func aggregate(plan scanPlan, s *SelectStmt) (*Result, error) {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	var rows []Row
 	for _, k := range keys {
 		g := groups[k]
-		row := make(Row, 0, len(res.Columns))
-		if s.GroupBy != "" {
+		row := make(Row, 0, len(a.inputs)+1)
+		if a.grouped {
 			row = append(row, g.key)
 		}
-		for i, a := range s.Aggs {
-			row = append(row, g.accs[i].value(a.Func))
+		for i, agg := range a.aggs {
+			row = append(row, g.accs[i].value(agg.Func))
 		}
-		res.Rows = append(res.Rows, row)
+		rows = append(rows, row)
 	}
-	res.Affected = len(res.Rows)
-	return res, nil
+	return rows
 }

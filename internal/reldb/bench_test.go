@@ -49,7 +49,7 @@ func BenchmarkSelectScan(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := db.execSelect(sel)
+				res, err := db.ExecStmt(sel)
 				if err != nil || len(res.Rows) != rows {
 					b.Fatalf("rows %v, err %v", res, err)
 				}

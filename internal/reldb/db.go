@@ -1,6 +1,7 @@
 package reldb
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -10,19 +11,97 @@ import (
 	"webdbsec/internal/mvcc"
 )
 
-// Result is the outcome of executing a statement.
+// Result is the outcome of executing a statement. A SELECT's result is
+// either owned — its Rows copied out of the table (project) or folded, the
+// caller's to keep and write — or bound: the statement planned against one
+// frozen table version with no row read yet, which Each reads. Every entry
+// point that returns a SELECT's rows returns them owned, bar
+// SecureDB.ExecBound.
 type Result struct {
 	Columns []string
 	// Attrs, when set, names each column's source attribute — the table
 	// column its values were computed from, "" for none (COUNT(*)). Only an
 	// aggregate result sets it; every other result's columns are attributes.
-	Attrs    []string
+	Attrs []string
+	// Rows holds an owned result's rows; a bound result's are read by Each.
 	Rows     []Row
 	Affected int
 	// LSN is the log position of the Commit (or DDL) record a write
 	// statement appended — the position a replicated deployment waits on
 	// before acknowledging it. Zero for reads.
 	LSN int64
+	// sel is a bound result's selection; the zero selection (no table) for
+	// an owned one.
+	sel selection
+}
+
+// bound reports whether the result's rows are still to be read.
+func (r *Result) bound() bool { return r.sel.plan.t != nil }
+
+// Each calls fn for every row of the result, in answer order, with the
+// result's column map: result column j is row[cols[j]], or NULL where
+// cols[j] is -1. Neither row nor cols may be modified. A bound result hands
+// over the stored rows, shared with every version that holds them, and
+// reads them anew on each call, from the version it was bound to; an owned
+// result hands over its Rows under the identity map.
+func (r *Result) Each(fn func(row Row, cols []int)) {
+	s := &r.sel
+	switch {
+	case s.agg != nil:
+		for _, row := range s.agg.fold(&s.plan) {
+			fn(row, s.cols)
+		}
+	case r.bound():
+		s.each(func(row Row) { fn(row, s.cols) })
+	default:
+		cols := identity(len(r.Columns))
+		for _, row := range r.Rows {
+			fn(row, cols)
+		}
+	}
+}
+
+// Hide makes result column col read NULL. On a bound result that is its
+// column-map entry going to -1, the mechanism a column policy's hidden
+// column already is (bindColumns); an owned result's cells are NULLed in
+// place.
+func (r *Result) Hide(col int) {
+	if r.bound() {
+		r.sel.cols = slices.Clone(r.sel.cols)
+		r.sel.cols[col] = -1
+		return
+	}
+	nullColumn(r.Rows, col)
+}
+
+// nullColumn sets column col of every row to NULL.
+func nullColumn(rows []Row, col int) {
+	for _, row := range rows {
+		row[col] = Null()
+	}
+}
+
+// own reads a bound result into owned Rows and returns it; an owned result
+// is returned as it is. A row selection is copied out by project; an
+// aggregate's fold is owned already, and its hidden columns are NULLed in
+// it.
+func (r *Result) own() *Result {
+	if !r.bound() {
+		return r
+	}
+	s := &r.sel
+	if s.agg != nil {
+		r.Rows = s.agg.fold(&s.plan)
+		for j, c := range s.cols {
+			if c < 0 {
+				nullColumn(r.Rows, j)
+			}
+		}
+	} else {
+		r.Rows = project(s.collect(), s.cols)
+	}
+	r.Affected, r.sel = len(r.Rows), selection{}
+	return r
 }
 
 // Attributes returns the source attribute of each result column: what the
@@ -113,16 +192,28 @@ func (db *Database) Exec(src string) (*Result, error) {
 }
 
 // ExecStmt executes a parsed statement in autocommit mode: DML runs inside
-// an implicit transaction.
+// an implicit transaction. A SELECT's rows come back owned.
 //
 // seclint:exempt storage engine below the access-control gate; SecureDB.Exec authorizes and rewrites first
 // seclint:sink
 func (db *Database) ExecStmt(st Stmt) (*Result, error) {
+	res, err := db.execBound(st)
+	if err != nil {
+		return nil, err
+	}
+	return res.own(), nil
+}
+
+// execBound is ExecStmt leaving a SELECT's result bound to the version
+// current now: planned, its every error decided, no row read.
+//
+// seclint:sink
+func (db *Database) execBound(st Stmt) (*Result, error) {
 	switch s := st.(type) {
 	case *CreateTableStmt:
 		return db.execDDL(s)
 	case *SelectStmt:
-		return db.execSelect(s)
+		return bindVersion(db.versions.Load(), s)
 	default:
 		txn := db.Begin()
 		res, err := txn.ExecStmt(st)
@@ -155,38 +246,37 @@ func (db *Database) execDDL(s *CreateTableStmt) (*Result, error) {
 	return &Result{LSN: lsn}, nil
 }
 
-// execSelect plans and runs a read-only query against the current
-// committed version. Lock-free: the version is loaded once, so the query
-// sees one consistent state no matter what commits concurrently.
-func (db *Database) execSelect(s *SelectStmt) (*Result, error) {
-	return execSelectVersion(db.versions.Load(), s)
-}
-
-// execSelectVersion runs a SELECT against one pinned version.
-func execSelectVersion(v *dbVersion, s *SelectStmt) (*Result, error) {
+// bindVersion binds a SELECT to one version's table. A loaded version is
+// immutable and the result keeps its table alive, so the rows read later
+// are the ones the version held at bind.
+func bindVersion(v *dbVersion, s *SelectStmt) (*Result, error) {
 	t, ok := v.table(s.Table)
 	if !ok {
 		return nil, fmt.Errorf("reldb: unknown table %s", s.Table)
 	}
-	return execSelectTable(t, s)
+	return bindSelect(t, s)
 }
 
-// execSelectTable runs a SELECT against one table state (a frozen version
-// table, or a transaction's private working copy for read-your-writes).
-//
-// This is the only SELECT executor: one scan, then either the aggregate
-// fold or ORDER BY / LIMIT / projection. Every name the statement mentions
-// is resolved before the first row is read, so an unknown column is an error
-// on every table state, the empty one included. Stored rows are immutable,
-// so filter, ORDER BY and LIMIT work on the table's own rows and only those
-// that survive LIMIT are copied out.
-func execSelectTable(t *Table, s *SelectStmt) (*Result, error) {
+// bindSelect binds a SELECT to one table state (a frozen version table, or
+// a transaction's private working copy for read-your-writes) and returns
+// the bound result. This is the only SELECT executor, and it reads no row:
+// every name the statement mentions is resolved here, so an unknown column
+// is an error on every table state, the empty one included, and whether a
+// statement errs never depends on what is read later. Reading the result
+// runs the one scan, then the aggregate fold or ORDER BY / LIMIT
+// (selection); a working copy changes under its transaction's next
+// statement, so its result must be owned before that.
+func bindSelect(t *Table, s *SelectStmt) (*Result, error) {
 	plan, err := planScan(t, s.Where)
 	if err != nil {
 		return nil, err
 	}
 	if len(s.Aggs) > 0 {
-		return aggregate(plan, s)
+		agg, names, attrs, err := bindAggregate(&t.Schema, s)
+		if err != nil {
+			return nil, err
+		}
+		return &Result{Columns: names, Attrs: attrs, sel: selection{plan: plan, cols: identity(len(names)), agg: agg}}, nil
 	}
 	order, err := bindOrder(&t.Schema, s.OrderBy)
 	if err != nil {
@@ -196,17 +286,124 @@ func execSelectTable(t *Table, s *SelectStmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return &Result{Columns: names, sel: selection{plan: plan, cols: cols, order: order, limit: s.Limit}}, nil
+}
+
+// selection is a SELECT bound to its table: the scan, then either the
+// aggregate fold or ORDER BY and LIMIT, and the column map that reads each
+// result column out of a row.
+type selection struct {
+	plan scanPlan
+	// cols maps result column j to its position in a row (a table row, or
+	// a folded aggregate row); -1 reads NULL.
+	cols  []int
+	order func(a, b Row) int // nil: rowID order
+	limit int                // -1: no LIMIT
+	// agg, when set, folds the scanned rows into the result's rows.
+	agg *aggPlan
+}
+
+// each calls fn with the selection's stored rows, in answer order. Without
+// ORDER BY the scan hands them over as it finds them and stops at LIMIT.
+func (s *selection) each(fn func(Row)) {
+	if s.order != nil {
+		for _, r := range s.collect() {
+			fn(r)
+		}
+		return
+	}
+	if s.limit == 0 {
+		return
+	}
+	n := 0
+	s.plan.run(func(_ int64, r Row) bool {
+		fn(r)
+		n++
+		return n != s.limit
+	})
+}
+
+// collect returns the selection's stored rows in answer order. ORDER BY
+// without LIMIT is a stable sort of the scan, which is in rowID order, so
+// ties come out by rowID; ORDER BY ... LIMIT k keeps the first k of that
+// order (topK); LIMIT without ORDER BY stops the scan after k rows, and
+// LIMIT 0 reads nothing.
+func (s *selection) collect() []Row {
+	switch {
+	case s.limit == 0:
+		return nil
+	case s.order != nil && s.limit > 0:
+		return s.topK()
+	}
 	var rows []Row
-	plan.run(func(_ int64, r Row) { rows = append(rows, r) })
-	if order != nil {
-		// Stable over the scan's rowID order, so ties come out by rowID and
-		// truncating afterwards is ORDER BY ... LIMIT.
-		slices.SortStableFunc(rows, order)
+	s.plan.run(func(_ int64, r Row) bool {
+		rows = append(rows, r)
+		return len(rows) != s.limit
+	})
+	if s.order != nil {
+		slices.SortStableFunc(rows, s.order)
 	}
-	if s.Limit >= 0 && len(rows) > s.Limit {
-		rows = rows[:s.Limit]
+	return rows
+}
+
+// ranked is a row with its rowID, the tie-break of ORDER BY.
+type ranked struct {
+	id  int64
+	row Row
+}
+
+// topK returns the first s.limit rows by (ORDER BY, rowID) — a stable sort
+// truncated to k — holding no more than k rows: a max-heap whose root is
+// the last of the k best so far. The scan comes in rowID order, so a row
+// that ties the root comes after it and is no better.
+func (s *selection) topK() []Row {
+	rank := func(a, b *ranked) int {
+		if c := s.order(a.row, b.row); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.id, b.id)
 	}
-	return project(rows, names, cols), nil
+	after := func(a, b *ranked) bool { return rank(a, b) > 0 }
+	heap := make([]ranked, 0, min(s.limit, s.plan.t.Len()))
+	s.plan.run(func(id int64, r Row) bool {
+		if len(heap) < s.limit {
+			heap = append(heap, ranked{id, r})
+			for i := len(heap) - 1; i > 0; {
+				p := (i - 1) / 2
+				if !after(&heap[i], &heap[p]) {
+					break
+				}
+				heap[i], heap[p] = heap[p], heap[i]
+				i = p
+			}
+			return true
+		}
+		if s.order(r, heap[0].row) >= 0 {
+			return true
+		}
+		heap[0] = ranked{id, r}
+		for i := 0; ; {
+			m, l := i, 2*i+1
+			if l < len(heap) && after(&heap[l], &heap[m]) {
+				m = l
+			}
+			if l+1 < len(heap) && after(&heap[l+1], &heap[m]) {
+				m = l + 1
+			}
+			if m == i {
+				break
+			}
+			heap[i], heap[m] = heap[m], heap[i]
+			i = m
+		}
+		return true
+	})
+	slices.SortFunc(heap, func(a, b ranked) int { return rank(&a, &b) })
+	rows := make([]Row, len(heap))
+	for i := range heap {
+		rows[i] = heap[i].row
+	}
+	return rows
 }
 
 // bindOrder resolves ORDER BY keys into a row comparison (multi-key
@@ -264,13 +461,23 @@ func bindColumns(schema *Schema, cols []string, hidden map[string]bool) (names [
 	return names, idx, nil
 }
 
-// project copies columns idx (named names) out of rows; position -1 is a
-// column the subject's view hides and stays NULL. The result never aliases
-// table storage, SELECT * included: callers own their result rows and write
-// into them (privacy.FilterResult NULLs masked columns in place). All
-// result rows are cut from one backing array, each capped at its own length
-// so an append cannot reach its neighbour.
-func project(rows []Row, names []string, idx []int) *Result {
+// identity returns the column map of rows that are the result's columns,
+// in order.
+func identity(n int) []int {
+	c := make([]int, n)
+	for i := range c {
+		c[i] = i
+	}
+	return c
+}
+
+// project copies columns idx out of rows: the one copy-out of stored rows;
+// position -1 reads NULL. The result never aliases table storage, SELECT *
+// included: callers own their result rows and write into them
+// (privacy.FilterResult NULLs masked columns in place). All result rows are
+// cut from one backing array, each capped at its own length so an append
+// cannot reach its neighbour.
+func project(rows []Row, idx []int) []Row {
 	width := len(idx)
 	vals := make([]Value, len(rows)*width)
 	out := make([]Row, len(rows))
@@ -283,7 +490,7 @@ func project(rows []Row, names []string, idx []int) *Result {
 		}
 		out[i] = pr
 	}
-	return &Result{Columns: names, Rows: out, Affected: len(out)}
+	return out
 }
 
 // scanPlan is a predicate bound to a table: the matcher, and the key tests
@@ -309,23 +516,19 @@ func planScan(t *Table, where Expr) (scanPlan, error) {
 	return p, nil
 }
 
-// run calls emit, in rowID order, for every row the predicate accepts. A
-// predicate with key tests scans the slots of each chunk that pass them,
-// and one without scans every row; the matcher decides every candidate.
-// Emitted rows are the stored ones — shared, never to be modified.
-func (p *scanPlan) run(emit func(id int64, r Row)) {
+// run calls emit, in rowID order, for every row the predicate accepts,
+// until emit returns false. A predicate with key tests scans the slots of
+// each chunk that pass them, and one without scans every row; the matcher
+// decides every candidate. Emitted rows are the stored ones — shared, never
+// to be modified.
+func (p *scanPlan) run(emit func(id int64, r Row) bool) {
 	if p.keys.n > 0 {
-		p.t.rows.scanNarrowed(len(p.t.Schema.Columns), &p.keys, func(id int64, r Row) {
-			if p.match(r) {
-				emit(id, r)
-			}
+		p.t.rows.scanNarrowed(len(p.t.Schema.Columns), &p.keys, func(id int64, r Row) bool {
+			return !p.match(r) || emit(id, r)
 		})
 		return
 	}
 	p.t.rows.scan(func(id int64, r Row) bool {
-		if p.match(r) {
-			emit(id, r)
-		}
-		return true
+		return !p.match(r) || emit(id, r)
 	})
 }

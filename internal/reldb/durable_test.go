@@ -2,6 +2,7 @@ package reldb
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	"sort"
@@ -714,6 +715,79 @@ func TestOpenDatabaseRefusesUnreadableSegment(t *testing.T) {
 		img.FailReads(seg)
 		if db2, err := OpenDatabase(w2); err == nil {
 			t.Fatalf("%s unreadable: OpenDatabase returned a database with %d of 30 rows", seg, len(tableRows(t, db2, "t")))
+		}
+	}
+}
+
+// TestCorruptSealedSegmentRefusesStart: a database whose log has a bad
+// frame in a sealed segment — one with a later segment beside it, so
+// synced and acknowledged — does not start: its WAL refuses to open with
+// wal.ErrCorrupt, and every segment stays on disk as it was, for repair
+// or forensics, instead of the log being cut there and the later commits
+// dropped.
+func TestCorruptSealedSegmentRefusesStart(t *testing.T) {
+	fs := faultinject.NewMemFS()
+	opts := wal.Options{FS: fs, Policy: wal.SyncAlways, SegmentBytes: 512}
+	w, err := wal.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := OpenDatabase(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, "CREATE TABLE kv (k TEXT, v INT)")
+	for i := 0; i < 40; i++ {
+		mustExec(t, db, fmt.Sprintf("INSERT INTO kv VALUES ('k%02d', %d)", i, i))
+	}
+	w.Close()
+	assertSealedCorruptionRefused(t, fs, func() error {
+		w, err := wal.Open(opts)
+		if err != nil {
+			return err
+		}
+		defer w.Close()
+		_, err = OpenDatabase(w)
+		return err
+	})
+}
+
+// assertSealedCorruptionRefused flips a bit in the first frame's payload
+// of fs's first segment, which must have a later one beside it, and holds
+// open to refusing with wal.ErrCorrupt and leaving every file as it was.
+func assertSealedCorruptionRefused(t *testing.T, fs *faultinject.MemFS, open func() error) {
+	t.Helper()
+	names, err := fs.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var segs []string
+	for _, name := range names {
+		if strings.HasPrefix(name, "wal-") {
+			segs = append(segs, name)
+		}
+	}
+	if len(segs) < 2 {
+		t.Fatalf("want a sealed segment, have %v", names)
+	}
+	data, _ := fs.ReadFile(segs[0])
+	data[16+1] ^= 0x40
+	if err := fs.WriteTrunc(segs[0], data); err != nil {
+		t.Fatal(err)
+	}
+	before := map[string][]byte{}
+	for _, name := range names {
+		before[name], _ = fs.ReadFile(name)
+	}
+	if err := open(); !errors.Is(err, wal.ErrCorrupt) {
+		t.Fatalf("open over a corrupt sealed segment: %v, want wal.ErrCorrupt", err)
+	}
+	if after, _ := fs.List(); !reflect.DeepEqual(after, names) {
+		t.Fatalf("files after the refused open: %v, want %v", after, names)
+	}
+	for _, name := range names {
+		if data, _ := fs.ReadFile(name); !bytes.Equal(data, before[name]) {
+			t.Fatalf("the refused open rewrote %s", name)
 		}
 	}
 }

@@ -457,7 +457,7 @@ func TestScanAllocatesForTheResultOnly(t *testing.T) {
 		sel := MustParse(fmt.Sprintf(
 			"SELECT name, age FROM patients WHERE name = 'person-%06d' AND age >= 0", n/2)).(*SelectStmt)
 		run := func() {
-			if res, err := db.execSelect(sel); err != nil || len(res.Rows) != 1 {
+			if res, err := db.ExecStmt(sel); err != nil || len(res.Rows) != 1 {
 				t.Fatalf("rows %v, err %v", res, err)
 			}
 		}

@@ -2,8 +2,10 @@ package reldb
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"webdbsec/internal/policy"
@@ -15,9 +17,9 @@ import (
 // fixed table without panicking: directly, under Explain (which must not
 // refuse what executes), and through a SecureDB whose subject has a row
 // policy and hidden columns (the fold and the projection read those as
-// NULL). Errors are fine; panics are not. A row SELECT without LIMIT must
-// also return what a brute-force scan with its bound matcher does
-// (checkRowSelect).
+// NULL). Errors are fine; panics are not. A row SELECT must also return
+// what a brute-force scan with its bound matcher does, and with LIMIT k the
+// first k rows of its answer without LIMIT (checkRowSelect).
 func FuzzParse(f *testing.F) {
 	for _, src := range []string{
 		// The statements this package's tests run, one of each shape.
@@ -106,7 +108,7 @@ func FuzzParse(f *testing.F) {
 		if errPlain == nil && len(sel.Aggs) == 0 && len(view.Rows) > len(plain.Rows) {
 			t.Fatalf("%q: view has %d rows, table query %d", src, len(view.Rows), len(plain.Rows))
 		}
-		if errPlain == nil && len(sel.Aggs) == 0 && sel.Limit < 0 {
+		if errPlain == nil && len(sel.Aggs) == 0 {
 			checkRowSelect(t, sdb.DB(), src, sel, plain)
 		}
 	})
@@ -146,12 +148,27 @@ func checkInsert(t *testing.T, db *Database, src string, ins *InsertStmt) {
 	}
 }
 
-// checkRowSelect holds the result of a row SELECT without LIMIT to brute
-// force: as a multiset, its rows are the projection of the table rows the
+// checkRowSelect holds the result of a row SELECT to brute force. Without
+// LIMIT: as a multiset, its rows are the projection of the table rows the
 // bound matcher accepts, scanned one by one; and the same statement over
 // every column returns them in ORDER BY order, projecting to the result
-// row for row.
+// row for row. With LIMIT k, its rows are the first k of the same
+// statement's without LIMIT — which is held to the same oracle — ties in
+// ORDER BY included: the top-k heap must equal a stable sort truncated.
 func checkRowSelect(t *testing.T, db *Database, src string, sel *SelectStmt, got *Result) {
+	if sel.Limit >= 0 {
+		unlimited := *sel
+		unlimited.Limit = -1
+		all, err := db.ExecStmt(&unlimited)
+		if err != nil {
+			t.Fatalf("%q without LIMIT: %v", src, err)
+		}
+		checkRowSelect(t, db, src+" without LIMIT", &unlimited, all)
+		if want := all.Rows[:min(sel.Limit, len(all.Rows))]; !sameRows(got.Rows, want) {
+			t.Fatalf("%q returned\n%#v\nthe first %d rows without LIMIT are\n%#v", src, got.Rows, sel.Limit, want)
+		}
+		return
+	}
 	tbl, _ := db.Table(sel.Table)
 	match := matcher(matchAll)
 	if sel.Where != nil {
@@ -179,7 +196,7 @@ func checkRowSelect(t *testing.T, db *Database, src string, sel *SelectStmt, got
 		sort.Strings(out)
 		return out
 	}
-	if g, w := multiset(got.Rows), multiset(project(matched, nil, cols).Rows); !slices.Equal(g, w) {
+	if g, w := multiset(got.Rows), multiset(project(matched, cols)); !slices.Equal(g, w) {
 		t.Fatalf("%q returned %v, brute force %v", src, g, w)
 	}
 
@@ -196,9 +213,22 @@ func checkRowSelect(t *testing.T, db *Database, src string, sel *SelectStmt, got
 			}
 		}
 	}
-	if g, w := fmt.Sprintf("%#v", got.Rows), fmt.Sprintf("%#v", project(all.Rows, nil, cols).Rows); g != w {
-		t.Fatalf("%q returned\n%s\nits every-column form projects to\n%s", src, g, w)
+	if want := project(all.Rows, cols); !sameRows(got.Rows, want) {
+		t.Fatalf("%q returned\n%#v\nits every-column form projects to\n%#v", src, got.Rows, want)
 	}
+}
+
+// sameRows reports whether a and b hold equal rows in the same order.
+func sameRows(a, b []Row) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if fmt.Sprintf("%#v", a[i]) != fmt.Sprintf("%#v", b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // FuzzApplyCommit feeds arbitrary bytes to a follower as its next log
@@ -278,5 +308,60 @@ func FuzzApplyCommit(f *testing.F) {
 				return true
 			})
 		}
+	})
+}
+
+// FuzzTopK holds ORDER BY ... LIMIT k — the bounded heap — and LIMIT
+// without ORDER BY — the early-exit scan — to checkRowSelect's oracle over
+// a table whose keys tie often: n rows drawn from seed over tiny domains,
+// NULLs included, ordered by one or two keys in either direction, with
+// and without a WHERE that narrows on chunk keys.
+func FuzzTopK(f *testing.F) {
+	f.Add(int64(1), uint16(40), 3, uint8(0))
+	f.Add(int64(2), uint16(300), 0, uint8(1))
+	f.Add(int64(3), uint16(600), 7, uint8(6))
+	f.Add(int64(4), uint16(9), 20, uint8(15))
+	f.Add(int64(5), uint16(0), 1, uint8(3))
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, k int, shape uint8) {
+		if k < 0 {
+			k = -k
+		}
+		if k < 0 || n > 1000 {
+			return
+		}
+		rng := rand.New(rand.NewSource(seed))
+		db := NewDatabase()
+		mustExec(t, db, "CREATE TABLE t (a INT, b TEXT, c INT)")
+		if n > 0 {
+			var vals []string
+			for i := 0; i < int(n); i++ {
+				a, b := "NULL", "NULL"
+				if rng.Intn(8) > 0 {
+					a = fmt.Sprint(rng.Intn(4))
+				}
+				if rng.Intn(8) > 0 {
+					b = fmt.Sprintf("'%c'", 'p'+rng.Intn(3))
+				}
+				vals = append(vals, fmt.Sprintf("(%s, %s, %d)", a, b, i))
+			}
+			mustExec(t, db, "INSERT INTO t VALUES "+strings.Join(vals, ", "))
+		}
+		src := "SELECT b, c FROM t"
+		if shape&1 != 0 {
+			src += " WHERE a >= 1"
+		}
+		switch dirs := []string{"", " DESC"}; shape >> 1 & 3 {
+		case 1:
+			src += " ORDER BY a" + dirs[shape>>3&1]
+		case 2, 3:
+			src += " ORDER BY b" + dirs[shape>>3&1] + ", a" + dirs[shape>>4&1]
+		}
+		src += fmt.Sprintf(" LIMIT %d", k)
+		sel := MustParse(src).(*SelectStmt)
+		got, err := db.ExecStmt(sel)
+		if err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+		checkRowSelect(t, db, src, sel, got)
 	})
 }

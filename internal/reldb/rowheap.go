@@ -203,9 +203,9 @@ func (h *rowHeap) scan(fn func(id int64, r Row) bool) {
 
 // scanNarrowed calls fn, in ascending id order, for every row of width
 // columns whose slot passes every test in f — a superset of the rows f's
-// predicate matches, which fn is left to decide. Chunks are narrowed on
-// their keys, built on first use.
-func (h *rowHeap) scanNarrowed(width int, f *keyFilter, fn func(id int64, r Row)) {
+// predicate matches, which fn is left to decide — until fn returns false.
+// Chunks are narrowed on their keys, built on first use.
+func (h *rowHeap) scanNarrowed(width int, f *keyFilter, fn func(id int64, r Row) bool) {
 	var sel [chunkSize]uint8
 	for ci, c := range h.chunks {
 		if c == nil {
@@ -213,8 +213,8 @@ func (h *rowHeap) scanNarrowed(width int, f *keyFilter, fn func(id int64, r Row)
 		}
 		base := int64(ci) << chunkBits
 		for _, s := range sel[:f.narrow(c.scanKeys(width), &sel)] {
-			if r := c.rows[s]; r != nil {
-				fn(base+int64(s), r)
+			if r := c.rows[s]; r != nil && !fn(base+int64(s), r) {
+				return
 			}
 		}
 	}

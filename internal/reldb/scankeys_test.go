@@ -104,7 +104,10 @@ func checkPlan(t *testing.T, desc string, tbl *Table, where Expr) {
 		t.Fatalf("%s: plan %v: %v", desc, where, err)
 	}
 	var got []int64
-	p.run(func(id int64, _ Row) { got = append(got, id) })
+	p.run(func(id int64, _ Row) bool {
+		got = append(got, id)
+		return true
+	})
 	if want, _ := refMatches(t, tbl, where); !slices.Equal(got, want) {
 		t.Fatalf("%s: %v over %d rows: scan %v, reference %v", desc, where, tbl.Len(), got, want)
 	}
@@ -198,10 +201,11 @@ func TestKeyScanEqualsReference(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				agg.GroupBy = cols[rng.Intn(len(cols))]
 			}
-			got, err := execSelectTable(tbl, agg)
+			got, err := bindSelect(tbl, agg)
 			if err != nil {
 				t.Fatal(err)
 			}
+			got.own()
 			_, rows := refMatches(t, tbl, where)
 			if want := foldRef(cols, rows, agg.Aggs, agg.GroupBy); fmt.Sprint(got.Rows) != fmt.Sprint(want) {
 				t.Fatalf("size %d: aggregate over %v grouped by %q:\n got  %v\n want %v", size, where, agg.GroupBy, got.Rows, want)
@@ -327,7 +331,7 @@ func TestKeyScanMatchesCandidatesOnly(t *testing.T) {
 		{Table: "patients", Where: where, Limit: -1, Aggs: []AggExpr{{AggCount, "*"}}},
 	} {
 		calls = 0
-		res, err := db.execSelect(sel)
+		res, err := db.ExecStmt(sel)
 		if err != nil || len(res.Rows) != 1 {
 			t.Fatalf("rows %v, err %v", res, err)
 		}

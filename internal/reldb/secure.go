@@ -198,15 +198,30 @@ func (s *SecureDB) Exec(subject *policy.Subject, src string) (*Result, error) {
 	return s.ExecStmt(subject, st)
 }
 
-// ExecStmt runs a parsed statement as the subject. It is the one gate every
-// statement kind passes: the table privilege, then the subject's view — its
-// row policies conjoined onto WHERE and, for a SELECT, its hidden columns —
-// installed on a copy of the statement, then the engine. This is the
-// paper's "query processing [taking] into consideration the access control
-// policies": the rewrite happens before planning, so the policy's
-// conjuncts narrow the scan on chunk keys as the query's own do, and an
-// aggregate is computed over the view.
+// ExecStmt runs a parsed statement as the subject through ExecBound and
+// returns a SELECT's rows owned: copied out of the table, the caller's to
+// keep and write.
 func (s *SecureDB) ExecStmt(subject *policy.Subject, st Stmt) (*Result, error) {
+	res, err := s.ExecBound(subject, st)
+	if err != nil {
+		return nil, err
+	}
+	return res.own(), nil
+}
+
+// ExecBound runs a parsed statement as the subject. It is the one gate
+// every statement kind passes: the table privilege, then the subject's
+// view — its row policies conjoined onto WHERE and, for a SELECT, its
+// hidden columns — installed on a copy of the statement, then the engine.
+// This is the paper's "query processing [taking] into consideration the
+// access control policies": the rewrite happens before planning, so the
+// policy's conjuncts narrow the scan on chunk keys as the query's own do,
+// and an aggregate is computed over the view.
+//
+// A write executes here. A SELECT comes back bound, not read: planned
+// against the version current now, with every error decided, and its rows
+// — the stored ones, shared and read-only — read by Result.Each.
+func (s *SecureDB) ExecBound(subject *policy.Subject, st Stmt) (*Result, error) {
 	var (
 		priv  sysr.Privilege
 		table string
@@ -250,7 +265,7 @@ func (s *SecureDB) ExecStmt(subject *policy.Subject, st Stmt) (*Result, error) {
 		*where = rewritten
 	}
 	// seclint:taint-exempt the statement is structural: subject attributes land in predicate constants compared by the evaluator, never re-parsed as SQL text
-	return s.db.ExecStmt(st)
+	return s.db.execBound(st)
 }
 
 // rewriteWhere conjoins the subject's row-visibility predicate onto the

@@ -204,9 +204,14 @@ func (t *Txn) ExecStmt(st Stmt) (*Result, error) {
 	switch s := st.(type) {
 	case *SelectStmt:
 		// Read-your-writes: a table this transaction has written is read
-		// from its working copy; everything else from the pinned snapshot.
+		// from its working copy — copied out now, as the transaction's next
+		// write changes it — and everything else from the pinned snapshot.
 		if w, ok := t.work[s.Table]; ok {
-			return execSelectTable(w, s)
+			res, err := bindSelect(w, s)
+			if err != nil {
+				return nil, err
+			}
+			return res.own(), nil
 		}
 		return t.snap.ExecSelect(s)
 
@@ -255,9 +260,9 @@ func (t *Txn) ExecStmt(st Stmt) (*Result, error) {
 		// checks must fail the statement before any row is written.
 		var changes []Change
 		var failed error
-		plan.run(func(id int64, r Row) {
+		plan.run(func(id int64, r Row) bool {
 			if failed != nil {
-				return
+				return false
 			}
 			newRow := r.Clone()
 			for _, sc := range sets {
@@ -265,6 +270,7 @@ func (t *Txn) ExecStmt(st Stmt) (*Result, error) {
 			}
 			failed = t.db.validateRow(tbl, newRow)
 			changes = append(changes, Change{Table: s.Table, RowID: id, Row: newRow})
+			return true
 		})
 		if failed != nil {
 			return nil, failed
@@ -287,7 +293,10 @@ func (t *Txn) ExecStmt(st Stmt) (*Result, error) {
 			return nil, err
 		}
 		var changes []Change
-		plan.run(func(id int64, _ Row) { changes = append(changes, Change{Table: s.Table, RowID: id}) })
+		plan.run(func(id int64, _ Row) bool {
+			changes = append(changes, Change{Table: s.Table, RowID: id})
+			return true
+		})
 		for _, c := range changes {
 			if _, err := tbl.Delete(c.RowID); err != nil {
 				return nil, err

@@ -90,12 +90,17 @@ func (s *Snapshot) Table(name string) (*Table, bool) { return s.pin.Value().tabl
 // Tables returns the snapshot's table names, sorted.
 func (s *Snapshot) Tables() []string { return s.pin.Value().tableNames() }
 
-// ExecSelect runs a read-only query against the pinned version.
+// ExecSelect runs a read-only query against the pinned version. Its rows
+// come back owned: the caller may Release the snapshot before reading them.
 //
 // seclint:exempt storage engine below the access-control gate; SecureDB authorizes and rewrites before queries reach a snapshot
 // seclint:sink
 func (s *Snapshot) ExecSelect(stmt *SelectStmt) (*Result, error) {
-	return execSelectVersion(s.pin.Value(), stmt)
+	res, err := bindVersion(s.pin.Value(), stmt)
+	if err != nil {
+		return nil, err
+	}
+	return res.own(), nil
 }
 
 // VersionStats snapshots the MVCC bookkeeping counters.

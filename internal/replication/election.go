@@ -102,6 +102,7 @@ func (n *Node) runElection() {
 				}
 				n.role = FollowerRole
 				n.leaderID = st.node
+				n.heardAt = time.Now()
 				n.broadcastLocked()
 			}
 			n.mu.Unlock()
@@ -126,9 +127,27 @@ func (n *Node) runElection() {
 	}
 
 	// Claim a fresh epoch: durably self-vote first, then gather a quorum.
+	// The node's own epoch stays where it is until the candidacy wins: a
+	// lost candidacy leaves no higher epoch behind to unseat, through the
+	// epoch every poll carries, a leader the rest of the group follows,
+	// and the node can join that leader next round. The persisted vote is
+	// what makes the epoch this candidate's alone.
 	n.mu.Lock()
 	if n.role != Candidate || n.stopped {
 		n.mu.Unlock()
+		return
+	}
+	// seclint:locked the unlock above is in the returning branch; the lock is still held here
+	if n.leaderFreshLocked() {
+		// This node granted a vote, or heard from its leader, within the
+		// election timeout: that leadership may have won since the poll,
+		// so the node waits for it to show (or the timeout to pass)
+		// rather than claim past it — as it refuses any candidate that
+		// would.
+		// seclint:locked the unlock above is in the returning branch; the lock is still held here
+		epoch := n.epoch
+		n.mu.Unlock()
+		n.logf("election: the leadership of epoch %d was heard within the election timeout, not claiming", epoch)
 		return
 	}
 	newEpoch := maxEpoch + 1
@@ -140,7 +159,7 @@ func (n *Node) runElection() {
 		newEpoch = n.votedEpoch + 1
 	}
 	// seclint:locked the unlock above is in the returning branch; the lock is still held here
-	n.epoch = newEpoch
+	startEpoch := n.epoch
 	// seclint:locked the unlock above is in the returning branch; the lock is still held here
 	n.votedEpoch = newEpoch
 	if err := n.saveMetaLocked(); err != nil {
@@ -153,7 +172,7 @@ func (n *Node) runElection() {
 	n.mu.Unlock()
 
 	votes := 1 // self
-	maxSeen := newEpoch
+	maxSeen := startEpoch
 	for id := range n.cfg.Peers {
 		if votes >= n.quorum {
 			break
@@ -163,17 +182,16 @@ func (n *Node) runElection() {
 			n.logf("election: vote %s: %v", id, err)
 			continue
 		}
-		if peerEpoch > maxSeen {
-			maxSeen = peerEpoch
-		}
 		if granted {
 			votes++
+		} else if peerEpoch > maxSeen {
+			maxSeen = peerEpoch
 		}
 	}
 
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.role != Candidate || n.stopped || n.epoch != newEpoch {
+	if n.role != Candidate || n.stopped || n.epoch != startEpoch {
 		// A newer election (or a leader's join traffic) moved the node on
 		// while the votes were in flight; this candidacy is dead.
 		return
@@ -188,6 +206,7 @@ func (n *Node) runElection() {
 		n.logf("election: %d/%d votes at epoch %d, backing off", votes, n.quorum, newEpoch)
 		return
 	}
+	n.epoch = newEpoch
 	n.becomeLeaderLocked()
 }
 
@@ -279,8 +298,10 @@ func (n *Node) serveState(ch *secchan.Channel, m *msg) {
 	n.replyAndDrain(ch, resp)
 }
 
-// serveVote answers a candidacy request. The two rules that make epochs
-// exclusive and elections safe:
+// serveVote answers a candidacy request. A node that stays with the
+// leadership of its epoch (leaderFreshLocked) refuses a higher epoch
+// without adopting it. The two rules that make epochs exclusive and
+// elections safe:
 //
 //   - one grant per epoch, persisted BEFORE the reply leaves the node —
 //     a crash between granting and replying must not allow a second
@@ -290,6 +311,25 @@ func (n *Node) serveState(ch *secchan.Channel, m *msg) {
 //     cannot collect a quorum while any voter holds newer-epoch records.
 func (n *Node) serveVote(ch *secchan.Channel, m *msg) {
 	n.mu.Lock()
+	granted := n.voteLocked(m)
+	resp := &msg{T: "voteResp", Node: n.cfg.NodeID, Epoch: n.epoch, OK: granted}
+	n.mu.Unlock()
+	n.replyAndDrain(ch, resp)
+}
+
+// voteLocked decides a candidacy request and reports whether it granted
+// the vote.
+//
+// seclint:locked caller holds n.mu
+func (n *Node) voteLocked(m *msg) bool {
+	if m.Epoch > n.epoch && n.leaderFreshLocked() {
+		// The leadership of this node's epoch was heard from within the
+		// election timeout: stay with it, and keep the epoch — a candidate
+		// that polled before that leader's win showed is the disruptive
+		// server, and adopting its epoch would depose the leader anyway.
+		n.logf("vote: refused %s epoch %d: the leadership of epoch %d was heard within the election timeout", m.Node, m.Epoch, n.epoch)
+		return false
+	}
 	if m.Epoch > n.epoch {
 		n.epoch = m.Epoch
 		if n.role == LeaderRole {
@@ -300,24 +340,22 @@ func (n *Node) serveVote(ch *secchan.Channel, m *msg) {
 			n.logf("vote: %v", err)
 		}
 	}
-	granted := false
 	upToDate := m.TailEpoch > n.tailEpoch ||
 		(m.TailEpoch == n.tailEpoch && m.DurableLSN >= n.cfg.WAL.DurableLSN())
-	if m.Epoch == n.epoch && m.Epoch > n.votedEpoch && upToDate && !n.stopped {
-		n.votedEpoch = m.Epoch
-		if err := n.saveMetaLocked(); err != nil {
-			// An unpersisted grant must not count: roll it back and
-			// refuse, or a restart could hand the same epoch out twice.
-			n.votedEpoch = 0
-			n.logf("vote: cannot persist grant for %s at %d: %v", m.Node, m.Epoch, err)
-		} else {
-			granted = true
-			n.logf("vote: granted %s epoch %d (tail %d, durable %d)", m.Node, m.Epoch, m.TailEpoch, m.DurableLSN)
-		}
+	if m.Epoch != n.epoch || m.Epoch <= n.votedEpoch || !upToDate || n.stopped {
+		return false
 	}
-	resp := &msg{T: "voteResp", Node: n.cfg.NodeID, Epoch: n.epoch, OK: granted}
-	n.mu.Unlock()
-	n.replyAndDrain(ch, resp)
+	n.votedEpoch = m.Epoch
+	if err := n.saveMetaLocked(); err != nil {
+		// An unpersisted grant must not count: roll it back and refuse,
+		// or a restart could hand the same epoch out twice.
+		n.votedEpoch = 0
+		n.logf("vote: cannot persist grant for %s at %d: %v", m.Node, m.Epoch, err)
+		return false
+	}
+	n.heardAt = time.Now()
+	n.logf("vote: granted %s epoch %d (tail %d, durable %d)", m.Node, m.Epoch, m.TailEpoch, m.DurableLSN)
+	return true
 }
 
 // replyAndDrain sends resp and then waits for the peer's close-notify so

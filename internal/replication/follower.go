@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"time"
 
 	"webdbsec/internal/secchan"
 )
@@ -262,6 +263,9 @@ func (n *Node) consume(ch *secchan.Channel, leader string, epoch, epochStart uin
 			return fmt.Errorf("replication: stale leader epoch %d < %d", m.Epoch, n.Epoch())
 		}
 		n.observeEpoch(m.Epoch)
+		n.mu.Lock()
+		n.heardAt = time.Now()
+		n.mu.Unlock()
 		n.installAuthKeys(m.Keys, m.KeysGen, m.Epoch)
 		switch m.T {
 		case "recs":

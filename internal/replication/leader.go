@@ -194,23 +194,11 @@ func (n *Node) runLeader() {
 		// Leader-side durability can advance between acks (group commit
 		// flushes); fold it into the watermark continuously.
 		n.advanceCommitLocked()
-		reachable := 1 // self
-		cutoff := time.Now().Add(-n.cfg.electionTimeout())
 		// seclint:locked the unlock above is in the returning branch; the lock is still held here
-		for _, l := range n.links {
-			if l.lastHeard().After(cutoff) {
-				reachable++
-			}
-		}
-		// A vote-elected leader starts with zero links: its voters are
-		// still candidates until their next poll finds it. Promotion
-		// counts as hearing from the electing quorum, so fencing begins
-		// one election timeout after it.
-		// seclint:locked the unlock above is in the returning branch; the lock is still held here
-		if reachable < n.quorum && n.leaderAt.Before(cutoff) {
+		if !n.quorumHeardLocked(time.Now().Add(-n.cfg.electionTimeout())) {
 			// seclint:locked the unlock above is in the returning branch; the lock is still held here
 			n.failovers++
-			n.stepDownLocked(fmt.Sprintf("quorum lost (%d/%d reachable)", reachable, n.quorum))
+			n.stepDownLocked("quorum lost")
 			n.mu.Unlock()
 			return
 		}
@@ -219,6 +207,44 @@ func (n *Node) runLeader() {
 			n.logf("leader apply: %v", err)
 		}
 	}
+}
+
+// quorumHeardLocked reports whether a quorum heard from this leader after
+// cutoff: the followers whose links delivered an ack since, and itself. A
+// vote-elected leader starts with zero links — its voters are still
+// candidates until their next poll finds it — so promotion counts as
+// hearing from the electing quorum, and fencing begins one election
+// timeout after it.
+//
+// seclint:locked caller holds n.mu
+func (n *Node) quorumHeardLocked(cutoff time.Time) bool {
+	if n.leaderAt.After(cutoff) {
+		return true
+	}
+	reachable := 1 // self
+	for _, l := range n.links {
+		if l.lastHeard().After(cutoff) {
+			reachable++
+		}
+	}
+	return reachable >= n.quorum
+}
+
+// leaderFreshLocked reports whether this node stays with the leadership of
+// its epoch: as the leader, a quorum heard from it within the election
+// timeout; otherwise it heard from that leadership (heardAt) within it.
+// Such a node neither grants a vote for a higher epoch nor adopts one from
+// a vote request, so a node that polled before the current leader's win
+// showed cannot unseat it (Ongaro's disruptive server). A dead leader sends
+// nothing, so once the timeout has passed votes are granted as before.
+//
+// seclint:locked caller holds n.mu
+func (n *Node) leaderFreshLocked() bool {
+	cutoff := time.Now().Add(-n.cfg.electionTimeout())
+	if n.role == LeaderRole {
+		return n.quorumHeardLocked(cutoff)
+	}
+	return n.heardAt.After(cutoff)
 }
 
 // serveJoin runs the leader side of the authenticated catch-up handshake,

@@ -263,6 +263,12 @@ type Node struct {
 	// timeout for its voters to come back as streaming followers before
 	// quorum silence can demote it.
 	leaderAt time.Time // seclint:guardedby mu
+	// heardAt is when this node last heard from the leadership of its
+	// epoch while not leading it: a message on its leader's stream, the
+	// leader's state reply it joined on, or a vote it granted. Within the
+	// election timeout of it the node stays with that leadership
+	// (leaderFreshLocked).
+	heardAt time.Time // seclint:guardedby mu
 
 	// authKeysEpoch/authKeysGen order mint verify-key installs: a set is
 	// installed only if its (leader epoch, keyring generation) is strictly

@@ -2,12 +2,16 @@ package replication_test
 
 import (
 	"context"
+	"crypto/ed25519"
+	"encoding/json"
 	"errors"
+	"net"
 	"testing"
 	"time"
 
 	"webdbsec/internal/credential"
 	"webdbsec/internal/replication"
+	"webdbsec/internal/secchan"
 )
 
 // TestSingleNodeLeads: a cluster of one is its own quorum — it elects
@@ -496,4 +500,88 @@ func itoa(i int) string {
 		b[p] = '-'
 	}
 	return string(b[p:])
+}
+
+// voteAs delivers to member to the vote request from stands for, over the
+// same authenticated channel a peer dials, and returns the reply: whether
+// the vote was granted and the voter's epoch.
+func (c *cluster) voteAs(from, to string, epoch, durable uint64) (bool, uint64) {
+	c.t.Helper()
+	conn, err := net.DialTimeout("tcp", c.addrs[to], time.Second)
+	if err != nil {
+		c.t.Fatalf("dial %s: %v", to, err)
+	}
+	cfg := secchan.Config{HandshakeTimeout: time.Second, ReadTimeout: time.Second, WriteTimeout: time.Second}
+	ch, err := secchan.ClientConfig(conn, nodeKey(to).Public().(ed25519.PublicKey), cfg)
+	if err != nil {
+		conn.Close()
+		c.t.Fatalf("handshake with %s: %v", to, err)
+	}
+	defer ch.Close()
+	req, _ := json.Marshal(map[string]any{"t": "vote", "node": from, "epoch": epoch, "durable": durable})
+	if err := ch.Send(req); err != nil {
+		c.t.Fatalf("send vote to %s: %v", to, err)
+	}
+	raw, err := ch.Receive()
+	if err != nil {
+		c.t.Fatalf("vote reply from %s: %v", to, err)
+	}
+	var resp struct {
+		Epoch uint64 `json:"epoch"`
+		OK    bool   `json:"ok"`
+	}
+	if err := json.Unmarshal(raw, &resp); err != nil {
+		c.t.Fatalf("vote reply from %s: %v", to, err)
+	}
+	return resp.OK, resp.Epoch
+}
+
+// TestStaleCandidateCannotUnseatLeader: n3 is held back while n1 and n2
+// elect. Once the leader won its epoch and the other follows it, n3's
+// candidacy for the next epoch — what n3 sends when its poll ran before
+// the win showed, and its log ranks best — is refused by both, neither
+// adopts the epoch, the leader keeps leading, and n3 joins it in the same
+// epoch. Without the stickiness rule the follower grants the vote and the
+// leader steps down for it: the cluster-start churn that answered a
+// test's first commit "not leader".
+func TestStaleCandidateCannotUnseatLeader(t *testing.T) {
+	c := newCluster(t, "n1", "n2", "n3")
+	c.isolate("n3")
+	c.startAll("n1", "n2", "n3")
+	leader := c.waitLeader(3 * time.Second)
+	other := map[string]string{"n1": "n2", "n2": "n1"}[leader.id]
+	epoch := leader.node.Epoch()
+	waitUntil := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(3 * time.Second); !cond(); time.Sleep(10 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting until %s", what)
+			}
+		}
+	}
+	follows := func(id string) bool {
+		n := c.members[id].node
+		return n.Role() == replication.FollowerRole && n.LeaderID() == leader.id && n.Epoch() == epoch
+	}
+	waitUntil(other+" follows "+leader.id, func() bool { return follows(other) })
+
+	for _, id := range []string{other, leader.id} {
+		if granted, got := c.voteAs("n3", id, epoch+1, 1<<20); granted || got != epoch {
+			t.Errorf("%s answered n3's candidacy for epoch %d: granted %v at epoch %d, want a refusal at %d", id, epoch+1, granted, got, epoch)
+		}
+	}
+	if n := leader.node; n.Role() != replication.LeaderRole || n.Epoch() != epoch {
+		t.Fatalf("after the stale candidacy %s is %s at epoch %d, want leader at %d", leader.id, n.Role(), n.Epoch(), epoch)
+	}
+
+	c.heal()
+	waitUntil("n3 follows "+leader.id, func() bool { return follows("n3") })
+	if err := leader.commit("CREATE TABLE kv (k TEXT, v INT)"); err != nil {
+		t.Fatalf("first commit on %s: %v", leader.id, err)
+	}
+	for _, id := range c.sorted() {
+		if e := c.members[id].node.Epoch(); e != epoch {
+			t.Errorf("%s ends at epoch %d, want %d", id, e, epoch)
+		}
+	}
 }

@@ -28,7 +28,8 @@ const metaName = "replmeta"
 //     the stamp would let a stale long tail outrank committed records.
 //   - Epoch: the highest epoch observed. Strictly monotone; keeping it
 //     durable spares a restarted node from re-learning it through a
-//     rejected round, but VotedEpoch is what carries the safety.
+//     rejected round, but VotedEpoch is what carries the safety. A
+//     candidate's own claim raises it only once the candidacy wins.
 //
 // The file is replaced atomically via wal.FS.WriteTrunc (write temporary,
 // fsync, rename), so a crash leaves either the old or the new state.

@@ -2,9 +2,11 @@ package wal_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -116,6 +118,42 @@ func assertReplayEquals(t *testing.T, w *wal.WAL, want []wal.Record, desc string
 	}
 }
 
+// assertSealedCorruptionRefused holds Open to the sealed-segment rule: a
+// log whose bad frame lies in a segment with a later one beside it does
+// not open — the error is ErrCorrupt — and every file keeps its bytes.
+func assertSealedCorruptionRefused(t *testing.T, fs *faultinject.MemFS, opts wal.Options, desc string) {
+	t.Helper()
+	before := map[string][]byte{}
+	names, err := fs.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		if before[name], err = fs.ReadFile(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	opts.FS = fs
+	if w, err := wal.Open(opts); !errors.Is(err, wal.ErrCorrupt) {
+		if err == nil {
+			w.Close()
+		}
+		t.Fatalf("%s: Open over a corrupt sealed segment: %v, want ErrCorrupt", desc, err)
+	}
+	after, err := fs.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(after, names) {
+		t.Fatalf("%s: the refused Open left files %v, had %v", desc, after, names)
+	}
+	for _, name := range names {
+		if data, _ := fs.ReadFile(name); !bytes.Equal(data, before[name]) {
+			t.Fatalf("%s: the refused Open rewrote %s", desc, name)
+		}
+	}
+}
+
 // TestReplayMatchesReferenceScan is the differential test for the one read
 // path: on seeded logs — rotation at a small SegmentBytes, checkpoints at
 // arbitrary fences, and every way a log can be found at start (closed
@@ -124,6 +162,8 @@ func assertReplayEquals(t *testing.T, w *wal.WAL, want []wal.Record, desc string
 // a torn tail; a corrupt frame) — Replay delivers exactly the (LSN,
 // payload) sequence the reference scan collects, under all three sync
 // policies, on the live log before the end and on the reopened one after.
+// A corrupt frame in a sealed segment — any but the last — is the one
+// ending that does not reopen: Open refuses it and touches no file.
 func TestReplayMatchesReferenceScan(t *testing.T) {
 	endings := []string{"close", "crash-keep", "crash-drop", "crash-mid-checkpoint", "checkpoint-then-crash-drop", "torn", "corrupt"}
 	for _, policy := range []wal.SyncPolicy{wal.SyncAlways, wal.SyncInterval, wal.SyncNever} {
@@ -220,6 +260,11 @@ func TestReplayMatchesReferenceScan(t *testing.T) {
 					}
 					if err := img.WriteTrunc(seg, data); err != nil {
 						t.Fatal(err)
+					}
+					if seg != segs[len(segs)-1] {
+						w.Close()
+						assertSealedCorruptionRefused(t, img, opts, desc)
+						continue
 					}
 				}
 				w.Close()

@@ -422,42 +422,46 @@ func (w *WAL) recover() error {
 		}
 	}
 	w.lastLSN = w.snapLSN
+	// Every segment is scanned before any is touched. Only the last one
+	// can end torn: writeBatch syncs a segment before it rotates, under
+	// every sync policy, so a bad frame in a sealed segment is damage to
+	// acknowledged records. Open refuses it and removes or rewrites
+	// nothing, where cutting the log there would drop every later segment.
 	sc := segScanner{fs: w.fs, buf: make([]byte, min(w.opts.SegmentBytes, maxScanChunk))}
-	truncated := false
-	for _, n := range segNums {
-		name := segmentName(n)
-		if truncated {
-			// Everything after a torn segment is dead by construction: the
-			// writer never opened a later segment before finishing this one.
-			if err := w.fs.Remove(name); err != nil {
-				return fmt.Errorf("wal: drop post-torn segment %s: %w", name, err)
-			}
-			continue
-		}
-		w.segSeq = n
-		seg, torn, err := sc.scan(name)
+	segs := make([]segment, 0, len(segNums))
+	torn, lastGood := false, w.snapLSN
+	for i, n := range segNums {
+		seg, bad, err := sc.scan(segmentName(n))
 		if err != nil {
-			return fmt.Errorf("wal: read segment %s: %w", name, err)
+			return fmt.Errorf("wal: read segment %s: %w", seg.name, err)
 		}
-		if torn {
-			truncated = true
-			w.stats.TornTails++
+		if seg.end > 0 {
+			lastGood = seg.last
 		}
+		if bad && i < len(segNums)-1 {
+			return fmt.Errorf("wal: sealed segment %s has a bad frame at offset %d, after LSN %d: %w", seg.name, seg.end, lastGood, ErrCorrupt)
+		}
+		segs, torn, w.segSeq = append(segs, seg), bad, n
+	}
+	if torn {
+		w.stats.TornTails++
+	}
+	for i, seg := range segs {
 		if seg.end == 0 {
 			// No good frame: torn at its first, or ended cleanly before it —
 			// created and extended, never written.
-			if err := w.fs.Remove(name); err != nil {
-				return fmt.Errorf("wal: drop empty segment %s: %w", name, err)
+			if err := w.fs.Remove(seg.name); err != nil {
+				return fmt.Errorf("wal: drop empty segment %s: %w", seg.name, err)
 			}
 			continue
 		}
-		if torn {
+		if torn && i == len(segs)-1 {
 			good := make([]byte, seg.end)
-			if _, err := w.fs.ReadAt(name, good, 0); err != nil {
-				return fmt.Errorf("wal: read segment %s: %w", name, err)
+			if _, err := w.fs.ReadAt(seg.name, good, 0); err != nil {
+				return fmt.Errorf("wal: read segment %s: %w", seg.name, err)
 			}
-			if err := w.fs.WriteTrunc(name, good); err != nil {
-				return fmt.Errorf("wal: truncate torn segment %s: %w", name, err)
+			if err := w.fs.WriteTrunc(seg.name, good); err != nil {
+				return fmt.Errorf("wal: truncate torn segment %s: %w", seg.name, err)
 			}
 		}
 		w.lastLSN = max(w.lastLSN, seg.last)

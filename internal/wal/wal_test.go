@@ -2,7 +2,10 @@ package wal_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -316,5 +319,63 @@ func BenchmarkAppendSyncPolicy(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestCorruptSealedSegmentRefusesOpen: only the last segment can be torn —
+// a segment is synced before the log rotates past it — so a bad frame in
+// any earlier one is damage to acknowledged records. Open refuses it with
+// ErrCorrupt, naming the segment, the offset and the last good LSN, and
+// removes or rewrites no segment; cutting the log there would drop every
+// record after it.
+func TestCorruptSealedSegmentRefusesOpen(t *testing.T) {
+	fs := faultinject.NewMemFS()
+	opts := wal.Options{FS: fs, Policy: wal.SyncAlways, SegmentBytes: 256}
+	w, err := wal.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 30; i++ {
+		if _, err := w.Append([]byte(fmt.Sprintf("payload-%02d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Close()
+	segs := segmentNames(t, fs)
+	if len(segs) < 3 {
+		t.Fatalf("want at least 3 segments, have %v", segs)
+	}
+	sealed := segs[1]
+	data, _ := fs.ReadFile(sealed)
+	ends := frameEnds(t, data)
+	lastGood, _, _, err := wal.DecodeFrame(data[ends[0]:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[ends[1]+16+1] ^= 0x40 // the third frame's payload
+	if err := fs.WriteTrunc(sealed, data); err != nil {
+		t.Fatal(err)
+	}
+	before := map[string][]byte{}
+	for _, name := range segs {
+		before[name], _ = fs.ReadFile(name)
+	}
+
+	_, err = wal.Open(opts)
+	if !errors.Is(err, wal.ErrCorrupt) {
+		t.Fatalf("Open over a corrupt sealed segment: %v, want ErrCorrupt", err)
+	}
+	for _, want := range []string{sealed, fmt.Sprintf("offset %d", ends[1]), fmt.Sprintf("after LSN %d", lastGood)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+	if got := segmentNames(t, fs); !slices.Equal(got, segs) {
+		t.Fatalf("segments after the refused Open: %v, want %v", got, segs)
+	}
+	for _, name := range segs {
+		if data, _ := fs.ReadFile(name); !bytes.Equal(data, before[name]) {
+			t.Fatalf("the refused Open rewrote %s", name)
+		}
 	}
 }
