@@ -123,10 +123,15 @@ crashshort:
 # equal field tuples, and a WAL segment's frames followed by any run of
 # zeros (the unwritten tail of an extended segment) open, under any
 # SegmentBytes and so any scan chunk size, to exactly those frames and end
-# cleanly. The corpus accumulated under
+# cleanly, and the front door (FuzzFrontDoor), over arbitrary token and
+# wallet headers and form fields and claimed identities, never panics and
+# serves a request only for a step of the one chain its gate minted, bound
+# to the claimed identity, or for a wallet its verifier accepts, refusing
+# anything else 400 (malformed) or 401. The corpus accumulated under
 # testdata/ replays first, so past crashers stay fixed.
 fuzzshort:
 	$(GO) test -run '^$$' -fuzz FuzzTokenDecode -fuzztime 5s ./internal/authtoken/
+	$(GO) test -run '^$$' -fuzz FuzzFrontDoor -fuzztime 5s ./internal/authtoken/
 	$(GO) test -run '^$$' -fuzz FuzzWALDecode -fuzztime 5s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz FuzzScanSegment -fuzztime 5s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz FuzzParseDocument -fuzztime 5s ./internal/xmldoc/

@@ -32,26 +32,27 @@ func startOnAuditFS(t *testing.T, fs *faultinject.MemFS, segmentBytes int) *serv
 }
 
 // TestUnwritableAuditFailsClosed: once the audit WAL cannot sync, /query
-// and /exec answer 503 with no result, and keep doing so.
+// and /exec answer 503 with no result, and keep doing so; so does a request
+// the front door refuses, whose deny:auth record the log cannot take.
 func TestUnwritableAuditFailsClosed(t *testing.T) {
 	fs := faultinject.NewMemFS()
-	h := startOnAuditFS(t, fs, 0).mux(false)
+	c := newClient(startOnAuditFS(t, fs, 0).mux(false))
 	read := sqlForm("ana", "analyst", "SELECT age, zip FROM patients WHERE age > 70")
-	if r := do(h, "POST", "/query", read, ""); r.status != http.StatusOK {
+	write := sqlForm("dba", "analyst", "UPDATE patients SET zip = '00000' WHERE name = 'person-0003'")
+	if r := c.post("/query", read); r.status != http.StatusOK {
 		t.Fatalf("before the fault: /query = %d %q", r.status, r.body)
 	}
 	fs.LimitSyncs(0) // the next fsync of the audit WAL crashes
-	write := sqlForm("dba", "analyst", "UPDATE patients SET zip = '00000' WHERE name = 'person-0003'")
 	for i, step := range []struct {
 		path string
 		form url.Values
-	}{{"/query", read}, {"/exec", write}, {"/query", read}, {"/exec", write}} {
-		r := do(h, "POST", step.path, step.form, "")
+	}{{"/query", read}, {"/exec", write}, {"/query", read}, {"/exec", write}, {"/query", sqlForm("mallory", "analyst", read.Get("sql"))}} {
+		r := c.post(step.path, step.form)
 		if r.status != http.StatusServiceUnavailable || strings.Contains(r.body, "age") || strings.Contains(r.body, "row(s)") {
 			t.Errorf("step %d, %s after the audit WAL failed: %d %q, want 503 and no result", i, step.path, r.status, r.body)
 		}
 	}
-	if r := do(h, "GET", "/audit", nil, ""); r.status != http.StatusServiceUnavailable {
+	if r := do(c.h, "GET", "/audit", nil, ""); r.status != http.StatusServiceUnavailable {
 		t.Errorf("/audit over a failed WAL: %d %q, want 503", r.status, r.body)
 	}
 }
@@ -63,9 +64,10 @@ func TestAuditUnreadableSegment(t *testing.T) {
 	fs := faultinject.NewMemFS()
 	s := startOnAuditFS(t, fs, 1024)
 	h := s.mux(false)
+	c := newClient(h)
 	const n = 20
 	for i := 0; i < n; i++ {
-		if r := do(h, "POST", "/query", sqlForm("ana", "analyst", fmt.Sprintf("SELECT age FROM patients WHERE age > %d", i)), ""); r.status != http.StatusOK {
+		if r := c.post("/query", sqlForm("ana", "analyst", fmt.Sprintf("SELECT age FROM patients WHERE age > %d", i))); r.status != http.StatusOK {
 			t.Fatalf("/query %d: %d %q", i, r.status, r.body)
 		}
 	}
@@ -105,8 +107,9 @@ func TestAuditStreamsUnderAppends(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			c := newClient(h)
 			for i := 0; i < 25; i++ {
-				do(h, "POST", "/query", sqlForm("ana", "analyst", fmt.Sprintf("SELECT age FROM patients WHERE age > %d", g*25+i)), "")
+				c.post("/query", sqlForm("ana", "analyst", fmt.Sprintf("SELECT age FROM patients WHERE age > %d", g*25+i)))
 			}
 		}()
 	}

@@ -90,7 +90,7 @@ func TestFreshDurableStartAppends(t *testing.T) {
 // statement with one malformed tuple, gets 403, one deny record and no row.
 func TestExecMultiRowInsert(t *testing.T) {
 	s := startSingle(t)
-	h := s.mux(false)
+	client := newClient(s.mux(false))
 	db := s.serving.Load().DB().DB()
 	cases := []struct {
 		subject, sql string
@@ -110,7 +110,7 @@ func TestExecMultiRowInsert(t *testing.T) {
 	}
 	for _, c := range cases {
 		rows, trail := patients(t, db), s.auditLog.Len()
-		r := do(h, "POST", "/exec", sqlForm(c.subject, "analyst", c.sql), "")
+		r := client.post("/exec", sqlForm(c.subject, "analyst", c.sql))
 		if r.status != c.status || c.body != "" && r.body != c.body {
 			t.Errorf("%s: %s = %d %q, want %d %q", c.subject, c.sql, r.status, r.body, c.status, c.body)
 		}

@@ -8,16 +8,25 @@
 //	POST /query    form fields: subject, roles (comma-separated), sql: a
 //	               SELECT, aggregate or not, through the whole pipeline
 //	POST /exec     same fields; INSERT/UPDATE/DELETE; leader only
-//	POST /token    subject, roles: mint an auth token (X-Auth-Token)
+//	POST /token    subject, roles: mint an auth token; leader only
 //	GET  /explain  sql: the access plan (unauthenticated)
 //	GET  /audit    the audit trail (unauthenticated)
+//
+// Authentication is on by default: subject and roles on /query and /exec
+// are only the identity a request claims, and a token (X-Auth-Token header
+// or token field, minted at /token, each reply carrying the next) or a
+// wallet (X-Auth-Wallet header or wallet field) must prove it. A request
+// presenting neither is refused 401, and malformed material 400; either
+// refusal is audited as deny:auth. -tokenttl 0 turns authentication off;
+// requests are served as the identity they assert.
 //
 // The statement, not the route, decides what runs: a write sent to /query,
 // or a SELECT sent to /exec, is refused (403) and audited, touching no table.
 // A decision the audit log cannot record is answered 503 with no result.
 //
-// Example:
+// Example, with authentication off:
 //
+//	securedb -tokenttl 0 &
 //	curl -d "subject=ana&roles=analyst&sql=SELECT age, zip FROM patients" \
 //	     http://localhost:8081/query
 //
@@ -47,9 +56,7 @@ import (
 
 	"webdbsec/internal/authtoken"
 	"webdbsec/internal/core"
-	"webdbsec/internal/credential"
 	"webdbsec/internal/inference"
-	"webdbsec/internal/keymgmt"
 	"webdbsec/internal/policy"
 	"webdbsec/internal/privacy"
 	"webdbsec/internal/reldb"
@@ -121,7 +128,7 @@ func main() {
 	flag.StringVar(&f.replicaAddr, "replica", "", "replication listen address (host:port) for cluster mode")
 	flag.StringVar(&f.peersSpec, "peers", "", "comma-separated id=host:port list of every OTHER cluster member")
 	flag.StringVar(&f.clusterSecret, "clustersecret", "securedb-demo", "shared secret deriving the demo cluster node identities")
-	flag.DurationVar(&f.tokenTTL, "tokenttl", 2*time.Minute, "auth-token lifetime for the POST /token fast path (0 disables token auth)")
+	flag.DurationVar(&f.tokenTTL, "tokenttl", 2*time.Minute, "auth-token lifetime; 0 turns authentication off; requests are served as the identity they assert")
 	flag.Parse()
 	policy, err := f.validate()
 	if err != nil {
@@ -279,43 +286,30 @@ func (g grantMintGate) AllowMint(s *policy.Subject) bool {
 	return w.DB().Grants().HasPrivilege(s.ID, sysr.Select, "patients")
 }
 
-// newAuthService builds the mint-capable token service a leading node
-// runs: verifier and minter over ring, wallets checked by creds, gated on
-// the live grant catalog.
-func newAuthService(ring *keymgmt.MintKeyring, creds *credential.Verifier, ttl time.Duration, current func() *core.SecureWebDB) (*authtoken.Service, error) {
-	minter, err := authtoken.NewMinter(ring, creds, grantMintGate{current: current}, ttl)
-	if err != nil {
-		return nil, err
-	}
-	return &authtoken.Service{Gate: &authtoken.Gate{
-		Verifier: authtoken.NewVerifier(ring, ttl, 0, 0),
-		Minter:   minter,
-	}}, nil
-}
+// pipelineHandler serves one request against one pipeline and its front
+// door (nil when authentication is off).
+type pipelineHandler func(rw http.ResponseWriter, r *http.Request, w *core.SecureWebDB, gate *authtoken.Gate)
 
-// pipelineHandler serves one request against one pipeline and its gate.
-type pipelineHandler func(rw http.ResponseWriter, r *http.Request, w *core.SecureWebDB, auth *authtoken.Service)
-
-// statement authenticates a POSTed (subject, sql) pair; on !ok the refusal
-// is already written. The serving subject comes through the token gate when
-// the surface has one (fast path, wallet fallback, or legacy passthrough),
-// straight from the form fields when token auth is off.
-func statement(rw http.ResponseWriter, r *http.Request, auth *authtoken.Service) (subject *policy.Subject, sql string, ok bool) {
+// statement reads a POSTed statement and establishes who sent it; on !ok
+// the refusal is already written. The form's subject and roles are the
+// claimed identity, and the front door decides whom to serve. A request
+// the door refuses leaves its deny:auth record, read as a query or
+// executed as a write as its route would have.
+func statement(rw http.ResponseWriter, r *http.Request, w *core.SecureWebDB, gate *authtoken.Gate, read bool) (subject *policy.Subject, sql string, ok bool) {
 	if r.Method != http.MethodPost {
 		http.Error(rw, "POST only", http.StatusMethodNotAllowed)
 		return nil, "", false
 	}
-	if auth != nil {
-		if subject, ok = auth.Authorize(rw, r); !ok {
-			return nil, "", false
-		}
-	} else {
-		subject = &policy.Subject{ID: r.FormValue("subject")}
-		if roles := r.FormValue("roles"); roles != "" {
-			subject.Roles = strings.Split(roles, ",")
-		}
+	claimed := &policy.Subject{ID: r.FormValue("subject")}
+	if roles := r.FormValue("roles"); roles != "" {
+		claimed.Roles = strings.Split(roles, ",")
 	}
 	sql = r.FormValue("sql")
+	subject, status, err := gate.Authorize(rw, r, claimed)
+	if err != nil {
+		refuse(rw, w.Unauthenticated(claimed, sql, read, err), status)
+		return nil, "", false
+	}
 	if subject.ID == "" || sql == "" {
 		http.Error(rw, "need subject and sql", http.StatusBadRequest)
 		return nil, "", false
@@ -394,27 +388,27 @@ func writeReply(rw http.ResponseWriter, res *reldb.Result, masked, derived []str
 
 // serveQuery is /query: it runs a SELECT, aggregate or not, through the
 // whole pipeline.
-func serveQuery(rw http.ResponseWriter, r *http.Request, w *core.SecureWebDB, auth *authtoken.Service) {
-	subject, sql, ok := statement(rw, r, auth)
+func serveQuery(rw http.ResponseWriter, r *http.Request, w *core.SecureWebDB, gate *authtoken.Gate) {
+	subject, sql, ok := statement(rw, r, w, gate, true)
 	if !ok {
 		return
 	}
 	out, err := w.Query(subject, sql)
 	if err != nil {
-		refuse(rw, err)
+		refuse(rw, err, http.StatusForbidden)
 		return
 	}
 	writeReply(rw, out.Result, out.MaskedColumns, out.Derived)
 }
 
-// refuse answers a pipeline error: 503 when the audit log did not take the
-// decision's record, which withholds the answer, 403 for a refusal.
-func refuse(rw http.ResponseWriter, err error) {
+// refuse answers a refusal with status, or with 503 when the audit log did
+// not take the decision's record, which withholds the answer.
+func refuse(rw http.ResponseWriter, err error, status int) {
 	if errors.Is(err, core.ErrAuditUnavailable) {
 		http.Error(rw, "audit trail unavailable; answer withheld", http.StatusServiceUnavailable)
 		return
 	}
-	http.Error(rw, err.Error(), http.StatusForbidden)
+	http.Error(rw, err.Error(), status)
 }
 
 // serveExec runs INSERT/UPDATE/DELETE. committed, when set, holds the
@@ -422,14 +416,14 @@ func refuse(rw http.ResponseWriter, err error) {
 // statement's own, not whatever the log tail is by then) is durable
 // cluster-wide; nothing is written before its verdict, so a refused ack
 // carries no partial success body.
-func serveExec(rw http.ResponseWriter, r *http.Request, w *core.SecureWebDB, auth *authtoken.Service, committed func(ctx context.Context, lsn int64) error) {
-	subject, sql, ok := statement(rw, r, auth)
+func serveExec(rw http.ResponseWriter, r *http.Request, w *core.SecureWebDB, gate *authtoken.Gate, committed func(ctx context.Context, lsn int64) error) {
+	subject, sql, ok := statement(rw, r, w, gate, false)
 	if !ok {
 		return
 	}
 	res, err := w.Execute(subject, sql)
 	if err != nil {
-		refuse(rw, err)
+		refuse(rw, err, http.StatusForbidden)
 		return
 	}
 	if committed != nil {
@@ -442,7 +436,7 @@ func serveExec(rw http.ResponseWriter, r *http.Request, w *core.SecureWebDB, aut
 }
 
 // serveExplain prints the access plan the engine would choose.
-func serveExplain(rw http.ResponseWriter, r *http.Request, w *core.SecureWebDB, _ *authtoken.Service) {
+func serveExplain(rw http.ResponseWriter, r *http.Request, w *core.SecureWebDB, _ *authtoken.Gate) {
 	plan, err := w.DB().DB().Explain(r.FormValue("sql"))
 	if err != nil {
 		http.Error(rw, err.Error(), http.StatusBadRequest)

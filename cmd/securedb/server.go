@@ -56,8 +56,8 @@ type server struct {
 	ring         *keymgmt.MintKeyring
 	creds        *credential.Verifier // wallet signatures; trusts no issuer here
 	keyset       *keymgmt.PublicKeySet
-	leaderAuth   *authtoken.Service
-	followerAuth *authtoken.Service
+	leaderAuth   *authtoken.Gate
+	followerAuth *authtoken.Gate
 
 	follower atomic.Pointer[reldb.Follower]
 	serving  atomic.Pointer[core.SecureWebDB]
@@ -85,7 +85,7 @@ func newServer(c config) (*server, error) {
 			return nil, fmt.Errorf("token auth: %w", err)
 		}
 		s.creds = credential.NewVerifier()
-		if s.leaderAuth, err = newAuthService(s.ring, s.creds, c.tokenTTL, s.serving.Load); err != nil {
+		if s.leaderAuth, err = authtoken.NewGate(s.ring, s.creds, grantMintGate{current: s.serving.Load}, c.tokenTTL); err != nil {
 			return nil, fmt.Errorf("token auth: %w", err)
 		}
 	}
@@ -113,9 +113,7 @@ func newServer(c config) (*server, error) {
 		// Mint keys ship over the replication stream, so a token minted by
 		// any leadership verifies on any replica.
 		s.keyset = keymgmt.NewPublicKeySet()
-		s.followerAuth = &authtoken.Service{Gate: &authtoken.Gate{
-			Verifier: authtoken.NewVerifier(s.keyset, c.tokenTTL, 0, -1),
-		}}
+		s.followerAuth = &authtoken.Gate{Verifier: authtoken.NewVerifier(s.keyset, c.tokenTTL, 0, -1)}
 		rc.ExportAuthKeys, rc.InstallAuthKeys = s.ring.ExportPublic, s.keyset.Install
 	}
 	if s.node, err = replication.NewNode(rc); err != nil {
@@ -218,8 +216,8 @@ func (s *server) isLeader() bool {
 }
 
 // activeAuth picks the gate for the node's current role: mint-capable while
-// leading, verify-only otherwise. Nil when token auth is off.
-func (s *server) activeAuth() *authtoken.Service {
+// leading, verify-only otherwise. Nil when authentication is off.
+func (s *server) activeAuth() *authtoken.Gate {
 	if s.leaderAuth == nil || s.leading.Load() {
 		return s.leaderAuth
 	}
@@ -271,7 +269,7 @@ func (s *server) serve(leaderOnly bool, h pipelineHandler) http.HandlerFunc {
 func (s *server) mux(debug bool) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/query", s.serve(false, serveQuery))
-	mux.HandleFunc("/exec", s.serve(true, func(rw http.ResponseWriter, r *http.Request, w *core.SecureWebDB, a *authtoken.Service) {
+	mux.HandleFunc("/exec", s.serve(true, func(rw http.ResponseWriter, r *http.Request, w *core.SecureWebDB, a *authtoken.Gate) {
 		serveExec(rw, r, w, a, s.committed)
 	}))
 	mux.HandleFunc("/explain", s.serve(false, serveExplain))
@@ -281,7 +279,7 @@ func (s *server) mux(debug bool) *http.ServeMux {
 		// leaves the node that signs with it, and followers hold only the
 		// replicated public set.
 		mint := s.leaderAuth.MintHandler()
-		mux.HandleFunc("/token", s.serve(true, func(rw http.ResponseWriter, r *http.Request, _ *core.SecureWebDB, _ *authtoken.Service) {
+		mux.HandleFunc("/token", s.serve(true, func(rw http.ResponseWriter, r *http.Request, _ *core.SecureWebDB, _ *authtoken.Gate) {
 			mint(rw, r)
 		}))
 	}
@@ -337,7 +335,7 @@ func (s *server) vars() map[string]func() any {
 		},
 	}
 	if s.leaderAuth != nil {
-		vars["securedb.authtoken"] = func() any { return s.leaderAuth.Gate.Stats() }
+		vars["securedb.authtoken"] = func() any { return s.leaderAuth.Stats() }
 	}
 	if s.dbWAL != nil {
 		vars["securedb.wal.db"] = func() any { return s.dbWAL.Stats() }
@@ -347,7 +345,7 @@ func (s *server) vars() map[string]func() any {
 		vars["securedb.cluster"] = func() any {
 			st := map[string]any{"leading": s.leading.Load(), "replication": s.node.Snapshot()}
 			if s.followerAuth != nil {
-				st["replica_authtoken"] = s.followerAuth.Gate.Stats()
+				st["replica_authtoken"] = s.followerAuth.Stats()
 			}
 			return st
 		}

@@ -112,12 +112,24 @@ type reply struct {
 	token  string // the successor token, when the response rolled one
 }
 
+// do sends form to path, presenting token when it is not empty.
 func do(h http.Handler, method, path string, form url.Values, token string) reply {
-	req := httptest.NewRequest(method, path, strings.NewReader(form.Encode()))
-	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+	req := formRequest(method, path, form)
 	if token != "" {
 		req.Header.Set(authtoken.TokenHeader, token)
 	}
+	return send(h, req)
+}
+
+// formRequest is a form-encoded request to path.
+func formRequest(method, path string, form url.Values) *http.Request {
+	req := httptest.NewRequest(method, path, strings.NewReader(form.Encode()))
+	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+	return req
+}
+
+// send serves req on h and returns what the client sees.
+func send(h http.Handler, req *http.Request) reply {
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	return reply{rec.Code, rec.Body.String(), rec.Header().Get(authtoken.TokenHeader)}
@@ -125,6 +137,48 @@ func do(h http.Handler, method, path string, form url.Values, token string) repl
 
 func sqlForm(subject, roles, sql string) url.Values {
 	return url.Values{"subject": {subject}, "roles": {roles}, "sql": {sql}}
+}
+
+// mint signs a token for subject as analyst on s's gate, issued at at.
+func mint(t *testing.T, s *server, subject string, at time.Time) string {
+	t.Helper()
+	tok, err := s.leaderAuth.Minter.Mint(&policy.Subject{ID: subject, Roles: []string{"analyst"}}, at)
+	if err != nil {
+		t.Fatalf("mint for %s: %v", subject, err)
+	}
+	return tok.EncodeString()
+}
+
+// client is one caller of a node, as a real client behaves: it posts as
+// the subject each form names, presenting that subject's token — minted at
+// mint's /token on first use, then the successor each reply rolls. A
+// subject the mint refuses posts with no token. A client is one caller:
+// it is not safe for concurrent use.
+type client struct {
+	h, mint http.Handler
+	tokens  map[string]string // subject/roles -> the token to present next
+}
+
+func newClient(h http.Handler) *client {
+	return &client{h: h, mint: h, tokens: make(map[string]string)}
+}
+
+func (c *client) post(path string, form url.Values) reply {
+	who := form.Get("subject") + "/" + form.Get("roles")
+	tok, ok := c.tokens[who]
+	if !ok {
+		minted := do(c.mint, "POST", "/token", url.Values{"subject": {form.Get("subject")}, "roles": {form.Get("roles")}}, "")
+		var mr authtoken.MintResponse
+		if minted.status == http.StatusOK && json.Unmarshal([]byte(minted.body), &mr) == nil {
+			tok = mr.Token
+		}
+	}
+	r := do(c.h, "POST", path, form, tok)
+	if r.token != "" {
+		tok = r.token
+	}
+	c.tokens[who] = tok
+	return r
 }
 
 var mintedFields = regexp.MustCompile(`"(token|expires_unix)":("[^"]*"|[0-9]+)`)
@@ -152,17 +206,18 @@ func script(t *testing.T, s *server) []string {
 	}
 	step(do(h, "POST", "/query", sqlForm("ana", "analyst", "SELECT name, zip FROM patients WHERE age > 80"), first.token))
 	step(do(h, "POST", "/query", sqlForm("ana", "analyst", "SELECT age FROM patients"), mr.Token)) // replayed token
-	step(do(h, "POST", "/query", sqlForm("mallory", "analyst", "SELECT age FROM patients"), ""))
+	c := newClient(h)
+	step(c.post("/query", sqlForm("mallory", "analyst", "SELECT age FROM patients")))
 	step(do(h, "GET", "/query", nil, ""))
-	step(do(h, "POST", "/query", url.Values{"subject": {"ana"}}, ""))
-	step(do(h, "POST", "/exec", sqlForm("dba", "analyst", "UPDATE patients SET zip = '00000' WHERE name = 'person-0003'"), ""))
-	step(do(h, "POST", "/exec", sqlForm("ana", "analyst", "UPDATE patients SET zip = '1' WHERE name = 'person-0003'"), ""))
-	step(do(h, "POST", "/query", sqlForm("ana", "analyst", "SELECT zip FROM patients WHERE name = 'person-0003'"), ""))
-	step(do(h, "POST", "/query", sqlForm("ana", "analyst", "SELECT COUNT(*) FROM patients"), ""))
-	step(do(h, "POST", "/query", sqlForm("mallory", "analyst", "SELECT COUNT(*) FROM patients"), ""))
+	step(c.post("/query", url.Values{"subject": {"ana"}}))
+	step(c.post("/exec", sqlForm("dba", "analyst", "UPDATE patients SET zip = '00000' WHERE name = 'person-0003'")))
+	step(c.post("/exec", sqlForm("ana", "analyst", "UPDATE patients SET zip = '1' WHERE name = 'person-0003'")))
+	step(c.post("/query", sqlForm("ana", "analyst", "SELECT zip FROM patients WHERE name = 'person-0003'")))
+	step(c.post("/query", sqlForm("ana", "analyst", "SELECT COUNT(*) FROM patients")))
+	step(c.post("/query", sqlForm("mallory", "analyst", "SELECT COUNT(*) FROM patients")))
 	// {name, disease} is private: the aggregate's disease column comes back
 	// withheld (or the request refused), never the values.
-	byName := step(do(h, "POST", "/query", sqlForm("ana", "analyst", "SELECT MIN(disease) FROM patients GROUP BY name"), ""))
+	byName := step(c.post("/query", sqlForm("ana", "analyst", "SELECT MIN(disease) FROM patients GROUP BY name")))
 	if byName.status == 200 {
 		lines := strings.Split(strings.TrimSpace(byName.body), "\n")
 		if len(lines) != 27 || lines[26] != "# masked by privacy constraints: MIN(disease)" {
@@ -210,7 +265,7 @@ func TestModeEquivalence(t *testing.T) {
 			t.Errorf("step %d differs:\nsingle node: %s\ngroup leader: %s", i, want[i], got[i])
 		}
 	}
-	if !strings.HasPrefix(want[len(want)-1], "200 ") || strings.Count(want[len(want)-1], "\n") != 9 {
+	if !strings.HasPrefix(want[len(want)-1], "200 ") || strings.Count(want[len(want)-1], "\n") != 10 {
 		t.Errorf("audit trail looks wrong: %q", want[len(want)-1])
 	}
 
@@ -233,14 +288,16 @@ func TestModeEquivalence(t *testing.T) {
 	}
 }
 
-// TestFollowerServesReadsRefusesWrites: a replica answers /query and
-// /explain through the same gate, refuses /exec and /token with the leader
-// hint, and cannot be written through any route: at the parent of PR 24
-// /query executed an UPDATE on a follower, which then held a row the leader
-// never wrote.
+// TestFollowerServesReadsRefusesWrites: a replica answers /query, with a
+// token the leader minted, and /explain through the same gate, refuses
+// /exec and /token with the leader hint, and cannot be written through any
+// route: when the route rather than the statement decided what ran, /query
+// executed an UPDATE on a follower, which then held a row the leader never
+// wrote.
 func TestFollowerServesReadsRefusesWrites(t *testing.T) {
 	group, leader := startGroup(t, "n1", "n2", "n3")
-	if r := do(leader.mux(false), "POST", "/exec", sqlForm("dba", "analyst", "UPDATE patients SET zip = '4' WHERE name = 'person-0004'"), ""); r.status != 200 {
+	atLeader := newClient(leader.mux(false))
+	if r := atLeader.post("/exec", sqlForm("dba", "analyst", "UPDATE patients SET zip = '4' WHERE name = 'person-0004'")); r.status != 200 {
 		t.Fatalf("leader exec: %d %s", r.status, r.body)
 	}
 	for id, s := range group {
@@ -248,12 +305,13 @@ func TestFollowerServesReadsRefusesWrites(t *testing.T) {
 			continue
 		}
 		h := s.mux(false)
+		c := &client{h: h, mint: atLeader.h, tokens: make(map[string]string)}
 		// The quorum that acknowledged the write need not include this
 		// replica yet; wait for it to apply the commit.
 		deadline := time.Now().Add(5 * time.Second)
 		var r reply
 		for {
-			r = do(h, "POST", "/query", sqlForm("ana", "analyst", "SELECT zip FROM patients WHERE name = 'person-0004'"), "")
+			r = c.post("/query", sqlForm("ana", "analyst", "SELECT zip FROM patients WHERE name = 'person-0004'"))
 			if r.status == 200 && strings.Contains(r.body, "\n4\n") || time.Now().After(deadline) {
 				break
 			}
@@ -274,14 +332,14 @@ func TestFollowerServesReadsRefusesWrites(t *testing.T) {
 		}
 		// The read route refuses a write by its kind, and the replica's
 		// database refuses it whatever route might reach it.
-		if r := do(h, "POST", "/query", update, ""); r.status != http.StatusForbidden || !strings.Contains(r.body, "not a SELECT") {
+		if r := c.post("/query", update); r.status != http.StatusForbidden || !strings.Contains(r.body, "not a SELECT") {
 			t.Errorf("%s: UPDATE on /query of a replica = %d %q, want 403", id, r.status, r.body)
 		}
 		if _, err := s.serving.Load().DB().Exec(&policy.Subject{ID: "dba", Roles: []string{"analyst"}}, update.Get("sql")); err == nil || !strings.Contains(err.Error(), "read-only replica") {
 			t.Errorf("%s: UPDATE straight into a replica's database: %v, want the read-only refusal", id, err)
 		}
 		all := sqlForm("ana", "analyst", "SELECT zip, age FROM patients")
-		if mine, theirs := do(h, "POST", "/query", all, ""), do(leader.mux(false), "POST", "/query", all, ""); mine != theirs || mine.status != 200 {
+		if mine, theirs := c.post("/query", all), atLeader.post("/query", all); mine.status != theirs.status || mine.body != theirs.body || mine.status != 200 {
 			t.Errorf("%s: replica read after the refused writes differs from the leader's:\n%v\n%v", id, mine, theirs)
 		}
 	}
@@ -298,12 +356,12 @@ func TestExecAckWaitsOnOwnCommit(t *testing.T) {
 	awaited := make(map[string]int64) // zip written -> LSN its ack waited on
 	var wg sync.WaitGroup
 	for i, zip := range []string{"11111", "22222"} {
+		tok := mint(t, leader, "dba", time.Now())
 		wg.Add(1)
 		go func(i int, zip string) {
 			defer wg.Done()
-			form := sqlForm("dba", "analyst", fmt.Sprintf("UPDATE patients SET zip = '%s' WHERE name = 'person-%04d'", zip, i+1))
-			req := httptest.NewRequest("POST", "/exec", strings.NewReader(form.Encode()))
-			req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+			req := formRequest("POST", "/exec", sqlForm("dba", "analyst", fmt.Sprintf("UPDATE patients SET zip = '%s' WHERE name = 'person-%04d'", zip, i+1)))
+			req.Header.Set(authtoken.TokenHeader, tok)
 			rec := httptest.NewRecorder()
 			serveExec(rec, req, leader.serving.Load(), leader.activeAuth(), func(ctx context.Context, lsn int64) error {
 				mu.Lock()
@@ -354,12 +412,13 @@ func TestExecAckWaitsOnOwnCommit(t *testing.T) {
 
 	// Lose the quorum: the write lands in the leader's log, its ack cannot
 	// be backed by a majority, and the client must see a bare 503.
+	tok := mint(t, leader, "dba", time.Now())
 	for _, s := range group {
 		if s != leader {
 			s.node.Stop()
 		}
 	}
-	r := do(leader.mux(false), "POST", "/exec", sqlForm("dba", "analyst", "UPDATE patients SET zip = '33333' WHERE name = 'person-0003'"), "")
+	r := do(leader.mux(false), "POST", "/exec", sqlForm("dba", "analyst", "UPDATE patients SET zip = '33333' WHERE name = 'person-0003'"), tok)
 	if r.status != http.StatusServiceUnavailable || !strings.HasPrefix(r.body, "commit not acknowledged by quorum") || strings.Contains(r.body, "row(s) affected") {
 		t.Fatalf("exec without a quorum = %d %q, want a 503 refusal and no success body", r.status, r.body)
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -17,7 +18,7 @@ import (
 // End-to-end over the real HTTP surface: mint at /token (gated on the
 // System R catalog), query on the fast path, and watch the token roll.
 
-func newTokenTestServer(t *testing.T) (*httptest.Server, *authtoken.Service) {
+func newTokenTestServer(t *testing.T) (*httptest.Server, *authtoken.Gate) {
 	t.Helper()
 	s, err := newServer(config{people: 25, tokenTTL: time.Minute})
 	if err != nil {
@@ -66,7 +67,7 @@ func queryWithToken(t *testing.T, ts *httptest.Server, subject, roles, token str
 }
 
 func TestMintThenQueryFastPath(t *testing.T) {
-	ts, svc := newTokenTestServer(t)
+	ts, gate := newTokenTestServer(t)
 	tok, status := mintToken(t, ts, "ana", "analyst")
 	if status != http.StatusOK || tok == "" {
 		t.Fatalf("mint: status=%d token=%q", status, tok)
@@ -84,7 +85,7 @@ func TestMintThenQueryFastPath(t *testing.T) {
 	}
 	// One signature: the explicit mint anchors a chain, and the three
 	// successors are its next steps.
-	st := svc.Gate.Stats()
+	st := gate.Stats()
 	if st.FastPath != 3 || st.Advanced != 3 || st.Mint.Minted != 1 {
 		t.Fatalf("stats = %+v, want 3 fast / 3 advanced / 1 minted", st)
 	}
@@ -100,7 +101,7 @@ func TestMintRefusedWithoutGrant(t *testing.T) {
 }
 
 func TestStaleTokenFallsBackToLegacyRefusal(t *testing.T) {
-	ts, svc := newTokenTestServer(t)
+	ts, gate := newTokenTestServer(t)
 	tok, _ := mintToken(t, ts, "ana", "analyst")
 	// Replay: present the same token twice; the second hop is consumed.
 	if resp, _ := queryWithToken(t, ts, "ana", "analyst", tok); resp.StatusCode != http.StatusOK {
@@ -110,19 +111,36 @@ func TestStaleTokenFallsBackToLegacyRefusal(t *testing.T) {
 	if resp.StatusCode != http.StatusUnauthorized {
 		t.Fatalf("replayed token: status = %d, want 401", resp.StatusCode)
 	}
-	if st := svc.Gate.Stats(); st.Verifier.Replayed != 1 || st.Rejected != 1 {
+	if st := gate.Stats(); st.Verifier.Replayed != 1 || st.Rejected != 1 {
 		t.Fatalf("stats = %+v, want 1 replayed / 1 rejected", st)
 	}
 }
 
-func TestLegacyFormStillServed(t *testing.T) {
-	ts, svc := newTokenTestServer(t)
-	resp, _ := queryWithToken(t, ts, "ana", "analyst", "")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy query: status %d", resp.StatusCode)
+// TestBareFormRefused: with authentication on, a /query that presents no
+// token and no wallet is refused 401 with the gate's own words, whoever it
+// names, and the refusal is audited as deny:auth.
+func TestBareFormRefused(t *testing.T) {
+	ts, gate := newTokenTestServer(t)
+	resp, err := http.PostForm(ts.URL+"/query", url.Values{"subject": {"ana"}, "roles": {"analyst"}, "sql": {"SELECT age, zip FROM patients"}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st := svc.Gate.Stats(); st.Legacy != 1 {
-		t.Fatalf("stats = %+v, want 1 legacy", st)
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnauthorized || string(body) != authtoken.ErrNoCredential.Error()+"\n" {
+		t.Fatalf("bare query: %d %q, want 401 %q", resp.StatusCode, body, authtoken.ErrNoCredential.Error()+"\n")
+	}
+	if st := gate.Stats(); st.Rejected != 1 || st.FastPath+st.SlowPath != 0 {
+		t.Fatalf("stats = %+v, want 1 rejected and nothing served", st)
+	}
+	resp, err = http.Get(ts.URL + "/audit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	trail, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if lines := strings.Split(strings.TrimSpace(string(trail)), "\n"); len(lines) != 1 || !strings.Contains(lines[0], "ana") || !strings.HasSuffix(lines[0], " deny:auth") {
+		t.Fatalf("audit trail after the bare query: %q, want one deny:auth record for ana", trail)
 	}
 }
 
@@ -144,7 +162,7 @@ func TestTokenPathShape(t *testing.T) {
 	s.creds.TrustAuthority(ca)
 	ts := httptest.NewServer(s.mux(false))
 	t.Cleanup(ts.Close)
-	gate := s.leaderAuth.Gate
+	gate := s.leaderAuth
 
 	const n = 100
 	for i := 0; i < n; i++ {

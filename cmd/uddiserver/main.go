@@ -47,10 +47,10 @@ func (registryMintGate) AllowMint(s *policy.Subject) bool {
 	return s.ID != "" && s.Wallet != nil && len(s.Wallet.Credentials) > 0
 }
 
-// newRegistryAuth builds the token service for the envelope surface:
-// wallets verify against the -trustca authorities, tokens verify against
-// a fresh local keyring.
-func newRegistryAuth(ttl time.Duration, trustCAs string) (*authtoken.Service, error) {
+// newRegistryAuth builds the front door of the envelope surface: wallets
+// verify against the -trustca authorities, tokens against a fresh local
+// keyring.
+func newRegistryAuth(ttl time.Duration, trustCAs string) (*authtoken.Gate, error) {
 	ring, err := keymgmt.NewMintKeyring(2)
 	if err != nil {
 		return nil, err
@@ -71,14 +71,7 @@ func newRegistryAuth(ttl time.Duration, trustCAs string) (*authtoken.Service, er
 		}
 		cv.Trust(name, ed25519.PublicKey(raw))
 	}
-	minter, err := authtoken.NewMinter(ring, cv, registryMintGate{}, ttl)
-	if err != nil {
-		return nil, err
-	}
-	return &authtoken.Service{Gate: &authtoken.Gate{
-		Verifier: authtoken.NewVerifier(ring, ttl, 0, 0),
-		Minter:   minter,
-	}}, nil
+	return authtoken.NewGate(ring, cv, registryMintGate{}, ttl)
 }
 
 func main() {
@@ -86,7 +79,7 @@ func main() {
 	mode := flag.String("mode", "two-party", "deployment: two-party | trusted | untrusted")
 	demo := flag.Int("demo", 25, "number of synthetic demo entries (0 = none)")
 	debug := flag.Bool("debug", false, "expose /debug/pprof and /debug/vars (off by default)")
-	tokenTTL := flag.Duration("tokenttl", 2*time.Minute, "auth-token lifetime for the POST /token fast path (0 disables token auth)")
+	tokenTTL := flag.Duration("tokenttl", 2*time.Minute, "auth-token lifetime; 0 turns authentication off; requests are served as the identity they assert")
 	trustCAs := flag.String("trustca", "", "comma-separated name=hexpubkey credential authorities trusted for wallet qualification")
 	flag.Parse()
 
@@ -166,7 +159,7 @@ func main() {
 			debugz.Publish("uddiserver.decision_cache", func() any { return cachedAgency.CacheStats() })
 		}
 		if srv.Auth != nil {
-			debugz.Publish("uddiserver.authtoken", func() any { return srv.Auth.Gate.Stats() })
+			debugz.Publish("uddiserver.authtoken", func() any { return srv.Auth.Stats() })
 		}
 		log.Printf("uddiserver: debug endpoints enabled at /debug/pprof and /debug/vars")
 	}

@@ -373,7 +373,7 @@ func TestGateFastPathRollsSuccessor(t *testing.T) {
 	}
 }
 
-func TestGateWalletFallbackAndLegacy(t *testing.T) {
+func TestGateWalletFallbackAndNoCredential(t *testing.T) {
 	ring, _ := keymgmt.NewMintKeyring(1)
 	auth, _ := credential.NewAuthority("hospital")
 	cv := credential.NewVerifier()
@@ -406,14 +406,13 @@ func TestGateWalletFallbackAndLegacy(t *testing.T) {
 		t.Fatalf("rejected path: err = %v, want ErrExpired", err)
 	}
 
-	// No material at all: legacy passthrough.
-	res, err = g.Authenticate(subj("legacyuser"), nil, now)
-	if err != nil || res.Path != authtoken.PathLegacy || res.Token != nil {
-		t.Fatalf("legacy path: res=%+v err=%v", res, err)
+	// No material at all: refused, whoever the request names.
+	if res, err := g.Authenticate(subj("ana", "analyst"), nil, now); !errors.Is(err, authtoken.ErrNoCredential) || res != nil {
+		t.Fatalf("no material: res=%+v err=%v, want ErrNoCredential", res, err)
 	}
 
 	st := g.Stats()
-	if st.SlowPath != 2 || st.TokenFallbacks != 1 || st.Rejected != 1 || st.Legacy != 1 {
+	if st.SlowPath != 2 || st.TokenFallbacks != 1 || st.Rejected != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
 }

@@ -1,10 +1,12 @@
 package authtoken
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
 
+	"webdbsec/internal/credential"
 	"webdbsec/internal/policy"
 )
 
@@ -19,6 +21,9 @@ import (
 // complete mint — full wallet verification and the MintGate policy
 // decision — whose product is a token, so a wallet-authenticated
 // response upgrades the client to the fast path for free.
+//
+// A nil *Gate is authentication switched off: Authorize serves the
+// identity a request asserts.
 type Gate struct {
 	Verifier *Verifier
 	// Minter is nil on a read replica: the gate then verifies tokens but
@@ -28,7 +33,6 @@ type Gate struct {
 	fast      atomic.Uint64
 	advanced  atomic.Uint64
 	slow      atomic.Uint64
-	legacy    atomic.Uint64
 	rejected  atomic.Uint64
 	fallbacks atomic.Uint64
 }
@@ -40,10 +44,25 @@ const (
 	// PathWallet: authenticated by the full wallet evaluation (and
 	// upgraded — the result carries a fresh token).
 	PathWallet = "wallet"
-	// PathLegacy: no auth material presented; the caller decides whether
-	// its deployment still serves such requests.
-	PathLegacy = "legacy"
 )
+
+// ErrNoCredential: the request presented neither a token nor a wallet.
+var ErrNoCredential = errors.New("authtoken: no credential presented")
+
+// NewGate builds the mint-capable gate a serving node runs: tokens signed
+// and verified under keys with lifetime ttl, wallets checked by creds, and
+// every first signature behind mintGate's policy decision. A read replica
+// builds a verify-only &Gate{Verifier: ...} instead.
+func NewGate(keys interface {
+	SigningKeys
+	VerifyKeys
+}, creds *credential.Verifier, mintGate MintGate, ttl time.Duration) (*Gate, error) {
+	minter, err := NewMinter(keys, creds, mintGate, ttl)
+	if err != nil {
+		return nil, err
+	}
+	return &Gate{Verifier: NewVerifier(keys, ttl, 0, 0), Minter: minter}, nil
+}
 
 // AuthResult is a successful authentication.
 type AuthResult struct {
@@ -51,7 +70,7 @@ type AuthResult struct {
 	Path string
 	// Token is the credential the client should present next: the
 	// successor of a consumed token, or the freshly minted product of a
-	// wallet evaluation. Nil on the legacy path.
+	// wallet evaluation. Nil on a read replica, which signs nothing.
 	Token *Token
 	// ExpiresAt is when Token ages out (clients refresh against it).
 	ExpiresAt time.Time
@@ -65,12 +84,9 @@ type AuthResult struct {
 //   - A failed or absent token falls back to the full wallet path when s
 //     carries a wallet: a complete Mint evaluation, whose token rides
 //     back on the result.
-//   - Neither token nor wallet is the legacy path: Authenticate reports
-//     it rather than refusing, because whether unauthenticated requests
-//     are still served is deployment policy, not this gate's call.
+//   - Neither token nor wallet is ErrNoCredential.
 //
-// A non-nil error means the request presented auth material and all of
-// it failed — the caller should refuse the request.
+// A non-nil error means the request is refused; it is counted in Rejected.
 func (g *Gate) Authenticate(s *policy.Subject, rawToken []byte, now time.Time) (*AuthResult, error) {
 	if len(rawToken) > 0 {
 		fp := BindingFingerprint(s)
@@ -114,8 +130,8 @@ func (g *Gate) Authenticate(s *policy.Subject, rawToken []byte, now time.Time) (
 		g.slow.Add(1)
 		return &AuthResult{Path: PathWallet, Token: t, ExpiresAt: t.expiresAt(g.Minter.TTL())}, nil
 	}
-	g.legacy.Add(1)
-	return &AuthResult{Path: PathLegacy}, nil
+	g.rejected.Add(1)
+	return nil, ErrNoCredential
 }
 
 // mint is Minter.Mint through this gate: the full evaluation, then a
@@ -163,13 +179,12 @@ func (g *Gate) sign(fp [16]byte, now time.Time) (*Token, error) {
 type GateStats struct {
 	// FastPath counts token-authenticated requests, Advanced those among
 	// them whose successor was their chain's next step (no signature),
-	// SlowPath full wallet evaluations, Legacy requests with no auth
-	// material, Rejected refusals, TokenFallbacks requests whose token
-	// failed but whose wallet then re-qualified them.
+	// SlowPath full wallet evaluations, Rejected refusals (no material
+	// among them), TokenFallbacks requests whose token failed but whose
+	// wallet then re-qualified them.
 	FastPath       uint64
 	Advanced       uint64
 	SlowPath       uint64
-	Legacy         uint64
 	Rejected       uint64
 	TokenFallbacks uint64
 	// FastPathHitRate is FastPath over all authenticated traffic
@@ -186,7 +201,6 @@ func (g *Gate) Stats() GateStats {
 		FastPath:       fast,
 		Advanced:       g.advanced.Load(),
 		SlowPath:       slow,
-		Legacy:         g.legacy.Load(),
 		Rejected:       g.rejected.Load(),
 		TokenFallbacks: g.fallbacks.Load(),
 		Verifier:       g.Verifier.Stats(),

@@ -3,6 +3,7 @@ package authtoken
 import (
 	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -18,9 +19,11 @@ import (
 //
 //	request   X-Auth-Token header (or form "token"): base64url token
 //	          X-Auth-Wallet header (or form "wallet"): base64url JSON wallet
-//	          form "subject", "roles": the serving identity
 //	response  X-Auth-Token: the successor (or freshly minted) token
 //	          X-Auth-Expires: its expiry, unix seconds
+//
+// The identity the request claims is the binding's own: securedb's
+// "subject" and "roles" form fields, an envelope's sender and roles.
 //
 // The response headers are what makes refresh transparent: every
 // authenticated response re-arms the client with the token to present
@@ -31,86 +34,74 @@ import (
 const (
 	// TokenHeader carries the token, request and response.
 	TokenHeader = "X-Auth-Token"
-	// WalletHeader carries the base64url JSON wallet on surfaces whose
-	// body is not form-encoded (the wsa envelope endpoint).
+	// WalletHeader carries the base64url JSON wallet.
 	WalletHeader = "X-Auth-Wallet"
 	// ExpiresHeader carries the response token's expiry, unix seconds.
 	ExpiresHeader = "X-Auth-Expires"
 )
 
-// Service is the HTTP surface: a mint endpoint plus per-request
-// authentication for handlers.
-type Service struct {
-	Gate *Gate
+// material reads one piece of auth material: the header first, then the
+// form field.
+func material(r *http.Request, header, field string) string {
+	if enc := r.Header.Get(header); enc != "" {
+		return enc
+	}
+	return r.FormValue(field)
 }
 
-// SubjectFromRequest builds the presented subject from the request's
-// form fields and auth headers. The wallet, when present, is only
-// *decoded* here — verification is the minter's job.
-func SubjectFromRequest(r *http.Request) (*policy.Subject, error) {
-	s := &policy.Subject{ID: r.FormValue("subject")}
-	if roles := r.FormValue("roles"); roles != "" {
-		s.Roles = strings.Split(roles, ",")
-	}
-	enc := r.FormValue("wallet")
-	if enc == "" {
-		enc = r.Header.Get(WalletHeader)
-	}
-	if enc != "" {
-		w, err := DecodeWallet(enc)
+// presented decodes the request's auth material: the raw token, nil when
+// absent, and the subject to authenticate — claimed, or a copy of it
+// carrying the presented wallet, which is only decoded here; verifying it
+// is the minter's job.
+func presented(r *http.Request, claimed *policy.Subject) (*policy.Subject, []byte, error) {
+	s := claimed
+	if enc := material(r, WalletHeader, "wallet"); enc != "" {
+		w, err := decodeWallet(enc)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		s.Wallet = w
+		s = &policy.Subject{ID: claimed.ID, Roles: claimed.Roles, Wallet: w}
 	}
-	return s, nil
+	var raw []byte
+	if enc := material(r, TokenHeader, "token"); enc != "" {
+		var err error
+		if raw, err = base64.RawURLEncoding.DecodeString(enc); err != nil {
+			return nil, nil, fmt.Errorf("%w: token encoding: %v", ErrMalformed, err)
+		}
+	}
+	return s, raw, nil
 }
 
-// tokenFromRequest extracts the raw presented token, nil when absent.
-func tokenFromRequest(r *http.Request) ([]byte, error) {
-	enc := r.Header.Get(TokenHeader)
-	if enc == "" {
-		enc = r.FormValue("token")
+// Authorize is the front door: it establishes who is asking. claimed is
+// the identity the request states, without a wallet; the token or wallet
+// the request presents must prove it. On success the response is armed
+// with the token to present next, and claimed returns as the serving
+// subject: below the door, decisions and caches key on the identity
+// alone, whichever path proved it. On failure the status is the HTTP
+// refusal, which each binding renders in its own format: 400 for
+// malformed material (ErrMalformed), 401 for everything else, no material
+// at all (ErrNoCredential) included.
+//
+// On a nil gate — authentication off — claimed is served as it asserts.
+func (g *Gate) Authorize(w http.ResponseWriter, r *http.Request, claimed *policy.Subject) (*policy.Subject, int, error) {
+	if g == nil {
+		return claimed, http.StatusOK, nil
 	}
-	if enc == "" {
-		return nil, nil
+	s, raw, err := presented(r, claimed)
+	if err == nil {
+		var res *AuthResult
+		if res, err = g.Authenticate(s, raw, time.Now()); err == nil {
+			if res.Token != nil {
+				w.Header().Set(TokenHeader, res.Token.EncodeString())
+				w.Header().Set(ExpiresHeader, strconv.FormatInt(res.ExpiresAt.Unix(), 10))
+			}
+			return claimed, http.StatusOK, nil
+		}
 	}
-	raw, err := base64.RawURLEncoding.DecodeString(enc)
-	if err != nil {
-		return nil, fmt.Errorf("%w: token encoding: %v", ErrMalformed, err)
+	if errors.Is(err, ErrMalformed) {
+		return nil, http.StatusBadRequest, err
 	}
-	return raw, nil
-}
-
-// Authorize authenticates the request: token fast path first, wallet
-// fallback, legacy passthrough when no material is presented. On success
-// it arms the response with the next token and returns the serving
-// subject; on failure it writes 401 and returns ok=false — the handler
-// must stop.
-func (s *Service) Authorize(w http.ResponseWriter, r *http.Request) (*policy.Subject, bool) {
-	subj, err := SubjectFromRequest(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return nil, false
-	}
-	raw, err := tokenFromRequest(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return nil, false
-	}
-	res, err := s.Gate.Authenticate(subj, raw, time.Now())
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusUnauthorized)
-		return nil, false
-	}
-	if res.Token != nil {
-		w.Header().Set(TokenHeader, res.Token.EncodeString())
-		w.Header().Set(ExpiresHeader, strconv.FormatInt(res.ExpiresAt.Unix(), 10))
-	}
-	// The wallet authenticated (or qualified) the request; handlers and
-	// everything below them see the serving identity, same as the fast
-	// path, so decisions and caches key identically on both.
-	return &policy.Subject{ID: subj.ID, Roles: subj.Roles}, true
+	return nil, http.StatusUnauthorized, err
 }
 
 // MintResponse is the mint endpoint's JSON body.
@@ -128,18 +119,22 @@ type MintResponse struct {
 // presents identity, roles and its full wallet; a complete credential
 // evaluation plus the MintGate policy decision stand between the request
 // and the signature.
-func (s *Service) MintHandler() http.HandlerFunc {
+func (g *Gate) MintHandler() http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)
 			return
 		}
-		subj, err := SubjectFromRequest(r)
+		claimed := &policy.Subject{ID: r.FormValue("subject")}
+		if roles := r.FormValue("roles"); roles != "" {
+			claimed.Roles = strings.Split(roles, ",")
+		}
+		subj, _, err := presented(r, claimed)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		t, err := s.Gate.mint(subj, time.Now())
+		t, err := g.mint(subj, time.Now())
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusForbidden)
 			return
@@ -147,7 +142,7 @@ func (s *Service) MintHandler() http.HandlerFunc {
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(MintResponse{
 			Token:       t.EncodeString(),
-			ExpiresUnix: t.IssuedAt + int64(s.Gate.Minter.TTL()/time.Second),
+			ExpiresUnix: t.IssuedAt + int64(g.Minter.TTL()/time.Second),
 			Subject:     fmt.Sprintf("%x", t.Subject),
 		})
 	}
@@ -163,15 +158,15 @@ func EncodeWallet(w *credential.Wallet) (string, error) {
 	return base64.RawURLEncoding.EncodeToString(raw), nil
 }
 
-// DecodeWallet parses the transport form.
-func DecodeWallet(enc string) (*credential.Wallet, error) {
+// decodeWallet parses the transport form.
+func decodeWallet(enc string) (*credential.Wallet, error) {
 	raw, err := base64.RawURLEncoding.DecodeString(enc)
 	if err != nil {
-		return nil, fmt.Errorf("authtoken: wallet encoding: %w", err)
+		return nil, fmt.Errorf("%w: wallet encoding: %v", ErrMalformed, err)
 	}
 	var w credential.Wallet
 	if err := json.Unmarshal(raw, &w); err != nil {
-		return nil, fmt.Errorf("authtoken: wallet decode: %w", err)
+		return nil, fmt.Errorf("%w: wallet: %v", ErrMalformed, err)
 	}
 	return &w, nil
 }

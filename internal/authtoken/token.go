@@ -75,10 +75,11 @@ const (
 	TokenLen = stepOff + 1 + sha256.Size // 166
 )
 
-// ErrMalformed reports a token that is not structurally valid: wrong
-// length, unknown version, a step outside 1..ChainLen — anything Decode
-// cannot even parse.
-var ErrMalformed = errors.New("authtoken: malformed token")
+// ErrMalformed reports auth material that is not structurally valid: a
+// token of the wrong length, an unknown version, a step outside
+// 1..ChainLen — anything Decode cannot even parse — or a token or wallet
+// whose transport encoding does not decode.
+var ErrMalformed = errors.New("authtoken: malformed auth material")
 
 // Token is the decoded form.
 type Token struct {

@@ -97,6 +97,18 @@ func (w *SecureWebDB) record(s *policy.Subject, action, sql, outcome string, res
 	return result
 }
 
+// Unauthenticated records that a request claiming to be s was refused at
+// the front door, before sql reached the pipeline: its outcome is
+// deny:auth, its action the one the request's route runs (query for a
+// read). It returns cause, or the audit failure that withholds it.
+func (w *SecureWebDB) Unauthenticated(s *policy.Subject, sql string, read bool, cause error) error {
+	action := "execute"
+	if read {
+		action = "query"
+	}
+	return w.record(s, action, sql, "deny:auth", cause)
+}
+
 // QueryOutcome is the result of a gated query.
 type QueryOutcome struct {
 	// Result is bound, not read: its rows are read by Result.Each, from

@@ -252,15 +252,17 @@ func (s *SecureDB) ExecBound(subject *policy.Subject, st Stmt) (*Result, error) 
 	if where != nil {
 		rewritten, empty := s.rewriteWhere(subject, table, *where)
 		if empty {
-			switch {
-			case sel == nil:
+			if sel == nil {
 				return &Result{}, nil // a write over no visible row
-			case len(sel.Aggs) == 0:
-				return &Result{Columns: sel.Columns}, nil
 			}
-			// An aggregate over no visible row still answers — COUNT 0,
-			// NULLs — never an error that tells the tables apart.
+			// A SELECT over no visible row binds as any other does —
+			// column names, bind errors in its own WHERE among them,
+			// COUNT 0 — so its reply does not tell whether a row policy
+			// matched.
 			rewritten = falseExpr{}
+			if *where != nil {
+				rewritten = &AndExpr{L: *where, R: falseExpr{}}
+			}
 		}
 		*where = rewritten
 	}

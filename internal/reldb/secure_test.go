@@ -195,3 +195,40 @@ func TestPolicyValidation(t *testing.T) {
 		t.Error("CreateTable accepted non-DDL")
 	}
 }
+
+// TestNoVisibleRowRepliesAlike: a subject none of whose row policies
+// applies and one whose policy applies but matches no row get the same
+// reply to the same SELECT — the column names of SELECT *, or the same
+// bind error for an unknown column — so the reply does not tell whether
+// any policy matched.
+func TestNoVisibleRowRepliesAlike(t *testing.T) {
+	sdb, _, _, _ := hrFixture(t)
+	opsPred := MustParse("SELECT * FROM emp WHERE dept = 'ops'").(*SelectStmt).Where
+	mustNoErr(t, sdb.AddRowPolicy(&RowPolicy{
+		Name: "auditors-see-ops", Table: "emp",
+		Subject: policy.SubjectSpec{Roles: []string{"auditor"}}, Pred: opsPred,
+	}))
+	auditor, outsider := &policy.Subject{ID: "aud", Roles: []string{"auditor"}}, &policy.Subject{ID: "out"}
+	for _, s := range []*policy.Subject{auditor, outsider} {
+		mustNoErr(t, sdb.Grants().Grant("dba", s.ID, sysr.Select, "emp", false))
+	}
+	reply := func(s *policy.Subject, sql string) string {
+		res, err := sdb.Exec(s, sql)
+		if err != nil {
+			return "error: " + err.Error()
+		}
+		return fmt.Sprintf("%q, %d rows", res.Columns, len(res.Rows))
+	}
+	for _, sql := range []string{
+		"SELECT * FROM emp",
+		"SELECT * FROM emp WHERE id = 5",
+		"SELECT name FROM emp ORDER BY id LIMIT 1",
+		"SELECT nosuch FROM emp",
+		"SELECT * FROM emp WHERE nosuch = 1",
+		"SELECT * FROM emp ORDER BY nosuch",
+	} {
+		if a, o := reply(auditor, sql), reply(outsider, sql); a != o {
+			t.Errorf("%s: a matching policy over no row answers %s, no matching policy %s", sql, a, o)
+		}
+	}
+}

@@ -285,6 +285,9 @@ func (n *Node) serveState(ch *secchan.Channel, m *msg) {
 			n.logf("state: %v", err)
 		}
 	}
+	if n.role == LeaderRole {
+		n.polledAt[m.Node] = time.Now()
+	}
 	resp := &msg{
 		T:          "stateResp",
 		Node:       n.cfg.NodeID,

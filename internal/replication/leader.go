@@ -210,11 +210,14 @@ func (n *Node) runLeader() {
 }
 
 // quorumHeardLocked reports whether a quorum heard from this leader after
-// cutoff: the followers whose links delivered an ack since, and itself. A
-// vote-elected leader starts with zero links — its voters are still
-// candidates until their next poll finds it — so promotion counts as
-// hearing from the electing quorum, and fencing begins one election
-// timeout after it.
+// cutoff: itself, and the followers it heard from since — by a poll it
+// answered as leader, a join request that passed the credential check, or
+// a stream ack. Promotion counts as hearing from the electing quorum, so
+// fencing begins one election timeout after it. Polls and joins count
+// because a loaded join (dial, handshake, credential check, log hash, join
+// ack) can outlast that grace before its stream's first ack; a follower
+// whose poll found this leader refuses other candidates for an election
+// timeout (leaderFreshLocked), so the count claims no more than it grants.
 //
 // seclint:locked caller holds n.mu
 func (n *Node) quorumHeardLocked(cutoff time.Time) bool {
@@ -222,8 +225,11 @@ func (n *Node) quorumHeardLocked(cutoff time.Time) bool {
 		return true
 	}
 	reachable := 1 // self
-	for _, l := range n.links {
-		if l.lastHeard().After(cutoff) {
+	for id, at := range n.polledAt {
+		if l := n.links[id]; l != nil && l.lastHeard().After(at) {
+			at = l.lastHeard()
+		}
+		if at.After(cutoff) {
 			reachable++
 		}
 	}
@@ -273,6 +279,11 @@ func (n *Node) serveJoin(ch *secchan.Channel, m *msg) {
 		n.reject(ch, "credential check failed", leader, epoch)
 		return
 	}
+	n.mu.Lock()
+	if n.role == LeaderRole && n.epoch == epoch {
+		n.polledAt[m.Node] = time.Now()
+	}
+	n.mu.Unlock()
 
 	// Negotiate the catch-up plan from the two log positions.
 	w := n.cfg.WAL

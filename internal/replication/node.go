@@ -250,9 +250,13 @@ type Node struct {
 	votedEpoch uint64 // seclint:guardedby mu
 	tailEpoch  uint64 // seclint:guardedby mu
 	epochStart uint64 // seclint:guardedby mu
-	// links and acked are non-empty only while leading.
+	// links, acked and polledAt are non-empty only while leading.
 	links map[string]*link  // seclint:guardedby mu
 	acked map[string]uint64 // seclint:guardedby mu
+	// polledAt is when each follower last reached this leadership before
+	// its stream carries an ack: a poll answered as leader, or a join
+	// request that passed the credential check (quorumHeardLocked).
+	polledAt map[string]time.Time // seclint:guardedby mu
 	// commitCh is closed and replaced whenever the commit watermark or
 	// the role changes — the broadcast WaitCommitted and pumps wait on.
 	commitCh chan struct{} // seclint:guardedby mu
@@ -305,6 +309,7 @@ func NewNode(cfg Config) (*Node, error) {
 		commitCh: make(chan struct{}),
 		links:    make(map[string]*link),
 		acked:    make(map[string]uint64),
+		polledAt: make(map[string]time.Time),
 		breakers: make(map[string]*resilience.Breaker),
 		applied:  cfg.AppliedLSN,
 	}
@@ -721,5 +726,6 @@ func (n *Node) stepDownLocked(why string) {
 		delete(n.links, id)
 		delete(n.acked, id)
 	}
+	clear(n.polledAt)
 	n.broadcastLocked()
 }

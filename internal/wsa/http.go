@@ -2,7 +2,6 @@ package wsa
 
 import (
 	"context"
-	"encoding/base64"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -12,7 +11,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"webdbsec/internal/authtoken"
 	"webdbsec/internal/credential"
@@ -63,13 +61,14 @@ func faultStatus(err error) int {
 type RegistryServer struct {
 	Registry *uddi.Registry
 	Agency   *uddi.UntrustedAgency
-	// Auth, when set, authenticates every envelope before dispatch: the
-	// stateless token fast path first (X-Auth-Token header), full wallet
-	// evaluation as fallback (X-Auth-Wallet header), legacy passthrough
-	// when the envelope presents neither — existing two-party deployments
-	// keep working, but every authenticated response arms the client with
-	// the token to present next.
-	Auth *authtoken.Service
+	// Auth is the front door every envelope passes before dispatch: the
+	// envelope's sender and roles are the claimed identity, and the token
+	// (X-Auth-Token) or wallet (X-Auth-Wallet) it presents must prove it.
+	// An envelope that presents neither is refused 401, and every
+	// authenticated response arms the client with the token to present
+	// next. Nil turns authentication off: envelopes are served as the
+	// identity they assert.
+	Auth *authtoken.Gate
 	// Logf, when set, receives server-side diagnostics (recovered panic
 	// values among them). Defaults to the standard logger.
 	Logf func(format string, args ...any)
@@ -136,10 +135,12 @@ func (s *RegistryServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		writeFault(w, status, err.Error())
 		return
 	}
-	if !s.authenticate(w, r, env) {
+	req, status, err := s.Auth.Authorize(w, r, &policy.Subject{ID: env.Sender, Roles: env.Roles})
+	if err != nil {
+		writeFault(w, status, err.Error())
 		return
 	}
-	resp, err := s.dispatch(env)
+	resp, err := s.dispatch(env, req)
 	if err != nil {
 		writeFault(w, faultStatus(err), err.Error())
 		return
@@ -148,54 +149,15 @@ func (s *RegistryServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	w.Write(resp)
 }
 
-// authenticate runs the token/wallet gate over the envelope's sender
-// identity. The envelope carries the identity; the auth material rides in
-// headers because the body is the XML payload. A refusal is a 401 fault
-// (terminal for the client's retry policy); success arms the response
-// with the successor token.
-func (s *RegistryServer) authenticate(w http.ResponseWriter, r *http.Request, env *Envelope) bool {
-	if s.Auth == nil {
-		return true
-	}
-	subj := &policy.Subject{ID: env.Sender, Roles: env.Roles}
-	if enc := r.Header.Get(authtoken.WalletHeader); enc != "" {
-		wal, err := authtoken.DecodeWallet(enc)
-		if err != nil {
-			writeFault(w, http.StatusBadRequest, err.Error())
-			return false
-		}
-		subj.Wallet = wal
-	}
-	var rawTok []byte
-	if enc := r.Header.Get(authtoken.TokenHeader); enc != "" {
-		var err error
-		rawTok, err = base64.RawURLEncoding.DecodeString(enc)
-		if err != nil {
-			writeFault(w, http.StatusBadRequest, "wsa: token encoding: "+err.Error())
-			return false
-		}
-	}
-	res, err := s.Auth.Gate.Authenticate(subj, rawTok, time.Now())
-	if err != nil {
-		writeFault(w, http.StatusUnauthorized, err.Error())
-		return false
-	}
-	if res.Token != nil {
-		w.Header().Set(authtoken.TokenHeader, res.Token.EncodeString())
-		w.Header().Set(authtoken.ExpiresHeader, strconv.FormatInt(res.ExpiresAt.Unix(), 10))
-	}
-	return true
-}
-
 func writeFault(w http.ResponseWriter, code int, msg string) {
 	w.Header().Set("Content-Type", "application/xml")
 	w.WriteHeader(code)
 	w.Write((&Envelope{Fault: msg}).encode())
 }
 
-// dispatch runs the operation and returns the encoded reply envelope.
-func (s *RegistryServer) dispatch(env *Envelope) ([]byte, error) {
-	req := &policy.Subject{ID: env.Sender, Roles: env.Roles}
+// dispatch runs the operation as req, the subject the front door
+// established, and returns the encoded reply envelope.
+func (s *RegistryServer) dispatch(env *Envelope, req *policy.Subject) ([]byte, error) {
 	switch env.Operation {
 	case "find_business":
 		pattern, category := "", (*uddi.KeyedReference)(nil)
@@ -258,7 +220,7 @@ func (s *RegistryServer) dispatch(env *Envelope) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := s.Registry.SaveBusiness(env.Sender, e); err != nil {
+		if err := s.Registry.SaveBusiness(req.ID, e); err != nil {
 			return nil, err
 		}
 		return okReply(env.Operation), nil
@@ -268,7 +230,7 @@ func (s *RegistryServer) dispatch(env *Envelope) ([]byte, error) {
 			return nil, fmt.Errorf("wsa: delete_business needs a body")
 		}
 		key, _ := env.Body.Root.Attr("businessKey")
-		if err := s.Registry.DeleteBusiness(env.Sender, key); err != nil {
+		if err := s.Registry.DeleteBusiness(req.ID, key); err != nil {
 			return nil, err
 		}
 		return okReply(env.Operation), nil
